@@ -8,7 +8,7 @@ goal g'?" questions with observational markers and counterfactual actions.
 
 from .bench import TimingReport, run_bench, time_scenario
 from .errors import (AllGoalsUnsolvable, BudgetExceeded, EmptyExplanan,
-                     GrexError, HeuristicUnsupported, InvalidObservationChain,
+                     GrexError, InvalidObservationChain,
                      KeyMismatch, MalformedSpec, MissingAnnotation,
                      NotAdjacent, NotApplicable, ParseError, UnsolvableGoal,
                      ValidationError, ZeroPosterior, ZeroPrior)
@@ -19,10 +19,10 @@ from .explainer import (CompleteExplanan, ExplananEntry, WhyAnswer,
                         woe_uniform, woe_with_priors)
 from .grids import GridSpec, cell_move_name, compile_grid
 from .metrics import eval_cf_agreement, eval_mae
-from .planner import (DEFAULT_BUDGET, Heuristic, PlanningTask, PlanResult,
-                      Status, first_action, optimal_cost, optimal_plan)
+from .planner import (DEFAULT_BUDGET, PlanningTask, PlanResult, Status,
+                      first_action, optimal_cost, optimal_plan)
 from .recognizer import (GrProblem, Observation, PosteriorTrace,
-                         mirror_posteriors, split_goal_sets)
+                         mirror_posteriors)
 from .render import render, render_ascii
 from .scenario import (AnnotationFile, ScenarioFile, build_problem,
                        bundled_bench_paths, bundled_scenario_path,

@@ -19,13 +19,13 @@ import sys
 from pathlib import Path
 
 from .bench import format_report, run_bench
-from .errors import BudgetExceeded, GrexError
-from .explainer import (WhyAnswer, answer_why, answer_why_not, build_explanan,
+from .errors import BudgetExceeded, GrexError, ValidationError
+from .explainer import (answer_why, answer_why_not, build_explanan,
                         rank_observations)
 from .metrics import eval_cf_agreement, eval_mae
 from .planner import DEFAULT_BUDGET
 from .recognizer import mirror_posteriors
-from .render import render, render_ascii
+from .render import render_ascii
 from .scenario import load_annotations, load_priors, load_scenario
 from .version import __version__
 
@@ -40,10 +40,17 @@ def _entry_dict(problem, entry):
     }
 
 
-def _load(args):
+def _run(args, explain=True):
+    """Load the scenario (and priors), run the recognizer and, with
+    ``explain``, build the explanation list.
+
+    Returns (problem, trace, explanan); explanan is None without ``explain``.
+    """
     problem = load_scenario(args.scenario)
     priors = load_priors(args.priors, problem) if args.priors else None
-    return problem, priors
+    trace = mirror_posteriors(problem, priors=priors, budget=args.budget)
+    explanan = build_explanan(trace, priors=priors) if explain else None
+    return problem, trace, explanan
 
 
 def _goal_index(problem, label):
@@ -56,8 +63,7 @@ def _goal_index(problem, label):
 
 
 def cmd_recognize(args):
-    problem, priors = _load(args)
-    trace = mirror_posteriors(problem, priors=priors, budget=args.budget)
+    problem, trace, _ = _run(args, explain=False)
     payload = {
         "scenario": problem.domain.annotations.get("name", str(args.scenario)),
         "goals": list(problem.goal_names),
@@ -82,9 +88,7 @@ def cmd_recognize(args):
 
 
 def cmd_explain(args):
-    problem, priors = _load(args)
-    trace = mirror_posteriors(problem, priors=priors, budget=args.budget)
-    explanan = build_explanan(trace, priors=priors)
+    problem, _, explanan = _run(args)
     goal_filter = None
     if args.goal:
         goal_filter = [_goal_index(problem, args.goal)]
@@ -97,18 +101,11 @@ def cmd_explain(args):
     }
 
     if args.question == "why":
-        answer = answer_why(problem, explanan)
-        if goal_filter is not None:
-            markers = tuple(e for e in answer.markers
-                            if e.predicted_goal in goal_filter)
-            if not markers:
-                raise GrexError(f"goal {args.goal!r} is not a predicted goal; "
-                                f"ask --question whynot about it instead")
-            answer = WhyAnswer(markers=markers)
-            answer.rendered = render(answer, problem)
+        answer = answer_why(problem, explanan, goals=goal_filter)
+        if goal_filter is not None and not answer.markers:
+            raise GrexError(f"goal {args.goal!r} is not a predicted goal; "
+                            f"ask --question whynot about it instead")
         payload["markers"] = [_entry_dict(problem, e) for e in answer.markers]
-        payload["text"] = answer.rendered
-        highlight = {e.observation_index for e in answer.markers}
     else:
         answer = answer_why_not(problem, explanan, goals=goal_filter,
                                 budget=args.budget)
@@ -123,8 +120,8 @@ def cmd_explain(args):
                              if sel.markers else None),
              "counterfactual_action": sel.action.name if sel.action else None}
             for sel in answer.selections]
-        payload["text"] = answer.rendered
-        highlight = {e.observation_index for e in answer.markers}
+    payload["text"] = answer.rendered
+    highlight = {e.observation_index for e in answer.markers}
 
     lines = [payload["text"]]
     for marker in payload["markers"]:
@@ -138,9 +135,7 @@ def cmd_explain(args):
 
 
 def cmd_rank(args):
-    problem, priors = _load(args)
-    trace = mirror_posteriors(problem, priors=priors, budget=args.budget)
-    explanan = build_explanan(trace, priors=priors)
+    problem, _, explanan = _run(args)
     why_ranks, whynot_ranks = rank_observations(explanan)
     payload = {
         "scenario": problem.domain.annotations.get("name", str(args.scenario)),
@@ -174,12 +169,13 @@ def cmd_bench(args):
 
 
 def cmd_eval(args):
-    problem, priors = _load(args)
     annotations = load_annotations(args.annotations)
-    trace = mirror_posteriors(problem, priors=priors, budget=args.budget)
-    explanan = build_explanan(trace, priors=priors)
-    why_ranks, whynot_ranks = rank_observations(explanan)
+    problem, _, explanan = _run(args)
     n = len(problem.observations)
+    if n == 0:
+        raise ValidationError("eval needs a scenario with at least one "
+                              "observation")
+    why_ranks, whynot_ranks = rank_observations(explanan)
 
     payload = {
         "scenario": annotations.scenario or problem.domain.annotations.get("name"),

@@ -29,10 +29,6 @@ class BudgetExceeded(GrexError):
         self.budget = budget
 
 
-class HeuristicUnsupported(GrexError):
-    """The requested heuristic is not admissible for this domain."""
-
-
 class InvalidObservationChain(GrexError):
     """An observation sequence does not progress validly from the initial state."""
 

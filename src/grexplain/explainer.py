@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (EmptyExplanan, UnsolvableGoal, ZeroPosterior, ZeroPrior)
-from .planner import DEFAULT_BUDGET, Heuristic, PlanningTask, first_action, optimal_plan
+from .planner import DEFAULT_BUDGET, PlanningTask, first_action, optimal_plan
 from .recognizer import GrProblem, PosteriorTrace
 from .strips import GroundAction
 
@@ -232,8 +232,7 @@ def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
     goal = problem.goals[g_prime]
     if goal <= state:
         return None
-    result = optimal_plan(PlanningTask(problem.domain, state, goal),
-                          Heuristic.ZERO, budget)
+    result = optimal_plan(PlanningTask(problem.domain, state, goal), budget)
     if not result.solved:
         raise UnsolvableGoal(
             f"goal {problem.goal_label(g_prime)} is unreachable from the state "
@@ -241,12 +240,21 @@ def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
     return first_action(result)
 
 
-def answer_why(problem: GrProblem, explanan: CompleteExplanan) -> WhyAnswer:
-    """Assemble and render the "why g?" answer."""
+def answer_why(problem: GrProblem, explanan: CompleteExplanan,
+               goals: Optional[Sequence[int]] = None) -> WhyAnswer:
+    """Assemble and render the "why g?" answer.
+
+    With ``goals``, only markers for those predicted goals are kept; if none
+    remain, the answer has no markers and an empty rendering.
+    """
     from .render import render
 
     answer = select_om(explanan)
-    answer.rendered = render(answer, problem)
+    if goals is not None:
+        answer = WhyAnswer(markers=tuple(e for e in answer.markers
+                                         if e.predicted_goal in goals))
+    if answer.markers:
+        answer.rendered = render(answer, problem)
     return answer
 
 

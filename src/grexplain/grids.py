@@ -10,7 +10,6 @@ and each legal adjacent move becomes a unit-cost action named
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import MalformedSpec, NotAdjacent
 from .strips import DomainDefinition, GroundAction, State
@@ -104,20 +103,3 @@ def compile_grid(spec: GridSpec):
     initial = State([cell_fact(spec.start)])
     goals = [frozenset([cell_fact(g)]) for g in spec.goal_cells]
     return domain, initial, goals
-
-
-def audit_goals(domain, initial, goals, budget: Optional[int] = None) -> list:
-    """Indices of goal hypotheses with no plan from the initial state.
-
-    Dead ends are legal scenario inputs; compilation never rejects them, it
-    just lets callers warn.
-    """
-    from .planner import DEFAULT_BUDGET, PlanningTask, optimal_cost
-
-    unsolvable = []
-    for idx, goal in enumerate(goals):
-        cost = optimal_cost(PlanningTask(domain, initial, goal),
-                            budget=budget or DEFAULT_BUDGET)
-        if cost is None:
-            unsolvable.append(idx)
-    return unsolvable

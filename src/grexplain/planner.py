@@ -1,29 +1,23 @@
-"""Cost-optimal forward search over STRIPS states.
+"""Optimal forward search over STRIPS states.
 
 A single planner serves optimal plans, recognition suffix plans, and
-counterfactual-action plans.  The search is Dijkstra over the state graph with
-an optional admissible heuristic plug-in (plain A*).  Among equal-cost plans
-the lexicographically-first action sequence is returned, so downstream
-explanations are reproducible run to run.
+counterfactual-action plans.  Every action costs 1, so the search is a plain
+breadth-first search and an optimal plan is a shortest one.  Among
+equal-length plans the lexicographically-first action sequence is returned,
+so downstream explanations are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
-from typing import Callable, Optional
+from typing import Optional
 
-from .errors import BudgetExceeded, HeuristicUnsupported, MalformedSpec
+from .errors import BudgetExceeded, MalformedSpec
 from .strips import DomainDefinition, GroundAction, Plan, State, apply
 
 DEFAULT_BUDGET = 10_000_000
-
-
-class Heuristic(enum.Enum):
-    ZERO = "zero"
-    MANHATTAN = "manhattan"
 
 
 class Status(enum.Enum):
@@ -57,126 +51,88 @@ class PlanResult:
         return self.status is Status.SOLVED
 
 
-def _manhattan(task: PlanningTask) -> Callable[[State], int]:
-    """Build a Manhattan-distance heuristic for pure navigation compilations.
+def _settle(task: PlanningTask, budget: int, stop_at_goal: bool):
+    """Breadth-first sweep; returns (state -> depth, optimal goal cost).
 
-    Only grid compilations are accepted: delete effects elsewhere (Sokoban)
-    would void the admissibility argument, so anything else is rejected.
+    Depths are recorded when a state is generated; the goal test and the
+    budget count apply when it is expanded.  With ``stop_at_goal`` the sweep
+    ends at the first goal state expanded (enough to read off the optimal
+    cost).  Otherwise it expands every state up to the optimal cost, which is
+    what the lexicographic plan reconstruction needs.
     """
-    ann = task.domain.annotations
-    if ann.get("kind") != "grid":
-        raise HeuristicUnsupported(
-            "Manhattan heuristic is only admissible for grid navigation domains"
-        )
-    width = ann["width"]
-    goal_cells = [int(f.split("-", 1)[1]) for f in task.goal]
-    if len(goal_cells) != 1:
-        raise HeuristicUnsupported("Manhattan heuristic needs a single goal cell")
-    gr, gc = divmod(goal_cells[0] - 1, width)
-
-    def h(state: State) -> int:
-        for fact in state:
-            if fact.startswith("at-"):
-                r, c = divmod(int(fact[3:]) - 1, width)
-                return abs(r - gr) + abs(c - gc)
-        return 0
-
-    return h
-
-
-def _heuristic_fn(task: PlanningTask, heuristic: Heuristic) -> Callable[[State], int]:
-    if heuristic is Heuristic.MANHATTAN:
-        return _manhattan(task)
-    return lambda state: 0
-
-
-def _settle(task: PlanningTask, heuristic: Heuristic, budget: int,
-            stop_at_goal: bool):
-    """A* sweep; returns (settled state -> optimal g, optimal goal cost).
-
-    With ``stop_at_goal`` the sweep ends as soon as one goal state is settled
-    (enough to read off the optimal cost).  Otherwise it keeps going until
-    every state with f <= optimal cost is settled, which is what the
-    lexicographic plan reconstruction needs.
-    """
-    h = _heuristic_fn(task, heuristic)
     goal = task.goal
-    counter = itertools.count()
-    settled = {}
-    best_g = {task.initial: 0}
-    heap = [(h(task.initial), next(counter), 0, task.initial)]
+    depth = {task.initial: 0}
+    queue = deque([task.initial])
     goal_cost = None
     expansions = 0
 
-    while heap:
-        f, _, g, state = heappop(heap)
-        if state in settled:
-            continue
-        if goal_cost is not None and f > goal_cost:
+    while queue:
+        state = queue.popleft()
+        g = depth[state]
+        if goal_cost is not None and g > goal_cost:
             break
-        settled[state] = g
         expansions += 1
         if expansions > budget:
             raise BudgetExceeded(budget)
-        if goal <= state and goal_cost is None:
+        if goal_cost is None and goal <= state:
             goal_cost = g
             if stop_at_goal:
                 break
         for action in task.domain.applicable_actions(state):
             succ = apply(state, action)
-            if succ in settled:
-                continue
-            g2 = g + action.cost
-            if g2 < best_g.get(succ, g2 + 1):
-                best_g[succ] = g2
-                heappush(heap, (g2 + h(succ), next(counter), g2, succ))
+            if succ not in depth:
+                depth[succ] = g + 1
+                queue.append(succ)
 
-    return settled, goal_cost
+    return depth, goal_cost
 
 
-def optimal_cost(task: PlanningTask, heuristic: Heuristic = Heuristic.ZERO,
+def optimal_cost(task: PlanningTask,
                  budget: int = DEFAULT_BUDGET) -> Optional[int]:
     """Optimal plan cost, or None if the task is unsolvable.
 
-    Cost-only fast path: stops at the first settled goal state instead of
+    Cost-only fast path: stops at the first goal state instead of
     reconstructing a plan.
     """
     if task.goal <= task.initial:
         return 0
-    _, goal_cost = _settle(task, heuristic, budget, stop_at_goal=True)
+    _, goal_cost = _settle(task, budget, stop_at_goal=True)
     return goal_cost
 
 
-def optimal_plan(task: PlanningTask, heuristic: Heuristic = Heuristic.ZERO,
+def optimal_plan(task: PlanningTask,
                  budget: int = DEFAULT_BUDGET) -> PlanResult:
-    """Minimum-cost plan for the task, or an Unsolvable result.
+    """Shortest plan for the task, or an Unsolvable result.
 
-    Ties between equal-cost plans are broken toward the lexicographically
+    Ties between equal-length plans are broken toward the lexicographically
     first action-name sequence: the optimal-path subgraph is marked by a
-    backward sweep from the cheapest goal states, then the plan is read off
+    backward sweep from the nearest goal states, then the plan is read off
     by always taking the alphabetically first optimality-preserving action.
     """
     if task.goal <= task.initial:
         return PlanResult(Status.SOLVED, Plan(), 0)
 
-    settled, goal_cost = _settle(task, heuristic, budget, stop_at_goal=False)
+    depth, goal_cost = _settle(task, budget, stop_at_goal=False)
     if goal_cost is None:
         return PlanResult(Status.UNSOLVABLE)
+    # States generated past the goal layer are never on an optimal path;
+    # dropping them keeps them from living on through the reconstruction.
+    depth = {s: g for s, g in depth.items() if g <= goal_cost}
 
-    # Forward edges of the settled subgraph that tighten g optimally.
+    # Forward edges between consecutive BFS layers up to the goal layer.
     reverse = {}
     edges = {}
-    for state, g in settled.items():
+    for state, g in depth.items():
         if g >= goal_cost:
             continue
         for action in task.domain.applicable_actions(state):
             succ = apply(state, action)
-            if settled.get(succ) == g + action.cost:
+            if depth.get(succ) == g + 1:
                 edges.setdefault(state, []).append((action, succ))
                 reverse.setdefault(succ, []).append(state)
 
     marked = set()
-    frontier = [s for s, g in settled.items() if g == goal_cost and task.goal <= s]
+    frontier = [s for s, g in depth.items() if g == goal_cost and task.goal <= s]
     marked.update(frontier)
     while frontier:
         nxt = []

@@ -5,9 +5,10 @@ Each goal hypothesis is scored after every observation prefix by the ratio
     optimal cost(initial -> goal) / (prefix cost + optimal cost(state -> goal))
 
 so a goal the observations keep optimal scores 1 and goals the agent walks
-away from decay toward 0.  Scores are normalized into a posterior over the
-goal set; unreachable goals get probability 0.  The ratio is scale-free:
-multiplying all action costs by a constant changes nothing.
+away from decay toward 0.  Every action costs 1, so the prefix cost after i
+observations is i and each cost is a plan length.  Scores are normalized into
+a posterior over the goal set; unreachable goals get probability 0.  Goals
+within ``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
-from .planner import DEFAULT_BUDGET, Heuristic, PlanningTask, optimal_cost
+from .planner import DEFAULT_BUDGET, PlanningTask, optimal_cost
 from .strips import DomainDefinition, GroundAction, State, applicable, apply
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -96,10 +97,6 @@ class PosteriorTrace:
         return self.per_prefix[-1] if self.per_prefix else self.prior
 
     @property
-    def goal_count(self) -> int:
-        return len(self.prior)
-
-    @property
     def observation_count(self) -> int:
         return len(self.per_prefix)
 
@@ -112,7 +109,6 @@ def _normalize(scores, prefix: int) -> tuple:
 
 
 def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = None,
-                      tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
                       budget: int = DEFAULT_BUDGET) -> PosteriorTrace:
     """Run the mirroring recognizer over the full observation sequence.
 
@@ -124,8 +120,7 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
         raise MalformedSpec("priors must assign one weight per goal")
 
     base_costs = [
-        optimal_cost(PlanningTask(problem.domain, problem.initial, g),
-                     Heuristic.ZERO, budget)
+        optimal_cost(PlanningTask(problem.domain, problem.initial, g), budget)
         for g in problem.goals
     ]
 
@@ -146,12 +141,12 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
                 scores.append(0.0)
                 continue
             suffix = optimal_cost(PlanningTask(problem.domain, state, goal),
-                                  Heuristic.ZERO, budget)
+                                  budget)
             scores.append(0.0 if suffix is None else base / (i + suffix))
         per_prefix.append(distribution(scores, i))
 
     final = per_prefix[-1] if per_prefix else prior_dist
-    predicted, counterfactual = _split(final, tie_tolerance)
+    predicted, counterfactual = split_goals(final)
     return PosteriorTrace(
         prior=prior_dist,
         per_prefix=tuple(per_prefix),
@@ -160,19 +155,14 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     )
 
 
-def _split(distribution, tie_tolerance):
-    top = max(distribution)
-    predicted = frozenset(
-        i for i, p in enumerate(distribution) if p >= top - tie_tolerance)
-    counterfactual = frozenset(range(len(distribution))) - predicted
-    return predicted, counterfactual
-
-
-def split_goal_sets(trace: PosteriorTrace,
-                    tie_tolerance: float = DEFAULT_TIE_TOLERANCE):
+def split_goals(distribution):
     """Split goals into (predicted, counterfactual) index sets.
 
-    All goals within ``tie_tolerance`` of the final-prefix maximum are
-    co-predicted; exact geometric ties must land in the same set.
+    All goals within ``DEFAULT_TIE_TOLERANCE`` of the distribution's maximum
+    are co-predicted; exact geometric ties must land in the same set.
     """
-    return _split(trace.final, tie_tolerance)
+    top = max(distribution)
+    predicted = frozenset(i for i, p in enumerate(distribution)
+                          if p >= top - DEFAULT_TIE_TOLERANCE)
+    counterfactual = frozenset(range(len(distribution))) - predicted
+    return predicted, counterfactual

@@ -17,6 +17,7 @@ ground-truth ranks and counterfactual actions for the agreement metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -66,6 +67,13 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _int(value, path):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: expected an integer, got {value!r}") from None
+
+
 def _int_list(value, path):
     try:
         return [int(v) for v in (value or [])]
@@ -74,6 +82,8 @@ def _int_list(value, path):
 
 
 def _parse_grid_map(text: str):
+    if not isinstance(text, str) or not text.strip():
+        raise ParseError("map: expected a non-empty ASCII map")
     rows = [line.rstrip() for line in text.splitlines() if line.strip()]
     width = max(len(r) for r in rows)
     blocked, goals, start = set(), {}, None
@@ -117,10 +127,10 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
             else:
                 body = _require(data, "grid", "scenario")
                 spec = GridSpec(
-                    width=int(_require(body, "width", "grid")),
-                    height=int(_require(body, "height", "grid")),
+                    width=_int(_require(body, "width", "grid"), "grid.width"),
+                    height=_int(_require(body, "height", "grid"), "grid.height"),
                     blocked=frozenset(_int_list(body.get("blocked"), "grid.blocked")),
-                    start=int(_require(body, "start", "grid")),
+                    start=_int(_require(body, "start", "grid"), "grid.start"),
                     goal_cells=tuple(_int_list(_require(body, "goals", "grid"),
                                                "grid.goals")),
                 )
@@ -134,11 +144,14 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
                         "boxes": tuple(parsed["boxes"]),
                         "storage": tuple(parsed["storage"])}
             else:
-                base = {"width": int(_require(body, "width", "sokoban")),
-                        "height": int(_require(body, "height", "sokoban")),
+                base = {"width": _int(_require(body, "width", "sokoban"),
+                                      "sokoban.width"),
+                        "height": _int(_require(body, "height", "sokoban"),
+                                       "sokoban.height"),
                         "walls": frozenset(_int_list(body.get("walls"),
                                                      "sokoban.walls")),
-                        "player": int(_require(body, "player", "sokoban")),
+                        "player": _int(_require(body, "player", "sokoban"),
+                                       "sokoban.player"),
                         "boxes": tuple(_int_list(_require(body, "boxes", "sokoban"),
                                                  "sokoban.boxes")),
                         "storage": tuple(_int_list(_require(body, "storage",
@@ -327,7 +340,7 @@ def _rank_mapping(raw, path) -> dict:
             index = int(text)
         except ValueError:
             raise ParseError(f"{path}: bad observation key {key!r}") from None
-        rank = int(value)
+        rank = _int(value, f"{path}.{key}")
         if rank < 0:
             raise ParseError(f"{path}: ranks must be nonnegative ({key}: {value})")
         ranks[index] = rank
@@ -371,9 +384,14 @@ def load_priors(path, problem: GrProblem) -> list:
     for name in problem.goal_names:
         if name not in data:
             raise ValidationError(f"priors: no weight for goal {name}")
-        weight = float(data[name])
-        if weight <= 0:
-            raise ValidationError(f"priors: weight for {name} must be positive")
+        try:
+            weight = float(data[name])
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"priors: weight for {name} is not a number: {data[name]!r}") from None
+        if not 0 < weight < math.inf:
+            raise ValidationError(
+                f"priors: weight for {name} must be positive and finite")
         weights.append(weight)
     total = sum(weights)
     return [w / total for w in weights]

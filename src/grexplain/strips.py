@@ -28,15 +28,13 @@ def _intern_all(facts: Iterable[str]) -> frozenset:
 class GroundAction:
     """A ground action with positive preconditions and add/delete effects.
 
-    Costs are stored even though every builder in this package emits cost 1,
-    so the planner does not bake the unit-cost assumption into its core.
+    Every action costs 1: plan cost is plan length throughout the package.
     """
 
     name: str
     preconditions: frozenset
     add_effects: frozenset
     delete_effects: frozenset
-    cost: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "preconditions", _intern_all(self.preconditions))
@@ -47,8 +45,6 @@ class GroundAction:
                 f"action {self.name}: add and delete effects overlap: "
                 f"{sorted(self.add_effects & self.delete_effects)}"
             )
-        if self.cost <= 0:
-            raise MalformedSpec(f"action {self.name}: cost must be positive")
 
     def __repr__(self):
         return f"GroundAction({self.name})"
@@ -57,8 +53,8 @@ class GroundAction:
 class DomainDefinition:
     """An ordered fact universe plus a list of ground actions.
 
-    ``annotations`` carries compiler-provided hints (e.g. grid width) that the
-    planner's heuristics and the text renderer may consult; it never affects
+    ``annotations`` carries compiler-provided hints (e.g. grid width) that
+    scenario loading, reports and the text renderer consult; it never affects
     STRIPS semantics.
     """
 
@@ -126,13 +122,9 @@ class DomainDefinition:
 
 @dataclass(frozen=True)
 class Plan:
-    """A sequence of ground actions; cost is the number of actions (unit costs)."""
+    """A sequence of ground actions; its cost is its length (unit costs)."""
 
     actions: tuple = ()
-
-    @property
-    def cost(self) -> int:
-        return sum(a.cost for a in self.actions)
 
     def __len__(self):
         return len(self.actions)

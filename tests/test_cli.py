@@ -1,13 +1,21 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from grexplain import bundled_scenario_path
+import grexplain
+from grexplain import bundled_bench_paths, bundled_scenario_path
 from grexplain.cli import main
 
 NAV = str(bundled_scenario_path("nav_crossroads"))
 PAIRS = str(bundled_scenario_path("sokoban_pairs"))
+REFERENCE_DIGESTS = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "pool" / "bundled_suite.json")
 
 
 def run(capsys, *argv):
@@ -147,6 +155,62 @@ def test_validation_error_exits_2(tmp_path, capsys):
                    " start: 1, goals: [9]}\nobservations: [up]\n")
     code, _, err = run(capsys, "recognize", "--scenario", str(bad))
     assert code == 2 and "error:" in err
+
+
+GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
+            " goals: [9, 3]}\n")
+
+
+@pytest.mark.parametrize("scenario, extra, extra_file", [
+    (GRID_3X3 + "observations: [right]\n",
+     "--annotations", "why_ranks: {o1: x}\n"),
+    ("kind: grid\ngrid: {width: abc, height: 3, blocked: [], start: 1,"
+     " goals: [9]}\nobservations: []\n", None, None),
+    ('kind: grid\nmap: ""\nobservations: []\n', None, None),
+    (GRID_3X3 + "observations: [right]\n", "--priors", "g1: heavy\ng2: 1\n"),
+    (GRID_3X3 + "observations: []\n", "--annotations", "why_ranks: {}\n"),
+], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
+        "eval-without-observations"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
+                                                   extra_file):
+    board = tmp_path / "board.yaml"
+    board.write_text(scenario)
+    verb = "eval" if extra == "--annotations" else "recognize"
+    argv = [verb, "--scenario", str(board)]
+    if extra:
+        side = tmp_path / "side.yaml"
+        side.write_text(extra_file)
+        argv += [extra, str(side)]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "grexplain.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_structured_output_matches_reference_digests(tmp_path):
+    """Every bundled scenario under every answer verb reproduces the
+    SHA-256 of its reference ``--format structured`` output."""
+    reference = json.loads(REFERENCE_DIGESTS.read_text())
+    verbs = {"recognize": ["recognize"],
+             "why": ["explain", "--question", "why"],
+             "whynot": ["explain", "--question", "whynot"],
+             "rank": ["rank"]}
+    paths = bundled_bench_paths() + [bundled_scenario_path("nav_crossroads"),
+                                     bundled_scenario_path("sokoban_pairs")]
+    assert sorted(p.stem for p in paths) == sorted(reference)
+    out = tmp_path / "out.json"
+    mismatched = []
+    for path in paths:
+        for verb, args in verbs.items():
+            code = main([*args, "--scenario", str(path),
+                         "--format", "structured", "--out", str(out)])
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            if code != 0 or digest != reference[path.stem][verb]:
+                mismatched.append(f"{path.stem}/{verb}")
+    assert mismatched == []
 
 
 def test_missing_file_exits_2(capsys):

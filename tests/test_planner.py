@@ -1,14 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grexplain import (BudgetExceeded, GridSpec, Heuristic, HeuristicUnsupported,
-                       PlanningTask, SokobanSpec, Status, compile_grid,
-                       compile_sokoban, first_action, optimal_cost, optimal_plan)
+from grexplain import (BudgetExceeded, GridSpec, PlanningTask, Status,
+                       compile_grid, first_action, optimal_cost, optimal_plan)
 from grexplain.planner import PlanResult
 from grexplain.strips import Plan
 
 from conftest import bfs_grid_distance, random_grid_spec
+from grexplain.grids import grid_neighbors
 
 
 def grid_task(spec):
@@ -51,22 +52,6 @@ def test_large_board_at_2500_cells():
     assert bfs_grid_distance(spec, 1, 2500) == 98
 
 
-def test_manhattan_and_zero_heuristics_agree_on_100_grids():
-    rng = random.Random(4242)
-    for _ in range(100):
-        spec = random_grid_spec(rng)
-        task = grid_task(spec)
-        assert optimal_cost(task, Heuristic.ZERO) == optimal_cost(
-            task, Heuristic.MANHATTAN)
-
-
-def test_manhattan_rejected_outside_pure_navigation():
-    spec = SokobanSpec(3, 1, frozenset(), 1, (2,), (3,), ((3,),), False)
-    domain, initial, goals = compile_sokoban(spec)
-    with pytest.raises(HeuristicUnsupported):
-        optimal_plan(PlanningTask(domain, initial, goals[0]), Heuristic.MANHATTAN)
-
-
 def test_repeated_runs_return_identical_plans():
     rng = random.Random(5)
     for _ in range(20):
@@ -91,6 +76,48 @@ def test_lexicographic_tie_break_full_sequence():
     # every interleaving of 3 downs and 3 rights is optimal; the
     # lexicographically-first takes all downs first
     assert [a.name.split("-")[1] for a in result.plan] == ["down"] * 3 + ["right"] * 3
+
+
+@st.composite
+def grid_specs(draw):
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 6))
+    cells = range(1, width * height + 1)
+    start = draw(st.sampled_from(cells))
+    goal = draw(st.sampled_from(cells))
+    blocked = draw(st.frozensets(st.sampled_from(cells)))
+    return GridSpec(width, height, blocked - {start, goal}, start, (goal,))
+
+
+def greedy_oracle_plan(spec):
+    """Action names of the lexicographically first shortest plan, built from
+    BFS distances alone: at each cell take the alphabetically first move
+    whose target is one step closer to the goal.  None if unreachable."""
+    goal = spec.goal_cells[0]
+    cell = spec.start
+    if bfs_grid_distance(spec, cell, goal) is None:
+        return None
+    names = []
+    while cell != goal:
+        here = bfs_grid_distance(spec, cell, goal)
+        name, cell = min(
+            (f"move-{d}-{cell}-{nbr}", nbr)
+            for d, nbr in grid_neighbors(cell, spec.width, spec.height)
+            if nbr not in spec.blocked
+            and bfs_grid_distance(spec, nbr, goal) == here - 1)
+        names.append(name)
+    return names
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_specs())
+def test_plans_match_greedy_bfs_oracle(spec):
+    result = optimal_plan(grid_task(spec))
+    expected = greedy_oracle_plan(spec)
+    if expected is None:
+        assert result.status is Status.UNSOLVABLE
+    else:
+        assert [a.name for a in result.plan] == expected
 
 
 def test_budget_exceeded_raises():

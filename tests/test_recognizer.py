@@ -4,8 +4,8 @@ import pytest
 
 from grexplain import (AllGoalsUnsolvable, GridSpec, GrProblem,
                        InvalidObservationChain, MalformedSpec, Observation,
-                       compile_grid, mirror_posteriors, split_goal_sets)
-from grexplain.recognizer import PosteriorTrace
+                       compile_grid, mirror_posteriors)
+from grexplain.recognizer import PosteriorTrace, split_goals
 
 from conftest import bfs_grid_distance, random_grid_spec, walk
 
@@ -130,20 +130,20 @@ def test_optimal_confirmation_monotonicity():
 
 def test_split_goal_sets_co_predicts_exact_ties():
     trace = make_trace((0.27, 0.365, 0.365))
-    predicted, counterfactual = split_goal_sets(trace, 1e-9)
+    predicted, counterfactual = split_goals(trace.final)
     assert predicted == frozenset({1, 2})
     assert counterfactual == frozenset({0})
 
 
 def test_split_goal_sets_single_goal():
     trace = make_trace((1.0,))
-    predicted, counterfactual = split_goal_sets(trace, 1e-9)
+    predicted, counterfactual = split_goals(trace.final)
     assert predicted == frozenset({0}) and counterfactual == frozenset()
 
 
 def test_split_goal_sets_unique_argmax():
     trace = make_trace((0.2, 0.3, 0.5))
-    predicted, counterfactual = split_goal_sets(trace, 1e-9)
+    predicted, counterfactual = split_goals(trace.final)
     assert predicted == frozenset({2})
     assert counterfactual == frozenset({0, 1})
 

@@ -139,7 +139,3 @@ def test_action_rejects_overlapping_effects():
     with pytest.raises(MalformedSpec):
         act("bad", add=["f0"], dele=["f0"])
 
-
-def test_action_rejects_nonpositive_cost():
-    with pytest.raises(MalformedSpec):
-        GroundAction("free", frozenset(), frozenset(), frozenset(), cost=0)
