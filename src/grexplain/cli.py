@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help=scenario_help)
         p.add_argument("--priors", help="YAML file of per-goal prior weights")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="planner node-expansion cap")
+                       help="planner node-expansion cap (at least 1)")
         p.add_argument("--format", choices=["text", "structured", "ascii-grid"],
                        default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -247,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget < 1:
+            raise ValidationError(f"--budget must be at least 1, got {args.budget}")
         payload, text = args.fn(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

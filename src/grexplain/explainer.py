@@ -155,6 +155,9 @@ class WhyAnswer:
 
     @property
     def top(self) -> tuple:
+        """The markers of greatest weight; empty when there are none."""
+        if not self.markers:
+            return ()
         best = max(e.woe for e in self.markers)
         return tuple(e for e in self.markers if e.woe == best)
 

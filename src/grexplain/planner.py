@@ -1,18 +1,25 @@
 """Optimal forward search over STRIPS states.
 
-A single planner serves optimal plans, recognition suffix plans, and
-counterfactual-action plans.  Every action costs 1, so the search is a plain
-breadth-first search and an optimal plan is a shortest one.  Among
-equal-length plans the lexicographically-first action sequence is returned,
-so downstream explanations are reproducible run to run.
+A single breadth-first sweep serves recognition costs, optimal plans and
+counterfactual-action plans.  Every action costs 1, so an optimal plan is a
+shortest one.  The sweep goes layer by layer, records each state's first
+discovery as ``state -> (parent, action)``, and stops once every goal asked
+for has been reached, so one sweep prices many goals from the same state.
+
+Among equal-length plans the lexicographically first action sequence is
+returned, so downstream explanations are reproducible run to run.  This
+falls out of the discovery order: successors are generated in name order and
+each layer is expanded first to last, so by induction on depth every layer
+is discovered in the lexicographic order of its states' first-found paths.
+The first goal state dequeued therefore ends the lexicographically first
+shortest plan, and its parent chain spells that plan.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, MalformedSpec
 from .strips import DomainDefinition, GroundAction, Plan, State, apply
@@ -25,6 +32,14 @@ class Status(enum.Enum):
     UNSOLVABLE = "unsolvable"
 
 
+def _check_goal(domain: DomainDefinition, goal: frozenset) -> None:
+    if not domain.contains_facts(goal):
+        raise MalformedSpec(
+            f"goal facts outside the domain universe: "
+            f"{sorted(set(goal) - set(domain.facts))}"
+        )
+
+
 @dataclass(frozen=True)
 class PlanningTask:
     domain: DomainDefinition
@@ -33,11 +48,7 @@ class PlanningTask:
 
     def __post_init__(self):
         object.__setattr__(self, "goal", frozenset(self.goal))
-        if not self.domain.contains_facts(self.goal):
-            raise MalformedSpec(
-                f"goal facts outside the domain universe: "
-                f"{sorted(set(self.goal) - set(self.domain.facts))}"
-            )
+        _check_goal(self.domain, self.goal)
 
 
 @dataclass(frozen=True)
@@ -51,105 +62,76 @@ class PlanResult:
         return self.status is Status.SOLVED
 
 
-def _settle(task: PlanningTask, budget: int, stop_at_goal: bool):
-    """Breadth-first sweep; returns (state -> depth, optimal goal cost).
+def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
+           budget: int):
+    """Breadth-first sweep from ``initial`` until every goal is reached.
 
-    Depths are recorded when a state is generated; the goal test and the
-    budget count apply when it is expanded.  With ``stop_at_goal`` the sweep
-    ends at the first goal state expanded (enough to read off the optimal
-    cost).  Otherwise it expands every state up to the optimal cost, which is
-    what the lexicographic plan reconstruction needs.
+    Returns (cost per goal or None if unreachable, ``state -> (parent,
+    action)`` map of first discoveries with the initial state mapped to None,
+    the state that reached the last goal or None).  The goal test and the
+    budget count apply when a state is dequeued, so the sweep expands as many
+    states as the farthest goal's single-goal search would.
     """
-    goal = task.goal
-    depth = {task.initial: 0}
-    queue = deque([task.initial])
-    goal_cost = None
-    expansions = 0
-
-    while queue:
-        state = queue.popleft()
-        g = depth[state]
-        if goal_cost is not None and g > goal_cost:
-            break
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExceeded(budget)
-        if goal_cost is None and goal <= state:
-            goal_cost = g
-            if stop_at_goal:
+    parents = {initial: None}
+    costs = [None] * len(goals)
+    pending = list(range(len(goals)))
+    layer, depth, expansions, last = [initial], 0, 0, None
+    while layer and pending:
+        successors = []
+        for state in layer:
+            expansions += 1
+            if expansions > budget:
+                raise BudgetExceeded(budget)
+            for i in [i for i in pending if goals[i] <= state]:
+                costs[i], last = depth, state
+                pending.remove(i)
+            if not pending:
                 break
-        for action in task.domain.applicable_actions(state):
-            succ = apply(state, action)
-            if succ not in depth:
-                depth[succ] = g + 1
-                queue.append(succ)
+            for action in domain.applicable_actions(state):
+                succ = apply(state, action)
+                if succ not in parents:
+                    parents[succ] = (state, action)
+                    successors.append(succ)
+        layer = successors
+        depth += 1
+    return costs, parents, last
 
-    return depth, goal_cost
+
+def optimal_costs(domain: DomainDefinition, state: State,
+                  goals: Sequence[frozenset],
+                  budget: int = DEFAULT_BUDGET) -> list:
+    """Optimal cost from ``state`` to each goal (None if unreachable), from
+    one sweep.  ``budget >= 1`` caps the states expanded; BudgetExceeded is
+    raised exactly when some single-goal ``optimal_cost`` would raise it.
+    """
+    goals = [frozenset(g) for g in goals]
+    for goal in goals:
+        _check_goal(domain, goal)
+    return _sweep(domain, state, goals, budget)[0]
 
 
 def optimal_cost(task: PlanningTask,
                  budget: int = DEFAULT_BUDGET) -> Optional[int]:
-    """Optimal plan cost, or None if the task is unsolvable.
-
-    Cost-only fast path: stops at the first goal state instead of
-    reconstructing a plan.
-    """
-    if task.goal <= task.initial:
-        return 0
-    _, goal_cost = _settle(task, budget, stop_at_goal=True)
-    return goal_cost
+    """Optimal plan cost, or None if the task is unsolvable (``budget >= 1``)."""
+    return optimal_costs(task.domain, task.initial, [task.goal], budget)[0]
 
 
 def optimal_plan(task: PlanningTask,
                  budget: int = DEFAULT_BUDGET) -> PlanResult:
-    """Shortest plan for the task, or an Unsolvable result.
+    """Shortest plan for the task, or an Unsolvable result (``budget >= 1``).
 
-    Ties between equal-length plans are broken toward the lexicographically
-    first action-name sequence: the optimal-path subgraph is marked by a
-    backward sweep from the nearest goal states, then the plan is read off
-    by always taking the alphabetically first optimality-preserving action.
+    Ties between equal-length plans go to the lexicographically first
+    action-name sequence: the parent chain of the first goal state the
+    sweep dequeues (see the module docstring for why).
     """
-    if task.goal <= task.initial:
-        return PlanResult(Status.SOLVED, Plan(), 0)
-
-    depth, goal_cost = _settle(task, budget, stop_at_goal=False)
-    if goal_cost is None:
+    _, parents, state = _sweep(task.domain, task.initial, [task.goal], budget)
+    if state is None:
         return PlanResult(Status.UNSOLVABLE)
-    # States generated past the goal layer are never on an optimal path;
-    # dropping them keeps them from living on through the reconstruction.
-    depth = {s: g for s, g in depth.items() if g <= goal_cost}
-
-    # Forward edges between consecutive BFS layers up to the goal layer.
-    reverse = {}
-    edges = {}
-    for state, g in depth.items():
-        if g >= goal_cost:
-            continue
-        for action in task.domain.applicable_actions(state):
-            succ = apply(state, action)
-            if depth.get(succ) == g + 1:
-                edges.setdefault(state, []).append((action, succ))
-                reverse.setdefault(succ, []).append(state)
-
-    marked = set()
-    frontier = [s for s, g in depth.items() if g == goal_cost and task.goal <= s]
-    marked.update(frontier)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for pred in reverse.get(state, ()):
-                if pred not in marked:
-                    marked.add(pred)
-                    nxt.append(pred)
-        frontier = nxt
-
     actions = []
-    state = task.initial
-    while not task.goal <= state:
-        # edges lists follow applicable_actions order, i.e. sorted by name
-        step = next((a, s) for a, s in edges[state] if s in marked)
-        actions.append(step[0])
-        state = step[1]
+    while parents[state] is not None:
+        state, action = parents[state]
+        actions.append(action)
+    actions.reverse()
     return PlanResult(Status.SOLVED, Plan(tuple(actions)), len(actions))
 
 

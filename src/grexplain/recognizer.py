@@ -6,7 +6,9 @@ Each goal hypothesis is scored after every observation prefix by the ratio
 
 so a goal the observations keep optimal scores 1 and goals the agent walks
 away from decay toward 0.  Every action costs 1, so the prefix cost after i
-observations is i and each cost is a plan length.  Scores are normalized into
+observations is i and each cost is a plan length.  One planner sweep per
+state prices every goal at once: one from the initial state over all goals,
+then one per observed state over the goals reachable from the initial state.  Scores are normalized into
 a posterior over the goal set; unreachable goals get probability 0.  Goals
 within ``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
-from .planner import DEFAULT_BUDGET, PlanningTask, optimal_cost
+from .planner import DEFAULT_BUDGET, optimal_costs
 from .strips import DomainDefinition, GroundAction, State, applicable, apply
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -119,10 +121,10 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     if priors is not None and len(priors) != len(problem.goals):
         raise MalformedSpec("priors must assign one weight per goal")
 
-    base_costs = [
-        optimal_cost(PlanningTask(problem.domain, problem.initial, g), budget)
-        for g in problem.goals
-    ]
+    base_costs = optimal_costs(problem.domain, problem.initial, problem.goals,
+                               budget)
+    reachable = [j for j, c in enumerate(base_costs) if c is not None]
+    reachable_goals = [problem.goals[j] for j in reachable]
 
     def distribution(scores, prefix):
         if priors is not None:
@@ -134,15 +136,12 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
 
     per_prefix = []
     for i, obs in enumerate(problem.observations, start=1):
-        state = obs.resulting_state
-        scores = []
-        for goal, base in zip(problem.goals, base_costs):
-            if base is None:
-                scores.append(0.0)
-                continue
-            suffix = optimal_cost(PlanningTask(problem.domain, state, goal),
-                                  budget)
-            scores.append(0.0 if suffix is None else base / (i + suffix))
+        suffixes = optimal_costs(problem.domain, obs.resulting_state,
+                                 reachable_goals, budget)
+        scores = [0.0] * len(problem.goals)
+        for j, suffix in zip(reachable, suffixes):
+            if suffix is not None:
+                scores[j] = base_costs[j] / (i + suffix)
         per_prefix.append(distribution(scores, i))
 
     final = per_prefix[-1] if per_prefix else prior_dist

@@ -169,18 +169,26 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
     ('kind: grid\nmap: ""\nobservations: []\n', None, None),
     (GRID_3X3 + "observations: [right]\n", "--priors", "g1: heavy\ng2: 1\n"),
     (GRID_3X3 + "observations: []\n", "--annotations", "why_ranks: {}\n"),
+    (GRID_3X3 + "observations: [right]\n", "--budget=0", None),
+    (GRID_3X3 + "observations: [right]\n", "--budget=-5", None),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b], [c]],"
+     " actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
+     "observations: [go]\n", None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
-        "eval-without-observations"])
+        "eval-without-observations", "budget-zero", "budget-negative",
+        "goal-fact-undeclared"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"
     board.write_text(scenario)
     verb = "eval" if extra == "--annotations" else "recognize"
     argv = [verb, "--scenario", str(board)]
-    if extra:
+    if extra_file is not None:
         side = tmp_path / "side.yaml"
         side.write_text(extra_file)
         argv += [extra, str(side)]
+    elif extra:
+        argv.append(extra)
     env = dict(os.environ,
                PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "grexplain.cli", *argv],

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from grexplain import (EmptyExplanan, GridSpec, GrProblem, UnsolvableGoal,
-                       build_explanan, compile_grid, counterfactual_action,
+                       answer_why, build_explanan, compile_grid, counterfactual_action,
                        mirror_posteriors, rank_observations, select_cf_om,
                        select_om)
 from grexplain.explainer import CompleteExplanan, ExplananEntry
@@ -143,6 +143,14 @@ def test_select_om_on_worked_example():
     assert {(e.woe, e.observation_index) for e in answer.markers} == {
         (0.85, 8), (0.18, 8)}
     assert [(e.woe, e.observation_index) for e in answer.top] == [(0.85, 8)]
+
+
+def test_why_answer_filtered_to_a_goal_without_markers(nav_problem):
+    # g1 (index 0) is counterfactual on nav_crossroads, so no marker is left
+    explanan = build_explanan(mirror_posteriors(nav_problem))
+    assert 0 not in explanan.predicted
+    answer = answer_why(nav_problem, explanan, goals=[0])
+    assert answer.markers == () and answer.top == () and answer.rendered == ""
 
 
 def test_select_cf_om_on_worked_example():

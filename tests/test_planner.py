@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grexplain import (BudgetExceeded, GridSpec, PlanningTask, Status,
-                       compile_grid, first_action, optimal_cost, optimal_plan)
+                       compile_grid, first_action, optimal_cost, optimal_costs,
+                       optimal_plan)
 from grexplain.planner import PlanResult
-from grexplain.strips import Plan
+from grexplain.strips import Plan, apply
 
 from conftest import bfs_grid_distance, random_grid_spec
 from grexplain.grids import grid_neighbors
@@ -118,6 +119,64 @@ def test_plans_match_greedy_bfs_oracle(spec):
         assert result.status is Status.UNSOLVABLE
     else:
         assert [a.name for a in result.plan] == expected
+
+
+@st.composite
+def sweep_cases(draw):
+    """A grid whose goal list holds the start cell, a duplicate and random
+    free cells (walled off or not), plus an origin reached by a random walk
+    of observed moves from the start."""
+    spec = draw(grid_specs())
+    free = [c for c in range(1, spec.width * spec.height + 1)
+            if c not in spec.blocked]
+    extra = draw(st.lists(st.sampled_from(free), max_size=4))
+    goal_cells = (spec.goal_cells[0], spec.start, spec.goal_cells[0], *extra)
+    spec = GridSpec(spec.width, spec.height, spec.blocked, spec.start,
+                    goal_cells)
+    domain, state, _ = compile_grid(spec)
+    for _ in range(draw(st.integers(0, 6))):
+        moves = domain.applicable_actions(state)
+        if not moves:
+            break
+        state = apply(state, draw(st.sampled_from(moves)))
+    return spec, state
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+@example((GridSpec(3, 3, frozenset({6, 8}), 1, (9, 1, 9, 5)),
+          frozenset({"at-1"})))
+def test_optimal_costs_match_bfs_oracle_per_goal(case):
+    spec, state = case
+    domain, _, goals = compile_grid(spec)
+    (fact,) = state
+    cell = int(fact.split("-")[1])
+    assert optimal_costs(domain, state, goals) == [
+        bfs_grid_distance(spec, cell, g) for g in spec.goal_cells]
+
+
+@pytest.mark.parametrize("goal_cells", [(1, 21, 7, 10), (1, 21, 7, 25, 10)],
+                         ids=["reachable", "one-walled-off"])
+def test_sweep_budget_fails_exactly_when_a_single_goal_search_does(goal_cells):
+    # 19 cells are reachable from cell 7; cell 25 is walled off
+    spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, goal_cells)
+    domain, initial, goals = compile_grid(spec)
+
+    def raises(search):
+        try:
+            search()
+        except BudgetExceeded:
+            return True
+        return False
+
+    outcomes = set()
+    for budget in range(1, 25):
+        single = any(raises(lambda: optimal_cost(
+            PlanningTask(domain, initial, g), budget)) for g in goals)
+        swept = raises(lambda: optimal_costs(domain, initial, goals, budget))
+        assert swept == single, budget
+        outcomes.add(swept)
+    assert outcomes == {True, False}
 
 
 def test_budget_exceeded_raises():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from grexplain import (GridSpec, SokobanSpec, compile_grid, compile_sokoban,
                        PlanningTask, build_explanan, mirror_posteriors,
-                       optimal_plan, optimal_cost)
+                       optimal_plan, optimal_costs)
 from grexplain.scenario import ScenarioFile, serialize_scenario, build_problem
 
 OUT = Path(__file__).resolve().parent.parent / "src/grexplain/scenarios/bench"
@@ -35,7 +35,7 @@ def make_grid(name, width, height, n_blocks, n_goals, obs_count):
         except Exception:
             continue
         domain, initial, goal_sets = compile_grid(spec)
-        costs = [optimal_cost(PlanningTask(domain, initial, g)) for g in goal_sets]
+        costs = optimal_costs(domain, initial, goal_sets)
         if any(c is None or c < obs_count + 1 for c in costs):
             continue
         obs = plan_directions(domain, initial, goal_sets[0], obs_count)
@@ -74,7 +74,7 @@ def make_sokoban(name, width, height, walls, player, boxes, storage, goals,
     spec = SokobanSpec(width, height, frozenset(walls), player, tuple(boxes),
                        tuple(storage), tuple(tuple(g) for g in goals), multi)
     domain, initial, goal_sets = compile_sokoban(spec)
-    costs = [optimal_cost(PlanningTask(domain, initial, g)) for g in goal_sets]
+    costs = optimal_costs(domain, initial, goal_sets)
     assert all(c is not None for c in costs), (name, costs)
     assert costs[0] >= obs, (name, costs, obs)
     res = optimal_plan(PlanningTask(domain, initial, goal_sets[0]))
