@@ -2,9 +2,14 @@
 
 A single breadth-first sweep serves recognition costs, optimal plans and
 counterfactual-action plans.  Every action costs 1, so an optimal plan is a
-shortest one.  The sweep goes layer by layer, records each state's first
-discovery as ``state -> (parent, action)``, and stops once every goal asked
-for has been reached, so one sweep prices many goals from the same state.
+shortest one.  The sweep encodes the initial state and the goals as ints
+once (``DomainDefinition.encode``), reads successors from the domain's
+memoized table, and goes layer by layer, recording each state's first
+discovery as ``state -> parent``.  It stops once every goal asked for has
+been reached, so one sweep prices many goals from the same state, and every
+sweep on a domain shares that domain's successor table: a state expanded by
+one recognition sweep is read, not expanded again, by the next sweep and by
+counterfactual planning.
 
 Among equal-length plans the lexicographically first action sequence is
 returned, so downstream explanations are reproducible run to run.  This
@@ -21,8 +26,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, MalformedSpec
-from .strips import DomainDefinition, GroundAction, Plan, State, apply
+from .errors import BudgetExceeded
+from .strips import DomainDefinition, GroundAction, Plan, State
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -30,14 +35,6 @@ DEFAULT_BUDGET = 10_000_000
 class Status(enum.Enum):
     SOLVED = "solved"
     UNSOLVABLE = "unsolvable"
-
-
-def _check_goal(domain: DomainDefinition, goal: frozenset) -> None:
-    if not domain.contains_facts(goal):
-        raise MalformedSpec(
-            f"goal facts outside the domain universe: "
-            f"{sorted(set(goal) - set(domain.facts))}"
-        )
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class PlanningTask:
 
     def __post_init__(self):
         object.__setattr__(self, "goal", frozenset(self.goal))
-        _check_goal(self.domain, self.goal)
+        self.domain.encode(self.goal)  # MalformedSpec on undeclared facts
 
 
 @dataclass(frozen=True)
@@ -66,31 +63,32 @@ def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
            budget: int):
     """Breadth-first sweep from ``initial`` until every goal is reached.
 
-    Returns (cost per goal or None if unreachable, ``state -> (parent,
-    action)`` map of first discoveries with the initial state mapped to None,
-    the state that reached the last goal or None).  The goal test and the
-    budget count apply when a state is dequeued, so the sweep expands as many
-    states as the farthest goal's single-goal search would.
+    Returns (cost per goal or None if unreachable, ``state -> parent`` map
+    of first discoveries over state ints with the initial state mapped to
+    None, the state int that reached the last goal or None).  The goal test
+    and the budget count apply when a state is dequeued, so the sweep
+    expands as many states as the farthest goal's single-goal search would.
     """
-    parents = {initial: None}
+    start = domain.encode(initial)
+    targets = [domain.encode(g) for g in goals]
+    parents = {start: None}
     costs = [None] * len(goals)
     pending = list(range(len(goals)))
-    layer, depth, expansions, last = [initial], 0, 0, None
+    layer, depth, expansions, last = [start], 0, 0, None
     while layer and pending:
         successors = []
         for state in layer:
             expansions += 1
             if expansions > budget:
                 raise BudgetExceeded(budget)
-            for i in [i for i in pending if goals[i] <= state]:
+            for i in [i for i in pending if targets[i] & state == targets[i]]:
                 costs[i], last = depth, state
                 pending.remove(i)
             if not pending:
                 break
-            for action in domain.applicable_actions(state):
-                succ = apply(state, action)
+            for _, succ in domain.successors(state):
                 if succ not in parents:
-                    parents[succ] = (state, action)
+                    parents[succ] = state
                     successors.append(succ)
         layer = successors
         depth += 1
@@ -104,10 +102,7 @@ def optimal_costs(domain: DomainDefinition, state: State,
     one sweep.  ``budget >= 1`` caps the states expanded; BudgetExceeded is
     raised exactly when some single-goal ``optimal_cost`` would raise it.
     """
-    goals = [frozenset(g) for g in goals]
-    for goal in goals:
-        _check_goal(domain, goal)
-    return _sweep(domain, state, goals, budget)[0]
+    return _sweep(domain, state, [frozenset(g) for g in goals], budget)[0]
 
 
 def optimal_cost(task: PlanningTask,
@@ -122,15 +117,22 @@ def optimal_plan(task: PlanningTask,
 
     Ties between equal-length plans go to the lexicographically first
     action-name sequence: the parent chain of the first goal state the
-    sweep dequeues (see the module docstring for why).
+    sweep dequeues (see the module docstring for why).  Each step is the
+    first action in ``successors(parent)`` that yields the child.  That is
+    the action that discovered the child: the parent was expanded with
+    successors in name order and only the first arrival is recorded, so
+    when two actions lead to the same state the earlier name is taken.
     """
-    _, parents, state = _sweep(task.domain, task.initial, [task.goal], budget)
+    domain = task.domain
+    _, parents, state = _sweep(domain, task.initial, [task.goal], budget)
     if state is None:
         return PlanResult(Status.UNSOLVABLE)
     actions = []
     while parents[state] is not None:
-        state, action = parents[state]
-        actions.append(action)
+        parent = parents[state]
+        actions.append(next(action for action, succ in domain.successors(parent)
+                            if succ == state))
+        state = parent
     actions.reverse()
     return PlanResult(Status.SOLVED, Plan(tuple(actions)), len(actions))
 

@@ -1,9 +1,19 @@
 """Ground STRIPS world model: facts, states, unit-cost actions, progression.
 
-Facts are interned strings with lexicographic (stable, total) ordering, and a
-state is simply a frozenset of the facts that hold (closed world: anything not
-listed is false).  Domains are immutable after construction, so they can be
-shared freely between threads; states and plans are plain values.
+Facts are interned strings with lexicographic (stable, total) ordering.  At
+the edges (scenarios, problems, observations, ``apply``, rendering) a state
+is a frozenset of the facts that hold (closed world: anything not listed is
+false).  Inside search a state is a Python ``int``: ``DomainDefinition``
+gives fact i bit i, so ``encode`` packs a fact set into an int,
+applicability is ``pre & s == pre`` and progression is ``s & ~del | add``.
+
+Each domain keeps a successor table from state int to ``(action,
+successor)`` pairs.  It fills lazily, one entry per state the first time
+``successors`` is asked for it, and lives as long as the domain, so its size
+is bounded by the distinct states searched on that domain.  Domains are
+otherwise immutable after construction; concurrent fills under the GIL
+write equal values for a state, so sharing a domain between threads stays
+safe.  States and plans are plain values.
 """
 
 from __future__ import annotations
@@ -79,21 +89,39 @@ class DomainDefinition:
                     f"action {action.name} uses facts outside the universe: {sorted(stray)}"
                 )
 
-        # Successor index: bucket each action under its least-common
-        # precondition fact, so expansion only tests actions whose pivot fact
-        # holds.  Condition-free actions are always candidates.
+        # Successor index over bits: fact i is bit i.  Each action is bucketed
+        # under its least-common precondition fact (its pivot), so expansion
+        # only tests actions whose pivot holds; condition-free actions are
+        # always candidates.  Actions are ranked by name, so sorting ranks
+        # sorts names.  Equal fact sets share one mask int.
+        self._index = {fact: i for i, fact in enumerate(self.facts)}
+        masks = {}
+
+        def mask(facts):
+            found = masks.get(facts)
+            if found is None:
+                found = masks[facts] = self.encode(facts)
+            return found
+
         counts = {}
         for action in self.actions:
             for fact in action.preconditions:
                 counts[fact] = counts.get(fact, 0) + 1
-        self._pivot_buckets = {}
+        self._by_rank = tuple(sorted(self.actions, key=lambda a: a.name))
+        self._effects = {}  # action name -> (delete mask, add mask)
+        self._buckets = {}  # pivot fact index -> [(rank, pre mask)]
         self._unconditional = []
-        for action in self.actions:
+        for rank, action in enumerate(self._by_rank):
+            self._effects[action.name] = (mask(action.delete_effects),
+                                          mask(action.add_effects))
             if not action.preconditions:
-                self._unconditional.append(action)
+                self._unconditional.append(rank)
                 continue
             pivot = min(action.preconditions, key=lambda f: (counts[f], f))
-            self._pivot_buckets.setdefault(pivot, []).append(action)
+            self._buckets.setdefault(self._index[pivot], []).append(
+                (rank, mask(action.preconditions)))
+        self._pivot_mask = sum(1 << i for i in self._buckets)
+        self._successors = {}  # state int -> ((action, successor int), ...)
 
     def action(self, name: str) -> GroundAction:
         try:
@@ -104,17 +132,45 @@ class DomainDefinition:
     def has_action(self, name: str) -> bool:
         return name in self._by_name
 
-    def contains_facts(self, facts: Iterable[str]) -> bool:
-        return self._fact_set.issuperset(facts)
+    def encode(self, facts: Iterable[str]) -> int:
+        """The state int of a fact set; MalformedSpec names any fact the
+        domain does not declare."""
+        facts = frozenset(facts)
+        try:
+            return sum(1 << self._index[f] for f in facts)
+        except KeyError:
+            raise MalformedSpec(
+                f"facts not declared in the domain: "
+                f"{sorted(facts - self._fact_set)}") from None
 
-    def applicable_actions(self, state: State) -> list:
-        """All actions applicable in ``state``, sorted by name."""
-        candidates = list(self._unconditional)
-        for fact in state:
-            candidates.extend(self._pivot_buckets.get(fact, ()))
-        result = [a for a in candidates if a.preconditions <= state]
-        result.sort(key=lambda a: a.name)
-        return result
+    def applicable_actions(self, state: int) -> list:
+        """All actions applicable in the encoded ``state``, sorted by name."""
+        ranks = list(self._unconditional)
+        pivots = state & self._pivot_mask
+        buckets = self._buckets
+        while pivots:
+            index = pivots.bit_length() - 1
+            pivots ^= 1 << index
+            for rank, pre in buckets[index]:
+                if pre & state == pre:
+                    ranks.append(rank)
+        ranks.sort()
+        by_rank = self._by_rank
+        return [by_rank[r] for r in ranks]
+
+    def successors(self, state: int) -> tuple:
+        """``(action, successor)`` pairs of the encoded ``state`` in action
+        name order.  Computed by ``applicable_actions`` the first time a
+        state is asked for, then read from the domain's table."""
+        found = self._successors.get(state)
+        if found is None:
+            effects = self._effects
+            found = []
+            for action in self.applicable_actions(state):
+                dele, add = effects[action.name]
+                found.append((action, state & ~dele | add))
+            found = self._successors[state] = tuple(found)
+        return found
 
     def __repr__(self):
         return f"DomainDefinition({len(self.facts)} facts, {len(self.actions)} actions)"

@@ -1,4 +1,6 @@
+import importlib.util
 import textwrap
+from pathlib import Path
 
 from grexplain import (answer_why_not, build_explanan, bundled_bench_paths,
                        bundled_scenario_path, mirror_posteriors)
@@ -63,3 +65,16 @@ def test_format_report_table_shape():
     header = table.splitlines()[0]
     for column in ("with explain", "explain only", "increase %", "cf planning %"):
         assert column in header
+
+
+def test_generator_reproduces_bundled_suite_byte_for_byte(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_bench_suite.py"
+    spec = importlib.util.spec_from_file_location("gen_bench_suite", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.main(tmp_path)
+    bundled = bundled_bench_paths()
+    assert sorted(p.name for p in tmp_path.glob("*.yaml")) == [
+        p.name for p in bundled]
+    for path in bundled:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import grexplain
 from grexplain import bundled_bench_paths, bundled_scenario_path
@@ -174,9 +177,12 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
     ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b], [c]],"
      " actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
      "observations: [go]\n", None, None),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a, zzz], goals: [[b]],"
+     " actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
+     "observations: [go]\n", None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
-        "goal-fact-undeclared"])
+        "goal-fact-undeclared", "initial-fact-undeclared"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"
@@ -196,6 +202,69 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@st.composite
+def strips_listings(draw):
+    """A small raw-STRIPS scenario whose initial state, goals and
+    observations may name facts or actions the listing does not declare.
+    The observations are a random walk from the initial state, sometimes
+    followed by an undeclared or inapplicable token."""
+    declared = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1,
+                             unique=True))
+    used = st.frozensets(st.sampled_from(declared))
+    named = st.one_of(used, st.frozensets(st.sampled_from(["a", "b", "c",
+                                                            "zzz"])))
+    actions = []
+    for name in draw(st.lists(st.sampled_from(["go", "back", "b-go", "a-go"]),
+                              unique=True)):
+        add = draw(used)
+        actions.append((name, draw(used), add, draw(used) - add))
+    initial = draw(named)
+    state, walk = initial, []
+    for _ in range(draw(st.integers(0, 4))):
+        moves = [a for a in actions if a[1] <= state]
+        if not moves:
+            break
+        name, _, add, dele = draw(st.sampled_from(moves))
+        state, walk = (state - dele) | add, [*walk, name]
+    walk += draw(st.lists(st.sampled_from(["go", "fly", "up"]), max_size=1))
+    return {
+        "kind": "strips",
+        "strips": {"facts": declared,
+                   "actions": [{"name": n, "pre": sorted(p), "add": sorted(a),
+                                "del": sorted(d)} for n, p, a, d in actions],
+                   "initial": sorted(initial),
+                   "goals": [sorted(g) for g in draw(
+                       st.lists(named, min_size=1, max_size=3))]},
+        "observations": walk,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(strips_listings())
+@example({"kind": "strips",
+          "strips": {"facts": ["a", "b", "c"],
+                     "actions": [{"name": "a-go", "pre": ["a"], "add": ["b"],
+                                  "del": ["a"]},
+                                 {"name": "b-go", "pre": ["a"], "add": ["c"],
+                                  "del": ["a"]},
+                                 {"name": "back", "pre": ["b"], "add": ["a"],
+                                  "del": ["b"]}],
+                     "initial": ["a"], "goals": [["b"], ["c"]]},
+          "observations": ["a-go"]})
+def test_every_verb_exits_0_2_or_3_on_drawn_strips_listings(listing):
+    with tempfile.TemporaryDirectory() as tmp:
+        board = Path(tmp, "board.yaml")
+        board.write_text(yaml.safe_dump(listing))
+        notes = Path(tmp, "notes.yaml")
+        notes.write_text("why_ranks: {}\n")
+        for args in (["recognize"], ["explain", "--question", "why"],
+                     ["explain", "--question", "whynot"], ["rank"], ["bench"],
+                     ["eval", "--annotations", str(notes)]):
+            code = main([*args, "--scenario", str(board),
+                         "--out", str(Path(tmp, "out.txt"))])
+            assert code in (0, 2, 3), args
 
 
 def test_structured_output_matches_reference_digests(tmp_path):

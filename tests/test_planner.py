@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grexplain import (BudgetExceeded, GridSpec, PlanningTask, Status,
-                       compile_grid, first_action, optimal_cost, optimal_costs,
+from grexplain import (BudgetExceeded, DomainDefinition, GridSpec,
+                       GroundAction, PlanningTask, Status, compile_grid,
+                       first_action, optimal_cost, optimal_costs,
                        optimal_plan)
 from grexplain.planner import PlanResult
 from grexplain.strips import Plan, apply
@@ -79,6 +80,20 @@ def test_lexicographic_tie_break_full_sequence():
     assert [a.name.split("-")[1] for a in result.plan] == ["down"] * 3 + ["right"] * 3
 
 
+def test_plan_step_is_first_named_action_between_two_states():
+    # b-go and a-go both lead from {start} to {mid}; the plan takes a-go,
+    # the action that discovered {mid}, not b-go, declared first
+    actions = [GroundAction(name, frozenset(pre), frozenset(add), frozenset(dele))
+               for name, pre, add, dele in [
+                   ("b-go", {"start"}, {"mid"}, {"start"}),
+                   ("a-go", {"start"}, {"mid"}, {"start"}),
+                   ("finish", {"mid"}, {"end"}, {"mid"})]]
+    domain = DomainDefinition(["start", "mid", "end"], actions)
+    result = optimal_plan(PlanningTask(domain, frozenset({"start"}),
+                                       frozenset({"end"})))
+    assert [a.name for a in result.plan] == ["a-go", "finish"]
+
+
 @st.composite
 def grid_specs(draw):
     width = draw(st.integers(1, 6))
@@ -135,7 +150,7 @@ def sweep_cases(draw):
                     goal_cells)
     domain, state, _ = compile_grid(spec)
     for _ in range(draw(st.integers(0, 6))):
-        moves = domain.applicable_actions(state)
+        moves = domain.applicable_actions(domain.encode(state))
         if not moves:
             break
         state = apply(state, draw(st.sampled_from(moves)))

@@ -39,7 +39,7 @@ def test_single_push_blocked_by_second_box_without_multi_push():
     push = domain.action("push-right-1-2")
     assert not applicable(initial, push)  # destination holds the far box
     assert not domain.has_action("push2-right-1-2")
-    assert domain.applicable_actions(initial) == []
+    assert domain.applicable_actions(domain.encode(initial)) == []
     assert optimal_cost(PlanningTask(domain, initial, goals[0])) is None
 
 
@@ -68,7 +68,7 @@ def test_push_legality_exhaustive_enumeration(multi):
         boxes = boxes_of(state)
         player = player_of(state)
         occupied = boxes | {player} | set(spec.walls)
-        for action in domain.applicable_actions(state):
+        for action in domain.applicable_actions(domain.encode(state)):
             verb, direction, src, dst = action.name.split("-")
             if verb in ("push", "push2"):
                 steps = 2 if verb == "push" else 3
@@ -84,6 +84,26 @@ def test_push_legality_exhaustive_enumeration(multi):
                 seen.add(succ)
                 queue.append(succ)
     assert pushes_checked > 0
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_successor_table_matches_apply_on_reachable_states(multi):
+    spec = SokobanSpec(5, 5, frozenset({7}), 1, (8, 12), (20, 24),
+                       ((20, 24),), multi)
+    domain, initial, _ = compile_sokoban(spec)
+    by_name = sorted(domain.actions, key=lambda a: a.name)
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        expected = [(a, apply(state, a)) for a in by_name if applicable(state, a)]
+        assert list(domain.successors(domain.encode(state))) == [
+            (a, domain.encode(succ)) for a, succ in expected]
+        for _, succ in expected:
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+    assert len(seen) > 100
 
 
 def test_spec_rejects_overlapping_entities():

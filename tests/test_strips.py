@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
                        NotApplicable, PlanningTask, State, applicable, apply,
@@ -139,3 +140,50 @@ def test_action_rejects_overlapping_effects():
     with pytest.raises(MalformedSpec):
         act("bad", add=["f0"], dele=["f0"])
 
+
+@st.composite
+def strips_domains(draw):
+    """A small raw-STRIPS domain, declared out of name order, that always
+    holds a condition-free action, a delete effect outside the preconditions
+    and two actions sharing a one-fact precondition (so a pivot fact), plus
+    a few fact-set states to expand."""
+    facts = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
+    subsets = st.frozensets(st.sampled_from(facts))
+
+    def effects():
+        add = draw(subsets)
+        return add, draw(subsets) - add
+
+    specs = [(draw(subsets), *effects())
+             for _ in range(draw(st.integers(0, 5)))]
+    specs.append((frozenset(), *effects()))
+    pre, dropped = draw(st.lists(st.sampled_from(facts), min_size=2,
+                                 max_size=2, unique=True))
+    specs.append(({pre}, draw(subsets) - {dropped}, {dropped}))
+    shared = draw(st.sampled_from(facts))
+    specs += [({shared}, *effects()), ({shared}, *effects())]
+    names = draw(st.lists(st.text("abxyz-", min_size=1, max_size=4),
+                          min_size=len(specs), max_size=len(specs),
+                          unique=True))
+    actions = [act(n, pre, add, dele)
+               for n, (pre, add, dele) in zip(names, specs)]
+    states = draw(st.lists(subsets, min_size=1, max_size=6))
+    return DomainDefinition(facts, actions), actions, states
+
+
+@settings(max_examples=200, deadline=None)
+@given(strips_domains())
+def test_successor_table_matches_apply_oracle(case):
+    domain, actions, states = case
+    for state in states:  # repeats read the table
+        expected = [(a, domain.encode(apply(state, a)))
+                    for a in sorted(actions, key=lambda a: a.name)
+                    if applicable(state, a)]
+        assert list(domain.successors(domain.encode(state))) == expected
+
+
+def test_encode_names_undeclared_facts():
+    domain = DomainDefinition(["a", "b"], [act("go", pre=["a"], add=["b"])])
+    assert domain.encode(["a", "b"]) == 0b11
+    with pytest.raises(MalformedSpec, match=r"\['zzz'\]"):
+        domain.encode(["a", "zzz"])

@@ -2,9 +2,12 @@
 
 Grids and Sokoban boards of varying size; observations follow a prefix of an
 optimal plan to the first goal so every file validates.  Output is frozen
-into src/grexplain/scenarios/bench/.
+into src/grexplain/scenarios/bench/:
+
+    PYTHONPATH=src python3 tools/gen_bench_suite.py [OUT_DIR]
 """
 import random
+import sys
 from pathlib import Path
 
 from grexplain import (GridSpec, SokobanSpec, compile_grid, compile_sokoban,
@@ -13,8 +16,6 @@ from grexplain import (GridSpec, SokobanSpec, compile_grid, compile_sokoban,
 from grexplain.scenario import ScenarioFile, serialize_scenario, build_problem
 
 OUT = Path(__file__).resolve().parent.parent / "src/grexplain/scenarios/bench"
-OUT.mkdir(parents=True, exist_ok=True)
-rng = random.Random(20240917)
 
 
 def plan_directions(domain, initial, goal, count):
@@ -23,7 +24,7 @@ def plan_directions(domain, initial, goal, count):
     return [a.name.split("-")[1] for a in res.plan.actions[:count]]
 
 
-def make_grid(name, width, height, n_blocks, n_goals, obs_count):
+def make_grid(rng, out_dir, name, width, height, n_blocks, n_goals, obs_count):
     while True:
         cells = list(range(1, width * height + 1))
         blocked = set(rng.sample(cells, n_blocks))
@@ -44,7 +45,7 @@ def make_grid(name, width, height, n_blocks, n_goals, obs_count):
         # reject fully ambiguous boards: explanation stage must have work
         if not build_explanan(mirror_posteriors(problem)).entries:
             continue
-        (OUT / f"{name}.yaml").write_text(serialize_scenario(scenario))
+        (out_dir / f"{name}.yaml").write_text(serialize_scenario(scenario))
         print("wrote", name, "costs", costs)
         return
 
@@ -69,8 +70,8 @@ SOKOBAN_BOARDS = [
 ]
 
 
-def make_sokoban(name, width, height, walls, player, boxes, storage, goals,
-                 multi, obs):
+def make_sokoban(out_dir, name, width, height, walls, player, boxes, storage,
+                 goals, multi, obs):
     spec = SokobanSpec(width, height, frozenset(walls), player, tuple(boxes),
                        tuple(storage), tuple(tuple(g) for g in goals), multi)
     domain, initial, goal_sets = compile_sokoban(spec)
@@ -81,7 +82,7 @@ def make_sokoban(name, width, height, walls, player, boxes, storage, goals,
     words = [a.name.split("-")[1] for a in res.plan.actions[:obs]]
     scenario = ScenarioFile("sokoban", spec, tuple(words), (), name)
     build_problem(scenario)
-    (OUT / f"{name}.yaml").write_text(serialize_scenario(scenario))
+    (out_dir / f"{name}.yaml").write_text(serialize_scenario(scenario))
     print("wrote", name, "costs", costs)
 
 
@@ -89,12 +90,23 @@ grid_params = [
     (8, 6, 5, 3, 5), (10, 8, 8, 3, 6), (12, 8, 10, 3, 7), (9, 9, 8, 2, 6),
     (14, 10, 14, 3, 8), (16, 12, 20, 3, 8), (10, 10, 10, 4, 6), (20, 15, 30, 3, 8),
 ]
-for i, (w, h, b, g, o) in enumerate(grid_params, 1):
-    make_grid(f"grid_{i:02d}", w, h, b, g, o)
 
-for i, board in enumerate(SOKOBAN_BOARDS, 1):
-    kw = dict(board)
-    obs = kw.pop("obs")
-    make_sokoban(f"sokoban_{i:02d}", obs=obs, **kw)
 
-print("total:", len(list(OUT.glob('*.yaml'))))
+def main(out_dir=OUT):
+    """Write the 15 bench scenarios into ``out_dir`` (same seed, same bytes)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = random.Random(20240917)
+    for i, (w, h, b, g, o) in enumerate(grid_params, 1):
+        make_grid(rng, out_dir, f"grid_{i:02d}", w, h, b, g, o)
+
+    for i, board in enumerate(SOKOBAN_BOARDS, 1):
+        kw = dict(board)
+        obs = kw.pop("obs")
+        make_sokoban(out_dir, f"sokoban_{i:02d}", obs=obs, **kw)
+
+    print("total:", len(list(out_dir.glob('*.yaml'))))
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:])
