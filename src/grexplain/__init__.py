@@ -20,8 +20,8 @@ from .explainer import (CompleteExplanan, ExplananEntry, WhyAnswer,
 from .grids import GridSpec, cell_move_name, compile_grid
 from .metrics import eval_cf_agreement, eval_mae
 from .planner import (DEFAULT_BUDGET, PlanningTask, PlanResult, Status,
-                      first_action, optimal_cost, optimal_costs,
-                      optimal_plan)
+                      distance_tables, first_action, optimal_cost,
+                      optimal_costs, optimal_plan)
 from .recognizer import (GrProblem, Observation, PosteriorTrace,
                          mirror_posteriors)
 from .render import render, render_ascii

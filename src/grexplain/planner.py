@@ -3,13 +3,25 @@
 A single breadth-first sweep serves recognition costs, optimal plans and
 counterfactual-action plans.  Every action costs 1, so an optimal plan is a
 shortest one.  The sweep encodes the initial state and the goals as ints
-once (``DomainDefinition.encode``), reads successors from the domain's
-memoized table, and goes layer by layer, recording each state's first
-discovery as ``state -> parent``.  It stops once every goal asked for has
+once (``DomainDefinition.encode``), works on the domain's dense state ids,
+reads successors from the domain's memoized table, and goes layer by layer,
+recording each state's first discovery as ``id -> parent id``; it reads a
+state's bits only for goal tests.  It stops once every goal asked for has
 been reached, so one sweep prices many goals from the same state, and every
 sweep on a domain shares that domain's successor table: a state expanded by
 one recognition sweep is read, not expanded again, by the next sweep and by
 counterfactual planning.
+
+``distance_tables`` prices every goal from every state reachable from one
+state: one enumeration of that space, then one breadth-first sweep per goal
+over the reversed edges, so each cost is a table lookup.  It takes a cap,
+not a budget, and never raises BudgetExceeded.  Capped at a caller's
+budget it keeps that caller's budget points exact: when every reachable
+state fits in the budget, no sweep from any of them could exceed it.  The
+recognizer takes the tables for n observed states and goals G only when
+(|G| + 2) * S0 <= n * E0, where its first sweep discovered S0 states and
+dequeued E0, and caps them at min(budget, n * E0 // (|G| + 2)) states
+(see its module docstring for why).
 
 Among equal-length plans the lexicographically first action sequence is
 returned, so downstream explanations are reproducible run to run.  This
@@ -63,13 +75,15 @@ def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
            budget: int):
     """Breadth-first sweep from ``initial`` until every goal is reached.
 
-    Returns (cost per goal or None if unreachable, ``state -> parent`` map
-    of first discoveries over state ints with the initial state mapped to
-    None, the state int that reached the last goal or None).  The goal test
-    and the budget count apply when a state is dequeued, so the sweep
-    expands as many states as the farthest goal's single-goal search would.
+    Returns (cost per goal or None if unreachable, ``id -> parent id`` map
+    of first discoveries with the initial state's id mapped to None, the id
+    of the state that reached the last goal or None, states dequeued).  The
+    goal test and the budget count apply when a state is dequeued, so the
+    sweep expands as many states as the farthest goal's single-goal search
+    would.
     """
-    start = domain.encode(initial)
+    states, rows = domain.states, domain.rows
+    start = domain.state_id(domain.encode(initial))
     targets = [domain.encode(g) for g in goals]
     parents = {start: None}
     costs = [None] * len(goals)
@@ -77,22 +91,33 @@ def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
     layer, depth, expansions, last = [start], 0, 0, None
     while layer and pending:
         successors = []
-        for state in layer:
+        for sid in layer:
             expansions += 1
             if expansions > budget:
                 raise BudgetExceeded(budget)
+            state = states[sid]
             for i in [i for i in pending if targets[i] & state == targets[i]]:
-                costs[i], last = depth, state
+                costs[i], last = depth, sid
                 pending.remove(i)
             if not pending:
                 break
-            for _, succ in domain.successors(state):
+            for _, succ in rows[sid] or domain.expand(sid):
                 if succ not in parents:
-                    parents[succ] = state
+                    parents[succ] = sid
                     successors.append(succ)
         layer = successors
         depth += 1
-    return costs, parents, last
+    return costs, parents, last, expansions
+
+
+def sweep_costs(domain: DomainDefinition, state: State,
+                goals: Sequence[frozenset],
+                budget: int = DEFAULT_BUDGET) -> tuple:
+    """``optimal_costs`` plus the sweep's size: (cost per goal, states
+    discovered, states dequeued)."""
+    costs, parents, _, expanded = _sweep(domain, state,
+                                         [frozenset(g) for g in goals], budget)
+    return costs, len(parents), expanded
 
 
 def optimal_costs(domain: DomainDefinition, state: State,
@@ -102,7 +127,62 @@ def optimal_costs(domain: DomainDefinition, state: State,
     one sweep.  ``budget >= 1`` caps the states expanded; BudgetExceeded is
     raised exactly when some single-goal ``optimal_cost`` would raise it.
     """
-    return _sweep(domain, state, [frozenset(g) for g in goals], budget)[0]
+    return sweep_costs(domain, state, goals, budget)[0]
+
+
+def _reachable(domain: DomainDefinition, start: int, cap: int):
+    """Ids of the states reachable from id ``start`` in breadth-first order,
+    or None as soon as more than ``cap`` are found."""
+    rows, found, seen = domain.rows, [start], {start}
+    for sid in found:
+        for _, succ in rows[sid] or domain.expand(sid):
+            if succ not in seen:
+                if len(found) == cap:
+                    return None
+                seen.add(succ)
+                found.append(succ)
+    return found
+
+
+def distance_tables(domain: DomainDefinition, state: State,
+                    goals: Sequence[frozenset],
+                    cap: int = DEFAULT_BUDGET) -> Optional[list]:
+    """Optimal cost to each goal from every state reachable from ``state``.
+
+    Returns one list per goal, indexed by state id (``domain.state_id``):
+    the cost, or None where the goal is unreachable.  Ids of states not
+    reachable from ``state`` also read None.  Each goal's sweep starts from
+    every reachable state that satisfies it.  Returns None instead once
+    more than ``cap`` states are found, keeping the successor rows expanded
+    so far.
+    """
+    found = _reachable(domain, domain.state_id(domain.encode(state)), cap)
+    if found is None:
+        return None
+    states, rows = domain.states, domain.rows
+    predecessors = [[] for _ in states]
+    for sid in found:
+        for _, succ in rows[sid]:
+            predecessors[succ].append(sid)
+    tables = []
+    for goal in goals:
+        target = domain.encode(goal)
+        table = [None] * len(states)
+        layer = [sid for sid in found if target & states[sid] == target]
+        for sid in layer:
+            table[sid] = 0
+        depth = 0
+        while layer:
+            depth += 1
+            discovered = []
+            for sid in layer:
+                for pred in predecessors[sid]:
+                    if table[pred] is None:
+                        table[pred] = depth
+                        discovered.append(pred)
+            layer = discovered
+        tables.append(table)
+    return tables
 
 
 def optimal_cost(task: PlanningTask,
@@ -124,13 +204,13 @@ def optimal_plan(task: PlanningTask,
     when two actions lead to the same state the earlier name is taken.
     """
     domain = task.domain
-    _, parents, state = _sweep(domain, task.initial, [task.goal], budget)
+    _, parents, state, _ = _sweep(domain, task.initial, [task.goal], budget)
     if state is None:
         return PlanResult(Status.UNSOLVABLE)
     actions = []
     while parents[state] is not None:
         parent = parents[state]
-        actions.append(next(action for action, succ in domain.successors(parent)
+        actions.append(next(action for action, succ in domain.expand(parent)
                             if succ == state))
         state = parent
     actions.reverse()

@@ -6,11 +6,27 @@ Each goal hypothesis is scored after every observation prefix by the ratio
 
 so a goal the observations keep optimal scores 1 and goals the agent walks
 away from decay toward 0.  Every action costs 1, so the prefix cost after i
-observations is i and each cost is a plan length.  One planner sweep per
-state prices every goal at once: one from the initial state over all goals,
-then one per observed state over the goals reachable from the initial state.  Scores are normalized into
-a posterior over the goal set; unreachable goals get probability 0.  Goals
-within ``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
+observations is i and each cost is a plan length.  One planner sweep from
+the initial state prices every goal at once.  The suffix costs of the n
+observed states then come from one of two paths, chosen per problem from
+counts the first sweep already has: E0, the states it dequeued, and S0,
+the states it discovered.
+
+* Sweeps: one per observed state over the goals reachable from the initial
+  state.  Each dequeues about E0 states.
+* Tables (``planner.distance_tables``): enumerate the R states reachable
+  from the initial state, then one backward sweep per reachable goal, so
+  about |G| + 2 passes over R states.  R is at least S0, so the tables are
+  tried only when (|G| + 2) * S0 <= n * E0, and enumerated under a cap of
+  min(budget, n * E0 // (|G| + 2)) states; past the cap the sweeps run
+  after all, over the successor rows the enumeration already expanded.
+
+Both paths give the same costs.  BudgetExceeded is raised exactly where
+the n + 1 sweeps raise it: the first sweep is common to both, and the
+tables are used only when every reachable state fits in the budget, so
+that no sweep could have raised.  Scores are normalized into a posterior
+over the goal set; unreachable goals get probability 0.  Goals within
+``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
 """
 
 from __future__ import annotations
@@ -19,7 +35,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
-from .planner import DEFAULT_BUDGET, optimal_costs
+from .planner import (DEFAULT_BUDGET, distance_tables, optimal_costs,
+                      sweep_costs)
 from .strips import DomainDefinition, GroundAction, State, applicable, apply
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -53,6 +70,8 @@ class GrProblem:
             f"g{i + 1}" for i in range(len(self.goals)))
         if len(names) != len(self.goals):
             raise MalformedSpec("goal_names must match the number of goals")
+        if len(set(names)) != len(names):
+            raise MalformedSpec(f"goal_names must be distinct: {list(names)}")
         object.__setattr__(self, "goal_names", names)
         validate_observations(self.domain, self.initial, self.observations)
 
@@ -121,10 +140,11 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     if priors is not None and len(priors) != len(problem.goals):
         raise MalformedSpec("priors must assign one weight per goal")
 
-    base_costs = optimal_costs(problem.domain, problem.initial, problem.goals,
-                               budget)
+    domain, goals = problem.domain, problem.goals
+    base_costs, discovered, expanded = sweep_costs(domain, problem.initial,
+                                                   goals, budget)
     reachable = [j for j, c in enumerate(base_costs) if c is not None]
-    reachable_goals = [problem.goals[j] for j in reachable]
+    reachable_goals = [goals[j] for j in reachable]
 
     def distribution(scores, prefix):
         if priors is not None:
@@ -134,11 +154,22 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     prior_scores = [0.0 if c is None else 1.0 for c in base_costs]
     prior_dist = distribution(prior_scores, 0)
 
+    # The selection rule and its cap (module docstring).
+    n, passes = len(problem.observations), len(goals) + 2
+    tables = None
+    if passes * discovered <= n * expanded:
+        tables = distance_tables(domain, problem.initial, reachable_goals,
+                                 min(budget, n * expanded // passes))
+
     per_prefix = []
     for i, obs in enumerate(problem.observations, start=1):
-        suffixes = optimal_costs(problem.domain, obs.resulting_state,
-                                 reachable_goals, budget)
-        scores = [0.0] * len(problem.goals)
+        if tables is None:
+            suffixes = optimal_costs(domain, obs.resulting_state,
+                                     reachable_goals, budget)
+        else:
+            sid = domain.state_id(domain.encode(obs.resulting_state))
+            suffixes = [table[sid] for table in tables]
+        scores = [0.0] * len(goals)
         for j, suffix in zip(reachable, suffixes):
             if suffix is not None:
                 scores[j] = base_costs[j] / (i + suffix)

@@ -81,6 +81,18 @@ def _int_list(value, path):
         raise ParseError(f"{path}: expected a list of integers") from None
 
 
+def _list(value, path):
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+def _str_list(value, path):
+    if not all(isinstance(v, str) for v in _list(value, path)):
+        raise ParseError(f"{path}: expected a list of strings, got {value!r}")
+    return value
+
+
 def _parse_grid_map(text: str):
     if not isinstance(text, str) or not text.strip():
         raise ParseError("map: expected a non-empty ASCII map")
@@ -111,8 +123,9 @@ def _parse_grid_map(text: str):
 
 def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
     kind = _require(data, "kind", "scenario")
-    observations = tuple(str(o) for o in data.get("observations", []) or [])
-    goal_names = tuple(str(g) for g in data.get("goal_names", []) or [])
+    observations = tuple(_str_list(data.get("observations") or [],
+                                   "observations"))
+    goal_names = tuple(_str_list(data.get("goal_names") or [], "goal_names"))
     name = str(data.get("name", name))
 
     try:
@@ -157,29 +170,38 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
                         "storage": tuple(_int_list(_require(body, "storage",
                                                             "sokoban"),
                                                    "sokoban.storage"))}
+            multi_push = body.get("multi_push", False)
+            if not isinstance(multi_push, bool):
+                raise ParseError(f"sokoban.multi_push: expected true or false, "
+                                 f"got {multi_push!r}")
             spec = SokobanSpec(
                 goal_assignments=tuple(
                     tuple(_int_list(a, "sokoban.goals"))
-                    for a in _require(body, "goals", "sokoban")),
-                multi_push=bool(body.get("multi_push", False)),
+                    for a in _list(_require(body, "goals", "sokoban"),
+                                   "sokoban.goals")),
+                multi_push=multi_push,
                 **base,
             )
         elif kind == "strips":
             body = _require(data, "strips", "scenario")
             actions = []
-            for spec_action in _require(body, "actions", "strips"):
-                actions.append((
-                    str(_require(spec_action, "name", "strips.actions")),
-                    tuple(spec_action.get("pre", []) or []),
-                    tuple(spec_action.get("add", []) or []),
-                    tuple(spec_action.get("del", []) or []),
-                ))
+            for spec_action in _list(_require(body, "actions", "strips"),
+                                     "strips.actions"):
+                label = str(_require(spec_action, "name", "strips.actions"))
+                pre, add, dele = (
+                    tuple(_str_list(spec_action.get(key) or [],
+                                    f"strips.actions.{label}.{key}"))
+                    for key in ("pre", "add", "del"))
+                actions.append((label, pre, add, dele))
             spec = StripsListing(
-                facts=tuple(str(f) for f in _require(body, "facts", "strips")),
+                facts=tuple(_str_list(_require(body, "facts", "strips"),
+                                      "strips.facts")),
                 actions=tuple(actions),
-                initial=frozenset(str(f) for f in _require(body, "initial", "strips")),
-                goals=tuple(frozenset(str(f) for f in g)
-                            for g in _require(body, "goals", "strips")),
+                initial=frozenset(_str_list(_require(body, "initial", "strips"),
+                                            "strips.initial")),
+                goals=tuple(frozenset(_str_list(g, "strips.goals"))
+                            for g in _list(_require(body, "goals", "strips"),
+                                           "strips.goals")),
             )
         else:
             raise ParseError(f"scenario: unknown kind {kind!r}")

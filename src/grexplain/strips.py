@@ -7,13 +7,18 @@ false).  Inside search a state is a Python ``int``: ``DomainDefinition``
 gives fact i bit i, so ``encode`` packs a fact set into an int,
 applicability is ``pre & s == pre`` and progression is ``s & ~del | add``.
 
-Each domain keeps a successor table from state int to ``(action,
-successor)`` pairs.  It fills lazily, one entry per state the first time
-``successors`` is asked for it, and lives as long as the domain, so its size
-is bounded by the distinct states searched on that domain.  Domains are
-otherwise immutable after construction; concurrent fills under the GIL
-write equal values for a state, so sharing a domain between threads stays
-safe.  States and plans are plain values.
+Each domain interns the state ints it meets to dense ids (``state_id``;
+``states[id]`` maps back) and keeps a successor table indexed by id: row
+``id`` lists ``(action, successor id)`` pairs in action name order.  A row
+fills lazily, the first time ``expand`` (or ``successors``) is asked for its
+state, and lives as long as the domain, so the table's size is bounded by
+the distinct states searched on that domain.  Search keys its maps by id,
+and ids are small consecutive ints that hash apart; a state int of one bit,
+such as a grid position ``1 << i``, hashes to one of only 61 values.
+
+A domain is not safe to share between threads: interning reads the length
+of ``states`` and then appends to it, which is not atomic.  Nothing in the
+package uses threads.  States and plans are plain values.
 """
 
 from __future__ import annotations
@@ -121,7 +126,9 @@ class DomainDefinition:
             self._buckets.setdefault(self._index[pivot], []).append(
                 (rank, mask(action.preconditions)))
         self._pivot_mask = sum(1 << i for i in self._buckets)
-        self._successors = {}  # state int -> ((action, successor int), ...)
+        self._ids = {}  # state int -> id
+        self.states = []  # id -> state int
+        self.rows = []  # id -> ((action, successor id), ...), or None
 
     def action(self, name: str) -> GroundAction:
         try:
@@ -158,19 +165,36 @@ class DomainDefinition:
         by_rank = self._by_rank
         return [by_rank[r] for r in ranks]
 
-    def successors(self, state: int) -> tuple:
-        """``(action, successor)`` pairs of the encoded ``state`` in action
-        name order.  Computed by ``applicable_actions`` the first time a
-        state is asked for, then read from the domain's table."""
-        found = self._successors.get(state)
+    def state_id(self, state: int) -> int:
+        """The dense id of the encoded ``state``, interned on first sight."""
+        found = self._ids.get(state)
         if found is None:
+            found = self._ids[state] = len(self.states)
+            self.states.append(state)
+            self.rows.append(None)
+        return found
+
+    def expand(self, state_id: int) -> tuple:
+        """Row ``state_id`` of the successor table: ``(action, successor
+        id)`` pairs in action name order.  Computed by ``applicable_actions``
+        the first time a state is asked for, then read from the table."""
+        found = self.rows[state_id]
+        if found is None:
+            state = self.states[state_id]
             effects = self._effects
             found = []
             for action in self.applicable_actions(state):
                 dele, add = effects[action.name]
-                found.append((action, state & ~dele | add))
-            found = self._successors[state] = tuple(found)
+                found.append((action, self.state_id(state & ~dele | add)))
+            found = self.rows[state_id] = tuple(found)
         return found
+
+    def successors(self, state: int) -> tuple:
+        """``(action, successor)`` pairs of the encoded ``state`` in action
+        name order, read from the successor table."""
+        states = self.states
+        return tuple((action, states[succ])
+                     for action, succ in self.expand(self.state_id(state)))
 
     def __repr__(self):
         return f"DomainDefinition({len(self.facts)} facts, {len(self.actions)} actions)"

@@ -180,9 +180,28 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
     ("kind: strips\nstrips: {facts: [a, b], initial: [a, zzz], goals: [[b]],"
      " actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
      "observations: [go]\n", None, None),
+    (GRID_3X3 + "goal_names: 5\nobservations: [right]\n", None, None),
+    ("kind: strips\nstrips: {facts: null, initial: [a], goals: [[b]],"
+     " actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
+     "observations: [go]\n", None, None),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b]],"
+     " actions: 5}\nobservations: []\n", None, None),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b]],"
+     " actions: [{name: go, pre: 5, add: [b], del: [a]}]}\n"
+     "observations: [go]\n", None, None),
+    ("kind: strips\nstrips: {facts: [1, 2], initial: [1], goals: [[2]],"
+     " actions: [{name: go, pre: [1], add: [2], del: [1]}]}\n"
+     "observations: [go]\n", None, None),
+    ("kind: sokoban\nsokoban: {width: 5, height: 1, walls: [], player: 1,"
+     " boxes: [2, 3], storage: [4, 5], multi_push: 'false', goals: [[4, 5]]}\n"
+     "observations: [right]\n", None, None),
+    (GRID_3X3 + "goal_names: [a, a]\nobservations: [right]\n", None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
-        "goal-fact-undeclared", "initial-fact-undeclared"])
+        "goal-fact-undeclared", "initial-fact-undeclared",
+        "goal-names-not-a-list", "facts-null", "actions-not-a-list",
+        "pre-not-a-list", "fact-names-not-strings", "multi-push-quoted",
+        "goal-names-repeated"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"
@@ -254,9 +273,13 @@ def strips_listings(draw):
                      "initial": ["a"], "goals": [["b"], ["c"]]},
           "observations": ["a-go"]})
 def test_every_verb_exits_0_2_or_3_on_drawn_strips_listings(listing):
+    assert_every_verb_exits_0_2_or_3(listing)
+
+
+def assert_every_verb_exits_0_2_or_3(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         board = Path(tmp, "board.yaml")
-        board.write_text(yaml.safe_dump(listing))
+        board.write_text(yaml.safe_dump(scenario))
         notes = Path(tmp, "notes.yaml")
         notes.write_text("why_ranks: {}\n")
         for args in (["recognize"], ["explain", "--question", "why"],
@@ -265,6 +288,44 @@ def test_every_verb_exits_0_2_or_3_on_drawn_strips_listings(listing):
             code = main([*args, "--scenario", str(board),
                          "--out", str(Path(tmp, "out.txt"))])
             assert code in (0, 2, 3), args
+
+
+WRONGLY_TYPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.text("ab1-", max_size=3),
+    st.lists(st.one_of(st.integers(-3, 12), st.lists(st.integers(-1, 9),
+                                                     max_size=2)),
+             max_size=3))
+
+
+@st.composite
+def board_mappings(draw):
+    """A valid grid or Sokoban scenario in which some body fields, and maybe
+    ``goal_names`` or ``observations``, are replaced by drawn values of the
+    wrong type or range: None, a boolean, a small (maybe negative) integer,
+    a string or a (nested) list."""
+    if draw(st.booleans()):
+        kind, words = "grid", ["right", "down"]
+        body = {"width": 3, "height": 3, "blocked": [5], "start": 1,
+                "goals": [9, 3]}
+    else:
+        kind, words = "sokoban", ["right", "right"]
+        body = {"width": 5, "height": 1, "walls": [], "player": 1,
+                "boxes": [2, 3], "storage": [4, 5], "multi_push": True,
+                "goals": [[4, 5], [5]]}
+    scenario = {"kind": kind, kind: body, "goal_names": ["x", "y"],
+                "observations": words}
+    for key in draw(st.lists(st.sampled_from(sorted(body)), unique=True)):
+        body[key] = draw(WRONGLY_TYPED)
+    for key in draw(st.lists(st.sampled_from(["goal_names", "observations"]),
+                             unique=True, max_size=1)):
+        scenario[key] = draw(WRONGLY_TYPED)
+    return scenario
+
+
+@settings(max_examples=80, deadline=None)
+@given(board_mappings())
+def test_every_verb_exits_0_2_or_3_on_drawn_board_mappings(scenario):
+    assert_every_verb_exits_0_2_or_3(scenario)
 
 
 def test_structured_output_matches_reference_digests(tmp_path):
@@ -297,6 +358,12 @@ def test_missing_file_exits_2(capsys):
 
 def test_budget_exhaustion_exits_3(capsys):
     code, _, err = run(capsys, "recognize", "--scenario", PAIRS, "--budget", "5")
+    assert code == 3
+    assert "budget" in err
+
+
+def test_budget_exhaustion_exits_3_on_a_grid(capsys):
+    code, _, err = run(capsys, "recognize", "--scenario", NAV, "--budget", "20")
     assert code == 3
     assert "budget" in err
 

@@ -1,14 +1,15 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grexplain import (BudgetExceeded, DomainDefinition, GridSpec,
-                       GroundAction, PlanningTask, Status, compile_grid,
-                       first_action, optimal_cost, optimal_costs,
-                       optimal_plan)
-from grexplain.planner import PlanResult
-from grexplain.strips import Plan, apply
+                       GroundAction, PlanningTask, SokobanSpec, Status,
+                       compile_grid, compile_sokoban, first_action,
+                       optimal_cost, optimal_costs, optimal_plan)
+from grexplain.planner import PlanResult, distance_tables
+from grexplain.strips import Plan, applicable, apply
 
 from conftest import bfs_grid_distance, random_grid_spec
 from grexplain.grids import grid_neighbors
@@ -168,6 +169,76 @@ def test_optimal_costs_match_bfs_oracle_per_goal(case):
     cell = int(fact.split("-")[1])
     assert optimal_costs(domain, state, goals) == [
         bfs_grid_distance(spec, cell, g) for g in spec.goal_cells]
+
+
+def reachable_states(domain, initial):
+    """Every fact-set state reachable from ``initial``, found by applying
+    each action directly (no successor table)."""
+    seen, queue = {initial}, deque([initial])
+    while queue:
+        state = queue.popleft()
+        for action in domain.actions:
+            if applicable(state, action):
+                succ = apply(state, action)
+                if succ not in seen:
+                    seen.add(succ)
+                    queue.append(succ)
+    return seen
+
+
+def assert_tables_match_sweeps(domain, initial, goals):
+    tables = distance_tables(domain, initial, goals)
+    for state in reachable_states(domain, initial):
+        sid = domain.state_id(domain.encode(state))
+        assert [table[sid] for table in tables] == optimal_costs(domain, state,
+                                                                 goals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases())
+def test_distance_tables_match_sweeps_on_grids(case):
+    spec, state = case
+    domain, _, goals = compile_grid(spec)
+    assert_tables_match_sweeps(domain, state, goals)
+
+
+@st.composite
+def strips_problems(draw):
+    """A raw-STRIPS domain over up to five facts, an initial state and up to
+    three goals, any of which may be unreachable."""
+    facts = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
+    subsets = st.frozensets(st.sampled_from(facts))
+    actions = []
+    for i in range(draw(st.integers(0, 6))):
+        add = draw(subsets)
+        actions.append(GroundAction(f"a{i}", draw(subsets), add,
+                                    draw(subsets) - add))
+    return (DomainDefinition(facts, actions), draw(subsets),
+            draw(st.lists(subsets, min_size=1, max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strips_problems())
+def test_distance_tables_match_sweeps_on_strips_listings(case):
+    assert_tables_match_sweeps(*case)
+
+
+def test_distance_tables_match_sweeps_on_every_sokoban_state():
+    spec = SokobanSpec(4, 4, frozenset(), 1, (6, 7), (11, 15),
+                       ((11, 15), (11,), (15,)), False)
+    domain, initial, goals = compile_sokoban(spec)
+    assert len(reachable_states(domain, initial)) == 1676
+    assert_tables_match_sweeps(domain, initial, goals)
+
+
+def test_distance_tables_give_up_past_the_cap_and_keep_their_rows():
+    spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
+    domain, initial, goals = compile_grid(spec)
+    assert distance_tables(domain, initial, goals, cap=18) is None
+    assert sum(row is not None for row in domain.rows) > 0
+    tables = distance_tables(domain, initial, goals, cap=19)
+    start = domain.state_id(domain.encode(initial))
+    assert [table[start] for table in tables] == [2, None]
 
 
 @pytest.mark.parametrize("goal_cells", [(1, 21, 7, 10), (1, 21, 7, 25, 10)],

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from grexplain import (AllGoalsUnsolvable, GridSpec, GrProblem,
-                       InvalidObservationChain, MalformedSpec, Observation,
-                       compile_grid, mirror_posteriors)
+from grexplain import (AllGoalsUnsolvable, BudgetExceeded, GridSpec,
+                       GrProblem, InvalidObservationChain, MalformedSpec,
+                       Observation, bundled_scenario_path, compile_grid,
+                       load_scenario, mirror_posteriors, optimal_costs)
+from grexplain import recognizer
+from grexplain.planner import sweep_costs
 from grexplain.recognizer import PosteriorTrace, split_goals
 
 from conftest import bfs_grid_distance, random_grid_spec, walk
@@ -173,3 +176,96 @@ def test_priors_reweight_posteriors(tiny_grid_problem):
     assert trace.per_prefix[0] == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
     with pytest.raises(MalformedSpec):
         mirror_posteriors(tiny_grid_problem, priors=[1.0])
+
+
+def sweep_calls(problem):
+    """The n + 1 (state, goals) pairs the sweep path prices."""
+    domain, goals = problem.domain, problem.goals
+    base = optimal_costs(domain, problem.initial, goals)
+    live = [g for g, c in zip(goals, base) if c is not None]
+    return [(problem.initial, goals)] + [(o.resulting_state, live)
+                                         for o in problem.observations]
+
+
+def assert_budget_points_match_the_sweeps(problem, budgets):
+    unlimited = mirror_posteriors(problem)
+    calls = sweep_calls(problem)
+    outcomes = set()
+    for budget in budgets:
+        try:
+            for state, goals in calls:
+                optimal_costs(problem.domain, state, goals, budget)
+            expected = False
+        except BudgetExceeded:
+            expected = True
+        try:
+            trace = mirror_posteriors(problem, budget=budget)
+        except BudgetExceeded:
+            trace = None
+        assert (trace is None) == expected, budget
+        assert trace in (None, unlimited)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def spy_on_tables(monkeypatch):
+    built = []
+    tables = recognizer.distance_tables
+
+    def spy(*args):
+        built.append(tables(*args))
+        return built[-1]
+
+    monkeypatch.setattr(recognizer, "distance_tables", spy)
+    return built
+
+
+@pytest.mark.parametrize("goal_cells", [(1, 2, 6), (1, 2, 25, 6)],
+                         ids=["reachable", "one-walled-off"])
+def test_budget_points_match_the_sweeps_on_the_table_path(goal_cells,
+                                                         monkeypatch):
+    # 19 cells are reachable from cell 7; cell 25 is walled off.  The goals
+    # lie beside the start and the agent walks away from them, so the
+    # reachable goals' first sweep dequeues 7 states and the later ones 12.
+    spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, goal_cells)
+    domain, initial, goals = compile_grid(spec)
+    obs = walk(domain, initial, [
+        "move-left-7-6", "move-down-6-11", "move-down-11-16", "move-down-16-21",
+        "move-right-21-22", "move-right-22-23", "move-up-23-18",
+        "move-left-18-17", "move-down-17-22",
+        *["move-left-22-21", "move-right-21-22"] * 3, "move-left-22-21"])
+    problem = GrProblem(domain, initial, tuple(goals), obs)
+    built = spy_on_tables(monkeypatch)
+    assert_budget_points_match_the_sweeps(problem, range(1, 19 + 2))
+    assert built[-1] is not None
+
+
+def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):
+    # The rule tries tables here, but 26,584 states are reachable, past the
+    # cap, so the sweeps run.  A run compares the budget only with each
+    # sweep's size and with the cap n * E0 // (|G| + 2), so the budgets at
+    # and beside those counts reach every outcome; all of 1..26,585 would
+    # take minutes.
+    problem = load_scenario(bundled_scenario_path("sokoban_pairs"))
+    sizes = [sweep_costs(problem.domain, state, goals)[2]
+             for state, goals in sweep_calls(problem)]
+    cap = len(problem.observations) * sizes[0] // (len(problem.goals) + 2)
+    budgets = sorted({1, 2} | {c + d for c in sizes + [cap] for d in (-1, 0, 1)})
+    built = spy_on_tables(monkeypatch)
+    assert_budget_points_match_the_sweeps(problem, budgets)
+    assert built and built[-1] is None
+
+
+def test_recognition_on_a_sokoban_board_expands_what_the_sweeps_expand():
+    # the selection rule keeps this board on sweeps, before any enumeration
+    problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
+    expanded = []
+    applicable_actions = problem.domain.applicable_actions
+
+    def counted(state):
+        expanded.append(state)
+        return applicable_actions(state)
+
+    problem.domain.applicable_actions = counted
+    mirror_posteriors(problem)
+    assert len(expanded) == len(set(expanded)) == 11_480
