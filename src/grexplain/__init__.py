@@ -19,9 +19,8 @@ from .explainer import (CompleteExplanan, ExplananEntry, WhyAnswer,
                         woe_uniform, woe_with_priors)
 from .grids import GridSpec, cell_move_name, compile_grid
 from .metrics import eval_cf_agreement, eval_mae
-from .planner import (DEFAULT_BUDGET, PlanningTask, PlanResult, Status,
-                      distance_tables, first_action, optimal_cost,
-                      optimal_costs, optimal_plan)
+from .planner import (DEFAULT_BUDGET, PlanningTask, distance_tables,
+                      optimal_cost, optimal_costs, optimal_plan)
 from .recognizer import (GrProblem, Observation, PosteriorTrace,
                          mirror_posteriors)
 from .render import render, render_ascii
@@ -30,6 +29,5 @@ from .scenario import (AnnotationFile, ScenarioFile, build_problem,
                        load_annotations, load_priors, load_scenario,
                        parse_scenario_file, serialize_scenario)
 from .sokoban import SokobanSpec, compile_sokoban
-from .strips import (DomainDefinition, GroundAction, Plan, PlanCheck, State,
-                     applicable, apply, validate_plan)
+from .strips import DomainDefinition, GroundAction, State, applicable, apply
 from .version import __version__

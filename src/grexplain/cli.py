@@ -32,8 +32,8 @@ from .version import __version__
 
 def _entry_dict(problem, entry):
     return {
-        "predicted": problem.goal_label(entry.predicted_goal),
-        "counterfactual": problem.goal_label(entry.counterfactual_goal),
+        "predicted": problem.goal_names[entry.predicted_goal],
+        "counterfactual": problem.goal_names[entry.counterfactual_goal],
         "observation": entry.observation_index,
         "action": problem.observations[entry.observation_index - 1].action.name,
         "woe": entry.woe,
@@ -114,7 +114,7 @@ def cmd_explain(args):
                             f"ask --question why about it instead")
         payload["markers"] = [_entry_dict(problem, e) for e in answer.markers]
         payload["counterfactuals"] = [
-            {"goal": problem.goal_label(sel.goal),
+            {"goal": problem.goal_names[sel.goal],
              "status": sel.status,
              "observation": (min(e.observation_index for e in sel.markers)
                              if sel.markers else None),
@@ -189,7 +189,7 @@ def cmd_eval(args):
                 raise GrexError(f"annotation names unknown action {action_name!r}")
         answer = answer_why_not(problem, explanan, budget=args.budget)
         model_actions = {
-            problem.goal_label(sel.goal): sel.action.name
+            problem.goal_names[sel.goal]: sel.action.name
             for sel in answer.selections if sel.action is not None}
         annotated = {g: a for g, a in annotations.counterfactual_actions.items()}
         model = {g: model_actions.get(g, "") for g in annotated}

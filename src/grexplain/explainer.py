@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (EmptyExplanan, UnsolvableGoal, ZeroPosterior, ZeroPrior)
-from .planner import DEFAULT_BUDGET, PlanningTask, first_action, optimal_plan
+from .planner import DEFAULT_BUDGET, PlanningTask, optimal_plan
 from .recognizer import GrProblem, PosteriorTrace
 from .strips import GroundAction
 
@@ -91,17 +91,6 @@ class CompleteExplanan:
         with_entries = {e.observation_index for e in self.entries}
         return tuple(i for i in range(1, self.observation_count + 1)
                      if i not in with_entries)
-
-    def for_pair(self, predicted_goal: int, counterfactual_goal: int) -> tuple:
-        return tuple(e for e in self.entries
-                     if e.pair == (predicted_goal, counterfactual_goal))
-
-    def pairs(self) -> tuple:
-        seen = []
-        for e in self.entries:
-            if e.pair not in seen:
-                seen.append(e.pair)
-        return tuple(seen)
 
 
 def build_explanan(trace: PosteriorTrace,
@@ -193,9 +182,11 @@ def select_om(explanan: CompleteExplanan) -> WhyAnswer:
     that pair's maximum weight (ties are all retained)."""
     if not explanan.entries:
         raise EmptyExplanan("no entries to select an observational marker from")
+    groups = {}  # pair -> its entries, pairs in order of first appearance
+    for e in explanan.entries:
+        groups.setdefault(e.pair, []).append(e)
     markers = []
-    for pair in explanan.pairs():
-        group = explanan.for_pair(*pair)
+    for group in groups.values():
         best = max(e.woe for e in group)
         markers.extend(e for e in group if e.woe == best)
     return WhyAnswer(markers=tuple(markers))
@@ -235,12 +226,12 @@ def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
     goal = problem.goals[g_prime]
     if goal <= state:
         return None
-    result = optimal_plan(PlanningTask(problem.domain, state, goal), budget)
-    if not result.solved:
+    plan = optimal_plan(PlanningTask(problem.domain, state, goal), budget)
+    if plan is None:
         raise UnsolvableGoal(
-            f"goal {problem.goal_label(g_prime)} is unreachable from the state "
+            f"goal {problem.goal_names[g_prime]} is unreachable from the state "
             f"before observation {marker.observation_index}")
-    return first_action(result)
+    return plan[0]
 
 
 def answer_why(problem: GrProblem, explanan: CompleteExplanan,

@@ -15,13 +15,9 @@ counterfactual planning.
 ``distance_tables`` prices every goal from every state reachable from one
 state: one enumeration of that space, then one breadth-first sweep per goal
 over the reversed edges, so each cost is a table lookup.  It takes a cap,
-not a budget, and never raises BudgetExceeded.  Capped at a caller's
-budget it keeps that caller's budget points exact: when every reachable
-state fits in the budget, no sweep from any of them could exceed it.  The
-recognizer takes the tables for n observed states and goals G only when
-(|G| + 2) * S0 <= n * E0, where its first sweep discovered S0 states and
-dequeued E0, and caps them at min(budget, n * E0 // (|G| + 2)) states
-(see its module docstring for why).
+not a budget, and never raises BudgetExceeded.  The rule for when the
+recognizer takes the tables instead of one sweep per observed state is
+stated in the ``recognizer`` module docstring.
 
 Among equal-length plans the lexicographically first action sequence is
 returned, so downstream explanations are reproducible run to run.  This
@@ -34,19 +30,13 @@ shortest plan, and its parent chain spells that plan.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .strips import DomainDefinition, GroundAction, Plan, State
+from .strips import DomainDefinition, State
 
 DEFAULT_BUDGET = 10_000_000
-
-
-class Status(enum.Enum):
-    SOLVED = "solved"
-    UNSOLVABLE = "unsolvable"
 
 
 @dataclass(frozen=True)
@@ -58,17 +48,6 @@ class PlanningTask:
     def __post_init__(self):
         object.__setattr__(self, "goal", frozenset(self.goal))
         self.domain.encode(self.goal)  # MalformedSpec on undeclared facts
-
-
-@dataclass(frozen=True)
-class PlanResult:
-    status: Status
-    plan: Plan = field(default_factory=Plan)
-    cost: Optional[int] = None
-
-    @property
-    def solved(self) -> bool:
-        return self.status is Status.SOLVED
 
 
 def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
@@ -192,33 +171,26 @@ def optimal_cost(task: PlanningTask,
 
 
 def optimal_plan(task: PlanningTask,
-                 budget: int = DEFAULT_BUDGET) -> PlanResult:
-    """Shortest plan for the task, or an Unsolvable result (``budget >= 1``).
+                 budget: int = DEFAULT_BUDGET) -> Optional[tuple]:
+    """Shortest plan for the task as a tuple of actions, empty when the goal
+    already holds, or None if the task is unsolvable (``budget >= 1``).
 
     Ties between equal-length plans go to the lexicographically first
     action-name sequence: the parent chain of the first goal state the
     sweep dequeues (see the module docstring for why).  Each step is the
-    first action in ``successors(parent)`` that yields the child.  That is
-    the action that discovered the child: the parent was expanded with
+    first action in ``expand(parent)`` that yields the child.  That is the
+    action that discovered the child: the parent was expanded with
     successors in name order and only the first arrival is recorded, so
     when two actions lead to the same state the earlier name is taken.
     """
     domain = task.domain
     _, parents, state, _ = _sweep(domain, task.initial, [task.goal], budget)
     if state is None:
-        return PlanResult(Status.UNSOLVABLE)
+        return None
     actions = []
     while parents[state] is not None:
         parent = parents[state]
         actions.append(next(action for action, succ in domain.expand(parent)
                             if succ == state))
         state = parent
-    actions.reverse()
-    return PlanResult(Status.SOLVED, Plan(tuple(actions)), len(actions))
-
-
-def first_action(result: PlanResult) -> Optional[GroundAction]:
-    """First step of a solved, nonempty plan; None otherwise."""
-    if result.solved and len(result.plan) > 0:
-        return result.plan.actions[0]
-    return None
+    return tuple(reversed(actions))

@@ -83,9 +83,6 @@ class GrProblem:
             return self.initial
         return self.observations[index - 2].resulting_state
 
-    def goal_label(self, goal_index: int) -> str:
-        return self.goal_names[goal_index]
-
 
 def validate_observations(domain: DomainDefinition, initial: State,
                           observations: Sequence[Observation]) -> None:

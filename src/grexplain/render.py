@@ -67,7 +67,7 @@ def render_why_not(answer: WhyNotAnswer, problem: GrProblem) -> str:
     was <label>." (with already-reached and infeasible goals called out)."""
     lines = []
     for sel in answer.selections:
-        label = problem.goal_label(sel.goal)
+        label = problem.goal_names[sel.goal]
         if sel.status == "no-evidence":
             lines.append(f"No observation weighs against goal {label}: the "
                          f"evidence is equally consistent with it.")

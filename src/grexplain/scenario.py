@@ -68,17 +68,17 @@ def _require(mapping, key, path):
 
 
 def _int(value, path):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: expected an integer, got {value!r}") from None
+    """A YAML integer; booleans, floats and strings are rejected, not cast."""
+    if type(value) is not int:
+        raise ParseError(f"{path}: expected an integer, got {value!r}")
+    return value
 
 
 def _int_list(value, path):
-    try:
-        return [int(v) for v in (value or [])]
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: expected a list of integers") from None
+    values = [] if value is None else value
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ParseError(f"{path}: expected a list of integers, got {value!r}")
+    return values
 
 
 def _list(value, path):
@@ -352,9 +352,17 @@ def serialize_scenario(scenario: ScenarioFile) -> str:
     return yaml.safe_dump(data, sort_keys=False)
 
 
+def _mapping(value, path) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: expected a mapping, got {value!r}")
+    return value
+
+
 def _rank_mapping(raw, path) -> dict:
     ranks = {}
-    for key, value in (raw or {}).items():
+    for key, value in _mapping(raw, path).items():
         text = str(key)
         if text.startswith("o"):
             text = text[1:]
@@ -376,7 +384,8 @@ def parse_annotations(data: dict) -> AnnotationFile:
         whynot_ranks=_rank_mapping(data.get("whynot_ranks"), "whynot_ranks"),
         counterfactual_actions={
             str(k): str(v)
-            for k, v in (data.get("counterfactual_actions") or {}).items()},
+            for k, v in _mapping(data.get("counterfactual_actions"),
+                                 "counterfactual_actions").items()},
     )
 
 
@@ -406,14 +415,19 @@ def load_priors(path, problem: GrProblem) -> list:
     for name in problem.goal_names:
         if name not in data:
             raise ValidationError(f"priors: no weight for goal {name}")
+        value = data[name]
         try:
-            weight = float(data[name])
-        except (TypeError, ValueError):
+            if isinstance(value, bool):  # float(True) would read 1.0
+                raise TypeError(value)
+            weight = float(value)
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
-                f"priors: weight for {name} is not a number: {data[name]!r}") from None
+                f"priors: weight for {name} is not a number: {value!r}") from None
         if not 0 < weight < math.inf:
             raise ValidationError(
                 f"priors: weight for {name} must be positive and finite")
         weights.append(weight)
     total = sum(weights)
+    if total == math.inf:
+        raise ValidationError("priors: the weights must have a finite sum")
     return [w / total for w in weights]

@@ -10,15 +10,16 @@ applicability is ``pre & s == pre`` and progression is ``s & ~del | add``.
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
 ``id`` lists ``(action, successor id)`` pairs in action name order.  A row
-fills lazily, the first time ``expand`` (or ``successors``) is asked for its
-state, and lives as long as the domain, so the table's size is bounded by
-the distinct states searched on that domain.  Search keys its maps by id,
+fills lazily, the first time ``expand`` is asked for its state, and lives
+as long as the domain, so the table's size is bounded by the distinct
+states searched on that domain.  Search keys its maps by id,
 and ids are small consecutive ints that hash apart; a state int of one bit,
 such as a grid position ``1 << i``, hashes to one of only 61 values.
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
-package uses threads.  States and plans are plain values.
+package uses threads.  States (frozensets) and plans (tuples of actions)
+are plain values.
 """
 
 from __future__ import annotations
@@ -189,40 +190,8 @@ class DomainDefinition:
             found = self.rows[state_id] = tuple(found)
         return found
 
-    def successors(self, state: int) -> tuple:
-        """``(action, successor)`` pairs of the encoded ``state`` in action
-        name order, read from the successor table."""
-        states = self.states
-        return tuple((action, states[succ])
-                     for action, succ in self.expand(self.state_id(state)))
-
     def __repr__(self):
         return f"DomainDefinition({len(self.facts)} facts, {len(self.actions)} actions)"
-
-
-@dataclass(frozen=True)
-class Plan:
-    """A sequence of ground actions; its cost is its length (unit costs)."""
-
-    actions: tuple = ()
-
-    def __len__(self):
-        return len(self.actions)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-
-@dataclass(frozen=True)
-class PlanCheck:
-    """Result of validating a plan: truthy iff valid, with a failure reason."""
-
-    ok: bool
-    reason: Optional[str] = None
-    failed_at: Optional[int] = None  # 0-based index of the first failing step
-
-    def __bool__(self):
-        return self.ok
 
 
 def applicable(state: State, action: GroundAction) -> bool:
@@ -236,23 +205,3 @@ def apply(state: State, action: GroundAction) -> State:
         missing = sorted(action.preconditions - state)
         raise NotApplicable(f"{action.name}: missing preconditions {missing}")
     return (state - action.delete_effects) | action.add_effects
-
-
-def validate_plan(domain: DomainDefinition, initial: State, goal: frozenset,
-                  plan) -> PlanCheck:
-    """Check that a plan is executable from ``initial`` and reaches ``goal``.
-
-    Invalid plans are reported, not raised: the result carries a reason code
-    and the index of the first failing step.
-    """
-    actions = plan.actions if isinstance(plan, Plan) else tuple(plan)
-    state = initial
-    for i, action in enumerate(actions):
-        if not domain.has_action(action.name):
-            return PlanCheck(False, f"unknown-action:{action.name}", i)
-        if not applicable(state, action):
-            return PlanCheck(False, f"not-applicable:{action.name}", i)
-        state = apply(state, action)
-    if not goal <= state:
-        return PlanCheck(False, "goal-not-reached", len(actions))
-    return PlanCheck(True)

@@ -1,13 +1,15 @@
 """Shared fixtures: bundled scenario problems and small derived examples."""
 
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
 from grexplain import (GridSpec, bundled_scenario_path, compile_grid,
                        load_scenario)
 from grexplain.recognizer import GrProblem, Observation
-from grexplain.strips import apply
+from grexplain.strips import applicable, apply
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +77,33 @@ def bfs_grid_distance(spec: GridSpec, src: int, dst: int):
             seen.add(nbr)
             queue.append((nbr, dist + 1))
     return None
+
+
+@dataclass(frozen=True)
+class PlanCheck:
+    """Result of validating a plan: truthy iff valid, with a failure reason."""
+
+    ok: bool
+    reason: Optional[str] = None
+    failed_at: Optional[int] = None  # 0-based index of the first failing step
+
+    def __bool__(self):
+        return self.ok
+
+
+def validate_plan(domain, initial, goal, plan) -> PlanCheck:
+    """Plan oracle: check that ``plan`` (a sequence of actions) is executable
+    from ``initial`` in ``domain`` and reaches ``goal``, replaying it with
+    ``apply`` rather than the successor table.  Invalid plans are reported,
+    not raised: the result carries a reason code and the index of the first
+    failing step."""
+    state = initial
+    for i, action in enumerate(plan):
+        if not domain.has_action(action.name):
+            return PlanCheck(False, f"unknown-action:{action.name}", i)
+        if not applicable(state, action):
+            return PlanCheck(False, f"not-applicable:{action.name}", i)
+        state = apply(state, action)
+    if not goal <= state:
+        return PlanCheck(False, "goal-not-reached", len(plan))
+    return PlanCheck(True)

@@ -78,3 +78,33 @@ def test_generator_reproduces_bundled_suite_byte_for_byte(tmp_path):
         p.name for p in bundled]
     for path in bundled:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
+    """The traced benchmark run wraps library names by lookup; every name it
+    wraps must still resolve, and a traced send must print the same bytes."""
+    import importlib
+
+    from grexplain import cli, strips
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.LAYERS:
+        module, attr = name.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module), attr)), name
+    assert callable(strips.DomainDefinition.applicable_actions)
+
+    argv = ["explain", "--question", "whynot", "--format", "structured",
+            "--scenario", str(bundled_scenario_path("nav_crossroads"))]
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert cli.main([*argv, "--out", str(plain)]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main([*argv, "--out", str(traced)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["optimal_plan"] > 0  # the wrappers saw the send
+    assert traced.read_bytes() == plain.read_bytes()

@@ -196,12 +196,29 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
      " boxes: [2, 3], storage: [4, 5], multi_push: 'false', goals: [[4, 5]]}\n"
      "observations: [right]\n", None, None),
     (GRID_3X3 + "goal_names: [a, a]\nobservations: [right]\n", None, None),
+    ("kind: grid\ngrid: {width: 3.9, height: 3, blocked: [], start: 1,"
+     " goals: [9]}\nobservations: []\n", None, None),
+    ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: true,"
+     " goals: [9]}\nobservations: []\n", None, None),
+    (GRID_3X3 + "observations: [right]\n",
+     "--annotations", "why_ranks: {o1: 1.7}\n"),
+    (GRID_3X3 + "observations: [right]\n",
+     "--annotations", "why_ranks: [1, 2]\n"),
+    (GRID_3X3 + "observations: [right]\n",
+     "--annotations", "counterfactual_actions: 5\n"),
+    (GRID_3X3 + "observations: [right]\n", "--priors", "g1: true\ng2: 1\n"),
+    (GRID_3X3 + "observations: [right]\n", "--priors",
+     "g1: 1e308\ng2: 1e308\n"),
+    (GRID_3X3 + "observations: [right]\n", "--priors",
+     f"g1: 1{'0' * 400}\ng2: 1\n"),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
         "goal-names-not-a-list", "facts-null", "actions-not-a-list",
         "pre-not-a-list", "fact-names-not-strings", "multi-push-quoted",
-        "goal-names-repeated"])
+        "goal-names-repeated", "width-float", "start-bool", "rank-float",
+        "ranks-not-a-mapping", "cf-actions-not-a-mapping", "prior-bool",
+        "priors-overflow", "prior-past-float-range"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"
@@ -221,6 +238,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    if extra == "--priors":
+        assert proc.stderr.startswith("error: priors")
 
 
 @st.composite
@@ -326,6 +345,58 @@ def board_mappings(draw):
 @given(board_mappings())
 def test_every_verb_exits_0_2_or_3_on_drawn_board_mappings(scenario):
     assert_every_verb_exits_0_2_or_3(scenario)
+
+
+LOOSE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.floats(),
+              st.text("og12x-", max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(["o1", "o2", "1", "g1",
+                                                   "g2", "x"]),
+                                  st.integers(-1, 2)),
+                        inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def side_files(draw):
+    """An annotation body for ``eval --annotations`` or a priors body for
+    ``--priors``: a mapping over that file's keys, or any drawn value, whose
+    values may be None, a boolean, a number, a string, a list or a mapping."""
+    if draw(st.booleans()):
+        option = "--annotations"
+        keys = ["scenario", "why_ranks", "whynot_ranks",
+                "counterfactual_actions"]
+    else:
+        option, keys = "--priors", ["g1", "g2", "x"]
+    body = draw(st.one_of(st.dictionaries(st.sampled_from(keys), LOOSE,
+                                          max_size=len(keys)), LOOSE))
+    return option, body
+
+
+@settings(max_examples=80, deadline=None)
+@given(side_files())
+def test_every_verb_exits_0_2_or_3_on_drawn_annotation_and_priors_files(side):
+    option, body = side
+    with tempfile.TemporaryDirectory() as tmp:
+        board = Path(tmp, "board.yaml")
+        board.write_text(GRID_3X3 + "observations: [right]\n")
+        path = Path(tmp, "side.yaml")
+        path.write_text(yaml.safe_dump(body))
+        notes = Path(tmp, "notes.yaml")
+        notes.write_text("why_ranks: {o1: 1}\n")
+        if option == "--annotations":
+            sends = [["eval", "--annotations", str(path)]]
+        else:
+            sends = [[*args, "--priors", str(path)] for args in (
+                ["recognize"], ["explain", "--question", "why"],
+                ["explain", "--question", "whynot"], ["rank"],
+                ["eval", "--annotations", str(notes)])]
+        for args in sends:
+            code = main([*args, "--scenario", str(board),
+                         "--out", str(Path(tmp, "out.txt"))])
+            assert code in (0, 2, 3), args
 
 
 def test_structured_output_matches_reference_digests(tmp_path):

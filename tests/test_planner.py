@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grexplain import (BudgetExceeded, DomainDefinition, GridSpec,
-                       GroundAction, PlanningTask, SokobanSpec, Status,
-                       compile_grid, compile_sokoban, first_action,
-                       optimal_cost, optimal_costs, optimal_plan)
-from grexplain.planner import PlanResult, distance_tables
-from grexplain.strips import Plan, applicable, apply
+                       GroundAction, PlanningTask, SokobanSpec, compile_grid,
+                       compile_sokoban, optimal_cost, optimal_costs,
+                       optimal_plan)
+from grexplain.planner import distance_tables
+from grexplain.strips import applicable, apply
 
 from conftest import bfs_grid_distance, random_grid_spec
 from grexplain.grids import grid_neighbors
@@ -28,16 +28,14 @@ def test_three_by_three_matches_bfs_oracle():
 
 def test_goal_in_initial_state_gives_empty_plan():
     spec = GridSpec(3, 3, frozenset(), 5, (5,))
-    result = optimal_plan(grid_task(spec))
-    assert result.solved and result.cost == 0 and len(result.plan) == 0
+    assert optimal_plan(grid_task(spec)) == ()
     assert optimal_cost(grid_task(spec)) == 0
 
 
 def test_walled_off_goal_is_unsolvable():
     # goal cell 9 enclosed by blocks 6 and 8 on a 3x3 board
     spec = GridSpec(3, 3, frozenset({6, 8}), 1, (9,))
-    result = optimal_plan(grid_task(spec))
-    assert result.status is Status.UNSOLVABLE
+    assert optimal_plan(grid_task(spec)) is None
     assert optimal_cost(grid_task(spec)) is None
 
 
@@ -61,24 +59,23 @@ def test_repeated_runs_return_identical_plans():
         spec = random_grid_spec(rng, max_side=6)
         task = grid_task(spec)
         plans = [optimal_plan(task) for _ in range(3)]
-        names = [[a.name for a in p.plan] for p in plans]
-        assert names[0] == names[1] == names[2]
+        assert plans[0] == plans[1] == plans[2]
 
 
 def test_tie_break_is_lexicographic_by_action_name():
     # From the centre to the bottom-right corner both down-first and
     # right-first plans are optimal; "down" sorts before "right".
     spec = GridSpec(3, 3, frozenset(), 5, (9,))
-    result = optimal_plan(grid_task(spec))
-    assert [a.name for a in result.plan] == ["move-down-5-8", "move-right-8-9"]
+    plan = optimal_plan(grid_task(spec))
+    assert [a.name for a in plan] == ["move-down-5-8", "move-right-8-9"]
 
 
 def test_lexicographic_tie_break_full_sequence():
     spec = GridSpec(4, 4, frozenset(), 1, (16,))
-    result = optimal_plan(grid_task(spec))
+    plan = optimal_plan(grid_task(spec))
     # every interleaving of 3 downs and 3 rights is optimal; the
     # lexicographically-first takes all downs first
-    assert [a.name.split("-")[1] for a in result.plan] == ["down"] * 3 + ["right"] * 3
+    assert [a.name.split("-")[1] for a in plan] == ["down"] * 3 + ["right"] * 3
 
 
 def test_plan_step_is_first_named_action_between_two_states():
@@ -90,9 +87,9 @@ def test_plan_step_is_first_named_action_between_two_states():
                    ("a-go", {"start"}, {"mid"}, {"start"}),
                    ("finish", {"mid"}, {"end"}, {"mid"})]]
     domain = DomainDefinition(["start", "mid", "end"], actions)
-    result = optimal_plan(PlanningTask(domain, frozenset({"start"}),
-                                       frozenset({"end"})))
-    assert [a.name for a in result.plan] == ["a-go", "finish"]
+    plan = optimal_plan(PlanningTask(domain, frozenset({"start"}),
+                                     frozenset({"end"})))
+    assert [a.name for a in plan] == ["a-go", "finish"]
 
 
 @st.composite
@@ -129,12 +126,12 @@ def greedy_oracle_plan(spec):
 @settings(max_examples=150, deadline=None)
 @given(grid_specs())
 def test_plans_match_greedy_bfs_oracle(spec):
-    result = optimal_plan(grid_task(spec))
+    plan = optimal_plan(grid_task(spec))
     expected = greedy_oracle_plan(spec)
     if expected is None:
-        assert result.status is Status.UNSOLVABLE
+        assert plan is None
     else:
-        assert [a.name for a in result.plan] == expected
+        assert [a.name for a in plan] == expected
 
 
 @st.composite
@@ -273,17 +270,14 @@ def test_budget_exceeded_raises():
         optimal_cost(grid_task(spec), budget=3)
 
 
-def test_first_action_returns_first_plan_step():
+def test_plan_is_a_tuple_of_actions_led_by_the_counterfactual_step():
     # counterfactual route up from cell 23 through 14 to the goal at 5
     spec = GridSpec(9, 5, frozenset({6, 7, 15, 16, 35}), 23, (5,))
-    result = optimal_plan(grid_task(spec))
-    assert [a.name for a in result.plan] == ["move-up-23-14", "move-up-14-5"]
-    assert first_action(result).name == "move-up-23-14"
-
-
-def test_first_action_empty_plan_and_unsolvable():
-    assert first_action(PlanResult(Status.SOLVED, Plan(), 0)) is None
-    assert first_action(PlanResult(Status.UNSOLVABLE)) is None
+    task = grid_task(spec)
+    plan = optimal_plan(task)
+    assert type(plan) is tuple
+    assert [a.name for a in plan] == ["move-up-23-14", "move-up-14-5"]
+    assert plan[0] is task.domain.action("move-up-23-14")
 
 
 def test_optimal_cost_equals_plan_cost():
@@ -291,9 +285,6 @@ def test_optimal_cost_equals_plan_cost():
     for _ in range(30):
         spec = random_grid_spec(rng, max_side=6)
         task = grid_task(spec)
-        result = optimal_plan(task)
+        plan = optimal_plan(task)
         cost = optimal_cost(task)
-        if result.solved:
-            assert cost == result.cost == len(result.plan)
-        else:
-            assert cost is None
+        assert cost == (None if plan is None else len(plan))

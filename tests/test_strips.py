@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
                        NotApplicable, PlanningTask, State, applicable, apply,
-                       compile_grid, optimal_plan, validate_plan)
+                       compile_grid, optimal_plan)
 
-from conftest import random_grid_spec
+from conftest import random_grid_spec, validate_plan
 
 
 def act(name, pre=(), add=(), dele=()):
@@ -64,12 +64,12 @@ def test_apply_is_pure():
 def test_chained_apply_matches_independent_interpreter():
     # Independent step-by-step interpreter over dict-based states.
     domain, initial, goals = compile_grid(GridSpec(4, 4, frozenset(), 13, (4,)))
-    result = optimal_plan(PlanningTask(domain, initial, goals[0]))
-    assert result.solved
+    plan = optimal_plan(PlanningTask(domain, initial, goals[0]))
+    assert plan is not None
 
     state = initial
     shadow = set(initial)
-    for action in result.plan:
+    for action in plan:
         state = apply(state, action)
         assert set(action.preconditions) <= shadow
         shadow = (shadow - set(action.delete_effects)) | set(action.add_effects)
@@ -117,11 +117,11 @@ def test_planner_output_always_validates():
     while solved < 20:
         spec = random_grid_spec(rng, max_side=5)
         domain, initial, goals = compile_grid(spec)
-        result = optimal_plan(PlanningTask(domain, initial, goals[0]))
-        if not result.solved:
+        plan = optimal_plan(PlanningTask(domain, initial, goals[0]))
+        if plan is None:
             continue
         solved += 1
-        assert validate_plan(domain, initial, goals[0], result.plan)
+        assert validate_plan(domain, initial, goals[0], plan)
 
 
 def test_domain_rejects_duplicate_action_names():
@@ -179,7 +179,8 @@ def test_successor_table_matches_apply_oracle(case):
         expected = [(a, domain.encode(apply(state, a)))
                     for a in sorted(actions, key=lambda a: a.name)
                     if applicable(state, a)]
-        assert list(domain.successors(domain.encode(state))) == expected
+        row = domain.expand(domain.state_id(domain.encode(state)))
+        assert [(a, domain.states[succ]) for a, succ in row] == expected
 
 
 def test_encode_names_undeclared_facts():

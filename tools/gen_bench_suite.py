@@ -19,9 +19,9 @@ OUT = Path(__file__).resolve().parent.parent / "src/grexplain/scenarios/bench"
 
 
 def plan_directions(domain, initial, goal, count):
-    res = optimal_plan(PlanningTask(domain, initial, goal))
-    assert res.solved and len(res.plan) >= count, (res.status, len(res.plan), count)
-    return [a.name.split("-")[1] for a in res.plan.actions[:count]]
+    plan = optimal_plan(PlanningTask(domain, initial, goal))
+    assert plan is not None and len(plan) >= count, (plan, count)
+    return [a.name.split("-")[1] for a in plan[:count]]
 
 
 def make_grid(rng, out_dir, name, width, height, n_blocks, n_goals, obs_count):
@@ -78,8 +78,8 @@ def make_sokoban(out_dir, name, width, height, walls, player, boxes, storage,
     costs = optimal_costs(domain, initial, goal_sets)
     assert all(c is not None for c in costs), (name, costs)
     assert costs[0] >= obs, (name, costs, obs)
-    res = optimal_plan(PlanningTask(domain, initial, goal_sets[0]))
-    words = [a.name.split("-")[1] for a in res.plan.actions[:obs]]
+    plan = optimal_plan(PlanningTask(domain, initial, goal_sets[0]))
+    words = [a.name.split("-")[1] for a in plan[:obs]]
     scenario = ScenarioFile("sokoban", spec, tuple(words), (), name)
     build_problem(scenario)
     (out_dir / f"{name}.yaml").write_text(serialize_scenario(scenario))
