@@ -116,8 +116,8 @@ def cmd_explain(args):
         payload["counterfactuals"] = [
             {"goal": problem.goal_names[sel.goal],
              "status": sel.status,
-             "observation": (min(e.observation_index for e in sel.markers)
-                             if sel.markers else None),
+             "observation": (sel.marker.observation_index if sel.marker
+                             else None),
              "counterfactual_action": sel.action.name if sel.action else None}
             for sel in answer.selections]
     payload["text"] = answer.rendered

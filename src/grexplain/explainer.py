@@ -161,6 +161,13 @@ class CfSelection:
     action: Optional[GroundAction]
     status: str  # "action" | "already-satisfied" | "unsolvable" | "no-evidence"
 
+    @property
+    def marker(self) -> Optional[ExplananEntry]:
+        """The earliest marker (the first point the evidence turned against
+        the goal), or None without markers; ties keep the first listed."""
+        return min(self.markers, key=lambda e: e.observation_index,
+                   default=None)
+
 
 @dataclass
 class WhyNotAnswer:
@@ -280,17 +287,19 @@ def answer_why_not(problem: GrProblem, explanan: CompleteExplanan,
             status = "unsolvable" if "zero-posterior" in reasons else "no-evidence"
             selections.append(CfSelection(g_prime, (), None, status))
             continue
-        marker = min(markers, key=lambda e: e.observation_index)
+        selection = CfSelection(g_prime, markers, None, "action")
         started = time.perf_counter()
         try:
-            action = counterfactual_action(problem, marker, g_prime, budget)
-            status = "action" if action is not None else "already-satisfied"
+            selection.action = counterfactual_action(
+                problem, selection.marker, g_prime, budget)
+            if selection.action is None:
+                selection.status = "already-satisfied"
         except UnsolvableGoal:
-            action, status = None, "unsolvable"
+            selection.status = "unsolvable"
         finally:
             if cf_timer is not None:
                 cf_timer.append(time.perf_counter() - started)
-        selections.append(CfSelection(g_prime, markers, action, status))
+        selections.append(selection)
 
     answer = WhyNotAnswer(selections=tuple(selections))
     answer.rendered = render(answer, problem)

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedSpec, NotAdjacent
-from .strips import DomainDefinition, GroundAction, State
+from .strips import DomainDefinition, GroundAction
 
-DIRECTIONS = ("up", "down", "left", "right")
+# Row and column step of each direction word, in the order moves are compiled.
+DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
+DIRECTIONS = tuple(DELTAS)
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,23 @@ def cell_move_name(from_cell: int, to_cell: int, width: int) -> str:
     raise NotAdjacent(f"cells {from_cell} and {to_cell} are not adjacent (width {width})")
 
 
+def offset(cell: int, direction: str, width: int, height: int, steps: int = 1):
+    """The cell ``steps`` moves from ``cell`` toward ``direction`` under
+    row-major numbering, or None off the board."""
+    row, col = divmod(cell - 1, width)
+    drow, dcol = DELTAS[direction]
+    row, col = row + drow * steps, col + dcol * steps
+    if 0 <= row < height and 0 <= col < width:
+        return row * width + col + 1
+    return None
+
+
 def grid_neighbors(cell: int, width: int, height: int):
     """(direction, neighbour) pairs of a cell under row-major numbering."""
-    row, col = divmod(cell - 1, width)
-    if row > 0:
-        yield "up", cell - width
-    if row < height - 1:
-        yield "down", cell + width
-    if col > 0:
-        yield "left", cell - 1
-    if col < width - 1:
-        yield "right", cell + 1
+    for direction in DIRECTIONS:
+        nbr = offset(cell, direction, width, height)
+        if nbr is not None:
+            yield direction, nbr
 
 
 def compile_grid(spec: GridSpec):
@@ -82,6 +90,9 @@ def compile_grid(spec: GridSpec):
     """
     n = spec.width * spec.height
     facts = [cell_fact(c) for c in range(1, n + 1)]
+    # {at-<cell>} per cell, shared by every move into or out of that cell: a
+    # move's precondition and delete effect are the same set.
+    at = [None] + [frozenset([f]) for f in facts]
     actions = []
     for cell in range(1, n + 1):
         if cell in spec.blocked:
@@ -91,15 +102,14 @@ def compile_grid(spec: GridSpec):
                 continue
             actions.append(GroundAction(
                 name=f"move-{direction}-{cell}-{nbr}",
-                preconditions=frozenset([cell_fact(cell)]),
-                add_effects=frozenset([cell_fact(nbr)]),
-                delete_effects=frozenset([cell_fact(cell)]),
+                preconditions=at[cell],
+                add_effects=at[nbr],
+                delete_effects=at[cell],
             ))
     domain = DomainDefinition(
         facts, actions,
         annotations={"kind": "grid", "width": spec.width, "height": spec.height,
                      "blocked": sorted(spec.blocked)},
     )
-    initial = State([cell_fact(spec.start)])
-    goals = [frozenset([cell_fact(g)]) for g in spec.goal_cells]
-    return domain, initial, goals
+    goals = [at[g] for g in spec.goal_cells]
+    return domain, at[spec.start], goals

@@ -72,23 +72,19 @@ def render_why_not(answer: WhyNotAnswer, problem: GrProblem) -> str:
             lines.append(f"No observation weighs against goal {label}: the "
                          f"evidence is equally consistent with it.")
             continue
-        if not sel.markers:
+        if sel.status == "unsolvable":
             lines.append(f"Goal {label} is ruled out by infeasibility: "
                          f"no plan reaches it from the observed states.")
             continue
-        marker = min(sel.markers, key=lambda e: e.observation_index)
         observed = action_phrase(
-            _observed_action(problem, marker.observation_index), problem)
+            _observed_action(problem, sel.marker.observation_index), problem)
         if sel.status == "action":
             would = action_phrase(sel.action, problem, counterfactual=True)
             lines.append(f"Because the agent {observed}. "
                          f"It would have {would} if the goal was {label}.")
-        elif sel.status == "already-satisfied":
+        else:
             lines.append(f"Because the agent {observed}. "
                          f"Goal {label} was already reached at that point.")
-        else:
-            lines.append(f"Goal {label} is ruled out by infeasibility: "
-                         f"no plan reaches it from the observed states.")
     return "\n".join(lines)
 
 

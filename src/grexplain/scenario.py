@@ -10,9 +10,11 @@ Scenarios are human-readable YAML with three kinds:
 * ``strips``: a raw fact/action listing for arbitrary domains.
 
 Observations are direction words for boards (``up``/``down``/``left``/
-``right``; resolved against the current state, so a direction means a move or
-a push, whichever applies) or exact action names.  Annotation files carry
-ground-truth ranks and counterfactual actions for the agreement metrics.
+``right``) or exact action names.  One rule resolves a direction word on
+either kind of board: from the agent's cell (its ``at-`` or ``player-``
+fact), the first applicable of ``move``, ``push`` and ``push2`` toward the
+neighbouring cell.  Annotation files carry ground-truth ranks and
+counterfactual actions for the agreement metrics.
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ from typing import Union
 import yaml
 
 from .errors import MalformedSpec, ParseError, ValidationError
-from .grids import GridSpec, compile_grid, grid_neighbors
+from .grids import DIRECTIONS, GridSpec, compile_grid, offset
 from .recognizer import GrProblem, Observation
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, State, applicable, apply
-
-DIRECTION_WORDS = ("up", "down", "left", "right")
-
 
 @dataclass(frozen=True)
 class StripsListing:
@@ -212,19 +211,24 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
                         goal_names=goal_names, name=name)
 
 
-def parse_scenario_file(path) -> ScenarioFile:
-    path = Path(path)
+def _read_mapping(path, what: str) -> dict:
+    """The top-level mapping of a YAML file; ParseError messages start with
+    ``what`` (scenario, annotations or priors) and name the path."""
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(Path(path).read_text())
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
-        raise ParseError(f"{path}: invalid YAML{where}: {exc}") from exc
+        raise ParseError(f"{what} {path}: invalid YAML{where}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: scenario must be a mapping")
-    return parse_scenario(data, name=path.stem)
+        raise ParseError(f"{what} {path}: expected a mapping")
+    return data
+
+
+def parse_scenario_file(path) -> ScenarioFile:
+    return parse_scenario(_read_mapping(path, "scenario"), name=Path(path).stem)
 
 
 def _compile(scenario: ScenarioFile):
@@ -241,30 +245,19 @@ def _compile(scenario: ScenarioFile):
 
 def _resolve_direction(domain: DomainDefinition, state: State, word: str,
                        index: int) -> GroundAction:
-    """Find the unique applicable action matching a direction word."""
+    """The first applicable move, push or push2 from the agent's cell toward
+    its neighbour in direction ``word``."""
     width = domain.annotations.get("width")
     if width is None:
         raise ValidationError(
             f"observation {index}: direction words need a board domain")
-    if domain.annotations.get("kind") == "grid":
-        cell = next(int(f.split("-", 1)[1]) for f in state if f.startswith("at-"))
-        for direction, nbr in grid_neighbors(cell, width,
-                                             domain.annotations["height"]):
-            if direction == word:
-                name = f"move-{word}-{cell}-{nbr}"
-                if domain.has_action(name):
-                    return domain.action(name)
-        raise ValidationError(f"observation {index}: cannot move {word} from "
-                              f"cell {cell}")
-    cell = next(int(f.split("-", 1)[1]) for f in state if f.startswith("player-"))
+    cell = next(int(f.split("-", 1)[1]) for f in state
+                if f.startswith(("at-", "player-")))
+    nbr = offset(cell, word, width, domain.annotations["height"])
     for verb in ("move", "push", "push2"):
-        for direction, nbr in grid_neighbors(cell, width,
-                                             domain.annotations["height"]):
-            if direction != word:
-                continue
-            name = f"{verb}-{word}-{cell}-{nbr}"
-            if domain.has_action(name) and applicable(state, domain.action(name)):
-                return domain.action(name)
+        name = f"{verb}-{word}-{cell}-{nbr}"
+        if domain.has_action(name) and applicable(state, domain.action(name)):
+            return domain.action(name)
     raise ValidationError(f"observation {index}: no applicable {word} action "
                           f"from cell {cell}")
 
@@ -280,7 +273,7 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
     observations = []
     state = initial
     for i, token in enumerate(scenario.observations, start=1):
-        if token in DIRECTION_WORDS:
+        if token in DIRECTIONS:
             action = _resolve_direction(domain, state, token, i)
         elif domain.has_action(token):
             action = domain.action(token)
@@ -390,27 +383,15 @@ def parse_annotations(data: dict) -> AnnotationFile:
 
 
 def load_annotations(path) -> AnnotationFile:
-    path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: annotations must be a mapping")
-    return parse_annotations(data)
+    return parse_annotations(_read_mapping(path, "annotations"))
 
 
 def load_priors(path, problem: GrProblem) -> list:
-    """Per-goal prior weights from a YAML mapping of goal label to weight."""
-    path = Path(path)
-    try:
-        data = yaml.safe_load(path.read_text())
-    except (OSError, yaml.YAMLError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: priors must map goal labels to weights")
+    """Per-goal prior weights from a YAML mapping of goal label to weight.
+
+    Rejects a weight so far below the others that its normalized prior is 0:
+    the recognizer would rule its goal out as if it were unreachable."""
+    data = _read_mapping(path, "priors")
     weights = []
     for name in problem.goal_names:
         if name not in data:
@@ -430,4 +411,10 @@ def load_priors(path, problem: GrProblem) -> list:
     total = sum(weights)
     if total == math.inf:
         raise ValidationError("priors: the weights must have a finite sum")
-    return [w / total for w in weights]
+    priors = [w / total for w in weights]
+    for name, prior in zip(problem.goal_names, priors):
+        if prior == 0:
+            raise ValidationError(
+                f"priors: weight for {name} is too small against the others "
+                f"and normalizes to a prior of 0")
+    return priors

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedSpec
+from .grids import DIRECTIONS, offset
 from .strips import DomainDefinition, GroundAction, State
 
 
@@ -61,82 +62,67 @@ class SokobanSpec:
                 raise MalformedSpec("goal assignment needs more boxes than exist")
 
 
-def _offset(cell: int, direction: int, width: int, height: int, steps: int = 1):
-    """Cell ``steps`` moves along a direction delta, or None off the board."""
-    row, col = divmod(cell - 1, width)
-    drow, dcol = direction
-    row, col = row + drow * steps, col + dcol * steps
-    if 0 <= row < height and 0 <= col < width:
-        return row * width + col + 1
-    return None
-
-
-_DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
-
-
 def compile_sokoban(spec: SokobanSpec):
     """Compile a Sokoban board into (domain, initial state, goal fact-sets)."""
     n = spec.width * spec.height
     floor = [c for c in range(1, n + 1) if c not in spec.walls]
-    facts = ([f"player-{c}" for c in floor]
-             + [f"box-{c}" for c in floor]
-             + [f"clear-{c}" for c in floor])
+    player = {c: f"player-{c}" for c in floor}
+    box = {c: f"box-{c}" for c in floor}
+    clear = {c: f"clear-{c}" for c in floor}
+    facts = [*player.values(), *box.values(), *clear.values()]
+
+    def step(cell, direction, steps=1):
+        """The floor cell ``steps`` moves away, or None at a wall or edge."""
+        dest = offset(cell, direction, spec.width, spec.height, steps)
+        return None if dest in spec.walls else dest
 
     actions = []
     for cell in floor:
-        for direction, delta in _DELTAS.items():
-            dest = _offset(cell, delta, spec.width, spec.height)
-            if dest is None or dest in spec.walls:
+        for direction in DIRECTIONS:
+            dest = step(cell, direction)
+            if dest is None:
                 continue
             actions.append(GroundAction(
                 name=f"move-{direction}-{cell}-{dest}",
-                preconditions=frozenset([f"player-{cell}", f"clear-{dest}"]),
-                add_effects=frozenset([f"player-{dest}", f"clear-{cell}"]),
-                delete_effects=frozenset([f"player-{cell}", f"clear-{dest}"]),
+                preconditions=frozenset([player[cell], clear[dest]]),
+                add_effects=frozenset([player[dest], clear[cell]]),
+                delete_effects=frozenset([player[cell], clear[dest]]),
             ))
-            box_to = _offset(cell, delta, spec.width, spec.height, 2)
-            if box_to is not None and box_to not in spec.walls:
-                actions.append(GroundAction(
-                    name=f"push-{direction}-{cell}-{dest}",
-                    preconditions=frozenset(
-                        [f"player-{cell}", f"box-{dest}", f"clear-{box_to}"]),
-                    add_effects=frozenset(
-                        [f"player-{dest}", f"box-{box_to}", f"clear-{cell}"]),
-                    delete_effects=frozenset(
-                        [f"player-{cell}", f"box-{dest}", f"clear-{box_to}"]),
-                ))
-            if not spec.multi_push:
+            box_to = step(cell, direction, 2)
+            if box_to is None:
                 continue
-            pair_to = _offset(cell, delta, spec.width, spec.height, 3)
-            if (box_to is None or box_to in spec.walls
-                    or pair_to is None or pair_to in spec.walls):
+            actions.append(GroundAction(
+                name=f"push-{direction}-{cell}-{dest}",
+                preconditions=frozenset([player[cell], box[dest], clear[box_to]]),
+                add_effects=frozenset([player[dest], box[box_to], clear[cell]]),
+                delete_effects=frozenset([player[cell], box[dest], clear[box_to]]),
+            ))
+            pair_to = step(cell, direction, 3) if spec.multi_push else None
+            if pair_to is None:
                 continue
             # Two boxes in a row shift by one cell; the rear box lands where
             # the front box was, so only the line's ends change.
             actions.append(GroundAction(
                 name=f"push2-{direction}-{cell}-{dest}",
                 preconditions=frozenset(
-                    [f"player-{cell}", f"box-{dest}", f"box-{box_to}",
-                     f"clear-{pair_to}"]),
-                add_effects=frozenset(
-                    [f"player-{dest}", f"box-{pair_to}", f"clear-{cell}"]),
+                    [player[cell], box[dest], box[box_to], clear[pair_to]]),
+                add_effects=frozenset([player[dest], box[pair_to], clear[cell]]),
                 delete_effects=frozenset(
-                    [f"player-{cell}", f"box-{dest}", f"clear-{pair_to}"]),
+                    [player[cell], box[dest], clear[pair_to]]),
             ))
 
     domain = DomainDefinition(
         facts, actions,
         annotations={"kind": "sokoban", "width": spec.width, "height": spec.height,
-                     "walls": sorted(spec.walls), "storage": list(spec.storage),
-                     "multi_push": spec.multi_push},
+                     "walls": sorted(spec.walls), "storage": list(spec.storage)},
     )
 
     occupied = {spec.player, *spec.boxes}
     initial = State(
-        [f"player-{spec.player}"]
-        + [f"box-{b}" for b in spec.boxes]
-        + [f"clear-{c}" for c in floor if c not in occupied]
+        [player[spec.player]]
+        + [box[b] for b in spec.boxes]
+        + [clear[c] for c in floor if c not in occupied]
     )
-    goals = [frozenset(f"box-{s}" for s in assignment)
+    goals = [frozenset(box[s] for s in assignment)
              for assignment in spec.goal_assignments]
     return domain, initial, goals

@@ -1,11 +1,15 @@
 """Ground STRIPS world model: facts, states, unit-cost actions, progression.
 
-Facts are interned strings with lexicographic (stable, total) ordering.  At
-the edges (scenarios, problems, observations, ``apply``, rendering) a state
-is a frozenset of the facts that hold (closed world: anything not listed is
+Facts are strings with lexicographic (stable, total) ordering.  At the
+edges (scenarios, problems, observations, ``apply``, rendering) a state is a
+frozenset of the facts that hold (closed world: anything not listed is
 false).  Inside search a state is a Python ``int``: ``DomainDefinition``
 gives fact i bit i, so ``encode`` packs a fact set into an int,
 applicability is ``pre & s == pre`` and progression is ``s & ~del | add``.
+Names are turned into bits once, when the domain is built, and search never
+sees them again, so facts are not interned.  Compilers share equal fact
+sets between actions (a grid move's precondition and delete effect are one
+frozenset), and equal sets share one mask.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
@@ -24,7 +28,6 @@ are plain values.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -34,10 +37,6 @@ from .errors import MalformedSpec, NotApplicable
 State = frozenset
 
 Fact = str
-
-
-def _intern_all(facts: Iterable[str]) -> frozenset:
-    return frozenset(sys.intern(f) for f in facts)
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,8 @@ class GroundAction:
     delete_effects: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "preconditions", _intern_all(self.preconditions))
-        object.__setattr__(self, "add_effects", _intern_all(self.add_effects))
-        object.__setattr__(self, "delete_effects", _intern_all(self.delete_effects))
+        for field in ("preconditions", "add_effects", "delete_effects"):
+            object.__setattr__(self, field, frozenset(getattr(self, field)))
         if self.add_effects & self.delete_effects:
             raise MalformedSpec(
                 f"action {self.name}: add and delete effects overlap: "
@@ -76,11 +74,11 @@ class DomainDefinition:
 
     def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction],
                  annotations: Optional[dict] = None):
-        self.facts = tuple(sys.intern(f) for f in facts)
+        self.facts = tuple(facts)
         self.actions = tuple(actions)
         self.annotations = dict(annotations or {})
-        self._fact_set = frozenset(self.facts)
-        if len(self._fact_set) != len(self.facts):
+        self._index = {fact: i for i, fact in enumerate(self.facts)}
+        if len(self._index) != len(self.facts):
             raise MalformedSpec("duplicate facts in domain universe")
 
         self._by_name = {}
@@ -88,19 +86,13 @@ class DomainDefinition:
             if action.name in self._by_name:
                 raise MalformedSpec(f"duplicate action name: {action.name}")
             self._by_name[action.name] = action
-            stray = (action.preconditions | action.add_effects
-                     | action.delete_effects) - self._fact_set
-            if stray:
-                raise MalformedSpec(
-                    f"action {action.name} uses facts outside the universe: {sorted(stray)}"
-                )
 
         # Successor index over bits: fact i is bit i.  Each action is bucketed
         # under its least-common precondition fact (its pivot), so expansion
         # only tests actions whose pivot holds; condition-free actions are
         # always candidates.  Actions are ranked by name, so sorting ranks
-        # sorts names.  Equal fact sets share one mask int.
-        self._index = {fact: i for i, fact in enumerate(self.facts)}
+        # sorts names.  Equal fact sets share one mask int, and encoding a
+        # set is where an undeclared fact is caught.
         masks = {}
 
         def mask(facts):
@@ -118,14 +110,17 @@ class DomainDefinition:
         self._buckets = {}  # pivot fact index -> [(rank, pre mask)]
         self._unconditional = []
         for rank, action in enumerate(self._by_rank):
-            self._effects[action.name] = (mask(action.delete_effects),
-                                          mask(action.add_effects))
+            try:
+                pre = mask(action.preconditions)
+                self._effects[action.name] = (mask(action.delete_effects),
+                                              mask(action.add_effects))
+            except MalformedSpec as exc:
+                raise MalformedSpec(f"action {action.name}: {exc}") from None
             if not action.preconditions:
                 self._unconditional.append(rank)
                 continue
             pivot = min(action.preconditions, key=lambda f: (counts[f], f))
-            self._buckets.setdefault(self._index[pivot], []).append(
-                (rank, mask(action.preconditions)))
+            self._buckets.setdefault(self._index[pivot], []).append((rank, pre))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
@@ -149,7 +144,7 @@ class DomainDefinition:
         except KeyError:
             raise MalformedSpec(
                 f"facts not declared in the domain: "
-                f"{sorted(facts - self._fact_set)}") from None
+                f"{sorted(f for f in facts if f not in self._index)}") from None
 
     def applicable_actions(self, state: int) -> list:
         """All actions applicable in the encoded ``state``, sorted by name."""

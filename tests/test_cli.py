@@ -211,6 +211,9 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
      "g1: 1e308\ng2: 1e308\n"),
     (GRID_3X3 + "observations: [right]\n", "--priors",
      f"g1: 1{'0' * 400}\ng2: 1\n"),
+    (GRID_3X3 + "observations: [right]\n", "--priors",
+     "g1: 5.0e-324\ng2: 1.0e+300\n"),
+    (GRID_3X3 + "observations: [right]\n", "--priors", "g1: [\n"),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -218,7 +221,8 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
         "pre-not-a-list", "fact-names-not-strings", "multi-push-quoted",
         "goal-names-repeated", "width-float", "start-bool", "rank-float",
         "ranks-not-a-mapping", "cf-actions-not-a-mapping", "prior-bool",
-        "priors-overflow", "prior-past-float-range"])
+        "priors-overflow", "prior-past-float-range", "prior-underflows",
+        "priors-invalid-yaml"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"

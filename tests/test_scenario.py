@@ -2,11 +2,14 @@ import textwrap
 
 import pytest
 
-from grexplain import (ParseError, ValidationError, bundled_bench_paths,
-                       bundled_scenario_path, load_annotations, load_priors,
-                       load_scenario, mirror_posteriors)
-from grexplain.scenario import (parse_scenario, parse_scenario_file,
-                                serialize_scenario)
+from grexplain import (GridSpec, ParseError, SokobanSpec, ValidationError,
+                       applicable, apply, bundled_bench_paths,
+                       bundled_scenario_path, compile_grid, compile_sokoban,
+                       load_annotations, load_priors, load_scenario,
+                       mirror_posteriors)
+from grexplain.grids import DIRECTIONS
+from grexplain.scenario import (_resolve_direction, parse_scenario,
+                                parse_scenario_file, serialize_scenario)
 
 
 def write(tmp_path, text, name="scenario.yaml"):
@@ -72,6 +75,38 @@ def test_action_name_observations_accepted(tmp_path):
     problem = load_scenario(path)
     assert [o.action.name for o in problem.observations] == [
         "move-right-1-2", "move-down-2-5"]
+
+
+@pytest.mark.parametrize("compiled, verbs", [
+    (compile_grid(GridSpec(3, 3, frozenset({5}), 1, (9,))), {"move"}),
+    (compile_sokoban(SokobanSpec(4, 3, frozenset({12}), 1, (2, 6), (3, 7),
+                                 ((3, 7),), True)), {"move", "push", "push2"}),
+], ids=["grid", "sokoban-multi-push"])
+def test_direction_words_resolve_to_the_unique_applicable_action(compiled,
+                                                                 verbs):
+    # Oracle: scan every action by name, independent of the resolution rule,
+    # at every state reachable by plain progression.
+    domain, initial, _ = compiled
+    seen, frontier = {initial}, [initial]
+    while frontier:
+        state = frontier.pop()
+        for action in domain.actions:
+            if applicable(state, action) and apply(state, action) not in seen:
+                seen.add(apply(state, action))
+                frontier.append(apply(state, action))
+    resolved = set()
+    for state in seen:
+        for word in DIRECTIONS:
+            expected = [a for a in domain.actions
+                        if a.name.split("-")[1] == word and applicable(state, a)]
+            assert len(expected) <= 1
+            if expected:
+                assert _resolve_direction(domain, state, word, 1) == expected[0]
+                resolved.add(expected[0].name.split("-")[0])
+            else:
+                with pytest.raises(ValidationError):
+                    _resolve_direction(domain, state, word, 1)
+    assert resolved == verbs
 
 
 def test_round_trip_serialization(tmp_path, sokoban_problem):
