@@ -183,16 +183,16 @@ def cmd_eval(args):
         "whynot_mae": eval_mae(whynot_ranks, annotations.whynot_ranks, n),
     }
 
-    if annotations.counterfactual_actions:
-        for action_name in annotations.counterfactual_actions.values():
+    annotated = annotations.counterfactual_actions
+    if annotated:
+        goals = {label: _goal_index(problem, label) for label in annotated}
+        for action_name in annotated.values():
             if not problem.domain.has_action(action_name):
                 raise GrexError(f"annotation names unknown action {action_name!r}")
-        answer = answer_why_not(problem, explanan, budget=args.budget)
-        model_actions = {
-            problem.goal_names[sel.goal]: sel.action.name
-            for sel in answer.selections if sel.action is not None}
-        annotated = {g: a for g, a in annotations.counterfactual_actions.items()}
-        model = {g: model_actions.get(g, "") for g in annotated}
+        chosen = answer_why_not(problem, explanan,
+                                budget=args.budget).counterfactual_actions
+        model = {label: chosen[g].name if g in chosen else ""
+                 for label, g in goals.items()}
         payload["cf_agreement_pct"] = eval_cf_agreement(model, annotated)
 
     lines = [f"why MAE:     {payload['why_mae']:.3f}",
@@ -209,31 +209,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_help):
+    def common(p, scenario_help, priors=True, formats=("text", "structured")):
         p.add_argument("--scenario", required=True, help=scenario_help)
-        p.add_argument("--priors", help="YAML file of per-goal prior weights")
+        if priors:
+            p.add_argument("--priors", help="YAML file of per-goal prior weights")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="planner node-expansion cap (at least 1)")
-        p.add_argument("--format", choices=["text", "structured", "ascii-grid"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
+    with_map = ("text", "structured", "ascii-grid")
     p = sub.add_parser("recognize", help="print the posterior trace")
-    common(p, "scenario file")
+    common(p, "scenario file", formats=with_map)
     p.set_defaults(fn=cmd_recognize)
 
     p = sub.add_parser("explain", help="answer a why or why-not question")
-    common(p, "scenario file")
+    common(p, "scenario file", formats=with_map)
     p.add_argument("--question", choices=["why", "whynot"], required=True)
     p.add_argument("--goal", help="restrict the answer to one goal label")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("rank", help="rank observations for both questions")
-    common(p, "scenario file")
+    common(p, "scenario file", formats=with_map)
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("bench", help="time recognition vs explanation")
-    common(p, "scenario file or directory of scenario files")
+    common(p, "scenario file or directory of scenario files", priors=False)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("eval", help="compare against ground-truth annotations")

@@ -17,10 +17,6 @@ class NotApplicable(GrexError):
     """An action's preconditions do not hold in the given state."""
 
 
-class NotAdjacent(GrexError):
-    """Two cells are not neighbours under row-major numbering."""
-
-
 class BudgetExceeded(GrexError):
     """The planner ran past its node-expansion budget."""
 

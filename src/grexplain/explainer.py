@@ -180,6 +180,7 @@ class WhyNotAnswer:
 
     @property
     def counterfactual_actions(self) -> dict:
+        """Goal index -> counterfactual action, for goals that have one."""
         return {sel.goal: sel.action for sel in self.selections
                 if sel.action is not None}
 

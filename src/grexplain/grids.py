@@ -5,13 +5,18 @@ Cells are numbered 1..width*height, row-major from the top-left corner, so
 ``at-<cell>`` fact (blocked cells keep their fact but no action enters them),
 and each legal adjacent move becomes a unit-cost action named
 ``move-<direction>-<from>-<to>``.
+
+Board names follow one format on grids and Sokoban boards alike: an action is
+``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
+``parse_move`` and ``parse_fact`` are their one reader; rendering, direction
+words and the suite generator read names through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedSpec, NotAdjacent
+from .errors import MalformedSpec
 from .strips import DomainDefinition, GroundAction
 
 # Row and column step of each direction word, in the order moves are compiled.
@@ -45,25 +50,6 @@ class GridSpec:
                 raise MalformedSpec(f"{label} is a blocked cell")
 
 
-def cell_fact(cell: int) -> str:
-    return f"at-{cell}"
-
-
-def cell_move_name(from_cell: int, to_cell: int, width: int) -> str:
-    """Direction label for a move between two row-major-adjacent cells."""
-    delta = to_cell - from_cell
-    same_row = (from_cell - 1) // width == (to_cell - 1) // width
-    if delta == -width:
-        return "up"
-    if delta == width:
-        return "down"
-    if delta == -1 and same_row:
-        return "left"
-    if delta == 1 and same_row:
-        return "right"
-    raise NotAdjacent(f"cells {from_cell} and {to_cell} are not adjacent (width {width})")
-
-
 def offset(cell: int, direction: str, width: int, height: int, steps: int = 1):
     """The cell ``steps`` moves from ``cell`` toward ``direction`` under
     row-major numbering, or None off the board."""
@@ -75,12 +61,23 @@ def offset(cell: int, direction: str, width: int, height: int, steps: int = 1):
     return None
 
 
-def grid_neighbors(cell: int, width: int, height: int):
-    """(direction, neighbour) pairs of a cell under row-major numbering."""
-    for direction in DIRECTIONS:
-        nbr = offset(cell, direction, width, height)
-        if nbr is not None:
-            yield direction, nbr
+def parse_move(name: str):
+    """(verb, direction, from-cell, to-cell) of a board action name, or None
+    for a name that is not a board move."""
+    parts = name.split("-")
+    if (len(parts) != 4 or parts[0] not in ("move", "push", "push2")
+            or parts[1] not in DELTAS):
+        return None
+    try:
+        return parts[0], parts[1], int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
+
+
+def parse_fact(fact: str):
+    """(kind, cell) of a board fact name such as ``box-12``."""
+    kind, _, cell = fact.partition("-")
+    return kind, int(cell)
 
 
 def compile_grid(spec: GridSpec):
@@ -89,7 +86,7 @@ def compile_grid(spec: GridSpec):
     One goal hypothesis per goal cell: the singleton {at-<cell>}.
     """
     n = spec.width * spec.height
-    facts = [cell_fact(c) for c in range(1, n + 1)]
+    facts = [f"at-{c}" for c in range(1, n + 1)]
     # {at-<cell>} per cell, shared by every move into or out of that cell: a
     # move's precondition and delete effect are the same set.
     at = [None] + [frozenset([f]) for f in facts]
@@ -97,8 +94,9 @@ def compile_grid(spec: GridSpec):
     for cell in range(1, n + 1):
         if cell in spec.blocked:
             continue
-        for direction, nbr in grid_neighbors(cell, spec.width, spec.height):
-            if nbr in spec.blocked:
+        for direction in DIRECTIONS:
+            nbr = offset(cell, direction, spec.width, spec.height)
+            if nbr is None or nbr in spec.blocked:
                 continue
             actions.append(GroundAction(
                 name=f"move-{direction}-{cell}-{nbr}",

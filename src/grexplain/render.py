@@ -1,10 +1,10 @@
 """Deterministic text and ASCII rendering of explanation answers.
 
-Grid and Sokoban actions are verbalized from their cells ("moved up from
-cell 26 to cell 17"); anything else falls back to the raw action name.  The
-counterfactual clause intentionally drops the second "cell" ("would have
-moved up from cell 23 to 14"), mirroring the phrasing the answers are
-expected to use.
+Grid and Sokoban actions are verbalized from their names, read by
+``grids.parse_move`` ("moved up from cell 26 to cell 17"); anything else
+falls back to the raw action name.  The counterfactual clause intentionally
+drops the second "cell" ("would have moved up from cell 23 to 14"),
+mirroring the phrasing the answers are expected to use.
 """
 
 from __future__ import annotations
@@ -12,33 +12,23 @@ from __future__ import annotations
 from typing import Optional
 
 from .explainer import WhyAnswer, WhyNotAnswer
-from .grids import cell_move_name
+from .grids import parse_fact, parse_move
 from .recognizer import GrProblem
 from .strips import GroundAction
 
 _ARROWS = {"up": "^", "down": "v", "left": "<", "right": ">"}
-
-
-def parse_cells(action: GroundAction):
-    """(verb, from-cell, to-cell) for grid/Sokoban move names, else None."""
-    parts = action.name.split("-")
-    if len(parts) == 4 and parts[0] in ("move", "push", "push2"):
-        try:
-            return parts[0], int(parts[2]), int(parts[3])
-        except ValueError:
-            return None
-    return None
+# Map symbol of the piece an initial-state fact places; ``clear`` places none.
+_PIECES = {"at": "@", "player": "@", "box": "$"}
 
 
 def action_phrase(action: GroundAction, problem: GrProblem,
                   counterfactual: bool = False) -> str:
     """Verbal phrase for one action, e.g. "moved right from cell 23 to cell 24"."""
     width = problem.domain.annotations.get("width")
-    parsed = parse_cells(action) if width else None
+    parsed = parse_move(action.name) if width else None
     if parsed is None:
         return f"performed {action.name}"
-    verb, src, dst = parsed
-    direction = cell_move_name(src, dst, width)
+    verb, direction, src, dst = parsed
     verbed = {"move": "moved", "push": "pushed a box",
               "push2": "pushed two boxes"}[verb]
     if counterfactual:
@@ -105,8 +95,7 @@ def _goal_symbols(problem: GrProblem):
     if ann.get("kind") == "grid":
         for idx, goal in enumerate(problem.goals):
             for fact in goal:
-                cell = int(fact.split("-", 1)[1])
-                symbols[cell] = digits[idx % len(digits)]
+                symbols[parse_fact(fact)[1]] = digits[idx % len(digits)]
     elif ann.get("kind") == "sokoban":
         for idx, cell in enumerate(ann.get("storage", [])):
             symbols[cell] = digits[idx % len(digits)]
@@ -123,29 +112,23 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
     width, height = ann.get("width"), ann.get("height")
     if not width or not height:
         return "(no map: generic STRIPS domain)"
-    kind = ann.get("kind")
     blocked = set(ann.get("blocked", []) + ann.get("walls", []))
 
     cells = {}
     for c in range(1, width * height + 1):
         cells[c] = "#" if c in blocked else "."
     cells.update(_goal_symbols(problem))
-    if kind == "sokoban":
-        for fact in problem.initial:
-            if fact.startswith("box-"):
-                cells[int(fact[4:])] = "$"
-            elif fact.startswith("player-"):
-                cells[int(fact[7:])] = "@"
-    else:
-        for fact in problem.initial:
-            cells[int(fact.split("-", 1)[1])] = "@"
+    for fact in problem.initial:
+        kind, cell = parse_fact(fact)
+        if kind in _PIECES:
+            cells[cell] = _PIECES[kind]
 
     for i, obs in enumerate(problem.observations, start=1):
-        parsed = parse_cells(obs.action)
+        parsed = parse_move(obs.action.name)
         if parsed is None:
             continue
-        _, src, dst = parsed
-        cells[src] = _ARROWS[cell_move_name(src, dst, width)]
+        _, direction, src, _ = parsed
+        cells[src] = _ARROWS[direction]
         if highlight and i in highlight:
             cells[src] = "o"
 

@@ -28,7 +28,7 @@ from typing import Union
 import yaml
 
 from .errors import MalformedSpec, ParseError, ValidationError
-from .grids import DIRECTIONS, GridSpec, compile_grid, offset
+from .grids import DIRECTIONS, GridSpec, compile_grid, offset, parse_fact
 from .recognizer import GrProblem, Observation
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, State, applicable, apply
@@ -251,8 +251,8 @@ def _resolve_direction(domain: DomainDefinition, state: State, word: str,
     if width is None:
         raise ValidationError(
             f"observation {index}: direction words need a board domain")
-    cell = next(int(f.split("-", 1)[1]) for f in state
-                if f.startswith(("at-", "player-")))
+    cell = next(cell for kind, cell in map(parse_fact, state)
+                if kind in ("at", "player"))
     nbr = offset(cell, word, width, domain.annotations["height"])
     for verb in ("move", "push", "push2"):
         name = f"{verb}-{word}-{cell}-{nbr}"

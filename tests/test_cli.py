@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -13,12 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import grexplain
 from grexplain import bundled_bench_paths, bundled_scenario_path
-from grexplain.cli import main
+from grexplain.cli import build_parser, main
 
 NAV = str(bundled_scenario_path("nav_crossroads"))
 PAIRS = str(bundled_scenario_path("sokoban_pairs"))
-REFERENCE_DIGESTS = (Path(__file__).resolve().parents[1]
-                     / "perfbench" / "pool" / "bundled_suite.json")
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_DIGESTS = ROOT / "perfbench" / "pool" / "bundled_suite.json"
 
 
 def run(capsys, *argv):
@@ -135,6 +136,35 @@ def test_rank_table_sokoban_pairs(capsys):
     assert table["o2"][0] == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--scenario", NAV, "--priors", "/nonexistent.yaml"],
+    ["bench", "--scenario", NAV, "--format", "ascii-grid"],
+    ["eval", "--scenario", NAV, "--annotations", "NOTES",
+     "--format", "ascii-grid"],
+], ids=["bench-priors", "bench-ascii-grid", "eval-ascii-grid"])
+def test_verbs_reject_options_they_do_not_read(tmp_path, capsys, argv):
+    notes = tmp_path / "notes.yaml"
+    notes.write_text("why_ranks: {o1: 0}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(notes) if arg == "NOTES" else arg for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def test_readme_cli_lines_parse():
+    """Every ``grexplain`` line of the README's CLI block names only options
+    its verb takes (parsing opens no file)."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("grexplain ")]
+    assert len(lines) >= 5
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line
+
+
 def test_ascii_grid_format(capsys):
     code, out, _ = run(capsys, "explain", "--scenario", NAV,
                        "--question", "whynot", "--format", "ascii-grid")
@@ -214,6 +244,8 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
     (GRID_3X3 + "observations: [right]\n", "--priors",
      "g1: 5.0e-324\ng2: 1.0e+300\n"),
     (GRID_3X3 + "observations: [right]\n", "--priors", "g1: [\n"),
+    (Path(NAV).read_text(), "--annotations",
+     "counterfactual_actions: {nosuchgoal: move-up-23-14}\n"),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -222,7 +254,7 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
         "goal-names-repeated", "width-float", "start-bool", "rank-float",
         "ranks-not-a-mapping", "cf-actions-not-a-mapping", "prior-bool",
         "priors-overflow", "prior-past-float-range", "prior-underflows",
-        "priors-invalid-yaml"])
+        "priors-invalid-yaml", "cf-actions-unknown-goal"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grexplain import (GridSpec, MalformedSpec, NotAdjacent, PlanningTask,
-                       cell_move_name, compile_grid, optimal_cost)
-from grexplain.grids import grid_neighbors
+from grexplain import (GridSpec, MalformedSpec, PlanningTask, SokobanSpec,
+                       compile_grid, compile_sokoban, optimal_cost)
+from grexplain.grids import DIRECTIONS, offset, parse_fact, parse_move
 
 
 def test_two_by_two_has_eight_moves():
@@ -31,34 +32,53 @@ def test_blocked_cells_get_facts_but_no_moves():
     assert not any("-2" == a.name[-2:] or "-2-" in a.name for a in domain.actions)
 
 
-def test_cell_move_name_known_cells():
-    assert cell_move_name(26, 17, 9) == "up"
-    assert cell_move_name(23, 24, 9) == "right"
-    assert cell_move_name(23, 14, 9) == "up"
-    assert cell_move_name(14, 23, 9) == "down"
-    assert cell_move_name(24, 23, 9) == "left"
+@st.composite
+def boards(draw):
+    """A compiled grid, or a Sokoban board with ``multi_push`` on or off,
+    with its width and height."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = range(1, width * height + 1)
+    free = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    blocked = frozenset(cells) - set(free)
+    if draw(st.booleans()):
+        spec = GridSpec(width, height, blocked, free[0], (free[-1],))
+        return compile_grid(spec)[0], width, height
+    spec = SokobanSpec(width, height, blocked, free[0], tuple(free[1:3]),
+                       tuple(free[1:3]), (tuple(free[1:3]),),
+                       draw(st.booleans()))
+    return compile_sokoban(spec)[0], width, height
 
 
-def test_cell_move_name_rejects_non_adjacent():
-    with pytest.raises(NotAdjacent):
-        cell_move_name(5, 5, 9)
-    with pytest.raises(NotAdjacent):
-        cell_move_name(9, 10, 9)  # row wrap is not adjacency
-    with pytest.raises(NotAdjacent):
-        cell_move_name(1, 3, 9)
-
-
-def test_every_compiled_action_satisfies_row_major_adjacency():
-    domain, _, _ = compile_grid(GridSpec(7, 6, frozenset({9, 17, 30}), 1, (42,)))
+@settings(max_examples=80, deadline=None)
+@given(boards())
+def test_board_names_parse_to_adjacent_cells_on_the_board(board):
+    domain, width, height = board
     for action in domain.actions:
-        _, direction, src, dst = action.name.split("-")
-        assert cell_move_name(int(src), int(dst), 7) == direction
+        verb, direction, src, dst = parse_move(action.name)
+        assert verb in ("move", "push", "push2")
+        assert offset(src, direction, width, height) == dst
+    for fact in domain.facts:
+        kind, cell = parse_fact(fact)
+        assert kind in ("at", "player", "box", "clear")
+        assert 1 <= cell <= width * height
 
 
-def test_grid_neighbors_respects_boundaries():
-    assert dict(grid_neighbors(1, 3, 3)) == {"down": 4, "right": 2}
-    assert dict(grid_neighbors(9, 3, 3)) == {"up": 6, "left": 8}
-    assert len(list(grid_neighbors(5, 3, 3))) == 4
+def test_parse_move_rejects_names_that_are_not_board_moves():
+    for name in ("cook", "move-up-1", "jump-up-1-2", "move-north-1-2",
+                 "move-up-a-2", "move-up-1-2-3"):
+        assert parse_move(name) is None
+
+
+def test_offset_stops_at_board_edges():
+    assert {d: offset(1, d, 3, 3) for d in DIRECTIONS} == {
+        "up": None, "down": 4, "left": None, "right": 2}
+    assert {d: offset(9, d, 3, 3) for d in DIRECTIONS} == {
+        "up": 6, "down": None, "left": 8, "right": None}
+    assert offset(3, "right", 3, 3) is None  # no wrap onto the next row
+    assert offset(4, "left", 3, 3) is None
+    assert all(offset(5, d, 3, 3) is not None for d in DIRECTIONS)
+    assert offset(1, "right", 3, 3, steps=2) == 3
+    assert offset(1, "right", 3, 3, steps=3) is None
 
 
 def test_malformed_specs_rejected():

@@ -12,7 +12,7 @@ from grexplain.planner import distance_tables
 from grexplain.strips import applicable, apply
 
 from conftest import bfs_grid_distance, random_grid_spec
-from grexplain.grids import grid_neighbors
+from grexplain.grids import DIRECTIONS, offset
 
 
 def grid_task(spec):
@@ -114,10 +114,11 @@ def greedy_oracle_plan(spec):
     names = []
     while cell != goal:
         here = bfs_grid_distance(spec, cell, goal)
+        steps = ((d, offset(cell, d, spec.width, spec.height))
+                 for d in DIRECTIONS)
         name, cell = min(
-            (f"move-{d}-{cell}-{nbr}", nbr)
-            for d, nbr in grid_neighbors(cell, spec.width, spec.height)
-            if nbr not in spec.blocked
+            (f"move-{d}-{cell}-{nbr}", nbr) for d, nbr in steps
+            if nbr is not None and nbr not in spec.blocked
             and bfs_grid_distance(spec, nbr, goal) == here - 1)
         names.append(name)
     return names

@@ -13,6 +13,7 @@ from pathlib import Path
 from grexplain import (GridSpec, SokobanSpec, compile_grid, compile_sokoban,
                        PlanningTask, build_explanan, mirror_posteriors,
                        optimal_plan, optimal_costs)
+from grexplain.grids import parse_move
 from grexplain.scenario import ScenarioFile, serialize_scenario, build_problem
 
 OUT = Path(__file__).resolve().parent.parent / "src/grexplain/scenarios/bench"
@@ -21,7 +22,7 @@ OUT = Path(__file__).resolve().parent.parent / "src/grexplain/scenarios/bench"
 def plan_directions(domain, initial, goal, count):
     plan = optimal_plan(PlanningTask(domain, initial, goal))
     assert plan is not None and len(plan) >= count, (plan, count)
-    return [a.name.split("-")[1] for a in plan[:count]]
+    return [parse_move(a.name)[1] for a in plan[:count]]
 
 
 def make_grid(rng, out_dir, name, width, height, n_blocks, n_goals, obs_count):
@@ -78,8 +79,7 @@ def make_sokoban(out_dir, name, width, height, walls, player, boxes, storage,
     costs = optimal_costs(domain, initial, goal_sets)
     assert all(c is not None for c in costs), (name, costs)
     assert costs[0] >= obs, (name, costs, obs)
-    plan = optimal_plan(PlanningTask(domain, initial, goal_sets[0]))
-    words = [a.name.split("-")[1] for a in plan[:obs]]
+    words = plan_directions(domain, initial, goal_sets[0], obs)
     scenario = ScenarioFile("sokoban", spec, tuple(words), (), name)
     build_problem(scenario)
     (out_dir / f"{name}.yaml").write_text(serialize_scenario(scenario))
