@@ -1,16 +1,14 @@
 """Exception hierarchy shared across the library.
 
 Everything raised on purpose derives from GrexError so the CLI can map
-failures onto exit codes without enumerating modules.
+failures onto exit codes without enumerating modules.  MalformedSpec is a
+ValidationError: a board, domain or problem that breaks its invariants is
+invalid input wherever it is built, so it reaches the CLI unwrapped.
 """
 
 
 class GrexError(Exception):
     """Base class for all library errors."""
-
-
-class MalformedSpec(GrexError):
-    """A grid/Sokoban/STRIPS scenario specification violates its invariants."""
 
 
 class NotApplicable(GrexError):
@@ -64,6 +62,10 @@ class ParseError(GrexError):
 
 class ValidationError(GrexError):
     """A parsed file is structurally fine but semantically invalid."""
+
+
+class MalformedSpec(ValidationError):
+    """A grid/Sokoban/STRIPS scenario specification violates its invariants."""
 
 
 class MissingAnnotation(GrexError):

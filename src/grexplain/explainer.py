@@ -1,9 +1,11 @@
 """Contrastive why / why-not explanation of a recognizer's output.
 
-The explainer consumes only four inputs, all carried by a PosteriorTrace: the
-observation count, the predicted goal set, the counterfactual goal set, and
-the per-prefix posteriors.  From these it builds the complete explanation
-list (one log-odds weight per predicted/counterfactual goal pair per
+The explainer consumes four inputs carried by a PosteriorTrace (the
+observation count, the predicted goal set, the counterfactual goal set and
+the per-prefix posteriors), plus the optional goal priors that
+``build_explanan`` takes beside the trace and that switch the weights to the
+prior-adjusted form.  From these it builds the complete explanation list
+(one log-odds weight per predicted/counterfactual goal pair per
 observation), selects observational markers for "why g?" answers and
 counterfactual markers plus counterfactual actions for "why not g'?" answers,
 and ranks observations for both question types.
@@ -82,7 +84,6 @@ class CompleteExplanan:
     observation_count: int
     predicted: frozenset
     counterfactual: frozenset
-    empty_counterfactual: bool = False
 
     @property
     def excluded_observations(self) -> tuple:
@@ -97,20 +98,11 @@ def build_explanan(trace: PosteriorTrace,
                    priors: Optional[Sequence[float]] = None) -> CompleteExplanan:
     """Realize the full generation loop: one entry per observation per
     (predicted goal, counterfactual goal) pair, with undefined or weightless
-    combinations diverted to the side list.
-
-    With an empty counterfactual set there is nothing to contrast against;
-    the result is a marked empty explanan.
+    combinations diverted to the side list.  With an empty counterfactual
+    set there is nothing to contrast against, so both lists are empty.
     """
     predicted = sorted(trace.predicted)
     counterfactual = sorted(trace.counterfactual)
-    if not counterfactual:
-        return CompleteExplanan(
-            entries=(), excluded_pairs=(),
-            observation_count=trace.observation_count,
-            predicted=trace.predicted, counterfactual=trace.counterfactual,
-            empty_counterfactual=True)
-
     entries = []
     excluded = []
     for i, dist in enumerate(trace.per_prefix, start=1):
@@ -189,7 +181,8 @@ def select_om(explanan: CompleteExplanan) -> WhyAnswer:
     """Markers answering "why g?": for every goal pair, all entries attaining
     that pair's maximum weight (ties are all retained)."""
     if not explanan.entries:
-        raise EmptyExplanan("no entries to select an observational marker from")
+        raise EmptyExplanan("no observation weighs a predicted goal against a "
+                            "counterfactual goal, so there is no why answer")
     groups = {}  # pair -> its entries, pairs in order of first appearance
     for e in explanan.entries:
         groups.setdefault(e.pair, []).append(e)
@@ -207,7 +200,8 @@ def select_cf_om(explanan: CompleteExplanan) -> list:
     Returns (goal index, entries) pairs ordered by goal index.
     """
     if not explanan.entries:
-        raise EmptyExplanan("no entries to select a counterfactual marker from")
+        raise EmptyExplanan("no observation weighs a predicted goal against a "
+                            "counterfactual goal, so there is no why-not answer")
     result = []
     for g_prime in sorted(explanan.counterfactual):
         group = [e for e in explanan.entries if e.counterfactual_goal == g_prime]

@@ -73,6 +73,12 @@ class GrProblem:
         if len(set(names)) != len(names):
             raise MalformedSpec(f"goal_names must be distinct: {list(names)}")
         object.__setattr__(self, "goal_names", names)
+        labels = ["initial state", *(f"goal {n}" for n in names)]
+        for label, facts in zip(labels, (self.initial, *self.goals)):
+            try:
+                self.domain.encode(facts)
+            except MalformedSpec as exc:
+                raise MalformedSpec(f"{label}: {exc}") from None
         validate_observations(self.domain, self.initial, self.observations)
 
     def state_before(self, index: int) -> State:

@@ -3,11 +3,16 @@
 Scenarios are human-readable YAML with three kinds:
 
 * ``grid``: a navigation board, given either as explicit fields or as an
-  ASCII map (``#`` wall, ``@`` start, digits/letters goal cells, ``.`` free).
+  ASCII ``map`` (``#`` wall, ``@`` start, digits/letters goal cells in label
+  order, ``.`` free).
 * ``sokoban``: a board with walls, player, boxes, storage cells and goal
-  assignments; the map alternative adds ``$`` for boxes and uses digits for
-  storage cells.
+  assignments.  A ``map`` (``$`` box, labels for storage cells) replaces the
+  board fields of the ``sokoban`` block, which still gives ``goals`` and
+  ``multi_push``.
 * ``strips``: a raw fact/action listing for arbitrary domains.
+
+A map is read into the explicit fields it spells out, so each board kind
+has one spec builder and both forms pass the same type and range checks.
 
 Observations are direction words for boards (``up``/``down``/``left``/
 ``right``) or exact action names.  One rule resolves a direction word on
@@ -27,7 +32,7 @@ from typing import Union
 
 import yaml
 
-from .errors import MalformedSpec, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .grids import DIRECTIONS, GridSpec, compile_grid, offset, parse_fact
 from .recognizer import GrProblem, Observation
 from .sokoban import SokobanSpec, compile_sokoban
@@ -92,32 +97,45 @@ def _str_list(value, path):
     return value
 
 
-def _parse_grid_map(text: str):
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ParseError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def _read_map(text, kind: str) -> dict:
+    """The body fields an ASCII map spells out for a board of ``kind``.
+
+    ``#`` cells are a grid's ``blocked`` or a board's ``walls``, ``@`` is the
+    ``start`` or ``player`` cell, and the label cells, in label order, are a
+    grid's ``goals`` or a board's ``storage``.  ``$`` marks a Sokoban
+    ``boxes`` cell (a grid reads it as free floor)."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("map: expected a non-empty ASCII map")
     rows = [line.rstrip() for line in text.splitlines() if line.strip()]
     width = max(len(r) for r in rows)
-    blocked, goals, start = set(), {}, None
-    boxes, storage = [], {}
+    walls, boxes, labels, start = [], [], {}, None
     for r, row in enumerate(rows):
-        for c in range(width):
-            ch = row[c] if c < len(row) else "."
+        for c, ch in enumerate(row.ljust(width, ".")):
             cell = r * width + c + 1
             if ch == "#":
-                blocked.add(cell)
+                walls.append(cell)
             elif ch == "@":
                 start = cell
             elif ch == "$":
                 boxes.append(cell)
             elif ch.isalnum():
-                goals[ch] = cell
-                storage[ch] = cell
+                labels[ch] = cell
             elif ch != ".":
                 raise ParseError(f"map: unknown symbol {ch!r} at row {r + 1}")
-    ordered = [goals[k] for k in sorted(goals)]
-    return {"width": width, "height": len(rows), "blocked": blocked,
-            "start": start, "goal_cells": ordered, "boxes": boxes,
-            "storage": ordered}
+    if start is None:
+        raise ParseError("map: no '@' start cell")
+    labelled = [labels[k] for k in sorted(labels)]
+    if kind == "grid":
+        return {"width": width, "height": len(rows), "blocked": walls,
+                "start": start, "goals": labelled}
+    return {"width": width, "height": len(rows), "walls": walls,
+            "player": start, "boxes": boxes, "storage": labelled}
 
 
 def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
@@ -127,85 +145,61 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
     goal_names = tuple(_str_list(data.get("goal_names") or [], "goal_names"))
     name = str(data.get("name", name))
 
-    try:
-        if kind == "grid":
-            if "map" in data:
-                parsed = _parse_grid_map(data["map"])
-                if parsed["start"] is None:
-                    raise ParseError("map: no '@' start cell")
-                spec = GridSpec(parsed["width"], parsed["height"],
-                                frozenset(parsed["blocked"]), parsed["start"],
-                                tuple(parsed["goal_cells"]))
-            else:
-                body = _require(data, "grid", "scenario")
-                spec = GridSpec(
-                    width=_int(_require(body, "width", "grid"), "grid.width"),
-                    height=_int(_require(body, "height", "grid"), "grid.height"),
-                    blocked=frozenset(_int_list(body.get("blocked"), "grid.blocked")),
-                    start=_int(_require(body, "start", "grid"), "grid.start"),
-                    goal_cells=tuple(_int_list(_require(body, "goals", "grid"),
-                                               "grid.goals")),
-                )
-        elif kind == "sokoban":
-            body = _require(data, "sokoban", "scenario")
-            if "map" in data:
-                parsed = _parse_grid_map(data["map"])
-                base = {"width": parsed["width"], "height": parsed["height"],
-                        "walls": frozenset(parsed["blocked"]),
-                        "player": parsed["start"],
-                        "boxes": tuple(parsed["boxes"]),
-                        "storage": tuple(parsed["storage"])}
-            else:
-                base = {"width": _int(_require(body, "width", "sokoban"),
-                                      "sokoban.width"),
-                        "height": _int(_require(body, "height", "sokoban"),
-                                       "sokoban.height"),
-                        "walls": frozenset(_int_list(body.get("walls"),
-                                                     "sokoban.walls")),
-                        "player": _int(_require(body, "player", "sokoban"),
-                                       "sokoban.player"),
-                        "boxes": tuple(_int_list(_require(body, "boxes", "sokoban"),
-                                                 "sokoban.boxes")),
-                        "storage": tuple(_int_list(_require(body, "storage",
-                                                            "sokoban"),
-                                                   "sokoban.storage"))}
-            multi_push = body.get("multi_push", False)
-            if not isinstance(multi_push, bool):
-                raise ParseError(f"sokoban.multi_push: expected true or false, "
-                                 f"got {multi_push!r}")
-            spec = SokobanSpec(
-                goal_assignments=tuple(
-                    tuple(_int_list(a, "sokoban.goals"))
-                    for a in _list(_require(body, "goals", "sokoban"),
-                                   "sokoban.goals")),
-                multi_push=multi_push,
-                **base,
-            )
-        elif kind == "strips":
-            body = _require(data, "strips", "scenario")
-            actions = []
-            for spec_action in _list(_require(body, "actions", "strips"),
-                                     "strips.actions"):
-                label = str(_require(spec_action, "name", "strips.actions"))
-                pre, add, dele = (
-                    tuple(_str_list(spec_action.get(key) or [],
-                                    f"strips.actions.{label}.{key}"))
-                    for key in ("pre", "add", "del"))
-                actions.append((label, pre, add, dele))
-            spec = StripsListing(
-                facts=tuple(_str_list(_require(body, "facts", "strips"),
-                                      "strips.facts")),
-                actions=tuple(actions),
-                initial=frozenset(_str_list(_require(body, "initial", "strips"),
-                                            "strips.initial")),
-                goals=tuple(frozenset(_str_list(g, "strips.goals"))
-                            for g in _list(_require(body, "goals", "strips"),
-                                           "strips.goals")),
-            )
-        else:
-            raise ParseError(f"scenario: unknown kind {kind!r}")
-    except MalformedSpec as exc:
-        raise ValidationError(str(exc)) from exc
+    if kind == "grid":
+        body = (_read_map(data["map"], kind) if "map" in data
+                else _require(data, "grid", "scenario"))
+        spec = GridSpec(
+            width=_int(_require(body, "width", "grid"), "grid.width"),
+            height=_int(_require(body, "height", "grid"), "grid.height"),
+            blocked=frozenset(_int_list(body.get("blocked"), "grid.blocked")),
+            start=_int(_require(body, "start", "grid"), "grid.start"),
+            goal_cells=tuple(_int_list(_require(body, "goals", "grid"),
+                                       "grid.goals")),
+        )
+    elif kind == "sokoban":
+        body = _require(data, "sokoban", "scenario")
+        if "map" in data:
+            body = {**_mapping(body, "sokoban"),
+                    **_read_map(data["map"], kind)}
+        spec = SokobanSpec(
+            width=_int(_require(body, "width", "sokoban"), "sokoban.width"),
+            height=_int(_require(body, "height", "sokoban"), "sokoban.height"),
+            walls=frozenset(_int_list(body.get("walls"), "sokoban.walls")),
+            player=_int(_require(body, "player", "sokoban"), "sokoban.player"),
+            boxes=tuple(_int_list(_require(body, "boxes", "sokoban"),
+                                  "sokoban.boxes")),
+            storage=tuple(_int_list(_require(body, "storage", "sokoban"),
+                                    "sokoban.storage")),
+            multi_push=_bool(body.get("multi_push", False),
+                             "sokoban.multi_push"),
+            goal_assignments=tuple(
+                tuple(_int_list(a, "sokoban.goals"))
+                for a in _list(_require(body, "goals", "sokoban"),
+                               "sokoban.goals")),
+        )
+    elif kind == "strips":
+        body = _require(data, "strips", "scenario")
+        actions = []
+        for spec_action in _list(_require(body, "actions", "strips"),
+                                 "strips.actions"):
+            label = str(_require(spec_action, "name", "strips.actions"))
+            pre, add, dele = (
+                tuple(_str_list(spec_action.get(key) or [],
+                                f"strips.actions.{label}.{key}"))
+                for key in ("pre", "add", "del"))
+            actions.append((label, pre, add, dele))
+        spec = StripsListing(
+            facts=tuple(_str_list(_require(body, "facts", "strips"),
+                                  "strips.facts")),
+            actions=tuple(actions),
+            initial=frozenset(_str_list(_require(body, "initial", "strips"),
+                                        "strips.initial")),
+            goals=tuple(frozenset(_str_list(g, "strips.goals"))
+                        for g in _list(_require(body, "goals", "strips"),
+                                       "strips.goals")),
+        )
+    else:
+        raise ParseError(f"scenario: unknown kind {kind!r}")
 
     return ScenarioFile(kind=kind, spec=spec, observations=observations,
                         goal_names=goal_names, name=name)
@@ -265,10 +259,7 @@ def _resolve_direction(domain: DomainDefinition, state: State, word: str,
 def build_problem(scenario: ScenarioFile) -> GrProblem:
     """Compile a scenario and replay its observation tokens into a validated
     recognition problem."""
-    try:
-        domain, initial, goals = _compile(scenario)
-    except MalformedSpec as exc:
-        raise ValidationError(str(exc)) from exc
+    domain, initial, goals = _compile(scenario)
 
     observations = []
     state = initial

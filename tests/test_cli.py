@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import grexplain
 from grexplain import bundled_bench_paths, bundled_scenario_path
 from grexplain.cli import build_parser, main
+from grexplain.scenario import build_problem, parse_scenario
 
 NAV = str(bundled_scenario_path("nav_crossroads"))
 PAIRS = str(bundled_scenario_path("sokoban_pairs"))
@@ -165,6 +166,27 @@ def test_readme_cli_lines_parse():
         assert callable(args.fn), line
 
 
+def test_readme_yaml_blocks_load(tmp_path):
+    """Every ``yaml`` block of the README loads: a scenario parses and
+    compiles, and the annotation block runs through ``eval`` against the
+    bundled scenario it names."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = [yaml.safe_load(part.split("```", 1)[0])
+              for part in readme.split("```yaml\n")[1:]]
+    scenarios = [data for data in blocks if "kind" in data]
+    annotations = [data for data in blocks if "kind" not in data]
+    assert len(scenarios) >= 3 and len(annotations) == 1
+    for data in scenarios:
+        build_problem(parse_scenario(data))
+    notes = tmp_path / "notes.yaml"
+    notes.write_text(yaml.safe_dump(annotations[0]))
+    code = main(["eval", "--scenario",
+                 str(bundled_scenario_path(annotations[0]["scenario"])),
+                 "--annotations", str(notes),
+                 "--out", str(tmp_path / "out.txt")])
+    assert code == 0
+
+
 def test_ascii_grid_format(capsys):
     code, out, _ = run(capsys, "explain", "--scenario", NAV,
                        "--question", "whynot", "--format", "ascii-grid")
@@ -192,6 +214,23 @@ def test_validation_error_exits_2(tmp_path, capsys):
 
 GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
             " goals: [9, 3]}\n")
+
+
+def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
+    """After ``right`` both goals tie, so no observation carries evidence:
+    why, why-not and eval's counterfactual agreement say there is no answer."""
+    board = tmp_path / "board.yaml"
+    board.write_text(GRID_3X3 + "observations: [right]\n")
+    notes = tmp_path / "notes.yaml"
+    notes.write_text("counterfactual_actions: {g1: move-down-1-4}\n")
+    for args, question in ((["explain", "--question", "why"], "why"),
+                           (["explain", "--question", "whynot"], "why-not"),
+                           (["eval", "--annotations", str(notes)], "why-not")):
+        code, _, err = run(capsys, *args, "--scenario", str(board))
+        assert code == 2
+        assert err == ("error: no observation weighs a predicted goal against "
+                       "a counterfactual goal, so there is no "
+                       f"{question} answer\n")
 
 
 @pytest.mark.parametrize("scenario, extra, extra_file", [
@@ -246,6 +285,10 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
     (GRID_3X3 + "observations: [right]\n", "--priors", "g1: [\n"),
     (Path(NAV).read_text(), "--annotations",
      "counterfactual_actions: {nosuchgoal: move-up-23-14}\n"),
+    ("kind: sokoban\nmap: |\n  .$$12\nsokoban: {goals: [[4, 5]]}\n"
+     "observations: []\n", None, None),
+    ("kind: sokoban\nmap: |\n  @$$12\nsokoban: 5\nobservations: []\n",
+     None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -254,7 +297,8 @@ GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
         "goal-names-repeated", "width-float", "start-bool", "rank-float",
         "ranks-not-a-mapping", "cf-actions-not-a-mapping", "prior-bool",
         "priors-overflow", "prior-past-float-range", "prior-underflows",
-        "priors-invalid-yaml", "cf-actions-unknown-goal"])
+        "priors-invalid-yaml", "cf-actions-unknown-goal",
+        "sokoban-map-no-start", "sokoban-map-body-not-a-mapping"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"
@@ -355,30 +399,51 @@ WRONGLY_TYPED = st.one_of(
 @st.composite
 def board_mappings(draw):
     """A valid grid or Sokoban scenario in which some body fields, and maybe
-    ``goal_names`` or ``observations``, are replaced by drawn values of the
-    wrong type or range: None, a boolean, a small (maybe negative) integer,
-    a string or a (nested) list."""
+    ``goal_names``, ``observations``, the ``map`` or the whole body, are
+    replaced by drawn values of the wrong type or range: None, a boolean, a
+    small (maybe negative) integer, a string or a (nested) list.
+
+    Half the boards are drawn instead as a ``map:`` that spells out the
+    same board fields.  There, up to three map characters rather than body
+    fields are redrawn, from ``.#@$12`` and a stray ``*``, so some maps have
+    no start cell."""
     if draw(st.booleans()):
-        kind, words = "grid", ["right", "down"]
+        kind, words, rows = "grid", ["right", "down"], "@.2\n.#.\n..1"
         body = {"width": 3, "height": 3, "blocked": [5], "start": 1,
                 "goals": [9, 3]}
     else:
-        kind, words = "sokoban", ["right", "right"]
+        kind, words, rows = "sokoban", ["right", "right"], "@$$12"
         body = {"width": 5, "height": 1, "walls": [], "player": 1,
                 "boxes": [2, 3], "storage": [4, 5], "multi_push": True,
                 "goals": [[4, 5], [5]]}
     scenario = {"kind": kind, kind: body, "goal_names": ["x", "y"],
                 "observations": words}
-    for key in draw(st.lists(st.sampled_from(sorted(body)), unique=True)):
-        body[key] = draw(WRONGLY_TYPED)
-    for key in draw(st.lists(st.sampled_from(["goal_names", "observations"]),
-                             unique=True, max_size=1)):
+    if draw(st.booleans()):
+        cells = [i for i, ch in enumerate(rows) if ch != "\n"]
+        symbols = list(rows)
+        for i in draw(st.lists(st.sampled_from(cells), unique=True,
+                               max_size=3)):
+            symbols[i] = draw(st.sampled_from(".#@$12*"))
+        scenario["map"] = "".join(symbols)
+        del scenario[kind]
+        if kind == "sokoban":
+            scenario[kind] = {"goals": body["goals"], "multi_push": True}
+    else:
+        for key in draw(st.lists(st.sampled_from(sorted(body)), unique=True)):
+            body[key] = draw(WRONGLY_TYPED)
+    outer = sorted({"goal_names", "observations", "map", kind}
+                   & set(scenario))
+    for key in draw(st.lists(st.sampled_from(outer), unique=True,
+                             max_size=1)):
         scenario[key] = draw(WRONGLY_TYPED)
     return scenario
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(board_mappings())
+@example({"kind": "sokoban", "map": ".$$12",
+          "sokoban": {"goals": [[4, 5], [5]], "multi_push": True},
+          "goal_names": ["x", "y"], "observations": []})
 def test_every_verb_exits_0_2_or_3_on_drawn_board_mappings(scenario):
     assert_every_verb_exits_0_2_or_3(scenario)
 

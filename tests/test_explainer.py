@@ -85,7 +85,7 @@ def test_empty_counterfactual_set_is_marked():
     trace = PosteriorTrace(prior=(1.0,), per_prefix=((1.0,),),
                            predicted=frozenset({0}), counterfactual=frozenset())
     explanan = build_explanan(trace)
-    assert explanan.empty_counterfactual
+    assert not explanan.counterfactual
     assert explanan.entries == ()
 
 

@@ -192,6 +192,21 @@ def test_parse_errors_carry_diagnostics(tmp_path):
         load_scenario(tmp_path / "missing.yaml")
 
 
+def test_undeclared_goal_fact_is_rejected_at_load(tmp_path):
+    path = write(tmp_path, """
+        kind: strips
+        strips:
+          facts: [a, b]
+          actions:
+            - {name: go, pre: [a], add: [b], del: [a]}
+          initial: [a]
+          goals: [[b], [zzz]]
+        observations: []
+    """)
+    with pytest.raises(ValidationError, match=r"^goal g2: .*\['zzz'\]"):
+        load_scenario(path)
+
+
 def test_semantically_invalid_spec_is_validation_error(tmp_path):
     path = write(tmp_path, """
         kind: grid
