@@ -7,10 +7,9 @@ goal g'?" questions with observational markers and counterfactual actions.
 """
 
 from .errors import (AllGoalsUnsolvable, BudgetExceeded, EmptyExplanan,
-                     GrexError, InvalidObservationChain,
-                     KeyMismatch, MalformedSpec, MissingAnnotation,
-                     NotApplicable, ParseError, UnsolvableGoal,
-                     ValidationError, ZeroPosterior, ZeroPrior)
+                     GrexError, InvalidObservationChain, KeyMismatch,
+                     MalformedSpec, MissingAnnotation, ParseError,
+                     UnsolvableGoal, ValidationError, ZeroPosterior, ZeroPrior)
 from .explainer import (answer_why, answer_why_not, build_explanan,
                         counterfactual_action, rank_observations,
                         select_cf_om, select_om, woe_uniform, woe_with_priors)
@@ -23,5 +22,5 @@ from .render import render, render_ascii
 from .scenario import (bundled_bench_paths, bundled_scenario_path,
                        load_annotations, load_priors, load_scenario)
 from .sokoban import SokobanSpec, compile_sokoban
-from .strips import DomainDefinition, GroundAction, State, applicable, apply
+from .strips import DomainDefinition, GroundAction, State
 from .version import __version__

@@ -11,10 +11,6 @@ class GrexError(Exception):
     """Base class for all library errors."""
 
 
-class NotApplicable(GrexError):
-    """An action's preconditions do not hold in the given state."""
-
-
 class BudgetExceeded(GrexError):
     """The planner ran past its node-expansion budget."""
 

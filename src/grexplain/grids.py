@@ -4,7 +4,7 @@ Cells are numbered 1..width*height, row-major from the top-left corner, so
 "up" from cell c is c - width and "right" is c + 1.  Every cell gets an
 ``at-<cell>`` fact (blocked cells keep their fact but no action enters them),
 and each legal adjacent move becomes a unit-cost action named
-``move-<direction>-<from>-<to>``.
+``move-<direction>-<from>-<to>``: pre and del {at-<from>}, add {at-<to>}.
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
@@ -83,31 +83,25 @@ def parse_fact(fact: str):
 def compile_grid(spec: GridSpec):
     """Compile a grid into (domain, initial state, goal fact-sets).
 
-    One goal hypothesis per goal cell: the singleton {at-<cell>}.
+    Fact ``at-<cell>`` is bit ``cell - 1``.  One goal hypothesis per goal
+    cell: the singleton {at-<cell>}.
     """
     n = spec.width * spec.height
-    facts = [f"at-{c}" for c in range(1, n + 1)]
-    # {at-<cell>} per cell, shared by every move into or out of that cell: a
-    # move's precondition and delete effect are the same set.
-    at = [None] + [frozenset([f]) for f in facts]
     actions = []
     for cell in range(1, n + 1):
         if cell in spec.blocked:
             continue
+        here = 1 << (cell - 1)
         for direction in DIRECTIONS:
             nbr = offset(cell, direction, spec.width, spec.height)
             if nbr is None or nbr in spec.blocked:
                 continue
-            actions.append(GroundAction(
-                name=f"move-{direction}-{cell}-{nbr}",
-                preconditions=at[cell],
-                add_effects=at[nbr],
-                delete_effects=at[cell],
-            ))
+            actions.append(GroundAction(f"move-{direction}-{cell}-{nbr}",
+                                        here, 1 << (nbr - 1), here))
     domain = DomainDefinition(
-        facts, actions,
+        [f"at-{c}" for c in range(1, n + 1)], actions,
         annotations={"kind": "grid", "width": spec.width, "height": spec.height,
                      "blocked": sorted(spec.blocked)},
     )
-    goals = [at[g] for g in spec.goal_cells]
-    return domain, at[spec.start], goals
+    goals = [frozenset([f"at-{g}"]) for g in spec.goal_cells]
+    return domain, frozenset([f"at-{spec.start}"]), goals

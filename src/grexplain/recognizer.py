@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
 from .planner import (DEFAULT_BUDGET, distance_tables, optimal_costs,
                       sweep_costs)
-from .strips import DomainDefinition, GroundAction, State, applicable, apply
+from .strips import DomainDefinition, GroundAction, State, step
 
 DEFAULT_TIE_TOLERANCE = 1e-9
 
@@ -93,15 +93,15 @@ class GrProblem:
 def validate_observations(domain: DomainDefinition, initial: State,
                           observations: Sequence[Observation]) -> None:
     """Check an observation chain progresses validly from the initial state."""
-    state = initial
+    state = domain.encode(initial)
     for i, obs in enumerate(observations, start=1):
         if not domain.has_action(obs.action.name):
             raise InvalidObservationChain(i, f"unknown action {obs.action.name}")
-        if not applicable(state, obs.action):
+        state = step(state, obs.action)
+        if state is None:
             raise InvalidObservationChain(
                 i, f"action {obs.action.name} is not applicable")
-        state = apply(state, obs.action)
-        if state != obs.resulting_state:
+        if domain.decode(state) != obs.resulting_state:
             raise InvalidObservationChain(
                 i, f"recorded state does not match applying {obs.action.name}")
 

@@ -105,8 +105,9 @@ def _goal_symbols(problem: GrProblem):
 def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
     """Map view with observation arrows and optional marker highlights.
 
-    Arrows mark the cell each observed action left; ``highlight`` is a set of
-    observation indices whose source cells are drawn as hollow dots.
+    The start cell keeps its ``@``; arrows mark the other cells observed
+    actions left.  ``highlight`` is a set of observation indices whose source
+    cells, the start cell included, are drawn as hollow dots.
     """
     ann = problem.domain.annotations
     width, height = ann.get("width"), ann.get("height")
@@ -122,15 +123,17 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
         kind, cell = parse_fact(fact)
         if kind in _PIECES:
             cells[cell] = _PIECES[kind]
+    start = next((c for c, symbol in cells.items() if symbol == "@"), None)
 
     for i, obs in enumerate(problem.observations, start=1):
         parsed = parse_move(obs.action.name)
         if parsed is None:
             continue
         _, direction, src, _ = parsed
-        cells[src] = _ARROWS[direction]
         if highlight and i in highlight:
             cells[src] = "o"
+        elif src != start:
+            cells[src] = _ARROWS[direction]
 
     rows = []
     for r in range(height):

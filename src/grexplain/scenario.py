@@ -25,18 +25,18 @@ counterfactual actions for the agreement metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Union
 
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import MalformedSpec, ParseError, ValidationError
 from .grids import DIRECTIONS, GridSpec, compile_grid, offset, parse_fact
 from .recognizer import GrProblem, Observation
 from .sokoban import SokobanSpec, compile_sokoban
-from .strips import DomainDefinition, GroundAction, State, applicable, apply
+from .strips import DomainDefinition, GroundAction, step
 
 @dataclass(frozen=True)
 class StripsListing:
@@ -109,25 +109,27 @@ def _read_map(text, kind: str) -> dict:
     ``#`` cells are a grid's ``blocked`` or a board's ``walls``, ``@`` is the
     ``start`` or ``player`` cell, and the label cells, in label order, are a
     grid's ``goals`` or a board's ``storage``.  ``$`` marks a Sokoban
-    ``boxes`` cell (a grid reads it as free floor)."""
+    ``boxes`` cell.  A second ``@``, a label on a second cell and a ``$`` on
+    a grid map are errors that name the symbol and its row."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("map: expected a non-empty ASCII map")
     rows = [line.rstrip() for line in text.splitlines() if line.strip()]
     width = max(len(r) for r in rows)
-    walls, boxes, labels, start = [], [], {}, None
+    walls, boxes, labels = [], [], {}
     for r, row in enumerate(rows):
         for c, ch in enumerate(row.ljust(width, ".")):
             cell = r * width + c + 1
             if ch == "#":
                 walls.append(cell)
-            elif ch == "@":
-                start = cell
-            elif ch == "$":
+            elif ch == "$" and kind == "sokoban":
                 boxes.append(cell)
-            elif ch.isalnum():
+            elif (ch == "@" or ch.isalnum()) and ch not in labels:
                 labels[ch] = cell
             elif ch != ".":
-                raise ParseError(f"map: unknown symbol {ch!r} at row {r + 1}")
+                why = ("repeats an earlier cell" if ch in labels
+                       else f"is not allowed on a {kind} map")
+                raise ParseError(f"map: symbol {ch!r} at row {r + 1} {why}")
+    start = labels.pop("@", None)
     if start is None:
         raise ParseError("map: no '@' start cell")
     labelled = [labels[k] for k in sorted(labels)]
@@ -147,7 +149,7 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
 
     if kind == "grid":
         body = (_read_map(data["map"], kind) if "map" in data
-                else _require(data, "grid", "scenario"))
+                else _mapping(_require(data, "grid", "scenario"), "grid"))
         spec = GridSpec(
             width=_int(_require(body, "width", "grid"), "grid.width"),
             height=_int(_require(body, "height", "grid"), "grid.height"),
@@ -157,10 +159,9 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
                                        "grid.goals")),
         )
     elif kind == "sokoban":
-        body = _require(data, "sokoban", "scenario")
+        body = _mapping(_require(data, "sokoban", "scenario"), "sokoban")
         if "map" in data:
-            body = {**_mapping(body, "sokoban"),
-                    **_read_map(data["map"], kind)}
+            body = {**body, **_read_map(data["map"], kind)}
         spec = SokobanSpec(
             width=_int(_require(body, "width", "sokoban"), "sokoban.width"),
             height=_int(_require(body, "height", "sokoban"), "sokoban.height"),
@@ -178,7 +179,7 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
                                "sokoban.goals")),
         )
     elif kind == "strips":
-        body = _require(data, "strips", "scenario")
+        body = _mapping(_require(data, "strips", "scenario"), "strips")
         actions = []
         for spec_action in _list(_require(body, "actions", "strips"),
                                  "strips.actions"):
@@ -231,26 +232,32 @@ def _compile(scenario: ScenarioFile):
     if scenario.kind == "sokoban":
         return compile_sokoban(scenario.spec)
     listing = scenario.spec
-    actions = [GroundAction(name, frozenset(pre), frozenset(add), frozenset(dele))
-               for name, pre, add, dele in listing.actions]
+    universe = DomainDefinition(listing.facts, ())
+    actions = []
+    for name, *fact_sets in listing.actions:
+        try:
+            actions.append(GroundAction(name, *map(universe.encode, fact_sets)))
+        except MalformedSpec as exc:
+            raise MalformedSpec(f"action {name}: {exc}") from None
     domain = DomainDefinition(listing.facts, actions)
-    return domain, State(listing.initial), list(listing.goals)
+    return domain, listing.initial, list(listing.goals)
 
 
-def _resolve_direction(domain: DomainDefinition, state: State, word: str,
+def _resolve_direction(domain: DomainDefinition, state: int, word: str,
                        index: int) -> GroundAction:
-    """The first applicable move, push or push2 from the agent's cell toward
-    its neighbour in direction ``word``."""
+    """The first move, push or push2 applicable in the encoded ``state``
+    from the agent's cell toward its neighbour in direction ``word``."""
     width = domain.annotations.get("width")
     if width is None:
         raise ValidationError(
             f"observation {index}: direction words need a board domain")
-    cell = next(cell for kind, cell in map(parse_fact, state)
+    cell = next(cell for kind, cell in map(parse_fact, domain.decode(state))
                 if kind in ("at", "player"))
     nbr = offset(cell, word, width, domain.annotations["height"])
     for verb in ("move", "push", "push2"):
         name = f"{verb}-{word}-{cell}-{nbr}"
-        if domain.has_action(name) and applicable(state, domain.action(name)):
+        if (domain.has_action(name)
+                and step(state, domain.action(name)) is not None):
             return domain.action(name)
     raise ValidationError(f"observation {index}: no applicable {word} action "
                           f"from cell {cell}")
@@ -260,9 +267,10 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
     """Compile a scenario and replay its observation tokens into a validated
     recognition problem."""
     domain, initial, goals = _compile(scenario)
+    problem = GrProblem(domain, initial, goals, goal_names=scenario.goal_names)
 
     observations = []
-    state = initial
+    state = domain.encode(initial)
     for i, token in enumerate(scenario.observations, start=1):
         if token in DIRECTIONS:
             action = _resolve_direction(domain, state, token, i)
@@ -270,17 +278,15 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
             action = domain.action(token)
         else:
             raise ValidationError(f"observation {i}: unknown action {token!r}")
-        if not applicable(state, action):
+        state = step(state, action)
+        if state is None:
             raise ValidationError(
                 f"observation {i}: action {action.name} is not applicable")
-        state = apply(state, action)
-        observations.append(Observation(action, state))
+        observations.append(Observation(action, domain.decode(state)))
 
     if scenario.name:
         domain.annotations.setdefault("name", scenario.name)
-    return GrProblem(domain=domain, initial=initial, goals=tuple(goals),
-                     observations=tuple(observations),
-                     goal_names=scenario.goal_names)
+    return replace(problem, observations=tuple(observations))
 
 
 def load_scenario(path) -> GrProblem:

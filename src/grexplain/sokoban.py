@@ -7,6 +7,13 @@ Pushes require the player adjacent to the box line and the cell beyond it
 clear; with ``multi_push`` a straight line of two boxes can be shoved one cell
 in a single action (the variant where the player may push two boxes at once).
 
+An action ``<verb>-<direction>-<c>-<n>`` starts at cell c; n, b and f are
+the next three cells toward ``direction``.  ``move`` has pre and del
+{player-c, clear-n} and add {player-n, clear-c}; ``push`` has pre and del
+{player-c, box-n, clear-b} and add {player-n, box-b, clear-c}; ``push2`` has
+pre {player-c, box-n, box-b, clear-f}, add {player-n, box-f, clear-c} and
+del {player-c, box-n, clear-f}.
+
 All actions cost 1: plain walking counts toward plan length just like pushes.
 """
 
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedSpec
 from .grids import DIRECTIONS, offset
-from .strips import DomainDefinition, GroundAction, State
+from .strips import DomainDefinition, GroundAction
 
 
 @dataclass(frozen=True)
@@ -63,13 +70,18 @@ class SokobanSpec:
 
 
 def compile_sokoban(spec: SokobanSpec):
-    """Compile a Sokoban board into (domain, initial state, goal fact-sets)."""
+    """Compile a Sokoban board into (domain, initial state, goal fact-sets).
+
+    With ``floor`` the non-wall cells in order, ``player-<floor[i]>``,
+    ``box-<floor[i]>`` and ``clear-<floor[i]>`` are bits i, len(floor) + i
+    and 2 * len(floor) + i.
+    """
     n = spec.width * spec.height
     floor = [c for c in range(1, n + 1) if c not in spec.walls]
-    player = {c: f"player-{c}" for c in floor}
-    box = {c: f"box-{c}" for c in floor}
-    clear = {c: f"clear-{c}" for c in floor}
-    facts = [*player.values(), *box.values(), *clear.values()]
+    k = len(floor)
+    player = {c: 1 << i for i, c in enumerate(floor)}
+    box = {c: 1 << (k + i) for i, c in enumerate(floor)}
+    clear = {c: 1 << (2 * k + i) for i, c in enumerate(floor)}
 
     def step(cell, direction, steps=1):
         """The floor cell ``steps`` moves away, or None at a wall or edge."""
@@ -82,35 +94,28 @@ def compile_sokoban(spec: SokobanSpec):
             dest = step(cell, direction)
             if dest is None:
                 continue
-            actions.append(GroundAction(
-                name=f"move-{direction}-{cell}-{dest}",
-                preconditions=frozenset([player[cell], clear[dest]]),
-                add_effects=frozenset([player[dest], clear[cell]]),
-                delete_effects=frozenset([player[cell], clear[dest]]),
-            ))
+            pre = player[cell] | clear[dest]
+            actions.append(GroundAction(f"move-{direction}-{cell}-{dest}", pre,
+                                        player[dest] | clear[cell], pre))
             box_to = step(cell, direction, 2)
             if box_to is None:
                 continue
+            pre = player[cell] | box[dest] | clear[box_to]
             actions.append(GroundAction(
-                name=f"push-{direction}-{cell}-{dest}",
-                preconditions=frozenset([player[cell], box[dest], clear[box_to]]),
-                add_effects=frozenset([player[dest], box[box_to], clear[cell]]),
-                delete_effects=frozenset([player[cell], box[dest], clear[box_to]]),
-            ))
+                f"push-{direction}-{cell}-{dest}", pre,
+                player[dest] | box[box_to] | clear[cell], pre))
             pair_to = step(cell, direction, 3) if spec.multi_push else None
             if pair_to is None:
                 continue
             # Two boxes in a row shift by one cell; the rear box lands where
             # the front box was, so only the line's ends change.
             actions.append(GroundAction(
-                name=f"push2-{direction}-{cell}-{dest}",
-                preconditions=frozenset(
-                    [player[cell], box[dest], box[box_to], clear[pair_to]]),
-                add_effects=frozenset([player[dest], box[pair_to], clear[cell]]),
-                delete_effects=frozenset(
-                    [player[cell], box[dest], clear[pair_to]]),
-            ))
+                f"push2-{direction}-{cell}-{dest}",
+                player[cell] | box[dest] | box[box_to] | clear[pair_to],
+                player[dest] | box[pair_to] | clear[cell],
+                player[cell] | box[dest] | clear[pair_to]))
 
+    facts = [f"{kind}-{c}" for kind in ("player", "box", "clear") for c in floor]
     domain = DomainDefinition(
         facts, actions,
         annotations={"kind": "sokoban", "width": spec.width, "height": spec.height,
@@ -118,11 +123,11 @@ def compile_sokoban(spec: SokobanSpec):
     )
 
     occupied = {spec.player, *spec.boxes}
-    initial = State(
-        [player[spec.player]]
-        + [box[b] for b in spec.boxes]
-        + [clear[c] for c in floor if c not in occupied]
+    initial = frozenset(
+        [f"player-{spec.player}"]
+        + [f"box-{b}" for b in spec.boxes]
+        + [f"clear-{c}" for c in floor if c not in occupied]
     )
-    goals = [frozenset(box[s] for s in assignment)
+    goals = [frozenset(f"box-{s}" for s in assignment)
              for assignment in spec.goal_assignments]
     return domain, initial, goals

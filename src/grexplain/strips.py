@@ -1,15 +1,16 @@
 """Ground STRIPS world model: facts, states, unit-cost actions, progression.
 
-Facts are strings with lexicographic (stable, total) ordering.  At the
-edges (scenarios, problems, observations, ``apply``, rendering) a state is a
-frozenset of the facts that hold (closed world: anything not listed is
-false).  Inside search a state is a Python ``int``: ``DomainDefinition``
-gives fact i bit i, so ``encode`` packs a fact set into an int,
-applicability is ``pre & s == pre`` and progression is ``s & ~del | add``.
-Names are turned into bits once, when the domain is built, and search never
-sees them again, so facts are not interned.  Compilers share equal fact
-sets between actions (a grid move's precondition and delete effect are one
-frozenset), and equal sets share one mask.
+Facts are strings with lexicographic (stable, total) ordering.  A domain
+numbers its facts in declaration order, fact i is bit i, and a state is a
+Python ``int`` holding the bits of the facts that hold (closed world:
+anything not set is false).  An action is a name plus three such masks, so
+applicability is ``pre & s == pre`` and progression is ``s & ~del | add``
+(``step``).  The compilers write the bits straight from the fact order they
+emit; a raw STRIPS listing turns fact names into masks through ``encode``,
+the one name-to-bit reader, and ``decode`` is its inverse.  Frozensets of
+fact names remain only at the edges: the initial state and goals of a
+recognition problem, an observation's resulting state, a planning task and
+rendering.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
@@ -22,46 +23,51 @@ such as a grid position ``1 << i``, hashes to one of only 61 values.
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
-package uses threads.  States (frozensets) and plans (tuples of actions)
-are plain values.
+package uses threads.  Actions, states and plans (tuples of actions) are
+plain values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import MalformedSpec, NotApplicable
+from .errors import MalformedSpec
 
-# A state is the set of facts that currently hold.
+# At the edges, a state is the set of facts that currently hold.
 State = frozenset
 
-Fact = str
 
-
-@dataclass(frozen=True)
-class GroundAction:
-    """A ground action with positive preconditions and add/delete effects.
+class GroundAction(NamedTuple):
+    """A ground action: positive preconditions and add/delete effects, each
+    an int mask over its domain's facts.
 
     Every action costs 1: plan cost is plan length throughout the package.
     """
 
     name: str
-    preconditions: frozenset
-    add_effects: frozenset
-    delete_effects: frozenset
-
-    def __post_init__(self):
-        for field in ("preconditions", "add_effects", "delete_effects"):
-            object.__setattr__(self, field, frozenset(getattr(self, field)))
-        if self.add_effects & self.delete_effects:
-            raise MalformedSpec(
-                f"action {self.name}: add and delete effects overlap: "
-                f"{sorted(self.add_effects & self.delete_effects)}"
-            )
+    preconditions: int
+    add_effects: int
+    delete_effects: int
 
     def __repr__(self):
         return f"GroundAction({self.name})"
+
+
+def step(state: int, action: GroundAction) -> Optional[int]:
+    """The state ``action`` leads to from ``state``, or None where one of
+    its preconditions does not hold."""
+    pre = action.preconditions
+    if pre & state != pre:
+        return None
+    return state & ~action.delete_effects | action.add_effects
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class DomainDefinition:
@@ -81,46 +87,38 @@ class DomainDefinition:
         if len(self._index) != len(self.facts):
             raise MalformedSpec("duplicate facts in domain universe")
 
+        # Successor index: each action is bucketed under its least-common
+        # precondition fact (its pivot; ties go to the first fact name), so
+        # expansion only tests actions whose pivot holds; condition-free
+        # actions are always candidates.  Actions are ranked by name, so
+        # sorting ranks sorts names.
         self._by_name = {}
+        counts = [0] * len(self.facts)
         for action in self.actions:
-            if action.name in self._by_name:
-                raise MalformedSpec(f"duplicate action name: {action.name}")
-            self._by_name[action.name] = action
-
-        # Successor index over bits: fact i is bit i.  Each action is bucketed
-        # under its least-common precondition fact (its pivot), so expansion
-        # only tests actions whose pivot holds; condition-free actions are
-        # always candidates.  Actions are ranked by name, so sorting ranks
-        # sorts names.  Equal fact sets share one mask int, and encoding a
-        # set is where an undeclared fact is caught.
-        masks = {}
-
-        def mask(facts):
-            found = masks.get(facts)
-            if found is None:
-                found = masks[facts] = self.encode(facts)
-            return found
-
-        counts = {}
-        for action in self.actions:
-            for fact in action.preconditions:
-                counts[fact] = counts.get(fact, 0) + 1
+            name, pre, add, dele = action
+            if name in self._by_name:
+                raise MalformedSpec(f"duplicate action name: {name}")
+            self._by_name[name] = action
+            if (pre | add | dele) >> len(self.facts):
+                raise MalformedSpec(
+                    f"action {name}: a mask bit lies outside the "
+                    f"{len(self.facts)} declared facts")
+            if add & dele:
+                raise MalformedSpec(
+                    f"action {name}: add and delete effects overlap: "
+                    f"{sorted(self.decode(add & dele))}")
+            for i in _bits(pre):
+                counts[i] += 1
         self._by_rank = tuple(sorted(self.actions, key=lambda a: a.name))
-        self._effects = {}  # action name -> (delete mask, add mask)
         self._buckets = {}  # pivot fact index -> [(rank, pre mask)]
         self._unconditional = []
         for rank, action in enumerate(self._by_rank):
-            try:
-                pre = mask(action.preconditions)
-                self._effects[action.name] = (mask(action.delete_effects),
-                                              mask(action.add_effects))
-            except MalformedSpec as exc:
-                raise MalformedSpec(f"action {action.name}: {exc}") from None
-            if not action.preconditions:
+            pre = action.preconditions
+            if not pre:
                 self._unconditional.append(rank)
                 continue
-            pivot = min(action.preconditions, key=lambda f: (counts[f], f))
-            self._buckets.setdefault(self._index[pivot], []).append((rank, pre))
+            pivot = min(_bits(pre), key=lambda i: (counts[i], self.facts[i]))
+            self._buckets.setdefault(pivot, []).append((rank, pre))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
@@ -145,6 +143,10 @@ class DomainDefinition:
             raise MalformedSpec(
                 f"facts not declared in the domain: "
                 f"{sorted(f for f in facts if f not in self._index)}") from None
+
+    def decode(self, state: int) -> frozenset:
+        """The fact set of a state int: the inverse of ``encode``."""
+        return frozenset(self.facts[i] for i in _bits(state))
 
     def applicable_actions(self, state: int) -> list:
         """All actions applicable in the encoded ``state``, sorted by name."""
@@ -177,26 +179,12 @@ class DomainDefinition:
         found = self.rows[state_id]
         if found is None:
             state = self.states[state_id]
-            effects = self._effects
-            found = []
-            for action in self.applicable_actions(state):
-                dele, add = effects[action.name]
-                found.append((action, self.state_id(state & ~dele | add)))
-            found = self.rows[state_id] = tuple(found)
+            found = self.rows[state_id] = tuple([
+                (action, self.state_id(
+                    state & ~action.delete_effects | action.add_effects))
+                for action in self.applicable_actions(state)])
         return found
 
     def __repr__(self):
         return f"DomainDefinition({len(self.facts)} facts, {len(self.actions)} actions)"
 
-
-def applicable(state: State, action: GroundAction) -> bool:
-    """True iff all of the action's preconditions hold in the state."""
-    return action.preconditions <= state
-
-
-def apply(state: State, action: GroundAction) -> State:
-    """Progress a state through an action: (facts \\ deletes) | adds."""
-    if not applicable(state, action):
-        missing = sorted(action.preconditions - state)
-        raise NotApplicable(f"{action.name}: missing preconditions {missing}")
-    return (state - action.delete_effects) | action.add_effects

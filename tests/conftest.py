@@ -6,10 +6,9 @@ from typing import Optional
 
 import pytest
 
-from grexplain import (GridSpec, bundled_scenario_path, compile_grid,
-                       load_scenario)
+from grexplain import (DomainDefinition, GridSpec, GroundAction,
+                       bundled_scenario_path, compile_grid, load_scenario)
 from grexplain.recognizer import GrProblem, Observation
-from grexplain.strips import applicable, apply
 
 
 @pytest.fixture(scope="session")
@@ -22,13 +21,35 @@ def sokoban_problem():
     return load_scenario(bundled_scenario_path("sokoban_pairs"))
 
 
+def strips_domain(facts, rows):
+    """A domain over ``facts`` whose actions are given as (name, pre, add,
+    delete) rows of fact names, turned into masks by ``encode``."""
+    universe = DomainDefinition(facts, ())
+    return DomainDefinition(facts, [
+        GroundAction(name, *map(universe.encode, fact_sets))
+        for name, *fact_sets in rows])
+
+
+def applicable(domain, state, action) -> bool:
+    """Applicability oracle on fact sets: the action's decoded
+    preconditions all hold in ``state``."""
+    return domain.decode(action.preconditions) <= state
+
+
+def apply(domain, state, action):
+    """Progression oracle on fact sets: (state \\ deletes) | adds, with the
+    action's effects decoded from its masks."""
+    return ((state - domain.decode(action.delete_effects))
+            | domain.decode(action.add_effects))
+
+
 def walk(domain, initial, names):
     """Build an observation chain from action names."""
     state = initial
     out = []
     for name in names:
         action = domain.action(name)
-        state = apply(state, action)
+        state = apply(domain, state, action)
         out.append(Observation(action, state))
     return tuple(out)
 
@@ -94,16 +115,16 @@ class PlanCheck:
 def validate_plan(domain, initial, goal, plan) -> PlanCheck:
     """Plan oracle: check that ``plan`` (a sequence of actions) is executable
     from ``initial`` in ``domain`` and reaches ``goal``, replaying it with
-    ``apply`` rather than the successor table.  Invalid plans are reported,
+    the ``apply`` oracle rather than the successor table.  Invalid plans are reported,
     not raised: the result carries a reason code and the index of the first
     failing step."""
     state = initial
     for i, action in enumerate(plan):
         if not domain.has_action(action.name):
             return PlanCheck(False, f"unknown-action:{action.name}", i)
-        if not applicable(state, action):
+        if not applicable(domain, state, action):
             return PlanCheck(False, f"not-applicable:{action.name}", i)
-        state = apply(state, action)
+        state = apply(domain, state, action)
     if not goal <= state:
         return PlanCheck(False, "goal-not-reached", len(plan))
     return PlanCheck(True)

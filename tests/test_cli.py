@@ -289,6 +289,13 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
      "observations: []\n", None, None),
     ("kind: sokoban\nmap: |\n  @$$12\nsokoban: 5\nobservations: []\n",
      None, None),
+    ("kind: grid\nmap: |\n  @.1\n  #.1\n  .@2\nobservations: []\n",
+     None, None),
+    ("kind: grid\nmap: |\n  @$1\n  ..2\nobservations: [right]\n",
+     None, None),
+    ("kind: grid\ngrid: 5\nobservations: []\n", None, None),
+    ("kind: sokoban\nsokoban: 5\nobservations: []\n", None, None),
+    ("kind: strips\nstrips: 5\nobservations: []\n", None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -298,7 +305,10 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
         "ranks-not-a-mapping", "cf-actions-not-a-mapping", "prior-bool",
         "priors-overflow", "prior-past-float-range", "prior-underflows",
         "priors-invalid-yaml", "cf-actions-unknown-goal",
-        "sokoban-map-no-start", "sokoban-map-body-not-a-mapping"])
+        "sokoban-map-no-start", "sokoban-map-body-not-a-mapping",
+        "grid-map-repeats-symbols", "grid-map-box",
+        "grid-body-not-a-mapping", "sokoban-body-not-a-mapping",
+        "strips-body-not-a-mapping"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"
@@ -520,6 +530,31 @@ def test_structured_output_matches_reference_digests(tmp_path):
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
             if code != 0 or digest != reference[path.stem][verb]:
                 mismatched.append(f"{path.stem}/{verb}")
+    assert mismatched == []
+
+
+def test_pool_boards_match_reference_digests(tmp_path):
+    """The first board of each rung of the benchmark's generated pools
+    (34x34 grids and ``multi_push`` Sokoban boards among them) reproduces
+    the SHA-256 of its reference structured output under every digested
+    verb."""
+    verbs = {"recognize": ["recognize"],
+             "whynot": ["explain", "--question", "whynot"]}
+    board, out = tmp_path / "board.yaml", tmp_path / "out.json"
+    checked, mismatched = [], []
+    for pool in ("grid_ladder", "sokoban_deep"):
+        rungs = json.loads((ROOT / "perfbench" / "pool" / f"{pool}.json")
+                           .read_text())
+        for entry in (entries[0] for entries in rungs.values()):
+            board.write_text(entry["scenario"])
+            for verb, digest in entry["digests"].items():
+                code = main([*verbs[verb], "--scenario", str(board),
+                             "--format", "structured", "--out", str(out)])
+                checked.append(f"{entry['name']}/{verb}")
+                if (code != 0 or hashlib.sha256(out.read_bytes()).hexdigest()
+                        != digest):
+                    mismatched.append(checked[-1])
+    assert len(checked) == 10
     assert mismatched == []
 
 

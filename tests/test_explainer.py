@@ -10,7 +10,7 @@ from grexplain import (EmptyExplanan, GridSpec, GrProblem, UnsolvableGoal,
 from grexplain.explainer import CompleteExplanan, ExplananEntry
 from grexplain.recognizer import PosteriorTrace
 
-from conftest import validate_plan, walk
+from conftest import applicable, validate_plan, walk
 
 
 def explanan_from(entries, n=None, predicted=None, counterfactual=None):
@@ -227,7 +227,7 @@ def test_nav_counterfactual_actions(nav_problem):
 
 
 def test_counterfactual_action_is_applicable_and_starts_valid_plan(nav_problem):
-    from grexplain import PlanningTask, applicable, optimal_plan
+    from grexplain import PlanningTask, optimal_plan
 
     trace = mirror_posteriors(nav_problem)
     explanan = build_explanan(trace)
@@ -235,7 +235,7 @@ def test_counterfactual_action_is_applicable_and_starts_valid_plan(nav_problem):
         marker = markers[0]
         action = counterfactual_action(nav_problem, marker, g_prime)
         state = nav_problem.state_before(marker.observation_index)
-        assert applicable(state, action)
+        assert applicable(nav_problem.domain, state, action)
         goal = nav_problem.goals[g_prime]
         plan = optimal_plan(PlanningTask(nav_problem.domain, state, goal))
         assert plan[0] == action

@@ -4,14 +4,13 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grexplain import (BudgetExceeded, DomainDefinition, GridSpec,
-                       GroundAction, PlanningTask, SokobanSpec, compile_grid,
-                       compile_sokoban, optimal_cost, optimal_costs,
-                       optimal_plan)
+from grexplain import (BudgetExceeded, GridSpec, PlanningTask, SokobanSpec,
+                       compile_grid, compile_sokoban, optimal_cost,
+                       optimal_costs, optimal_plan)
 from grexplain.planner import distance_tables
-from grexplain.strips import applicable, apply
 
-from conftest import bfs_grid_distance, random_grid_spec
+from conftest import (applicable, apply, bfs_grid_distance, random_grid_spec,
+                      strips_domain)
 from grexplain.grids import DIRECTIONS, offset
 
 
@@ -81,12 +80,10 @@ def test_lexicographic_tie_break_full_sequence():
 def test_plan_step_is_first_named_action_between_two_states():
     # b-go and a-go both lead from {start} to {mid}; the plan takes a-go,
     # the action that discovered {mid}, not b-go, declared first
-    actions = [GroundAction(name, frozenset(pre), frozenset(add), frozenset(dele))
-               for name, pre, add, dele in [
-                   ("b-go", {"start"}, {"mid"}, {"start"}),
-                   ("a-go", {"start"}, {"mid"}, {"start"}),
-                   ("finish", {"mid"}, {"end"}, {"mid"})]]
-    domain = DomainDefinition(["start", "mid", "end"], actions)
+    domain = strips_domain(["start", "mid", "end"], [
+        ("b-go", {"start"}, {"mid"}, {"start"}),
+        ("a-go", {"start"}, {"mid"}, {"start"}),
+        ("finish", {"mid"}, {"end"}, {"mid"})])
     plan = optimal_plan(PlanningTask(domain, frozenset({"start"}),
                                      frozenset({"end"})))
     assert [a.name for a in plan] == ["a-go", "finish"]
@@ -152,7 +149,7 @@ def sweep_cases(draw):
         moves = domain.applicable_actions(domain.encode(state))
         if not moves:
             break
-        state = apply(state, draw(st.sampled_from(moves)))
+        state = apply(domain, state, draw(st.sampled_from(moves)))
     return spec, state
 
 
@@ -176,8 +173,8 @@ def reachable_states(domain, initial):
     while queue:
         state = queue.popleft()
         for action in domain.actions:
-            if applicable(state, action):
-                succ = apply(state, action)
+            if applicable(domain, state, action):
+                succ = apply(domain, state, action)
                 if succ not in seen:
                     seen.add(succ)
                     queue.append(succ)
@@ -206,12 +203,11 @@ def strips_problems(draw):
     three goals, any of which may be unreachable."""
     facts = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
     subsets = st.frozensets(st.sampled_from(facts))
-    actions = []
+    rows = []
     for i in range(draw(st.integers(0, 6))):
         add = draw(subsets)
-        actions.append(GroundAction(f"a{i}", draw(subsets), add,
-                                    draw(subsets) - add))
-    return (DomainDefinition(facts, actions), draw(subsets),
+        rows.append((f"a{i}", draw(subsets), add, draw(subsets) - add))
+    return (strips_domain(facts, rows), draw(subsets),
             draw(st.lists(subsets, min_size=1, max_size=3)))
 
 

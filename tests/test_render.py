@@ -89,15 +89,15 @@ def test_ascii_grid_rendering(nav_problem):
     art = render_ascii(nav_problem, highlight={4, 7})
     rows = art.splitlines()
     assert rows[0] == "....1##2."
-    assert "o" in rows[2]  # marker at cell 23 (row 3)
-    assert ">" in rows[2]
+    # the start (cell 20) keeps its @; markers o4 and o7 leave cells 23, 26
+    assert rows[2] == ".@>>o>>o."
     assert rows[-1].startswith("legend:")
 
 
 def test_ascii_sokoban_rendering(sokoban_problem):
     rows = render_ascii(sokoban_problem).splitlines()
-    # the player's start (cell 2) is drawn over by the first observed move
-    assert rows[:-1] == ["#>>>>v...", ".#.#.v...", ".12$<<34.", "...#.#...",
+    # the player's start (cell 2) keeps its @; arrows mark the later cells
+    assert rows[:-1] == ["#@>>>v...", ".#.#.v...", ".12$<<34.", "...#.#...",
                          "....6...."]
 
 

@@ -3,13 +3,15 @@ import textwrap
 import pytest
 
 from grexplain import (GridSpec, ParseError, SokobanSpec, ValidationError,
-                       applicable, apply, bundled_bench_paths,
-                       bundled_scenario_path, compile_grid, compile_sokoban,
+                       bundled_bench_paths, bundled_scenario_path,
+                       compile_grid, compile_sokoban,
                        load_annotations, load_priors, load_scenario,
                        mirror_posteriors)
 from grexplain.grids import DIRECTIONS
 from grexplain.scenario import (_resolve_direction, parse_scenario,
                                 parse_scenario_file, serialize_scenario)
+
+from conftest import applicable, apply
 
 
 def write(tmp_path, text, name="scenario.yaml"):
@@ -91,21 +93,25 @@ def test_direction_words_resolve_to_the_unique_applicable_action(compiled,
     while frontier:
         state = frontier.pop()
         for action in domain.actions:
-            if applicable(state, action) and apply(state, action) not in seen:
-                seen.add(apply(state, action))
-                frontier.append(apply(state, action))
+            if applicable(domain, state, action):
+                succ = apply(domain, state, action)
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
     resolved = set()
     for state in seen:
         for word in DIRECTIONS:
             expected = [a for a in domain.actions
-                        if a.name.split("-")[1] == word and applicable(state, a)]
+                        if a.name.split("-")[1] == word
+                        and applicable(domain, state, a)]
             assert len(expected) <= 1
+            encoded = domain.encode(state)
             if expected:
-                assert _resolve_direction(domain, state, word, 1) == expected[0]
+                assert _resolve_direction(domain, encoded, word, 1) == expected[0]
                 resolved.add(expected[0].name.split("-")[0])
             else:
                 with pytest.raises(ValidationError):
-                    _resolve_direction(domain, state, word, 1)
+                    _resolve_direction(domain, encoded, word, 1)
     assert resolved == verbs
 
 
@@ -157,6 +163,25 @@ def test_map_and_explicit_forms_agree():
         "observations": ["right"],
     })
     assert by_map.spec == explicit.spec
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "grid", "map": "@.1\n#.1\n.@2"},
+     "map: symbol '1' at row 2 repeats an earlier cell"),
+    ({"kind": "grid", "map": "@.1\n#.2\n.@."},
+     "map: symbol '@' at row 3 repeats an earlier cell"),
+    ({"kind": "grid", "map": "@$1\n..2"},
+     "map: symbol '$' at row 1 is not allowed on a grid map"),
+    ({"kind": "grid", "grid": 5}, "grid: expected a mapping, got 5"),
+    ({"kind": "sokoban", "sokoban": 5}, "sokoban: expected a mapping, got 5"),
+    ({"kind": "strips", "strips": 5}, "strips: expected a mapping, got 5"),
+    ({"kind": "grid", "grid": None}, "grid: missing required field 'width'"),
+], ids=["repeated-label", "second-start", "box-on-grid", "grid-body",
+        "sokoban-body", "strips-body", "null-body"])
+def test_malformed_boards_name_the_fault(data, message):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(data)
+    assert str(err.value) == message
 
 
 def test_strips_kind_end_to_end(tmp_path):

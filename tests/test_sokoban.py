@@ -2,8 +2,10 @@ from collections import deque
 
 import pytest
 
-from grexplain import (MalformedSpec, PlanningTask, SokobanSpec, applicable,
-                       apply, compile_sokoban, optimal_cost, optimal_plan)
+from grexplain import (MalformedSpec, PlanningTask, SokobanSpec,
+                       compile_sokoban, optimal_cost, optimal_plan)
+
+from conftest import applicable, apply
 
 
 def boxes_of(state):
@@ -25,8 +27,8 @@ def test_pair_push_moves_both_boxes_one_cell():
     spec = SokobanSpec(5, 1, frozenset(), 1, (2, 3), (4, 5), ((4, 5),), True)
     domain, initial, _ = compile_sokoban(spec)
     action = domain.action("push2-right-1-2")
-    assert applicable(initial, action)
-    after = apply(initial, action)
+    assert applicable(domain, initial, action)
+    after = apply(domain, initial, action)
     assert boxes_of(initial) == {2, 3}
     assert boxes_of(after) == {3, 4}
     assert player_of(after) == 2
@@ -36,7 +38,7 @@ def test_single_push_blocked_by_second_box_without_multi_push():
     spec = SokobanSpec(5, 1, frozenset(), 1, (2, 3), (4, 5), ((4, 5),), False)
     domain, initial, goals = compile_sokoban(spec)
     push = domain.action("push-right-1-2")
-    assert not applicable(initial, push)  # destination holds the far box
+    assert not applicable(domain, initial, push)  # destination holds the far box
     assert not domain.has_action("push2-right-1-2")
     assert domain.applicable_actions(domain.encode(initial)) == []
     assert optimal_cost(PlanningTask(domain, initial, goals[0])) is None
@@ -46,8 +48,8 @@ def test_multi_push_line_is_limited_to_two_boxes():
     spec = SokobanSpec(6, 1, frozenset(), 1, (2, 3, 4), (5, 6), ((5, 6),), True)
     domain, initial, _ = compile_sokoban(spec)
     # three boxes in line: neither the single nor the pair push applies
-    assert not applicable(initial, domain.action("push-right-1-2"))
-    assert not applicable(initial, domain.action("push2-right-1-2"))
+    assert not applicable(domain, initial, domain.action("push-right-1-2"))
+    assert not applicable(domain, initial, domain.action("push2-right-1-2"))
 
 
 @pytest.mark.parametrize("multi", [False, True])
@@ -78,7 +80,7 @@ def test_push_legality_exhaustive_enumeration(multi):
                     assert (target - 1) // 5 == (int(src) - 1) // 5
                 assert target not in occupied
                 pushes_checked += 1
-            succ = apply(state, action)
+            succ = apply(domain, state, action)
             if succ not in seen:
                 seen.add(succ)
                 queue.append(succ)
@@ -95,7 +97,8 @@ def test_successor_table_matches_apply_on_reachable_states(multi):
     queue = deque([initial])
     while queue:
         state = queue.popleft()
-        expected = [(a, apply(state, a)) for a in by_name if applicable(state, a)]
+        expected = [(a, apply(domain, state, a)) for a in by_name
+                    if applicable(domain, state, a)]
         row = domain.expand(domain.state_id(domain.encode(state)))
         assert [(a, domain.states[succ]) for a, succ in row] == [
             (a, domain.encode(succ)) for a, succ in expected]

@@ -4,24 +4,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
-                       NotApplicable, PlanningTask, State, applicable, apply,
-                       compile_grid, optimal_plan)
+                       PlanningTask, SokobanSpec, State, compile_grid,
+                       compile_sokoban, optimal_plan)
+from grexplain.grids import offset, parse_move
+from grexplain.scenario import ScenarioFile, StripsListing, build_problem
+from grexplain.strips import step
 
-from conftest import random_grid_spec, validate_plan
+from conftest import (applicable, apply, random_grid_spec, strips_domain,
+                      validate_plan)
 
-
-def act(name, pre=(), add=(), dele=()):
-    return GroundAction(name, frozenset(pre), frozenset(add), frozenset(dele))
+MOVE_7_4 = ("move-up-7-4", ["at-7"], ["at-4"], ["at-7"])
 
 
 def test_applicable_subset_identity():
-    a = act("move-up-7-4", pre=["at-7"], add=["at-4"], dele=["at-7"])
-    assert applicable(State(["at-7"]), a)
+    domain = strips_domain(["at-4", "at-7"], [MOVE_7_4])
+    (action,) = domain.actions
+    assert domain.applicable_actions(domain.encode(["at-7"])) == [action]
+    assert step(domain.encode(["at-7"]), action) is not None
 
 
 def test_applicable_missing_precondition():
-    a = act("move-up-4-1", pre=["at-4"], add=["at-1"], dele=["at-4"])
-    assert not applicable(State(["at-7"]), a)
+    domain = strips_domain(["at-1", "at-4", "at-7"],
+                           [("move-up-4-1", ["at-4"], ["at-1"], ["at-4"])])
+    assert domain.applicable_actions(domain.encode(["at-7"])) == []
+    assert step(domain.encode(["at-7"]), domain.actions[0]) is None
 
 
 def test_applicable_agrees_with_naive_subset_oracle():
@@ -30,50 +36,47 @@ def test_applicable_agrees_with_naive_subset_oracle():
     for _ in range(300):
         state = State(f for f in facts if rng.random() < 0.5)
         pre = frozenset(f for f in facts if rng.random() < 0.3)
-        a = act("probe", pre=pre)
+        domain = strips_domain(facts, [("probe", pre, (), ())])
         naive = all(f in state for f in pre)
-        assert applicable(state, a) == naive
+        assert bool(domain.applicable_actions(domain.encode(state))) == naive
+        assert (step(domain.encode(state), domain.actions[0])
+                is not None) == naive
 
 
 def test_apply_single_fact_swap():
-    a = act("move-up-7-4", pre=["at-7"], add=["at-4"], dele=["at-7"])
-    assert apply(State(["at-7"]), a) == State(["at-4"])
+    domain = strips_domain(["at-4", "at-7"], [MOVE_7_4])
+    after = step(domain.encode(["at-7"]), domain.actions[0])
+    assert domain.decode(after) == State(["at-4"])
 
 
 def test_apply_empty_effects_is_identity():
-    a = act("noop", pre=["at-7"])
-    state = State(["at-7", "extra"])
-    assert apply(state, a) == state
-
-
-def test_apply_raises_when_not_applicable():
-    a = act("move-up-4-1", pre=["at-4"], add=["at-1"], dele=["at-4"])
-    with pytest.raises(NotApplicable):
-        apply(State(["at-7"]), a)
+    domain = strips_domain(["at-7", "extra"], [("noop", ["at-7"], (), ())])
+    state = domain.encode(["at-7", "extra"])
+    assert step(state, domain.actions[0]) == state
 
 
 def test_apply_is_pure():
-    a = act("move-up-7-4", pre=["at-7"], add=["at-4"], dele=["at-7"])
-    state = State(["at-7"])
-    first = apply(state, a)
-    second = apply(state, a)
-    assert first == second
-    assert state == State(["at-7"])
+    domain = strips_domain(["at-4", "at-7"], [MOVE_7_4])
+    (action,) = domain.actions
+    state = domain.encode(["at-7"])
+    assert step(state, action) == step(state, action)
+    assert action == GroundAction("move-up-7-4", 0b10, 0b01, 0b10)
 
 
 def test_chained_apply_matches_independent_interpreter():
-    # Independent step-by-step interpreter over dict-based states.
+    # Independent step-by-step interpreter over set-based states.
     domain, initial, goals = compile_grid(GridSpec(4, 4, frozenset(), 13, (4,)))
     plan = optimal_plan(PlanningTask(domain, initial, goals[0]))
     assert plan is not None
 
-    state = initial
+    state = domain.encode(initial)
     shadow = set(initial)
     for action in plan:
-        state = apply(state, action)
-        assert set(action.preconditions) <= shadow
-        shadow = (shadow - set(action.delete_effects)) | set(action.add_effects)
-        assert state == frozenset(shadow)
+        state = step(state, action)
+        assert domain.decode(action.preconditions) <= shadow
+        shadow = ((shadow - domain.decode(action.delete_effects))
+                  | domain.decode(action.add_effects))
+        assert domain.decode(state) == frozenset(shadow)
 
 
 def test_frame_property_random_actions():
@@ -84,11 +87,12 @@ def test_frame_property_random_actions():
         state = State(set(pre) | {f for f in facts if rng.random() < 0.4})
         add = frozenset(f for f in facts if rng.random() < 0.2)
         dele = frozenset(f for f in facts if rng.random() < 0.2) - add
-        a = act("x", pre=pre, add=add, dele=dele)
-        out = apply(state, a)
+        domain = strips_domain(facts, [("x", pre, add, dele)])
+        out = domain.decode(step(domain.encode(state), domain.actions[0]))
         untouched = state - add - dele
         assert untouched <= out
         assert (out - add - (state - dele)) == frozenset()
+        assert out == apply(domain, state, domain.actions[0])
 
 
 def test_validate_plan_empty_plan_goal_satisfied():
@@ -125,20 +129,23 @@ def test_planner_output_always_validates():
 
 
 def test_domain_rejects_duplicate_action_names():
-    a = act("dup", pre=["f0"])
+    a = GroundAction("dup", 0b1, 0, 0)
     with pytest.raises(MalformedSpec):
         DomainDefinition(["f0"], [a, a])
 
 
 def test_domain_rejects_unknown_facts():
-    a = act("x", pre=["nope"])
-    with pytest.raises(MalformedSpec):
-        DomainDefinition(["f0"], [a])
+    listing = StripsListing(facts=("f0",), actions=(("x", ("nope",), (), ()),),
+                            initial=frozenset(), goals=(frozenset(),))
+    with pytest.raises(MalformedSpec, match=r"action x: .*\['nope'\]"):
+        build_problem(ScenarioFile("strips", listing, ()))
+    with pytest.raises(MalformedSpec, match="action x: .*outside"):
+        DomainDefinition(["f0"], [GroundAction("x", 0b10, 0, 0)])
 
 
 def test_action_rejects_overlapping_effects():
-    with pytest.raises(MalformedSpec):
-        act("bad", add=["f0"], dele=["f0"])
+    with pytest.raises(MalformedSpec, match=r"overlap: \['f1'\]"):
+        DomainDefinition(["f0", "f1"], [GroundAction("bad", 0, 0b11, 0b10)])
 
 
 @st.composite
@@ -165,10 +172,9 @@ def strips_domains(draw):
     names = draw(st.lists(st.text("abxyz-", min_size=1, max_size=4),
                           min_size=len(specs), max_size=len(specs),
                           unique=True))
-    actions = [act(n, pre, add, dele)
-               for n, (pre, add, dele) in zip(names, specs)]
+    domain = strips_domain(facts, [(n, *sets) for n, sets in zip(names, specs)])
     states = draw(st.lists(subsets, min_size=1, max_size=6))
-    return DomainDefinition(facts, actions), actions, states
+    return domain, domain.actions, states
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,15 +182,63 @@ def strips_domains(draw):
 def test_successor_table_matches_apply_oracle(case):
     domain, actions, states = case
     for state in states:  # repeats read the table
-        expected = [(a, domain.encode(apply(state, a)))
+        expected = [(a, domain.encode(apply(domain, state, a)))
                     for a in sorted(actions, key=lambda a: a.name)
-                    if applicable(state, a)]
+                    if applicable(domain, state, a)]
         row = domain.expand(domain.state_id(domain.encode(state)))
         assert [(a, domain.states[succ]) for a, succ in row] == expected
 
 
 def test_encode_names_undeclared_facts():
-    domain = DomainDefinition(["a", "b"], [act("go", pre=["a"], add=["b"])])
+    domain = strips_domain(["a", "b"], [("go", ["a"], ["b"], ())])
     assert domain.encode(["a", "b"]) == 0b11
     with pytest.raises(MalformedSpec, match=r"\['zzz'\]"):
         domain.encode(["a", "zzz"])
+
+
+def named_facts(kind, name, width, height):
+    """(pre, add, del) fact sets a board action name implies, read from the
+    ``grids`` and ``sokoban`` module docstrings rather than the compilers."""
+    verb, direction, cell, nbr = parse_move(name)
+    assert nbr == offset(cell, direction, width, height), name
+    if kind == "grid":
+        return {f"at-{cell}"}, {f"at-{nbr}"}, {f"at-{cell}"}
+    beyond = offset(cell, direction, width, height, 2)
+    far = offset(cell, direction, width, height, 3)
+    if verb == "move":
+        pre = {f"player-{cell}", f"clear-{nbr}"}
+        return pre, {f"player-{nbr}", f"clear-{cell}"}, pre
+    if verb == "push":
+        pre = {f"player-{cell}", f"box-{nbr}", f"clear-{beyond}"}
+        return pre, {f"player-{nbr}", f"box-{beyond}", f"clear-{cell}"}, pre
+    return ({f"player-{cell}", f"box-{nbr}", f"box-{beyond}", f"clear-{far}"},
+            {f"player-{nbr}", f"box-{far}", f"clear-{cell}"},
+            {f"player-{cell}", f"box-{nbr}", f"clear-{far}"})
+
+
+@st.composite
+def compiled_boards(draw):
+    """A drawn grid, or a drawn Sokoban board with ``multi_push`` on or off,
+    as (kind, width, height, domain)."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = list(range(1, width * height + 1))
+    start = draw(st.sampled_from(cells))
+    walls = draw(st.frozensets(st.sampled_from(cells))) - {start}
+    if draw(st.booleans()):
+        spec = GridSpec(width, height, walls, start, (start,))
+        return "grid", width, height, compile_grid(spec)[0]
+    spec = SokobanSpec(width, height, walls, start, (), (), (),
+                       draw(st.booleans()))
+    return "sokoban", width, height, compile_sokoban(spec)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(compiled_boards(), st.data())
+def test_compiled_masks_match_the_facts_action_names_imply(board, data):
+    kind, width, height, domain = board
+    for action in domain.actions:
+        decoded = tuple(set(domain.decode(mask)) for mask in (
+            action.preconditions, action.add_effects, action.delete_effects))
+        assert decoded == named_facts(kind, action.name, width, height)
+    facts = data.draw(st.frozensets(st.sampled_from(domain.facts)))
+    assert domain.decode(domain.encode(facts)) == facts
