@@ -65,7 +65,7 @@ def _goal_index(problem, label):
 def cmd_recognize(args):
     problem, trace, _ = _run(args, explain=False)
     payload = {
-        "scenario": problem.domain.annotations.get("name", str(args.scenario)),
+        "scenario": problem.name or str(args.scenario),
         "goals": list(problem.goal_names),
         "prior": list(trace.prior),
         "posteriors": [list(d) for d in trace.per_prefix],
@@ -94,7 +94,7 @@ def cmd_explain(args):
         goal_filter = [_goal_index(problem, args.goal)]
 
     payload = {
-        "scenario": problem.domain.annotations.get("name", str(args.scenario)),
+        "scenario": problem.name or str(args.scenario),
         "question": args.question,
         "entries": [_entry_dict(problem, e) for e in explanan.entries],
         "excluded_observations": list(explanan.excluded_observations),
@@ -138,7 +138,7 @@ def cmd_rank(args):
     problem, _, explanan = _run(args)
     why_ranks, whynot_ranks = rank_observations(explanan)
     payload = {
-        "scenario": problem.domain.annotations.get("name", str(args.scenario)),
+        "scenario": problem.name or str(args.scenario),
         "why_ranks": {f"o{i}": r for i, r in why_ranks.items()},
         "whynot_ranks": {f"o{i}": r for i, r in whynot_ranks.items()},
     }
@@ -178,7 +178,7 @@ def cmd_eval(args):
     why_ranks, whynot_ranks = rank_observations(explanan)
 
     payload = {
-        "scenario": annotations.scenario or problem.domain.annotations.get("name"),
+        "scenario": annotations.scenario or problem.name or None,
         "why_mae": eval_mae(why_ranks, annotations.why_ranks, n),
         "whynot_mae": eval_mae(whynot_ranks, annotations.whynot_ranks, n),
     }

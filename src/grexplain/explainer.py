@@ -165,6 +165,7 @@ class CfSelection:
 class WhyNotAnswer:
     selections: tuple
     rendered: str = ""
+    planning_s: float = 0.0  # seconds spent in counterfactual_action
 
     @property
     def markers(self) -> tuple:
@@ -256,22 +257,21 @@ def answer_why(problem: GrProblem, explanan: CompleteExplanan,
 
 def answer_why_not(problem: GrProblem, explanan: CompleteExplanan,
                    goals: Optional[Sequence[int]] = None,
-                   budget: int = DEFAULT_BUDGET,
-                   cf_timer: Optional[list] = None) -> WhyNotAnswer:
+                   budget: int = DEFAULT_BUDGET) -> WhyNotAnswer:
     """Assemble and render the "why not g'?" answer.
 
     On marker ties the counterfactual action is planned from the earliest
     marker (the first point the evidence turned against the goal).  A goal
     with no entries at all is reported as ruled out by infeasibility (its
     posterior hit zero) or as carrying no evidence (it never separated from
-    the predicted goal).  If ``cf_timer`` is given, seconds spent in
-    counterfactual planning are accumulated into it; timing is passive and
-    never changes the answer.
+    the predicted goal).  ``planning_s`` totals the seconds spent planning
+    counterfactual actions; timing is passive and never changes the answer.
     """
     from .render import render
 
     cf_groups = dict(select_cf_om(explanan))
     selections = []
+    planning_s = 0.0
     for g_prime in sorted(explanan.counterfactual):
         if goals is not None and g_prime not in goals:
             continue
@@ -291,12 +291,10 @@ def answer_why_not(problem: GrProblem, explanan: CompleteExplanan,
                 selection.status = "already-satisfied"
         except UnsolvableGoal:
             selection.status = "unsolvable"
-        finally:
-            if cf_timer is not None:
-                cf_timer.append(time.perf_counter() - started)
+        planning_s += time.perf_counter() - started
         selections.append(selection)
 
-    answer = WhyNotAnswer(selections=tuple(selections))
+    answer = WhyNotAnswer(selections=tuple(selections), planning_s=planning_s)
     answer.rendered = render(answer, problem)
     return answer
 

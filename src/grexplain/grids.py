@@ -98,10 +98,6 @@ def compile_grid(spec: GridSpec):
                 continue
             actions.append(GroundAction(f"move-{direction}-{cell}-{nbr}",
                                         here, 1 << (nbr - 1), here))
-    domain = DomainDefinition(
-        [f"at-{c}" for c in range(1, n + 1)], actions,
-        annotations={"kind": "grid", "width": spec.width, "height": spec.height,
-                     "blocked": sorted(spec.blocked)},
-    )
+    domain = DomainDefinition([f"at-{c}" for c in range(1, n + 1)], actions)
     goals = [frozenset([f"at-{g}"]) for g in spec.goal_cells]
     return domain, frozenset([f"at-{spec.start}"]), goals

@@ -32,11 +32,13 @@ over the goal set; unreachable goals get probability 0.  Goals within
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
+from .grids import GridSpec
 from .planner import (DEFAULT_BUDGET, distance_tables, optimal_costs,
                       sweep_costs)
+from .sokoban import SokobanSpec
 from .strips import DomainDefinition, GroundAction, State, step
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -53,13 +55,21 @@ class Observation:
 @dataclass(frozen=True)
 class GrProblem:
     """A goal-recognition problem: domain, initial state, goal hypotheses,
-    and the observed action/state sequence."""
+    and the observed action/state sequence.
+
+    ``board`` is the ``GridSpec`` or ``SokobanSpec`` the domain was compiled
+    from, or None for any other domain; only rendering reads it (board
+    phrases and the ASCII map).  ``name`` is the scenario's name.  Neither
+    affects recognition or the explanations.
+    """
 
     domain: DomainDefinition
     initial: State
     goals: tuple
     observations: tuple = ()
     goal_names: tuple = ()
+    board: Optional[Union[GridSpec, SokobanSpec]] = None
+    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "goals", tuple(frozenset(g) for g in self.goals))

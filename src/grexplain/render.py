@@ -1,10 +1,13 @@
 """Deterministic text and ASCII rendering of explanation answers.
 
-Grid and Sokoban actions are verbalized from their names, read by
-``grids.parse_move`` ("moved up from cell 26 to cell 17"); anything else
-falls back to the raw action name.  The counterfactual clause intentionally
-drops the second "cell" ("would have moved up from cell 23 to 14"),
-mirroring the phrasing the answers are expected to use.
+On a problem with a ``board``, grid and Sokoban actions are verbalized
+from their names, read by ``grids.parse_move`` ("moved up from cell 26 to
+cell 17"), and ``render_ascii`` draws the board.  Any other action, and
+every action of a problem without a board (a raw STRIPS listing, or a
+problem built by hand without ``board=``), falls back to the raw action
+name.  The counterfactual clause intentionally drops the second "cell"
+("would have moved up from cell 23 to 14"), mirroring the phrasing the
+answers are expected to use.
 """
 
 from __future__ import annotations
@@ -12,20 +15,21 @@ from __future__ import annotations
 from typing import Optional
 
 from .explainer import WhyAnswer, WhyNotAnswer
-from .grids import parse_fact, parse_move
+from .grids import GridSpec, parse_fact, parse_move
 from .recognizer import GrProblem
 from .strips import GroundAction
 
 _ARROWS = {"up": "^", "down": "v", "left": "<", "right": ">"}
 # Map symbol of the piece an initial-state fact places; ``clear`` places none.
 _PIECES = {"at": "@", "player": "@", "box": "$"}
+# Map symbol of each goal cell (grid) or storage cell (Sokoban), in order.
+_LABELS = "123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def action_phrase(action: GroundAction, problem: GrProblem,
                   counterfactual: bool = False) -> str:
     """Verbal phrase for one action, e.g. "moved right from cell 23 to cell 24"."""
-    width = problem.domain.annotations.get("width")
-    parsed = parse_move(action.name) if width else None
+    parsed = parse_move(action.name) if problem.board is not None else None
     if parsed is None:
         return f"performed {action.name}"
     verb, direction, src, dst = parsed
@@ -87,43 +91,35 @@ def render(answer, problem: GrProblem) -> str:
     raise TypeError(f"cannot render {type(answer).__name__}")
 
 
-def _goal_symbols(problem: GrProblem):
-    """One display character per goal hypothesis cell."""
-    symbols = {}
-    digits = "123456789abcdefghijklmnopqrstuvwxyz"
-    ann = problem.domain.annotations
-    if ann.get("kind") == "grid":
-        for idx, goal in enumerate(problem.goals):
-            for fact in goal:
-                symbols[parse_fact(fact)[1]] = digits[idx % len(digits)]
-    elif ann.get("kind") == "sokoban":
-        for idx, cell in enumerate(ann.get("storage", [])):
-            symbols[cell] = digits[idx % len(digits)]
-    return symbols
-
-
 def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
-    """Map view with observation arrows and optional marker highlights.
+    """Map view of ``problem.board`` with observation arrows and optional
+    marker highlights.
 
-    The start cell keeps its ``@``; arrows mark the other cells observed
-    actions left.  ``highlight`` is a set of observation indices whose source
-    cells, the start cell included, are drawn as hollow dots.
+    Initial pieces keep their symbols (``@`` the agent, ``$`` a box);
+    arrows mark the other cells observed actions left.  ``highlight`` is a
+    set of observation indices whose source cells, pieces included, are
+    drawn as hollow dots.
     """
-    ann = problem.domain.annotations
-    width, height = ann.get("width"), ann.get("height")
-    if not width or not height:
+    board = problem.board
+    if board is None:
         return "(no map: generic STRIPS domain)"
-    blocked = set(ann.get("blocked", []) + ann.get("walls", []))
+    width, height = board.width, board.height
+    if isinstance(board, GridSpec):
+        blocked, labelled = board.blocked, board.goal_cells
+    else:
+        blocked, labelled = board.walls, board.storage
 
     cells = {}
     for c in range(1, width * height + 1):
         cells[c] = "#" if c in blocked else "."
-    cells.update(_goal_symbols(problem))
+    for idx, cell in enumerate(labelled):
+        cells[cell] = _LABELS[idx % len(_LABELS)]
+    pieces = set()
     for fact in problem.initial:
         kind, cell = parse_fact(fact)
         if kind in _PIECES:
             cells[cell] = _PIECES[kind]
-    start = next((c for c, symbol in cells.items() if symbol == "@"), None)
+            pieces.add(cell)
 
     for i, obs in enumerate(problem.observations, start=1):
         parsed = parse_move(obs.action.name)
@@ -132,7 +128,7 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
         _, direction, src, _ = parsed
         if highlight and i in highlight:
             cells[src] = "o"
-        elif src != start:
+        elif src not in pieces:
             cells[src] = _ARROWS[direction]
 
     rows = []

@@ -15,11 +15,12 @@ A map is read into the explicit fields it spells out, so each board kind
 has one spec builder and both forms pass the same type and range checks.
 
 Observations are direction words for boards (``up``/``down``/``left``/
-``right``) or exact action names.  One rule resolves a direction word on
-either kind of board: from the agent's cell (its ``at-`` or ``player-``
-fact), the first applicable of ``move``, ``push`` and ``push2`` toward the
-neighbouring cell.  Annotation files carry ground-truth ranks and
-counterfactual actions for the agreement metrics.
+``right``) or exact action names; on a ``strips`` listing every token is an
+action name, so an action may be called ``up``.  One rule resolves a
+direction word on either kind of board: from the agent's cell (its ``at-``
+or ``player-`` fact), the first applicable of ``move``, ``push`` and
+``push2`` toward the neighbouring cell.  Annotation files carry
+ground-truth ranks and counterfactual actions for the agreement metrics.
 """
 
 from __future__ import annotations
@@ -243,17 +244,14 @@ def _compile(scenario: ScenarioFile):
     return domain, listing.initial, list(listing.goals)
 
 
-def _resolve_direction(domain: DomainDefinition, state: int, word: str,
-                       index: int) -> GroundAction:
+def _resolve_direction(domain: DomainDefinition, board, state: int,
+                       word: str, index: int) -> GroundAction:
     """The first move, push or push2 applicable in the encoded ``state``
-    from the agent's cell toward its neighbour in direction ``word``."""
-    width = domain.annotations.get("width")
-    if width is None:
-        raise ValidationError(
-            f"observation {index}: direction words need a board domain")
+    from the agent's cell toward its neighbour in direction ``word`` on
+    ``board`` (a ``GridSpec`` or ``SokobanSpec``)."""
     cell = next(cell for kind, cell in map(parse_fact, domain.decode(state))
                 if kind in ("at", "player"))
-    nbr = offset(cell, word, width, domain.annotations["height"])
+    nbr = offset(cell, word, board.width, board.height)
     for verb in ("move", "push", "push2"):
         name = f"{verb}-{word}-{cell}-{nbr}"
         if (domain.has_action(name)
@@ -265,15 +263,17 @@ def _resolve_direction(domain: DomainDefinition, state: int, word: str,
 
 def build_problem(scenario: ScenarioFile) -> GrProblem:
     """Compile a scenario and replay its observation tokens into a validated
-    recognition problem."""
+    recognition problem that carries the scenario's board and name."""
     domain, initial, goals = _compile(scenario)
-    problem = GrProblem(domain, initial, goals, goal_names=scenario.goal_names)
+    board = None if scenario.kind == "strips" else scenario.spec
+    problem = GrProblem(domain, initial, goals, goal_names=scenario.goal_names,
+                        board=board, name=scenario.name)
 
     observations = []
     state = domain.encode(initial)
     for i, token in enumerate(scenario.observations, start=1):
-        if token in DIRECTIONS:
-            action = _resolve_direction(domain, state, token, i)
+        if board is not None and token in DIRECTIONS:
+            action = _resolve_direction(domain, board, state, token, i)
         elif domain.has_action(token):
             action = domain.action(token)
         else:
@@ -284,8 +284,6 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
                 f"observation {i}: action {action.name} is not applicable")
         observations.append(Observation(action, domain.decode(state)))
 
-    if scenario.name:
-        domain.annotations.setdefault("name", scenario.name)
     return replace(problem, observations=tuple(observations))
 
 
@@ -386,9 +384,15 @@ def load_annotations(path) -> AnnotationFile:
 def load_priors(path, problem: GrProblem) -> list:
     """Per-goal prior weights from a YAML mapping of goal label to weight.
 
-    Rejects a weight so far below the others that its normalized prior is 0:
-    the recognizer would rule its goal out as if it were unreachable."""
+    Rejects a label that names no goal, and a weight so far below the
+    others that its normalized prior is 0: the recognizer would rule its
+    goal out as if it were unreachable."""
     data = _read_mapping(path, "priors")
+    unknown = [str(k) for k in data if k not in problem.goal_names]
+    if unknown:
+        raise ValidationError(
+            f"priors: unknown goal labels {unknown}; "
+            f"choose from {list(problem.goal_names)}")
     weights = []
     for name in problem.goal_names:
         if name not in data:

@@ -116,11 +116,7 @@ def compile_sokoban(spec: SokobanSpec):
                 player[cell] | box[dest] | clear[pair_to]))
 
     facts = [f"{kind}-{c}" for kind in ("player", "box", "clear") for c in floor]
-    domain = DomainDefinition(
-        facts, actions,
-        annotations={"kind": "sokoban", "width": spec.width, "height": spec.height,
-                     "walls": sorted(spec.walls), "storage": list(spec.storage)},
-    )
+    domain = DomainDefinition(facts, actions)
 
     occupied = {spec.player, *spec.boxes}
     initial = frozenset(

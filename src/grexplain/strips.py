@@ -71,18 +71,11 @@ def _bits(mask: int):
 
 
 class DomainDefinition:
-    """An ordered fact universe plus a list of ground actions.
+    """An ordered fact universe plus a list of ground actions."""
 
-    ``annotations`` carries compiler-provided hints (e.g. grid width) that
-    scenario loading, reports and the text renderer consult; it never affects
-    STRIPS semantics.
-    """
-
-    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction],
-                 annotations: Optional[dict] = None):
+    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction]):
         self.facts = tuple(facts)
         self.actions = tuple(actions)
-        self.annotations = dict(annotations or {})
         self._index = {fact: i for i, fact in enumerate(self.facts)}
         if len(self._index) != len(self.facts):
             raise MalformedSpec("duplicate facts in domain universe")

@@ -45,18 +45,11 @@ def test_failures_are_recorded_and_run_continues(tmp_path):
     assert any("broken.yaml" in f for r in reports for f in r.failures)
 
 
-def test_instrumentation_does_not_change_explanations(sokoban_problem):
-    trace = mirror_posteriors(sokoban_problem)
-    explanan = build_explanan(trace)
-    timed = []
-    with_timer = answer_why_not(sokoban_problem, explanan, cf_timer=timed)
-    without_timer = answer_why_not(sokoban_problem, explanan)
-    assert timed  # timing actually collected
-    assert with_timer.rendered == without_timer.rendered
-    assert [s.status for s in with_timer.selections] == [
-        s.status for s in without_timer.selections]
-    assert {g: a.name for g, a in with_timer.counterfactual_actions.items()} == {
-        g: a.name for g, a in without_timer.counterfactual_actions.items()}
+def test_why_not_answer_reports_its_planning_time(sokoban_problem):
+    explanan = build_explanan(mirror_posteriors(sokoban_problem))
+    answer = answer_why_not(sokoban_problem, explanan)
+    assert answer.counterfactual_actions  # it planned at least one action
+    assert answer.planning_s > 0
 
 
 def test_format_report_table_shape():

@@ -296,6 +296,7 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
     ("kind: grid\ngrid: 5\nobservations: []\n", None, None),
     ("kind: sokoban\nsokoban: 5\nobservations: []\n", None, None),
     ("kind: strips\nstrips: 5\nobservations: []\n", None, None),
+    (Path(NAV).read_text(), "--priors", "g1: 1\ng2: 1\ng3: 1\ngX: 5\n"),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -308,7 +309,7 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
         "sokoban-map-no-start", "sokoban-map-body-not-a-mapping",
         "grid-map-repeats-symbols", "grid-map-box",
         "grid-body-not-a-mapping", "sokoban-body-not-a-mapping",
-        "strips-body-not-a-mapping"])
+        "strips-body-not-a-mapping", "priors-unknown-goal"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"

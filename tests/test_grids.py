@@ -97,7 +97,7 @@ def test_malformed_specs_rejected():
 def test_nav_reconstruction_compiles_and_goals_solvable(nav_problem):
     domain = nav_problem.domain
     assert len(domain.facts) == 45
-    assert domain.annotations["width"] == 9
+    assert nav_problem.board.width == 9
     costs = [optimal_cost(PlanningTask(domain, nav_problem.initial, g))
              for g in nav_problem.goals]
     assert costs == [5, 8, 8]

@@ -1,8 +1,8 @@
 import pytest
 
 from grexplain import (GridSpec, GrProblem, answer_why, answer_why_not,
-                       build_explanan, compile_grid, mirror_posteriors, render,
-                       render_ascii)
+                       build_explanan, bundled_scenario_path, compile_grid,
+                       load_scenario, mirror_posteriors, render, render_ascii)
 from grexplain.scenario import StripsListing, ScenarioFile, build_problem
 
 from conftest import walk
@@ -96,9 +96,33 @@ def test_ascii_grid_rendering(nav_problem):
 
 def test_ascii_sokoban_rendering(sokoban_problem):
     rows = render_ascii(sokoban_problem).splitlines()
-    # the player's start (cell 2) keeps its @; arrows mark the later cells
-    assert rows[:-1] == ["#@>>>v...", ".#.#.v...", ".12$<<34.", "...#.#...",
+    # initial pieces keep their symbols: the player's start (cell 2) its @
+    # and both initial boxes (cells 22, 23) their $; arrows mark other cells
+    assert rows[:-1] == ["#@>>>v...", ".#.#.v...", ".12$$<34.", "...#.#...",
                          "....6...."]
+
+
+@pytest.mark.parametrize("name", ["nav_crossroads", "sokoban_pairs"])
+def test_hand_built_problem_renders_from_its_board(name):
+    # A problem built by hand with board= renders as the loaded one does;
+    # without a board it renders as a raw STRIPS listing.
+    loaded = load_scenario(bundled_scenario_path(name))
+    fields = (loaded.domain, loaded.initial, loaded.goals, loaded.observations,
+              loaded.goal_names)
+    explanan = build_explanan(mirror_posteriors(loaded))
+
+    def outputs(problem):
+        return (render_ascii(problem, highlight={1}),
+                answer_why(problem, explanan).rendered,
+                answer_why_not(problem, explanan).rendered)
+
+    assert outputs(GrProblem(*fields, board=loaded.board)) == outputs(loaded)
+    bare = GrProblem(*fields)
+    assert render_ascii(bare) == "(no map: generic STRIPS domain)"
+    assert answer_why(bare, explanan).rendered.startswith(
+        "Because the agent has performed ")
+    assert "Because the agent performed " in answer_why_not(
+        bare, explanan).rendered
 
 
 def test_ascii_generic_domain_message():

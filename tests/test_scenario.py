@@ -79,16 +79,16 @@ def test_action_name_observations_accepted(tmp_path):
         "move-right-1-2", "move-down-2-5"]
 
 
-@pytest.mark.parametrize("compiled, verbs", [
-    (compile_grid(GridSpec(3, 3, frozenset({5}), 1, (9,))), {"move"}),
-    (compile_sokoban(SokobanSpec(4, 3, frozenset({12}), 1, (2, 6), (3, 7),
-                                 ((3, 7),), True)), {"move", "push", "push2"}),
+@pytest.mark.parametrize("board, compile_board, verbs", [
+    (GridSpec(3, 3, frozenset({5}), 1, (9,)), compile_grid, {"move"}),
+    (SokobanSpec(4, 3, frozenset({12}), 1, (2, 6), (3, 7), ((3, 7),), True),
+     compile_sokoban, {"move", "push", "push2"}),
 ], ids=["grid", "sokoban-multi-push"])
-def test_direction_words_resolve_to_the_unique_applicable_action(compiled,
-                                                                 verbs):
+def test_direction_words_resolve_to_the_unique_applicable_action(
+        board, compile_board, verbs):
     # Oracle: scan every action by name, independent of the resolution rule,
     # at every state reachable by plain progression.
-    domain, initial, _ = compiled
+    domain, initial, _ = compile_board(board)
     seen, frontier = {initial}, [initial]
     while frontier:
         state = frontier.pop()
@@ -107,11 +107,12 @@ def test_direction_words_resolve_to_the_unique_applicable_action(compiled,
             assert len(expected) <= 1
             encoded = domain.encode(state)
             if expected:
-                assert _resolve_direction(domain, encoded, word, 1) == expected[0]
+                assert (_resolve_direction(domain, board, encoded, word, 1)
+                        == expected[0])
                 resolved.add(expected[0].name.split("-")[0])
             else:
                 with pytest.raises(ValidationError):
-                    _resolve_direction(domain, encoded, word, 1)
+                    _resolve_direction(domain, board, encoded, word, 1)
     assert resolved == verbs
 
 
@@ -205,6 +206,25 @@ def test_strips_kind_end_to_end(tmp_path):
     assert trace.per_prefix[1] == pytest.approx((0.0, 1.0))
 
 
+def test_strips_action_named_like_a_direction_word_is_observable(tmp_path):
+    # Direction words resolve only on boards; a listing names its actions.
+    path = write(tmp_path, """
+        kind: strips
+        strips:
+          facts: [a, b, c]
+          actions:
+            - {name: up, pre: [a], add: [b], del: [a]}
+            - {name: side, pre: [a], add: [c], del: [a]}
+          initial: [a]
+          goals: [[b], [c]]
+        observations: [up]
+    """)
+    problem = load_scenario(path)
+    assert problem.board is None
+    assert [o.action.name for o in problem.observations] == ["up"]
+    assert problem.observations[0].resulting_state == frozenset({"b"})
+
+
 def test_parse_errors_carry_diagnostics(tmp_path):
     with pytest.raises(ParseError) as err:
         load_scenario(write(tmp_path, "kind: grid\ngrid: {width: 3", "bad.yaml"))
@@ -270,6 +290,9 @@ def test_priors_loading(tmp_path, nav_problem):
     with pytest.raises(ValidationError):
         load_priors(write(tmp_path, "g1: 0\ng2: 1\ng3: 1\n", "zero.yaml"),
                     nav_problem)
+    with pytest.raises(ValidationError, match=r"unknown goal labels \['gX'\]"):
+        load_priors(write(tmp_path, "g1: 1\ng2: 1\ng3: 1\ngX: 5\n",
+                          "extra.yaml"), nav_problem)
 
 
 def test_bundled_accessors():
