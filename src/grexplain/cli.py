@@ -261,7 +261,12 @@ def main(argv=None) -> int:
     output = (json.dumps(payload, indent=2) if args.format == "structured"
               else text)
     if args.out:
-        Path(args.out).write_text(output + "\n")
+        try:
+            Path(args.out).write_text(output + "\n")
+        except OSError as exc:
+            print(f"error: --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         print(output)
     return 0

@@ -98,6 +98,16 @@ def _str_list(value, path):
     return value
 
 
+def _str(value, path, default):
+    """An optional YAML string: null reads as absent, other types are
+    rejected, not cast."""
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ParseError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
 def _bool(value, path):
     if not isinstance(value, bool):
         raise ParseError(f"{path}: expected true or false, got {value!r}")
@@ -146,7 +156,7 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
     observations = tuple(_str_list(data.get("observations") or [],
                                    "observations"))
     goal_names = tuple(_str_list(data.get("goal_names") or [], "goal_names"))
-    name = str(data.get("name", name))
+    name = _str(data.get("name"), "name", name)
 
     if kind == "grid":
         body = (_read_map(data["map"], kind) if "map" in data
@@ -367,7 +377,7 @@ def _rank_mapping(raw, path) -> dict:
 
 def parse_annotations(data: dict) -> AnnotationFile:
     return AnnotationFile(
-        scenario=str(data.get("scenario", "")),
+        scenario=_str(data.get("scenario"), "scenario", ""),
         why_ranks=_rank_mapping(data.get("why_ranks"), "why_ranks"),
         whynot_ranks=_rank_mapping(data.get("whynot_ranks"), "whynot_ranks"),
         counterfactual_actions={

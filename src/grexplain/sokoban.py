@@ -15,6 +15,12 @@ pre {player-c, box-n, box-b, clear-f}, add {player-n, box-f, clear-c} and
 del {player-c, box-n, clear-f}.
 
 All actions cost 1: plain walking counts toward plan length just like pushes.
+
+The ``player-*`` facts form the domain's exactly-one group (``one_hot``):
+every reachable state has the player on exactly one cell, and every action
+has exactly one ``player-`` precondition, so the successor index files each
+action under its start cell and an expansion tests only the actions that
+start where the player stands.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ def compile_sokoban(spec: SokobanSpec):
                 player[cell] | box[dest] | clear[pair_to]))
 
     facts = [f"{kind}-{c}" for kind in ("player", "box", "clear") for c in floor]
-    domain = DomainDefinition(facts, actions)
+    domain = DomainDefinition(facts, actions, one_hot=(1 << k) - 1)
 
     occupied = {spec.player, *spec.boxes}
     initial = frozenset(

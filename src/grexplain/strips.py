@@ -12,6 +12,19 @@ fact names remain only at the edges: the initial state and goals of a
 recognition problem, an observation's resulting state, a planning task and
 rendering.
 
+The successor index files each action under one precondition fact, its
+pivot, the least by the key (not in ``one_hot``, number of actions with
+that precondition, fact name).  ``one_hot`` is the domain's exactly-one
+group: facts of which, as its compiler guarantees, every reachable state
+holds exactly one.  So an action with a grouped precondition is filed under
+the group's value, and an expansion tests only the actions of the one group
+fact that holds.  A compiler that knows such a group passes it; a raw
+STRIPS listing declares none, and no group is guessed from fact names.
+Expansion scans the bucket of every pivot that holds and tests each
+candidate's full precondition mask, so the group decides only how many
+candidates are tested, never the rows: a state that breaks the group still
+gets its exact row, in name order.
+
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
 ``id`` lists ``(action, successor id)`` pairs in action name order.  A row
@@ -71,20 +84,32 @@ def _bits(mask: int):
 
 
 class DomainDefinition:
-    """An ordered fact universe plus a list of ground actions."""
+    """An ordered fact universe plus a list of ground actions.
 
-    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction]):
+    ``one_hot`` is an optional mask of facts that the domain's compiler
+    guarantees are exactly-one in every reachable state.  An action with a
+    precondition in it is bucketed under that fact (the pivot rule is in
+    the module docstring); the mask changes the speed of expansion, never
+    its rows.
+    """
+
+    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction],
+                 one_hot: int = 0):
         self.facts = tuple(facts)
         self.actions = tuple(actions)
+        self.one_hot = one_hot
         self._index = {fact: i for i, fact in enumerate(self.facts)}
         if len(self._index) != len(self.facts):
             raise MalformedSpec("duplicate facts in domain universe")
+        if one_hot >> len(self.facts):
+            raise MalformedSpec(
+                f"one-hot group: a mask bit lies outside the "
+                f"{len(self.facts)} declared facts")
 
-        # Successor index: each action is bucketed under its least-common
-        # precondition fact (its pivot; ties go to the first fact name), so
-        # expansion only tests actions whose pivot holds; condition-free
-        # actions are always candidates.  Actions are ranked by name, so
-        # sorting ranks sorts names.
+        # Successor index: each action is bucketed under its pivot (see the
+        # module docstring), so expansion only tests actions whose pivot
+        # holds; condition-free actions are always candidates.  Actions are
+        # ranked by name, so sorting ranks sorts names.
         self._by_name = {}
         counts = [0] * len(self.facts)
         for action in self.actions:
@@ -102,6 +127,8 @@ class DomainDefinition:
                     f"{sorted(self.decode(add & dele))}")
             for i in _bits(pre):
                 counts[i] += 1
+        pivot_key = [(not one_hot >> i & 1, count, fact)
+                     for i, (count, fact) in enumerate(zip(counts, self.facts))]
         self._by_rank = tuple(sorted(self.actions, key=lambda a: a.name))
         self._buckets = {}  # pivot fact index -> [(rank, pre mask)]
         self._unconditional = []
@@ -110,7 +137,7 @@ class DomainDefinition:
             if not pre:
                 self._unconditional.append(rank)
                 continue
-            pivot = min(_bits(pre), key=lambda i: (counts[i], self.facts[i]))
+            pivot = min(_bits(pre), key=pivot_key.__getitem__)
             self._buckets.setdefault(pivot, []).append((rank, pre))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id

@@ -204,6 +204,27 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert "Because the agent has moved" in target.read_text()
 
 
+def test_out_to_a_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "recognize", "--scenario", NAV,
+                             "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --out {target}: ")
+
+
+def test_null_names_fall_back_to_the_stem_and_the_problem(tmp_path, capsys):
+    board = tmp_path / "board.yaml"
+    board.write_text("name: null\n" + GRID_3X3 + "observations: [right]\n")
+    code, out, _ = run(capsys, "recognize", "--scenario", str(board),
+                       "--format", "structured")
+    assert code == 0 and json.loads(out)["scenario"] == "board"
+    notes = tmp_path / "notes.yaml"
+    notes.write_text("scenario: null\nwhy_ranks: {o1: 1}\n")
+    code, out, _ = run(capsys, "eval", "--scenario", NAV, "--annotations",
+                       str(notes), "--format", "structured")
+    assert code == 0 and json.loads(out)["scenario"] == "nav_crossroads"
+
+
 def test_validation_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: grid\ngrid: {width: 3, height: 3, blocked: [],"
@@ -297,6 +318,8 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
     ("kind: sokoban\nsokoban: 5\nobservations: []\n", None, None),
     ("kind: strips\nstrips: 5\nobservations: []\n", None, None),
     (Path(NAV).read_text(), "--priors", "g1: 1\ng2: 1\ng3: 1\ngX: 5\n"),
+    ("name: 5\n" + GRID_3X3 + "observations: []\n", None, None),
+    (GRID_3X3 + "observations: [right]\n", "--annotations", "scenario: [x]\n"),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -309,7 +332,8 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
         "sokoban-map-no-start", "sokoban-map-body-not-a-mapping",
         "grid-map-repeats-symbols", "grid-map-box",
         "grid-body-not-a-mapping", "sokoban-body-not-a-mapping",
-        "strips-body-not-a-mapping", "priors-unknown-goal"])
+        "strips-body-not-a-mapping", "priors-unknown-goal",
+        "name-not-a-string", "annotation-scenario-not-a-string"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"

@@ -275,6 +275,19 @@ def test_annotations_load_and_normalize(tmp_path):
     assert ann.counterfactual_actions == {"(g3,g4)": "push2-right-20-21"}
 
 
+def test_null_names_read_as_absent_and_other_types_are_rejected(tmp_path):
+    grid = "grid: {width: 2, height: 1, start: 1, goals: [2]}\n"
+    board = write(tmp_path, "kind: grid\nname: null\n" + grid, "board.yaml")
+    assert load_scenario(board).name == "board"
+    notes = write(tmp_path, "scenario: null\n", "ann.yaml")
+    assert load_annotations(notes).scenario == ""
+    with pytest.raises(ParseError, match="name: expected a string, got 5"):
+        parse_scenario({"kind": "grid", "name": 5, "grid": {}})
+    write(tmp_path, "scenario: 7\n", "ann.yaml")
+    with pytest.raises(ParseError, match="scenario: expected a string, got 7"):
+        load_annotations(notes)
+
+
 def test_annotations_reject_negative_ranks(tmp_path):
     path = write(tmp_path, "why_ranks: {o1: -2}\n", "ann.yaml")
     with pytest.raises(ParseError):

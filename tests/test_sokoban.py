@@ -97,6 +97,8 @@ def test_successor_table_matches_apply_on_reachable_states(multi):
     queue = deque([initial])
     while queue:
         state = queue.popleft()
+        # the declared player group holds exactly once in every state
+        assert bin(domain.encode(state) & domain.one_hot).count("1") == 1
         expected = [(a, apply(domain, state, a)) for a in by_name
                     if applicable(domain, state, a)]
         row = domain.expand(domain.state_id(domain.encode(state)))

@@ -141,6 +141,8 @@ def test_domain_rejects_unknown_facts():
         build_problem(ScenarioFile("strips", listing, ()))
     with pytest.raises(MalformedSpec, match="action x: .*outside"):
         DomainDefinition(["f0"], [GroundAction("x", 0b10, 0, 0)])
+    with pytest.raises(MalformedSpec, match="one-hot group: .*outside"):
+        DomainDefinition(["f0"], [GroundAction("x", 0b1, 0, 0)], one_hot=0b11)
 
 
 def test_action_rejects_overlapping_effects():
@@ -153,7 +155,8 @@ def strips_domains(draw):
     """A small raw-STRIPS domain, declared out of name order, that always
     holds a condition-free action, a delete effect outside the preconditions
     and two actions sharing a one-fact precondition (so a pivot fact), plus
-    a few fact-set states to expand."""
+    a few fact-set states to expand.  The domain declares a drawn subset of
+    its facts as its exactly-one group, which the drawn states may break."""
     facts = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
     subsets = st.frozensets(st.sampled_from(facts))
 
@@ -172,7 +175,9 @@ def strips_domains(draw):
     names = draw(st.lists(st.text("abxyz-", min_size=1, max_size=4),
                           min_size=len(specs), max_size=len(specs),
                           unique=True))
-    domain = strips_domain(facts, [(n, *sets) for n, sets in zip(names, specs)])
+    group = draw(st.integers(0, (1 << len(facts)) - 1))
+    domain = strips_domain(facts, [(n, *sets) for n, sets in zip(names, specs)],
+                           group)
     states = draw(st.lists(subsets, min_size=1, max_size=6))
     return domain, domain.actions, states
 
