@@ -22,5 +22,5 @@ from .render import render, render_ascii
 from .scenario import (bundled_bench_paths, bundled_scenario_path,
                        load_annotations, load_priors, load_scenario)
 from .sokoban import SokobanSpec, compile_sokoban
-from .strips import DomainDefinition, GroundAction, State
+from .strips import DomainDefinition, GroundAction
 from .version import __version__

@@ -227,7 +227,7 @@ def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
     """
     state = problem.state_before(marker.observation_index)
     goal = problem.goals[g_prime]
-    if goal <= state:
+    if goal & state == goal:
         return None
     plan = optimal_plan(PlanningTask(problem.domain, state, goal), budget)
     if plan is None:

@@ -81,10 +81,10 @@ def parse_fact(fact: str):
 
 
 def compile_grid(spec: GridSpec):
-    """Compile a grid into (domain, initial state, goal fact-sets).
+    """Compile a grid into (domain, initial state, goal masks).
 
     Fact ``at-<cell>`` is bit ``cell - 1``.  One goal hypothesis per goal
-    cell: the singleton {at-<cell>}.
+    cell: its bit.
     """
     n = spec.width * spec.height
     actions = []
@@ -99,5 +99,5 @@ def compile_grid(spec: GridSpec):
             actions.append(GroundAction(f"move-{direction}-{cell}-{nbr}",
                                         here, 1 << (nbr - 1), here))
     domain = DomainDefinition([f"at-{c}" for c in range(1, n + 1)], actions)
-    goals = [frozenset([f"at-{g}"]) for g in spec.goal_cells]
-    return domain, frozenset([f"at-{spec.start}"]), goals
+    return (domain, 1 << (spec.start - 1),
+            [1 << (g - 1) for g in spec.goal_cells])

@@ -2,9 +2,9 @@
 
 A single breadth-first sweep serves recognition costs, optimal plans and
 counterfactual-action plans.  Every action costs 1, so an optimal plan is a
-shortest one.  The sweep encodes the initial state and the goals as ints
-once (``DomainDefinition.encode``), works on the domain's dense state ids,
-reads successors from the domain's memoized table, and goes layer by layer,
+shortest one.  States and goals are int masks (the ``strips`` module
+docstring); the sweep works on the domain's dense state ids, reads
+successors from the domain's memoized table, and goes layer by layer,
 recording each state's first discovery as ``id -> parent id``; it reads a
 state's bits only for goal tests.  It stops once every goal asked for has
 been reached, so one sweep prices many goals from the same state, and every
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .strips import DomainDefinition, State
+from .strips import DomainDefinition
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -42,15 +42,11 @@ DEFAULT_BUDGET = 10_000_000
 @dataclass(frozen=True)
 class PlanningTask:
     domain: DomainDefinition
-    initial: State
-    goal: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "goal", frozenset(self.goal))
-        self.domain.encode(self.goal)  # MalformedSpec on undeclared facts
+    initial: int
+    goal: int
 
 
-def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
+def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
            budget: int):
     """Breadth-first sweep from ``initial`` until every goal is reached.
 
@@ -62,8 +58,7 @@ def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
     would.
     """
     states, rows = domain.states, domain.rows
-    start = domain.state_id(domain.encode(initial))
-    targets = [domain.encode(g) for g in goals]
+    start = domain.state_id(initial)
     parents = {start: None}
     costs = [None] * len(goals)
     pending = list(range(len(goals)))
@@ -75,7 +70,7 @@ def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
             if expansions > budget:
                 raise BudgetExceeded(budget)
             state = states[sid]
-            for i in [i for i in pending if targets[i] & state == targets[i]]:
+            for i in [i for i in pending if goals[i] & state == goals[i]]:
                 costs[i], last = depth, sid
                 pending.remove(i)
             if not pending:
@@ -89,18 +84,15 @@ def _sweep(domain: DomainDefinition, initial: State, goals: Sequence[frozenset],
     return costs, parents, last, expansions
 
 
-def sweep_costs(domain: DomainDefinition, state: State,
-                goals: Sequence[frozenset],
+def sweep_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                 budget: int = DEFAULT_BUDGET) -> tuple:
     """``optimal_costs`` plus the sweep's size: (cost per goal, states
     discovered, states dequeued)."""
-    costs, parents, _, expanded = _sweep(domain, state,
-                                         [frozenset(g) for g in goals], budget)
+    costs, parents, _, expanded = _sweep(domain, state, goals, budget)
     return costs, len(parents), expanded
 
 
-def optimal_costs(domain: DomainDefinition, state: State,
-                  goals: Sequence[frozenset],
+def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> list:
     """Optimal cost from ``state`` to each goal (None if unreachable), from
     one sweep.  ``budget >= 1`` caps the states expanded; BudgetExceeded is
@@ -123,8 +115,7 @@ def _reachable(domain: DomainDefinition, start: int, cap: int):
     return found
 
 
-def distance_tables(domain: DomainDefinition, state: State,
-                    goals: Sequence[frozenset],
+def distance_tables(domain: DomainDefinition, state: int, goals: Sequence[int],
                     cap: int = DEFAULT_BUDGET) -> Optional[list]:
     """Optimal cost to each goal from every state reachable from ``state``.
 
@@ -135,7 +126,7 @@ def distance_tables(domain: DomainDefinition, state: State,
     more than ``cap`` states are found, keeping the successor rows expanded
     so far.
     """
-    found = _reachable(domain, domain.state_id(domain.encode(state)), cap)
+    found = _reachable(domain, domain.state_id(state), cap)
     if found is None:
         return None
     states, rows = domain.states, domain.rows
@@ -145,9 +136,8 @@ def distance_tables(domain: DomainDefinition, state: State,
             predecessors[succ].append(sid)
     tables = []
     for goal in goals:
-        target = domain.encode(goal)
         table = [None] * len(states)
-        layer = [sid for sid in found if target & states[sid] == target]
+        layer = [sid for sid in found if goal & states[sid] == goal]
         for sid in layer:
             table[sid] = 0
         depth = 0

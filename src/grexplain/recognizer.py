@@ -39,23 +39,26 @@ from .grids import GridSpec
 from .planner import (DEFAULT_BUDGET, distance_tables, optimal_costs,
                       sweep_costs)
 from .sokoban import SokobanSpec
-from .strips import DomainDefinition, GroundAction, State, step
+from .strips import DomainDefinition, GroundAction, step
 
 DEFAULT_TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class Observation:
-    """One observed step: the action taken and the fact-state it produced."""
+    """One observed step: the action taken and the state int it produced."""
 
     action: GroundAction
-    resulting_state: State
+    resulting_state: int
 
 
 @dataclass(frozen=True)
 class GrProblem:
     """A goal-recognition problem: domain, initial state, goal hypotheses,
     and the observed action/state sequence.
+
+    States and goals are int masks over ``domain.facts``; a bit past them
+    is a MalformedSpec naming the initial state or the goal.
 
     ``board`` is the ``GridSpec`` or ``SokobanSpec`` the domain was compiled
     from, or None for any other domain; only rendering reads it (board
@@ -64,7 +67,7 @@ class GrProblem:
     """
 
     domain: DomainDefinition
-    initial: State
+    initial: int
     goals: tuple
     observations: tuple = ()
     goal_names: tuple = ()
@@ -72,27 +75,20 @@ class GrProblem:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "goals", tuple(frozenset(g) for g in self.goals))
+        object.__setattr__(self, "goals", tuple(self.goals))
         object.__setattr__(self, "observations", tuple(self.observations))
-        if not self.goals:
-            raise MalformedSpec("a recognition problem needs at least one goal")
-        names = tuple(self.goal_names) or tuple(
-            f"g{i + 1}" for i in range(len(self.goals)))
-        if len(names) != len(self.goals):
-            raise MalformedSpec("goal_names must match the number of goals")
-        if len(set(names)) != len(names):
-            raise MalformedSpec(f"goal_names must be distinct: {list(names)}")
+        names = goal_labels(self.goal_names, len(self.goals))
         object.__setattr__(self, "goal_names", names)
+        declared = len(self.domain.facts)
         labels = ["initial state", *(f"goal {n}" for n in names)]
-        for label, facts in zip(labels, (self.initial, *self.goals)):
-            try:
-                self.domain.encode(facts)
-            except MalformedSpec as exc:
-                raise MalformedSpec(f"{label}: {exc}") from None
+        for label, mask in zip(labels, (self.initial, *self.goals)):
+            if mask >> declared:
+                raise MalformedSpec(f"{label}: a mask bit lies outside the "
+                                    f"{declared} declared facts")
         validate_observations(self.domain, self.initial, self.observations)
 
-    def state_before(self, index: int) -> State:
-        """The fact-state immediately before 1-based observation ``index``."""
+    def state_before(self, index: int) -> int:
+        """The state immediately before 1-based observation ``index``."""
         if index < 1 or index > len(self.observations):
             raise IndexError(f"observation index {index} out of range")
         if index == 1:
@@ -100,10 +96,23 @@ class GrProblem:
         return self.observations[index - 2].resulting_state
 
 
-def validate_observations(domain: DomainDefinition, initial: State,
+def goal_labels(goal_names: Sequence[str], count: int) -> tuple:
+    """The names of ``count`` goals: ``goal_names``, or g1, g2, ... when it
+    is empty; MalformedSpec unless they name the goals one to one."""
+    if not count:
+        raise MalformedSpec("a recognition problem needs at least one goal")
+    names = tuple(goal_names) or tuple(f"g{i + 1}" for i in range(count))
+    if len(names) != count:
+        raise MalformedSpec("goal_names must match the number of goals")
+    if len(set(names)) != len(names):
+        raise MalformedSpec(f"goal_names must be distinct: {list(names)}")
+    return names
+
+
+def validate_observations(domain: DomainDefinition, initial: int,
                           observations: Sequence[Observation]) -> None:
     """Check an observation chain progresses validly from the initial state."""
-    state = domain.encode(initial)
+    state = initial
     for i, obs in enumerate(observations, start=1):
         if not domain.has_action(obs.action.name):
             raise InvalidObservationChain(i, f"unknown action {obs.action.name}")
@@ -111,7 +120,7 @@ def validate_observations(domain: DomainDefinition, initial: State,
         if state is None:
             raise InvalidObservationChain(
                 i, f"action {obs.action.name} is not applicable")
-        if domain.decode(state) != obs.resulting_state:
+        if state != obs.resulting_state:
             raise InvalidObservationChain(
                 i, f"recorded state does not match applying {obs.action.name}")
 
@@ -180,7 +189,7 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
             suffixes = optimal_costs(domain, obs.resulting_state,
                                      reachable_goals, budget)
         else:
-            sid = domain.state_id(domain.encode(obs.resulting_state))
+            sid = domain.state_id(obs.resulting_state)
             suffixes = [table[sid] for table in tables]
         scores = [0.0] * len(goals)
         for j, suffix in zip(reachable, suffixes):

@@ -15,13 +15,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .explainer import WhyAnswer, WhyNotAnswer
-from .grids import GridSpec, parse_fact, parse_move
+from .grids import GridSpec, parse_move
 from .recognizer import GrProblem
 from .strips import GroundAction
 
 _ARROWS = {"up": "^", "down": "v", "left": "<", "right": ">"}
-# Map symbol of the piece an initial-state fact places; ``clear`` places none.
-_PIECES = {"at": "@", "player": "@", "box": "$"}
 # Map symbol of each goal cell (grid) or storage cell (Sokoban), in order.
 _LABELS = "123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -95,8 +93,8 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
     """Map view of ``problem.board`` with observation arrows and optional
     marker highlights.
 
-    Initial pieces keep their symbols (``@`` the agent, ``$`` a box);
-    arrows mark the other cells observed actions left.  ``highlight`` is a
+    The board's pieces keep their symbols (``@`` the agent's start, ``$``
+    a box); arrows mark the other cells observed actions left.  ``highlight`` is a
     set of observation indices whose source cells, pieces included, are
     drawn as hollow dots.
     """
@@ -106,20 +104,17 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
     width, height = board.width, board.height
     if isinstance(board, GridSpec):
         blocked, labelled = board.blocked, board.goal_cells
+        pieces = {board.start: "@"}
     else:
         blocked, labelled = board.walls, board.storage
+        pieces = {board.player: "@", **dict.fromkeys(board.boxes, "$")}
 
     cells = {}
     for c in range(1, width * height + 1):
         cells[c] = "#" if c in blocked else "."
     for idx, cell in enumerate(labelled):
         cells[cell] = _LABELS[idx % len(_LABELS)]
-    pieces = set()
-    for fact in problem.initial:
-        kind, cell = parse_fact(fact)
-        if kind in _PIECES:
-            cells[cell] = _PIECES[kind]
-            pieces.add(cell)
+    cells.update(pieces)
 
     for i, obs in enumerate(problem.observations, start=1):
         parsed = parse_move(obs.action.name)

@@ -26,7 +26,7 @@ ground-truth ranks and counterfactual actions for the agreement metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Union
@@ -35,7 +35,7 @@ import yaml
 
 from .errors import MalformedSpec, ParseError, ValidationError
 from .grids import DIRECTIONS, GridSpec, compile_grid, offset, parse_fact
-from .recognizer import GrProblem, Observation
+from .recognizer import GrProblem, Observation, goal_labels
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, step
 
@@ -98,14 +98,16 @@ def _str_list(value, path):
     return value
 
 
-def _str(value, path, default):
-    """An optional YAML string: null reads as absent, other types are
-    rejected, not cast."""
-    if value is None:
-        return default
+def _name(value, path):
+    """A required YAML string; null and other types are rejected, not cast."""
     if not isinstance(value, str):
         raise ParseError(f"{path}: expected a string, got {value!r}")
     return value
+
+
+def _str(value, path, default):
+    """An optional YAML string: null reads as absent."""
+    return default if value is None else _name(value, path)
 
 
 def _bool(value, path):
@@ -194,7 +196,8 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
         actions = []
         for spec_action in _list(_require(body, "actions", "strips"),
                                  "strips.actions"):
-            label = str(_require(spec_action, "name", "strips.actions"))
+            label = _name(_require(spec_action, "name", "strips.actions"),
+                          "strips.actions.name")
             pre, add, dele = (
                 tuple(_str_list(spec_action.get(key) or [],
                                 f"strips.actions.{label}.{key}"))
@@ -238,20 +241,28 @@ def parse_scenario_file(path) -> ScenarioFile:
 
 
 def _compile(scenario: ScenarioFile):
+    """(domain, initial state, goal masks); a raw listing's names are
+    encoded here, each error naming its action, initial state or goal."""
     if scenario.kind == "grid":
         return compile_grid(scenario.spec)
     if scenario.kind == "sokoban":
         return compile_sokoban(scenario.spec)
     listing = scenario.spec
     universe = DomainDefinition(listing.facts, ())
-    actions = []
-    for name, *fact_sets in listing.actions:
+
+    def encode(label, facts):
         try:
-            actions.append(GroundAction(name, *map(universe.encode, fact_sets)))
+            return universe.encode(facts)
         except MalformedSpec as exc:
-            raise MalformedSpec(f"action {name}: {exc}") from None
+            raise MalformedSpec(f"{label}: {exc}") from None
+
+    actions = [GroundAction(name, *(encode(f"action {name}", facts)
+                                    for facts in fact_sets))
+               for name, *fact_sets in listing.actions]
     domain = DomainDefinition(listing.facts, actions)
-    return domain, listing.initial, list(listing.goals)
+    names = goal_labels(scenario.goal_names, len(listing.goals))
+    return domain, encode("initial state", listing.initial), [
+        encode(f"goal {name}", goal) for name, goal in zip(names, listing.goals)]
 
 
 def _resolve_direction(domain: DomainDefinition, board, state: int,
@@ -276,11 +287,8 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
     recognition problem that carries the scenario's board and name."""
     domain, initial, goals = _compile(scenario)
     board = None if scenario.kind == "strips" else scenario.spec
-    problem = GrProblem(domain, initial, goals, goal_names=scenario.goal_names,
-                        board=board, name=scenario.name)
-
     observations = []
-    state = domain.encode(initial)
+    state = initial
     for i, token in enumerate(scenario.observations, start=1):
         if board is not None and token in DIRECTIONS:
             action = _resolve_direction(domain, board, state, token, i)
@@ -292,9 +300,9 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
         if state is None:
             raise ValidationError(
                 f"observation {i}: action {action.name} is not applicable")
-        observations.append(Observation(action, domain.decode(state)))
-
-    return replace(problem, observations=tuple(observations))
+        observations.append(Observation(action, state))
+    return GrProblem(domain, initial, goals, observations, scenario.goal_names,
+                     board, scenario.name)
 
 
 def load_scenario(path) -> GrProblem:
@@ -381,7 +389,8 @@ def parse_annotations(data: dict) -> AnnotationFile:
         why_ranks=_rank_mapping(data.get("why_ranks"), "why_ranks"),
         whynot_ranks=_rank_mapping(data.get("whynot_ranks"), "whynot_ranks"),
         counterfactual_actions={
-            str(k): str(v)
+            _name(k, "counterfactual_actions"):
+                _name(v, f"counterfactual_actions.{k}")
             for k, v in _mapping(data.get("counterfactual_actions"),
                                  "counterfactual_actions").items()},
     )

@@ -76,7 +76,7 @@ class SokobanSpec:
 
 
 def compile_sokoban(spec: SokobanSpec):
-    """Compile a Sokoban board into (domain, initial state, goal fact-sets).
+    """Compile a Sokoban board into (domain, initial state, goal masks).
 
     With ``floor`` the non-wall cells in order, ``player-<floor[i]>``,
     ``box-<floor[i]>`` and ``clear-<floor[i]>`` are bits i, len(floor) + i
@@ -125,11 +125,8 @@ def compile_sokoban(spec: SokobanSpec):
     domain = DomainDefinition(facts, actions, one_hot=(1 << k) - 1)
 
     occupied = {spec.player, *spec.boxes}
-    initial = frozenset(
-        [f"player-{spec.player}"]
-        + [f"box-{b}" for b in spec.boxes]
-        + [f"clear-{c}" for c in floor if c not in occupied]
-    )
-    goals = [frozenset(f"box-{s}" for s in assignment)
+    initial = (player[spec.player] | sum(box[b] for b in spec.boxes)
+               | sum(clear[c] for c in floor if c not in occupied))
+    goals = [sum(box[s] for s in assignment)
              for assignment in spec.goal_assignments]
     return domain, initial, goals

@@ -6,11 +6,13 @@ Python ``int`` holding the bits of the facts that hold (closed world:
 anything not set is false).  An action is a name plus three such masks, so
 applicability is ``pre & s == pre`` and progression is ``s & ~del | add``
 (``step``).  The compilers write the bits straight from the fact order they
-emit; a raw STRIPS listing turns fact names into masks through ``encode``,
-the one name-to-bit reader, and ``decode`` is its inverse.  Frozensets of
-fact names remain only at the edges: the initial state and goals of a
-recognition problem, an observation's resulting state, a planning task and
-rendering.
+emit, initial states and goals included; a raw STRIPS listing turns fact
+names into masks through ``encode``, the one name-to-bit reader, and
+``decode`` is its inverse.  Past the file reader every state and goal is an
+int: a recognition problem's initial state and goals, an observation's
+resulting state and a planning task.  Fact names are read only where they
+come from outside (a raw listing) and written only where they go out to a
+person (an error message) or name a board cell (a direction word).
 
 The successor index files each action under one precondition fact, its
 pivot, the least by the key (not in ``one_hot``, number of actions with
@@ -45,9 +47,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MalformedSpec
-
-# At the edges, a state is the set of facts that currently hold.
-State = frozenset
 
 
 class GroundAction(NamedTuple):

@@ -44,13 +44,15 @@ def apply(domain, state, action):
 
 
 def walk(domain, initial, names):
-    """Build an observation chain from action names."""
-    state = initial
+    """Build an observation chain from action names, starting at the state
+    int ``initial`` and stepping its decoded fact set with the ``apply``
+    oracle."""
+    state = domain.decode(initial)
     out = []
     for name in names:
         action = domain.action(name)
         state = apply(domain, state, action)
-        out.append(Observation(action, state))
+        out.append(Observation(action, domain.encode(state)))
     return tuple(out)
 
 
@@ -114,11 +116,12 @@ class PlanCheck:
 
 def validate_plan(domain, initial, goal, plan) -> PlanCheck:
     """Plan oracle: check that ``plan`` (a sequence of actions) is executable
-    from ``initial`` in ``domain`` and reaches ``goal``, replaying it with
-    the ``apply`` oracle rather than the successor table.  Invalid plans are reported,
-    not raised: the result carries a reason code and the index of the first
-    failing step."""
-    state = initial
+    from the state int ``initial`` in ``domain`` and reaches the goal mask
+    ``goal``, replaying it on decoded fact sets with the ``apply`` oracle
+    rather than ``strips.step`` or the successor table.  Invalid plans are
+    reported, not raised: the result carries a reason code and the index of
+    the first failing step."""
+    state, goal = domain.decode(initial), domain.decode(goal)
     for i, action in enumerate(plan):
         if not domain.has_action(action.name):
             return PlanCheck(False, f"unknown-action:{action.name}", i)

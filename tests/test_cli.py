@@ -320,6 +320,19 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
     (Path(NAV).read_text(), "--priors", "g1: 1\ng2: 1\ng3: 1\ngX: 5\n"),
     ("name: 5\n" + GRID_3X3 + "observations: []\n", None, None),
     (GRID_3X3 + "observations: [right]\n", "--annotations", "scenario: [x]\n"),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b]],"
+     " actions: [{name: null, pre: [a], add: [b], del: [a]}]}\n"
+     "observations: [None]\n", None, None),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b]],"
+     " actions: [{name: 5, pre: [a], add: [b], del: [a]}]}\n"
+     "observations: ['5']\n", None, None),
+    (Path(NAV).read_text(), "--annotations",
+     "counterfactual_actions: {g1: null}\n"),
+    (Path(NAV).read_text(), "--annotations",
+     "counterfactual_actions: {null: move-up-23-14}\n"),
+    ("kind: strips\nstrips: {facts: [a, b, c], initial: [a],"
+     " goals: [[b], [c]], actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
+     "goal_names: [g1]\nobservations: [go]\n", None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -333,7 +346,9 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
         "grid-map-repeats-symbols", "grid-map-box",
         "grid-body-not-a-mapping", "sokoban-body-not-a-mapping",
         "strips-body-not-a-mapping", "priors-unknown-goal",
-        "name-not-a-string", "annotation-scenario-not-a-string"])
+        "name-not-a-string", "annotation-scenario-not-a-string",
+        "action-name-null", "action-name-not-a-string", "cf-action-null",
+        "cf-goal-null", "goal-names-fewer-than-goals"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     board = tmp_path / "board.yaml"

@@ -235,7 +235,8 @@ def test_counterfactual_action_is_applicable_and_starts_valid_plan(nav_problem):
         marker = markers[0]
         action = counterfactual_action(nav_problem, marker, g_prime)
         state = nav_problem.state_before(marker.observation_index)
-        assert applicable(nav_problem.domain, state, action)
+        assert applicable(nav_problem.domain,
+                          nav_problem.domain.decode(state), action)
         goal = nav_problem.goals[g_prime]
         plan = optimal_plan(PlanningTask(nav_problem.domain, state, goal))
         assert plan[0] == action

@@ -16,8 +16,8 @@ def test_nine_by_five_counts():
     assert len(domain.facts) == 45
     # directed moves: 2 * (w*(h-1) + h*(w-1)) = 2 * (36 + 40)
     assert len(domain.actions) == 152
-    assert initial == frozenset({"at-20"})
-    assert goals == [frozenset({"at-5"})]
+    assert domain.decode(initial) == frozenset({"at-20"})
+    assert [domain.decode(g) for g in goals] == [frozenset({"at-5"})]
 
 
 def test_single_cell_grid_has_no_actions():

@@ -84,8 +84,8 @@ def test_plan_step_is_first_named_action_between_two_states():
         ("b-go", {"start"}, {"mid"}, {"start"}),
         ("a-go", {"start"}, {"mid"}, {"start"}),
         ("finish", {"mid"}, {"end"}, {"mid"})])
-    plan = optimal_plan(PlanningTask(domain, frozenset({"start"}),
-                                     frozenset({"end"})))
+    plan = optimal_plan(PlanningTask(domain, domain.encode({"start"}),
+                                     domain.encode({"end"})))
     assert [a.name for a in plan] == ["a-go", "finish"]
 
 
@@ -136,7 +136,7 @@ def test_plans_match_greedy_bfs_oracle(spec):
 def sweep_cases(draw):
     """A grid whose goal list holds the start cell, a duplicate and random
     free cells (walled off or not), plus an origin reached by a random walk
-    of observed moves from the start."""
+    of observed moves from the start, as a fact set."""
     spec = draw(grid_specs())
     free = [c for c in range(1, spec.width * spec.height + 1)
             if c not in spec.blocked]
@@ -144,7 +144,8 @@ def sweep_cases(draw):
     goal_cells = (spec.goal_cells[0], spec.start, spec.goal_cells[0], *extra)
     spec = GridSpec(spec.width, spec.height, spec.blocked, spec.start,
                     goal_cells)
-    domain, state, _ = compile_grid(spec)
+    domain, initial, _ = compile_grid(spec)
+    state = domain.decode(initial)
     for _ in range(draw(st.integers(0, 6))):
         moves = domain.applicable_actions(domain.encode(state))
         if not moves:
@@ -162,7 +163,7 @@ def test_optimal_costs_match_bfs_oracle_per_goal(case):
     domain, _, goals = compile_grid(spec)
     (fact,) = state
     cell = int(fact.split("-")[1])
-    assert optimal_costs(domain, state, goals) == [
+    assert optimal_costs(domain, domain.encode(state), goals) == [
         bfs_grid_distance(spec, cell, g) for g in spec.goal_cells]
 
 
@@ -183,8 +184,9 @@ def reachable_states(domain, initial):
 
 def assert_tables_match_sweeps(domain, initial, goals):
     tables = distance_tables(domain, initial, goals)
-    for state in reachable_states(domain, initial):
-        sid = domain.state_id(domain.encode(state))
+    for state in reachable_states(domain, domain.decode(initial)):
+        state = domain.encode(state)
+        sid = domain.state_id(state)
         assert [table[sid] for table in tables] == optimal_costs(domain, state,
                                                                  goals)
 
@@ -194,21 +196,24 @@ def assert_tables_match_sweeps(domain, initial, goals):
 def test_distance_tables_match_sweeps_on_grids(case):
     spec, state = case
     domain, _, goals = compile_grid(spec)
-    assert_tables_match_sweeps(domain, state, goals)
+    assert_tables_match_sweeps(domain, domain.encode(state), goals)
 
 
 @st.composite
 def strips_problems(draw):
     """A raw-STRIPS domain over up to five facts, an initial state and up to
-    three goals, any of which may be unreachable."""
+    three goals, any of which may be unreachable, as state ints and goal
+    masks."""
     facts = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
     subsets = st.frozensets(st.sampled_from(facts))
     rows = []
     for i in range(draw(st.integers(0, 6))):
         add = draw(subsets)
         rows.append((f"a{i}", draw(subsets), add, draw(subsets) - add))
-    return (strips_domain(facts, rows), draw(subsets),
-            draw(st.lists(subsets, min_size=1, max_size=3)))
+    domain = strips_domain(facts, rows)
+    return (domain, domain.encode(draw(subsets)),
+            [domain.encode(g)
+             for g in draw(st.lists(subsets, min_size=1, max_size=3))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,7 +226,7 @@ def test_distance_tables_match_sweeps_on_every_sokoban_state():
     spec = SokobanSpec(4, 4, frozenset(), 1, (6, 7), (11, 15),
                        ((11, 15), (11,), (15,)), False)
     domain, initial, goals = compile_sokoban(spec)
-    assert len(reachable_states(domain, initial)) == 1676
+    assert len(reachable_states(domain, domain.decode(initial))) == 1676
     assert_tables_match_sweeps(domain, initial, goals)
 
 
@@ -231,7 +236,7 @@ def test_distance_tables_give_up_past_the_cap_and_keep_their_rows():
     assert distance_tables(domain, initial, goals, cap=18) is None
     assert sum(row is not None for row in domain.rows) > 0
     tables = distance_tables(domain, initial, goals, cap=19)
-    start = domain.state_id(domain.encode(initial))
+    start = domain.state_id(initial)
     assert [table[start] for table in tables] == [2, None]
 
 

@@ -154,14 +154,26 @@ def test_split_goal_sets_unique_argmax():
 def test_observation_chain_validation():
     domain, initial, goals = compile_grid(GridSpec(3, 3, frozenset(), 7, (1,)))
     up = domain.action("move-up-7-4")
-    wrong_state = Observation(up, frozenset({"at-9"}))
-    with pytest.raises(InvalidObservationChain):
+    wrong_state = Observation(up, domain.encode({"at-9"}))
+    with pytest.raises(InvalidObservationChain, match="recorded state"):
         GrProblem(domain, initial, tuple(goals), (wrong_state,))
     inapplicable = domain.action("move-up-4-1")
     with pytest.raises(InvalidObservationChain) as err:
         GrProblem(domain, initial, tuple(goals),
-                  (Observation(inapplicable, frozenset({"at-1"})),))
+                  (Observation(inapplicable, domain.encode({"at-1"})),))
     assert err.value.index == 1
+
+
+def test_problem_rejects_mask_bits_past_the_declared_facts():
+    domain, initial, goals = compile_grid(GridSpec(3, 3, frozenset(), 7, (1, 3)))
+    past = 1 << len(domain.facts)
+    with pytest.raises(MalformedSpec, match="^initial state: .*outside"):
+        GrProblem(domain, initial | past, tuple(goals))
+    with pytest.raises(MalformedSpec, match="^goal right: .*outside"):
+        GrProblem(domain, initial, (goals[0], goals[1] | past),
+                  goal_names=("left", "right"))
+    with pytest.raises(MalformedSpec, match="^goal g1: .*outside"):
+        GrProblem(domain, initial, (-1, goals[1]))
 
 
 def test_problem_requires_goals():

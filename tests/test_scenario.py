@@ -89,6 +89,7 @@ def test_direction_words_resolve_to_the_unique_applicable_action(
     # Oracle: scan every action by name, independent of the resolution rule,
     # at every state reachable by plain progression.
     domain, initial, _ = compile_board(board)
+    initial = domain.decode(initial)
     seen, frontier = {initial}, [initial]
     while frontier:
         state = frontier.pop()
@@ -145,9 +146,11 @@ def test_sokoban_map_form(tmp_path):
         observations: [right]
     """)
     problem = load_scenario(path)
-    assert "player-7" in problem.initial
-    assert "box-8" in problem.initial
-    assert problem.goals == (frozenset({"box-9"}), frozenset({"box-14"}))
+    decode = problem.domain.decode
+    assert "player-7" in decode(problem.initial)
+    assert "box-8" in decode(problem.initial)
+    assert tuple(map(decode, problem.goals)) == (frozenset({"box-9"}),
+                                                 frozenset({"box-14"}))
     assert problem.observations[0].action.name == "push-right-7-8"
 
 
@@ -222,7 +225,8 @@ def test_strips_action_named_like_a_direction_word_is_observable(tmp_path):
     problem = load_scenario(path)
     assert problem.board is None
     assert [o.action.name for o in problem.observations] == ["up"]
-    assert problem.observations[0].resulting_state == frozenset({"b"})
+    assert problem.domain.decode(
+        problem.observations[0].resulting_state) == frozenset({"b"})
 
 
 def test_parse_errors_carry_diagnostics(tmp_path):
@@ -249,6 +253,31 @@ def test_undeclared_goal_fact_is_rejected_at_load(tmp_path):
         observations: []
     """)
     with pytest.raises(ValidationError, match=r"^goal g2: .*\['zzz'\]"):
+        load_scenario(path)
+
+
+def test_fewer_goal_names_than_goals_is_rejected_not_truncated(tmp_path):
+    # The goals past the names are kept, so the counts differ, even when
+    # one of them holds an undeclared fact.
+    listing = """
+        kind: strips
+        strips:
+          facts: [a, b, c]
+          actions:
+            - {name: go, pre: [a], add: [b], del: [a]}
+          initial: [a]
+          goals: [[b], [c], THIRD]
+        goal_names: NAMES
+        observations: []
+    """
+    for third in ("[c]", "[zzz]"):
+        path = write(tmp_path, listing.replace("THIRD", third)
+                     .replace("NAMES", "[first]"))
+        with pytest.raises(ValidationError, match="goal_names must match"):
+            load_scenario(path)
+    path = write(tmp_path, listing.replace("THIRD", "[zzz]")
+                 .replace("NAMES", "[x, y, z]"))
+    with pytest.raises(ValidationError, match=r"^goal z: .*\['zzz'\]"):
         load_scenario(path)
 
 
@@ -286,6 +315,23 @@ def test_null_names_read_as_absent_and_other_types_are_rejected(tmp_path):
     write(tmp_path, "scenario: 7\n", "ann.yaml")
     with pytest.raises(ParseError, match="scenario: expected a string, got 7"):
         load_annotations(notes)
+
+
+def test_null_action_and_goal_names_are_rejected_naming_the_field(tmp_path):
+    listing = {"facts": ["a"], "initial": [], "goals": [["a"]],
+               "actions": [{"name": None, "add": ["a"]}]}
+    with pytest.raises(ParseError, match=r"^strips\.actions\.name: expected "
+                                         r"a string, got None"):
+        parse_scenario({"kind": "strips", "strips": listing})
+    for mapping, field, got in [("{g1: null}", "counterfactual_actions.g1",
+                                 "None"),
+                                ("{null: go}", "counterfactual_actions", "None"),
+                                ("{1: go}", "counterfactual_actions", "1")]:
+        notes = write(tmp_path, f"counterfactual_actions: {mapping}\n",
+                      "ann.yaml")
+        with pytest.raises(ParseError,
+                           match=rf"^{field}: expected a string, got {got}$"):
+            load_annotations(notes)
 
 
 def test_annotations_reject_negative_ranks(tmp_path):

@@ -26,6 +26,7 @@ def test_single_forced_push_costs_one():
 def test_pair_push_moves_both_boxes_one_cell():
     spec = SokobanSpec(5, 1, frozenset(), 1, (2, 3), (4, 5), ((4, 5),), True)
     domain, initial, _ = compile_sokoban(spec)
+    initial = domain.decode(initial)
     action = domain.action("push2-right-1-2")
     assert applicable(domain, initial, action)
     after = apply(domain, initial, action)
@@ -38,15 +39,17 @@ def test_single_push_blocked_by_second_box_without_multi_push():
     spec = SokobanSpec(5, 1, frozenset(), 1, (2, 3), (4, 5), ((4, 5),), False)
     domain, initial, goals = compile_sokoban(spec)
     push = domain.action("push-right-1-2")
-    assert not applicable(domain, initial, push)  # destination holds the far box
+    # destination holds the far box
+    assert not applicable(domain, domain.decode(initial), push)
     assert not domain.has_action("push2-right-1-2")
-    assert domain.applicable_actions(domain.encode(initial)) == []
+    assert domain.applicable_actions(initial) == []
     assert optimal_cost(PlanningTask(domain, initial, goals[0])) is None
 
 
 def test_multi_push_line_is_limited_to_two_boxes():
     spec = SokobanSpec(6, 1, frozenset(), 1, (2, 3, 4), (5, 6), ((5, 6),), True)
     domain, initial, _ = compile_sokoban(spec)
+    initial = domain.decode(initial)
     # three boxes in line: neither the single nor the pair push applies
     assert not applicable(domain, initial, domain.action("push-right-1-2"))
     assert not applicable(domain, initial, domain.action("push2-right-1-2"))
@@ -59,6 +62,7 @@ def test_push_legality_exhaustive_enumeration(multi):
     spec = SokobanSpec(5, 5, frozenset({7}), 1, (8, 12), (20, 24),
                        ((20, 24),), multi)
     domain, initial, _ = compile_sokoban(spec)
+    initial = domain.decode(initial)
     deltas = {"up": -5, "down": 5, "left": -1, "right": 1}
 
     seen = {initial}
@@ -92,6 +96,7 @@ def test_successor_table_matches_apply_on_reachable_states(multi):
     spec = SokobanSpec(5, 5, frozenset({7}), 1, (8, 12), (20, 24),
                        ((20, 24),), multi)
     domain, initial, _ = compile_sokoban(spec)
+    initial = domain.decode(initial)
     by_name = sorted(domain.actions, key=lambda a: a.name)
     seen = {initial}
     queue = deque([initial])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
-                       PlanningTask, SokobanSpec, State, compile_grid,
+                       PlanningTask, SokobanSpec, compile_grid,
                        compile_sokoban, optimal_plan)
 from grexplain.grids import offset, parse_move
 from grexplain.scenario import ScenarioFile, StripsListing, build_problem
@@ -34,7 +34,7 @@ def test_applicable_agrees_with_naive_subset_oracle():
     rng = random.Random(7)
     facts = [f"f{i}" for i in range(12)]
     for _ in range(300):
-        state = State(f for f in facts if rng.random() < 0.5)
+        state = frozenset(f for f in facts if rng.random() < 0.5)
         pre = frozenset(f for f in facts if rng.random() < 0.3)
         domain = strips_domain(facts, [("probe", pre, (), ())])
         naive = all(f in state for f in pre)
@@ -46,7 +46,7 @@ def test_applicable_agrees_with_naive_subset_oracle():
 def test_apply_single_fact_swap():
     domain = strips_domain(["at-4", "at-7"], [MOVE_7_4])
     after = step(domain.encode(["at-7"]), domain.actions[0])
-    assert domain.decode(after) == State(["at-4"])
+    assert domain.decode(after) == frozenset(["at-4"])
 
 
 def test_apply_empty_effects_is_identity():
@@ -69,8 +69,8 @@ def test_chained_apply_matches_independent_interpreter():
     plan = optimal_plan(PlanningTask(domain, initial, goals[0]))
     assert plan is not None
 
-    state = domain.encode(initial)
-    shadow = set(initial)
+    state = initial
+    shadow = set(domain.decode(initial))
     for action in plan:
         state = step(state, action)
         assert domain.decode(action.preconditions) <= shadow
@@ -84,7 +84,7 @@ def test_frame_property_random_actions():
     facts = [f"f{i}" for i in range(10)]
     for _ in range(200):
         pre = [f for f in facts if rng.random() < 0.3]
-        state = State(set(pre) | {f for f in facts if rng.random() < 0.4})
+        state = frozenset(set(pre) | {f for f in facts if rng.random() < 0.4})
         add = frozenset(f for f in facts if rng.random() < 0.2)
         dele = frozenset(f for f in facts if rng.random() < 0.2) - add
         domain = strips_domain(facts, [("x", pre, add, dele)])
@@ -223,27 +223,48 @@ def named_facts(kind, name, width, height):
 
 @st.composite
 def compiled_boards(draw):
-    """A drawn grid, or a drawn Sokoban board with ``multi_push`` on or off,
-    as (kind, width, height, domain)."""
+    """A drawn grid with goal cells, or a drawn Sokoban board with boxes,
+    storage, goal assignments and ``multi_push`` on or off, as (kind, spec,
+    floor cells, domain, initial state, goal masks)."""
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cells = list(range(1, width * height + 1))
     start = draw(st.sampled_from(cells))
     walls = draw(st.frozensets(st.sampled_from(cells))) - {start}
+    floor = [c for c in cells if c not in walls]
     if draw(st.booleans()):
-        spec = GridSpec(width, height, walls, start, (start,))
-        return "grid", width, height, compile_grid(spec)[0]
-    spec = SokobanSpec(width, height, walls, start, (), (), (),
-                       draw(st.booleans()))
-    return "sokoban", width, height, compile_sokoban(spec)[0]
+        goals = draw(st.lists(st.sampled_from(floor), min_size=1, max_size=3))
+        spec = GridSpec(width, height, walls, start, tuple(goals))
+        return ("grid", spec, floor, *compile_grid(spec))
+    boxes = tuple(c for c in floor if c != start and draw(st.booleans()))
+    storage = tuple(c for c in floor if draw(st.booleans()))
+    assignments = draw(st.lists(
+        st.lists(st.sampled_from(storage), min_size=1, max_size=len(boxes),
+                 unique=True), max_size=3)) if storage and boxes else []
+    spec = SokobanSpec(width, height, walls, start, boxes, storage,
+                       assignments, draw(st.booleans()))
+    return ("sokoban", spec, floor, *compile_sokoban(spec))
 
 
 @settings(max_examples=150, deadline=None)
 @given(compiled_boards(), st.data())
 def test_compiled_masks_match_the_facts_action_names_imply(board, data):
-    kind, width, height, domain = board
+    kind, spec, floor, domain, initial, goals = board
     for action in domain.actions:
         decoded = tuple(set(domain.decode(mask)) for mask in (
             action.preconditions, action.add_effects, action.delete_effects))
-        assert decoded == named_facts(kind, action.name, width, height)
+        assert decoded == named_facts(kind, action.name, spec.width,
+                                      spec.height)
+    if kind == "grid":
+        assert domain.decode(initial) == {f"at-{spec.start}"}
+        assert [domain.decode(g) for g in goals] == [
+            {f"at-{cell}"} for cell in spec.goal_cells]
+    else:
+        occupied = {spec.player, *spec.boxes}
+        assert domain.decode(initial) == {
+            f"player-{spec.player}", *(f"box-{b}" for b in spec.boxes),
+            *(f"clear-{c}" for c in floor if c not in occupied)}
+        assert [domain.decode(g) for g in goals] == [
+            {f"box-{cell}" for cell in assignment}
+            for assignment in spec.goal_assignments]
     facts = data.draw(st.frozensets(st.sampled_from(domain.facts)))
     assert domain.decode(domain.encode(facts)) == facts

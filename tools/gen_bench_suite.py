@@ -36,11 +36,11 @@ def make_grid(rng, out_dir, name, width, height, n_blocks, n_goals, obs_count):
             spec = GridSpec(width, height, frozenset(blocked), start, tuple(goals))
         except Exception:
             continue
-        domain, initial, goal_sets = compile_grid(spec)
-        costs = optimal_costs(domain, initial, goal_sets)
+        domain, initial, goal_masks = compile_grid(spec)
+        costs = optimal_costs(domain, initial, goal_masks)
         if any(c is None or c < obs_count + 1 for c in costs):
             continue
-        obs = plan_directions(domain, initial, goal_sets[0], obs_count)
+        obs = plan_directions(domain, initial, goal_masks[0], obs_count)
         scenario = ScenarioFile("grid", spec, tuple(obs), (), name)
         problem = build_problem(scenario)  # must validate
         # reject fully ambiguous boards: explanation stage must have work
@@ -75,11 +75,11 @@ def make_sokoban(out_dir, name, width, height, walls, player, boxes, storage,
                  goals, multi, obs):
     spec = SokobanSpec(width, height, frozenset(walls), player, tuple(boxes),
                        tuple(storage), tuple(tuple(g) for g in goals), multi)
-    domain, initial, goal_sets = compile_sokoban(spec)
-    costs = optimal_costs(domain, initial, goal_sets)
+    domain, initial, goal_masks = compile_sokoban(spec)
+    costs = optimal_costs(domain, initial, goal_masks)
     assert all(c is not None for c in costs), (name, costs)
     assert costs[0] >= obs, (name, costs, obs)
-    words = plan_directions(domain, initial, goal_sets[0], obs)
+    words = plan_directions(domain, initial, goal_masks[0], obs)
     scenario = ScenarioFile("sokoban", spec, tuple(words), (), name)
     build_problem(scenario)
     (out_dir / f"{name}.yaml").write_text(serialize_scenario(scenario))
