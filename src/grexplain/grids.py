@@ -23,6 +23,20 @@ from .strips import DomainDefinition, GroundAction
 DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 DIRECTIONS = tuple(DELTAS)
 
+# The most cells a grid or Sokoban board may have: 56 times the largest
+# benchmark board (34 x 34), and far from a board whose compilation would
+# exhaust memory.  A fixed validation limit, not a setting.
+MAX_CELLS = 65_536
+
+
+def check_board_size(kind: str, width: int, height: int) -> None:
+    """Reject a ``kind`` board of more than ``MAX_CELLS`` cells, before any
+    per-cell work."""
+    if width * height > MAX_CELLS:
+        raise MalformedSpec(
+            f"{kind} of width {width} and height {height} has "
+            f"{width * height} cells, more than the limit of {MAX_CELLS}")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -37,6 +51,7 @@ class GridSpec:
         object.__setattr__(self, "goal_cells", tuple(self.goal_cells))
         if self.width < 1 or self.height < 1:
             raise MalformedSpec("grid dimensions must be positive")
+        check_board_size("grid", self.width, self.height)
         n = self.width * self.height
         for cell in self.blocked:
             if not 1 <= cell <= n:
@@ -86,15 +101,19 @@ def compile_grid(spec: GridSpec):
     Fact ``at-<cell>`` is bit ``cell - 1``.  One goal hypothesis per goal
     cell: its bit.
     """
-    n = spec.width * spec.height
+    width, height, blocked = spec.width, spec.height, spec.blocked
+    n = width * height
     actions = []
     for cell in range(1, n + 1):
-        if cell in spec.blocked:
+        if cell in blocked:
             continue
         here = 1 << (cell - 1)
-        for direction in DIRECTIONS:
-            nbr = offset(cell, direction, spec.width, spec.height)
-            if nbr is None or nbr in spec.blocked:
+        # ``offset``'s rule, with one divmod for the cell's four neighbours.
+        row, col = divmod(cell - 1, width)
+        for direction, (drow, dcol) in DELTAS.items():
+            r, c = row + drow, col + dcol
+            nbr = r * width + c + 1
+            if not (0 <= r < height and 0 <= c < width) or nbr in blocked:
                 continue
             actions.append(GroundAction(f"move-{direction}-{cell}-{nbr}",
                                         here, 1 << (nbr - 1), here))

@@ -21,6 +21,14 @@ direction word on either kind of board: from the agent's cell (its ``at-``
 or ``player-`` fact), the first applicable of ``move``, ``push`` and
 ``push2`` toward the neighbouring cell.  Annotation files carry
 ground-truth ranks and counterfactual actions for the agreement metrics.
+
+Every file is read as bytes and parsed by libyaml when PyYAML was built
+with it (``CSafeLoader``), else by PyYAML's pure-Python ``SafeLoader``.
+Both build the data with the same safe constructor and detect UTF-8 or
+UTF-16 themselves, so a file that is neither is invalid YAML.  Only the
+wording and the line of an invalid-YAML message may differ between the two:
+an unterminated flow mapping is reported at line 3 by libyaml and at line 2
+by the pure-Python parser; both exit 2 with ``error:``.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ from .grids import DIRECTIONS, GridSpec, compile_grid, offset, parse_fact
 from .recognizer import GrProblem, Observation, goal_labels
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, step
+
+# The parser every file is read with, chosen once (see the module docstring).
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass(frozen=True)
 class StripsListing:
@@ -224,7 +236,7 @@ def _read_mapping(path, what: str) -> dict:
     """The top-level mapping of a YAML file; ParseError messages start with
     ``what`` (scenario, annotations or priors) and name the path."""
     try:
-        data = yaml.safe_load(Path(path).read_text())
+        data = yaml.load(Path(path).read_bytes(), Loader=_LOADER)
     except OSError as exc:
         raise ParseError(f"{what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedSpec
-from .grids import DIRECTIONS, offset
+from .grids import DIRECTIONS, check_board_size, offset
 from .strips import DomainDefinition, GroundAction
 
 
@@ -49,9 +49,10 @@ class SokobanSpec:
         object.__setattr__(self, "storage", tuple(self.storage))
         object.__setattr__(self, "goal_assignments",
                            tuple(tuple(a) for a in self.goal_assignments))
-        n = self.width * self.height
         if self.width < 1 or self.height < 1:
             raise MalformedSpec("board dimensions must be positive")
+        check_board_size("board", self.width, self.height)
+        n = self.width * self.height
         occupied = [("player", self.player)] + [("box", b) for b in self.boxes]
         seen = set()
         for label, cell in occupied + [("storage", s) for s in self.storage]:

@@ -16,7 +16,8 @@ person (an error message) or name a board cell (a direction word).
 
 The successor index files each action under one precondition fact, its
 pivot, the least by the key (not in ``one_hot``, number of actions with
-that precondition, fact name).  ``one_hot`` is the domain's exactly-one
+that precondition, fact name); a single-bit precondition, such as a grid
+move's, is its own pivot.  ``one_hot`` is the domain's exactly-one
 group: facts of which, as its compiler guarantees, every reachable state
 holds exactly one.  So an action with a grouped precondition is filed under
 the group's value, and an expansion tests only the actions of the one group
@@ -44,6 +45,7 @@ plain values.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MalformedSpec
@@ -110,25 +112,29 @@ class DomainDefinition:
         # holds; condition-free actions are always candidates.  Actions are
         # ranked by name, so sorting ranks sorts names.
         self._by_name = {}
-        counts = [0] * len(self.facts)
+        n = len(self.facts)
+        counts = [0] * n
         for action in self.actions:
             name, pre, add, dele = action
             if name in self._by_name:
                 raise MalformedSpec(f"duplicate action name: {name}")
             self._by_name[name] = action
-            if (pre | add | dele) >> len(self.facts):
+            if (pre | add | dele) >> n:
                 raise MalformedSpec(
                     f"action {name}: a mask bit lies outside the "
-                    f"{len(self.facts)} declared facts")
+                    f"{n} declared facts")
             if add & dele:
                 raise MalformedSpec(
                     f"action {name}: add and delete effects overlap: "
                     f"{sorted(self.decode(add & dele))}")
-            for i in _bits(pre):
-                counts[i] += 1
+            if pre & (pre - 1):
+                for i in _bits(pre):
+                    counts[i] += 1
+            elif pre:
+                counts[pre.bit_length() - 1] += 1
         pivot_key = [(not one_hot >> i & 1, count, fact)
                      for i, (count, fact) in enumerate(zip(counts, self.facts))]
-        self._by_rank = tuple(sorted(self.actions, key=lambda a: a.name))
+        self._by_rank = tuple(sorted(self.actions, key=attrgetter("name")))
         self._buckets = {}  # pivot fact index -> [(rank, pre mask)]
         self._unconditional = []
         for rank, action in enumerate(self._by_rank):
@@ -136,7 +142,10 @@ class DomainDefinition:
             if not pre:
                 self._unconditional.append(rank)
                 continue
-            pivot = min(_bits(pre), key=pivot_key.__getitem__)
+            if pre & (pre - 1):
+                pivot = min(_bits(pre), key=pivot_key.__getitem__)
+            else:
+                pivot = pre.bit_length() - 1
             self._buckets.setdefault(pivot, []).append((rank, pre))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id

@@ -333,6 +333,10 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
     ("kind: strips\nstrips: {facts: [a, b, c], initial: [a],"
      " goals: [[b], [c]], actions: [{name: go, pre: [a], add: [b], del: [a]}]}\n"
      "goal_names: [g1]\nobservations: [go]\n", None, None),
+    (b"kind: grid\nname: \xff\xfe\n", None, None),
+    (GRID_3X3 + "observations: [right]\n", "--priors", b"g1: \xff\ng2: 1\n"),
+    ("kind: grid\ngrid: {width: 1000000, height: 1000000, start: 1,"
+     " goals: [2]}\nobservations: []\n", None, None),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -348,16 +352,23 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
         "strips-body-not-a-mapping", "priors-unknown-goal",
         "name-not-a-string", "annotation-scenario-not-a-string",
         "action-name-null", "action-name-not-a-string", "cf-action-null",
-        "cf-goal-null", "goal-names-fewer-than-goals"])
+        "cf-goal-null", "goal-names-fewer-than-goals", "scenario-not-utf8",
+        "priors-not-utf8", "grid-too-large"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
+    def write(path, content):  # bytes are written as they are
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+
     board = tmp_path / "board.yaml"
-    board.write_text(scenario)
+    write(board, scenario)
     verb = "eval" if extra == "--annotations" else "recognize"
     argv = [verb, "--scenario", str(board)]
     if extra_file is not None:
         side = tmp_path / "side.yaml"
-        side.write_text(extra_file)
+        write(side, extra_file)
         argv += [extra, str(side)]
     elif extra:
         argv.append(extra)

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from grexplain import (GridSpec, MalformedSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost)
-from grexplain.grids import DIRECTIONS, offset, parse_fact, parse_move
+from grexplain.grids import (DIRECTIONS, MAX_CELLS, offset, parse_fact,
+                             parse_move)
 
 
 def test_two_by_two_has_eight_moves():
@@ -92,6 +93,38 @@ def test_malformed_specs_rejected():
         GridSpec(3, 3, frozenset({9}), 1, (9,))  # goal blocked
     with pytest.raises(MalformedSpec):
         GridSpec(3, 3, frozenset({99}), 1, (9,))  # block out of range
+
+
+def test_boards_past_the_cell_limit_are_rejected_before_compiling():
+    huge = 10 ** 6
+    with pytest.raises(MalformedSpec, match=rf"^grid of width {huge} and "
+                       rf"height {huge} has {huge * huge} cells, more than "
+                       rf"the limit of {MAX_CELLS}$"):
+        GridSpec(huge, huge, frozenset(), 1, (2,))
+    with pytest.raises(MalformedSpec, match=rf"^board of width {huge} and "
+                       rf"height 3 has {3 * huge} cells, more than the limit "
+                       rf"of {MAX_CELLS}$"):
+        SokobanSpec(huge, 3, frozenset(), 1, (2,), (3,), ((3,),), False)
+    with pytest.raises(MalformedSpec, match="more than the limit"):
+        GridSpec(MAX_CELLS + 1, 1, frozenset(), 1, (2,))
+    GridSpec(MAX_CELLS, 1, frozenset(), 1, (2,))  # the limit itself is allowed
+    SokobanSpec(256, 256, frozenset(), 1, (2,), (3,), ((3,),), False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_grid_moves_are_every_offset_step_in_cell_and_direction_order(
+        width, height, data):
+    cells = range(1, width * height + 1)
+    blocked = data.draw(st.frozensets(st.sampled_from(cells)))
+    free = [c for c in cells if c not in blocked]
+    if not free:
+        return
+    domain, _, _ = compile_grid(GridSpec(width, height, blocked, free[0]))
+    expected = [f"move-{d}-{c}-{offset(c, d, width, height)}"
+                for c in free for d in DIRECTIONS
+                if offset(c, d, width, height) not in (None, *blocked)]
+    assert [a.name for a in domain.actions] == expected
 
 
 def test_nav_reconstruction_compiles_and_goals_solvable(nav_problem):

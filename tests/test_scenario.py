@@ -1,17 +1,27 @@
+import json
 import textwrap
+from pathlib import Path
 
 import pytest
+import yaml
 
+import grexplain
 from grexplain import (GridSpec, ParseError, SokobanSpec, ValidationError,
                        bundled_bench_paths, bundled_scenario_path,
                        compile_grid, compile_sokoban,
                        load_annotations, load_priors, load_scenario,
                        mirror_posteriors)
+from grexplain import scenario as scenario_module
+from grexplain.cli import main
 from grexplain.grids import DIRECTIONS
 from grexplain.scenario import (_resolve_direction, parse_scenario,
                                 parse_scenario_file, serialize_scenario)
 
 from conftest import applicable, apply
+
+ROOT = Path(__file__).resolve().parents[1]
+libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                             reason="PyYAML was built without libyaml")
 
 
 def write(tmp_path, text, name="scenario.yaml"):
@@ -359,3 +369,85 @@ def test_bundled_accessors():
     assert len(bundled_bench_paths()) == 15
     with pytest.raises(ParseError):
         bundled_scenario_path("nope")
+
+
+def yaml_texts():
+    """(label, bytes) of every bundled scenario file and of every scenario
+    text in the benchmark's pools (``bundled_suite.json`` holds digests
+    only)."""
+    bundled = Path(grexplain.__file__).parent / "scenarios"
+    for path in sorted(p for p in bundled.rglob("*") if p.is_file()):
+        yield path.relative_to(bundled).as_posix(), path.read_bytes()
+    for pool in sorted((ROOT / "perfbench" / "pool").glob("*.json")):
+        for rung in json.loads(pool.read_text()).values():
+            for entry in rung if isinstance(rung, list) else ():
+                yield f"{pool.stem}/{entry['name']}", entry["scenario"].encode()
+
+
+@libyaml
+def test_libyaml_and_pure_python_loaders_give_equal_data():
+    checked = 0
+    for label, text in yaml_texts():
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader)), label
+        checked += 1
+    assert checked > 100
+
+
+@libyaml
+def test_files_are_read_with_libyaml_where_pyyaml_has_it():
+    # An install that loses libyaml fails here rather than loading slowly.
+    assert scenario_module._LOADER is yaml.CSafeLoader
+
+
+INVALID_INPUTS = [
+    ("scenario", 'kind: grid\nmap: ""\nobservations: []\n',
+     "map: expected a non-empty ASCII map"),
+    ("priors", "g1: [\n", "invalid YAML at line"),
+    ("scenario", "kind: grid\ngrid: {width: 3", "invalid YAML at line"),
+]
+
+
+def read_invalid_inputs(tmp_path, nav_problem):
+    """The ParseError message of each of ``INVALID_INPUTS``."""
+    messages = []
+    for what, text, _ in INVALID_INPUTS:
+        path = write(tmp_path, text, f"{what}.yaml")
+        with pytest.raises(ParseError) as err:
+            if what == "priors":
+                load_priors(path, nav_problem)
+            else:
+                load_scenario(path)
+        messages.append(str(err.value))
+    return messages
+
+
+def test_pure_python_loader_gives_the_same_answers(tmp_path, nav_problem,
+                                                   monkeypatch):
+    """Under ``SafeLoader`` a scenario gives the same structured output, and
+    malformed files raise ParseError with the same leading message (an
+    invalid-YAML message keeps its line; only its detail may differ)."""
+    nav = str(bundled_scenario_path("nav_crossroads"))
+    outputs, messages = [], []
+    for loader in (scenario_module._LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(scenario_module, "_LOADER", loader)
+        out = tmp_path / f"{loader.__name__}.json"
+        assert main(["explain", "--question", "whynot", "--scenario", nav,
+                     "--format", "structured", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        messages.append(read_invalid_inputs(tmp_path, nav_problem))
+    assert outputs[0] == outputs[1]
+    for (_, _, expected), default, pure in zip(INVALID_INPUTS, *messages):
+        assert expected in default and expected in pure
+    assert messages[0][0] == messages[1][0]  # the map error is not YAML's
+
+
+def test_utf16_file_reads_like_its_utf8_text(tmp_path):
+    text = ("kind: grid\nname: caf\u00e9\ngrid: {width: 3, height: 1, "
+            "start: 1, goals: [3]}\nobservations: [right]\n")
+    utf8, utf16 = tmp_path / "utf8.yaml", tmp_path / "utf16.yaml"
+    utf8.write_bytes(text.encode("utf-8"))
+    utf16.write_bytes(text.encode("utf-16"))  # with a byte-order mark
+    assert load_scenario(utf16).name == "caf\u00e9"
+    assert (problem_signature(load_scenario(utf16))
+            == problem_signature(load_scenario(utf8)))

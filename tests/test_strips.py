@@ -194,6 +194,30 @@ def test_successor_table_matches_apply_oracle(case):
         assert [(a, domain.states[succ]) for a, succ in row] == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(strips_domains())
+def test_each_action_is_filed_under_the_pivot_the_rule_names(case):
+    """The module docstring's rule, computed from fact names: an action's
+    pivot is its precondition fact least by (not in the one-hot group,
+    number of actions with that precondition, fact name)."""
+    domain, actions, _ = case
+
+    def key(fact):
+        uses = sum(fact in domain.decode(a.preconditions) for a in actions)
+        in_group = domain.one_hot >> domain.facts.index(fact) & 1
+        return not in_group, uses, fact
+
+    expected = {}
+    for action in sorted(actions, key=lambda a: a.name):
+        pre = domain.decode(action.preconditions)
+        if pre:
+            pivot = domain.facts.index(min(pre, key=key))
+            expected.setdefault(pivot, []).append(action.name)
+    filed = {pivot: [domain._by_rank[rank].name for rank, _ in bucket]
+             for pivot, bucket in domain._buckets.items()}
+    assert filed == expected
+
+
 def test_encode_names_undeclared_facts():
     domain = strips_domain(["a", "b"], [("go", ["a"], ["b"], ())])
     assert domain.encode(["a", "b"]) == 0b11
