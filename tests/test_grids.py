@@ -108,7 +108,7 @@ def test_boards_past_the_cell_limit_are_rejected_before_compiling():
     with pytest.raises(MalformedSpec, match="more than the limit"):
         GridSpec(MAX_CELLS + 1, 1, frozenset(), 1, (2,))
     GridSpec(MAX_CELLS, 1, frozenset(), 1, (2,))  # the limit itself is allowed
-    SokobanSpec(256, 256, frozenset(), 1, (2,), (3,), ((3,),), False)
+    SokobanSpec(64, 64, frozenset(), 1, (2,), (3,), ((3,),), False)
 
 
 @settings(max_examples=60, deadline=None)
