@@ -6,6 +6,13 @@ scenario directory), ``eval`` (agreement against a ground-truth annotation
 file).  Exit status is 0 on success, 2 on any validation/parse error and 3
 when the planner's expansion budget is exhausted.
 
+One verb table, ``VERBS``, gives each verb's help, options and command,
+and both parsers are built from it.  ``build_parser`` builds the full
+parser (the top level plus one subparser per verb), which owns every usage
+and error line.  ``main`` builds only the named verb's parser, whose ``-h``
+reads as the full parser's, and hands any argv that this parser would
+reject or leave unparsed to the full parser.
+
 Every command builds a structured payload first; text output is derived from
 it, so ``--format structured`` exposes exactly what the text shows, with
 weights at full precision.
@@ -202,51 +209,97 @@ def cmd_eval(args):
     return payload, "\n".join(lines)
 
 
+_WITH_MAP = ("text", "structured", "ascii-grid")
+
+# verb: (help, --scenario help, takes --priors, --format choices,
+#        extra options as (flag, add_argument keywords), command)
+VERBS = {
+    "recognize": ("print the posterior trace", "scenario file", True,
+                  _WITH_MAP, (), cmd_recognize),
+    "explain": ("answer a why or why-not question", "scenario file", True,
+                _WITH_MAP,
+                (("--question", {"choices": ["why", "whynot"],
+                                 "required": True}),
+                 ("--goal", {"help": "restrict the answer to one goal label"})),
+                cmd_explain),
+    "rank": ("rank observations for both questions", "scenario file", True,
+             _WITH_MAP, (), cmd_rank),
+    "bench": ("time recognition vs explanation",
+              "scenario file or directory of scenario files", False,
+              ("text", "structured"), (), cmd_bench),
+    "eval": ("compare against ground-truth annotations", "scenario file", True,
+             ("text", "structured"),
+             (("--annotations",
+               {"required": True,
+                "help": "YAML annotation file with ranks and actions"}),),
+             cmd_eval),
+}
+
+
+def _add_verb_options(parser, verb):
+    """Give ``parser`` the options of ``verb`` from the verb table."""
+    _, scenario_help, priors, formats, extra, fn = VERBS[verb]
+    parser.add_argument("--scenario", required=True, help=scenario_help)
+    if priors:
+        parser.add_argument("--priors",
+                            help="YAML file of per-goal prior weights")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="planner node-expansion cap (at least 1)")
+    parser.add_argument("--format", choices=formats, default="text")
+    parser.add_argument("--out",
+                        help="write output to this file instead of stdout")
+    for flag, options in extra:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level plus one subparser per verb.  It owns
+    every usage and error line; ``parse_args`` defers to it."""
     parser = argparse.ArgumentParser(
         prog="grexplain",
         description="Goal recognition with contrastive why / why-not explanations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario_help, priors=True, formats=("text", "structured")):
-        p.add_argument("--scenario", required=True, help=scenario_help)
-        if priors:
-            p.add_argument("--priors", help="YAML file of per-goal prior weights")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="planner node-expansion cap (at least 1)")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-
-    with_map = ("text", "structured", "ascii-grid")
-    p = sub.add_parser("recognize", help="print the posterior trace")
-    common(p, "scenario file", formats=with_map)
-    p.set_defaults(fn=cmd_recognize)
-
-    p = sub.add_parser("explain", help="answer a why or why-not question")
-    common(p, "scenario file", formats=with_map)
-    p.add_argument("--question", choices=["why", "whynot"], required=True)
-    p.add_argument("--goal", help="restrict the answer to one goal label")
-    p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser("rank", help="rank observations for both questions")
-    common(p, "scenario file", formats=with_map)
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("bench", help="time recognition vs explanation")
-    common(p, "scenario file or directory of scenario files", priors=False)
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("eval", help="compare against ground-truth annotations")
-    common(p, "scenario file")
-    p.add_argument("--annotations", required=True,
-                   help="YAML annotation file with ranks and actions")
-    p.set_defaults(fn=cmd_eval)
+    for verb, row in VERBS.items():
+        _add_verb_options(sub.add_parser(verb, help=row[0]), verb)
     return parser
 
 
+class _Defer(Exception):
+    """Raised by a one-verb parser where it would report an error."""
+
+
+class _VerbParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Defer
+
+
+def parse_args(argv):
+    """Parse ``argv`` as ``build_parser().parse_args`` does, building only
+    the named verb's parser when ``argv[0]`` is a verb.
+
+    That parser prints only its own ``-h``, which reads as the full
+    parser's.  An error or a leftover argument goes to the full parser,
+    which may report it otherwise: it reports an unknown option after a verb
+    with the top-level usage, and it reads ``--=x`` as an ambiguous prefix
+    of its own ``--help`` and ``--version`` before any verb parser runs."""
+    if argv and argv[0] in VERBS:
+        parser = _add_verb_options(_VerbParser(prog=f"grexplain {argv[0]}"),
+                                   argv[0])
+        try:
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                args.command = argv[0]
+                return args
+        except _Defer:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.budget < 1:
             raise ValidationError(f"--budget must be at least 1, got {args.budget}")

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -14,13 +16,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import grexplain
 from grexplain import bundled_bench_paths, bundled_scenario_path
-from grexplain.cli import build_parser, main
+from grexplain import cli
+from grexplain.cli import build_parser, main, parse_args
 from grexplain.scenario import build_problem, parse_scenario
 
 NAV = str(bundled_scenario_path("nav_crossroads"))
 PAIRS = str(bundled_scenario_path("sokoban_pairs"))
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIGESTS = ROOT / "perfbench" / "pool" / "bundled_suite.json"
+CLI_GOLDENS = json.loads((Path(__file__).with_name("cli_goldens.json"))
+                         .read_text())
 
 
 def run(capsys, *argv):
@@ -162,8 +167,10 @@ def test_readme_cli_lines_parse():
              if line.startswith("grexplain ")]
     assert len(lines) >= 5
     for line in lines:
-        args = build_parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        args = build_parser().parse_args(argv)
         assert callable(args.fn), line
+        assert vars(parse_args(argv)) == vars(args), line
 
 
 def test_readme_yaml_blocks_load(tmp_path):
@@ -667,3 +674,113 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def parsed(parse, argv):
+    """What parsing ``argv`` gives: the namespace's fields or the exit code,
+    then everything printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+PINNED = [case["argv"] for case in CLI_GOLDENS["cases"]]
+PINNED_IDS = [" ".join(argv) or "(none)" for argv in PINNED]
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != CLI_GOLDENS["python"],
+    reason=f"help and usage goldens were recorded on Python "
+           f"{CLI_GOLDENS['python']}; argparse words them differently "
+           f"elsewhere")
+@pytest.mark.parametrize("case", CLI_GOLDENS["cases"], ids=PINNED_IDS)
+def test_help_and_usage_errors_are_byte_identical(monkeypatch, case):
+    """``main`` prints the help, usage and error text and exits with the
+    status recorded in ``cli_goldens.json``, recorded from the parser built
+    by hand before the verb table replaced it."""
+    monkeypatch.setenv("COLUMNS", str(CLI_GOLDENS["columns"]))
+    assert parsed(main, case["argv"]) == (case["code"], case["stdout"],
+                                          case["stderr"])
+
+
+@pytest.mark.parametrize("argv", PINNED, ids=PINNED_IDS)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(main, argv) == parsed(full_parse, argv)
+
+
+OPTIONS = ["--scenario", "--priors", "--budget", "--format", "--out",
+           "--question", "--goal", "--annotations", "--help", "--version"]
+VALUES = ["X", "why", "whynot", "text", "structured", "ascii-grid", "nope",
+          "7", "0", "-1", "abc", ""]
+REQUIRED = {"explain": ["--question", "why"], "eval": ["--annotations", "A"]}
+
+
+@st.composite
+def argument_groups(draw):
+    """A flag of any verb (or a prefix of one, down to ``--``) in any form,
+    a bare value, ``-h`` or ``--``."""
+    flag = draw(st.sampled_from(OPTIONS))
+    if draw(st.booleans()):
+        flag = flag[:draw(st.integers(2, len(flag)))]
+    value = draw(st.sampled_from(VALUES))
+    return draw(st.sampled_from([[flag], [flag, value], [f"{flag}={value}"],
+                                 [value], ["-h"], ["--"]]))
+
+
+@st.composite
+def cli_argvs(draw):
+    verb = draw(st.sampled_from([*REQUIRED, "recognize", "rank", "bench",
+                                 "frobnicate"]))
+    groups = draw(st.lists(argument_groups(), max_size=3))
+    if draw(st.integers(0, 3)):
+        groups += [["--scenario", "X"], REQUIRED.get(verb, [])]
+    lead = draw(argument_groups()) if draw(st.integers(0, 7)) == 0 else []
+    return [*lead, verb, *sum(draw(st.permutations(groups)), [])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["recognize", "--scen", "X", "--scenario=Y", "--for=structured"])
+@example(["explain", "--scenario", "X", "--q=why", "--goal", "g1"])
+@example(["recognize", "--scenario", "X", "--=x"])
+@example(["eval", "--annotations", "A", "--scenario", "X", "--question", "why"])
+@example(["bench", "--scenario", "X", "--", "--out", "F"])
+@example(["--version", "rank", "--scenario", "X"])
+def test_one_verb_parser_parses_like_the_full_parser(argv):
+    """``parse_args`` gives the full parser's namespace (``command`` and
+    ``fn`` included) or its exit code and printed text, on drawn argv."""
+    assert parsed(parse_args, argv) == parsed(full_parse, argv), argv
+
+
+def test_main_reads_sys_argv_without_building_the_full_parser(
+        monkeypatch, capsys):
+    """The console script calls ``main()``: a verb's argv comes from
+    ``sys.argv`` and is parsed by that verb's parser alone, and an argv it
+    cannot take still reaches the full parser."""
+    argv = ["recognize", "--scenario", NAV, "--format", "structured"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    monkeypatch.setattr(sys, "argv", ["grexplain", *argv, "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "grexplain: error: unrecognized arguments: --bogus\n")
+
+    def no_full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    monkeypatch.setattr(sys, "argv", ["grexplain", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
