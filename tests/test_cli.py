@@ -15,8 +15,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import grexplain
-from grexplain import bundled_bench_paths, bundled_scenario_path
-from grexplain import cli
+from grexplain import bundled_bench_paths, bundled_scenario_path, cli
 from grexplain.cli import build_parser, main, parse_args
 from grexplain.scenario import build_problem, parse_scenario
 
@@ -24,8 +23,8 @@ NAV = str(bundled_scenario_path("nav_crossroads"))
 PAIRS = str(bundled_scenario_path("sokoban_pairs"))
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIGESTS = ROOT / "perfbench" / "pool" / "bundled_suite.json"
-CLI_GOLDENS = json.loads((Path(__file__).with_name("cli_goldens.json"))
-                         .read_text())
+CLI_GOLDENS = json.loads(
+    Path(__file__).with_name("cli_goldens.json").read_text())
 
 
 def run(capsys, *argv):
