@@ -1,6 +1,6 @@
 """Interleaved in-process timing of ``cli.main`` in two source trees.
 
-    python3 tools/ab_cli.py --parent DIR --change DIR [--rounds N] [--repeats K]
+    python3 tools/ab_cli.py --parent DIR --change DIR [--rounds N]
 
 Each round starts one child process per tree, the parent first on odd
 rounds and the change first on even ones.  A child imports ``grexplain``
@@ -8,7 +8,7 @@ from its tree's ``src/`` and sends every bundled request through
 ``cli.main([..., "--format", "structured", "--out", FILE])``: the 17
 scenarios under that tree's ``src/grexplain/scenarios``, each as
 ``recognize``, ``explain --question why``, ``explain --question whynot`` and
-``rank``.  It sends the whole set K times and prints each request's minimum
+``rank``.  It sends the whole set ``REPEATS`` times and prints each request's minimum
 time and the sha256 of its output as JSON.
 
 Per round the tool prints the median of those minima for each side and
@@ -28,6 +28,9 @@ import tempfile
 import time
 from pathlib import Path
 
+REPEATS = 5  # sends of each request per child; the minimum is kept
+
+# Must match perfbench/workloads.py VERB_ARGS, the benchmark's request set.
 VERBS = {
     "recognize": ["recognize"],
     "why": ["explain", "--question", "why"],
@@ -36,7 +39,7 @@ VERBS = {
 }
 
 
-def child(tree: Path, repeats: int) -> None:
+def child(tree: Path) -> None:
     """Time the bundled requests of ``tree`` and print the JSON result."""
     src = tree / "src"
     sys.path.insert(0, str(src))
@@ -50,7 +53,7 @@ def child(tree: Path, repeats: int) -> None:
     best, digests = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.json"
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             for path in paths:
                 for verb, args in VERBS.items():
                     key = f"{path.relative_to(scenarios)}/{verb}"
@@ -66,10 +69,9 @@ def child(tree: Path, repeats: int) -> None:
     print(json.dumps({"seconds": best, "digests": digests}))
 
 
-def run_child(tree: Path, repeats: int) -> dict:
+def run_child(tree: Path) -> dict:
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(tree),
-         "--repeats", str(repeats)],
+        [sys.executable, __file__, "--child", str(tree)],
         capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: {done.stderr.strip()}")
@@ -81,13 +83,10 @@ def main() -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="sends of each request per child (the minimum "
-                             "is kept)")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        child(args.child.resolve(), args.repeats)
+        child(args.child.resolve())
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
@@ -100,7 +99,7 @@ def main() -> int:
     for round_ in range(1, args.rounds + 1):
         order = ["parent", "change"] if round_ % 2 else ["change", "parent"]
         for side in order:
-            result = run_child(trees[side], args.repeats)
+            result = run_child(trees[side])
             medians[side].append(
                 statistics.median(result["seconds"].values()) * 1e3)
             digests[side] = result["digests"]
