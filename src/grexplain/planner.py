@@ -10,7 +10,9 @@ state's bits only for goal tests.  It stops once every goal asked for has
 been reached, so one sweep prices many goals from the same state, and every
 sweep on a domain shares that domain's successor table: a state expanded by
 one recognition sweep is read, not expanded again, by the next sweep and by
-counterfactual planning.
+counterfactual planning.  A row lists successor ids only, so
+``optimal_plan`` names each step of its plan by re-deriving it from
+``applicable_actions`` on the parent's bits.
 
 ``distance_tables`` prices every goal from every state reachable from one
 state: one enumeration of that space, then one breadth-first sweep per goal
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .strips import DomainDefinition
+from .strips import DomainDefinition, step
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -70,12 +72,14 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
             if expansions > budget:
                 raise BudgetExceeded(budget)
             state = states[sid]
-            for i in [i for i in pending if goals[i] & state == goals[i]]:
-                costs[i], last = depth, sid
-                pending.remove(i)
-            if not pending:
-                break
-            for _, succ in rows[sid] or domain.expand(sid):
+            for i in pending:
+                if goals[i] & state == goals[i]:
+                    costs[i], last = depth, sid
+            if last == sid:  # a goal holds here: each id is dequeued once
+                pending = [i for i in pending if costs[i] is None]
+                if not pending:
+                    break
+            for succ in rows[sid] or domain.expand(sid):
                 if succ not in parents:
                     parents[succ] = sid
                     successors.append(succ)
@@ -106,7 +110,7 @@ def _reachable(domain: DomainDefinition, start: int, cap: int):
     or None as soon as more than ``cap`` are found."""
     rows, found, seen = domain.rows, [start], {start}
     for sid in found:
-        for _, succ in rows[sid] or domain.expand(sid):
+        for succ in rows[sid] or domain.expand(sid):
             if succ not in seen:
                 if len(found) == cap:
                     return None
@@ -132,7 +136,7 @@ def distance_tables(domain: DomainDefinition, state: int, goals: Sequence[int],
     states, rows = domain.states, domain.rows
     predecessors = [[] for _ in states]
     for sid in found:
-        for _, succ in rows[sid]:
+        for succ in rows[sid]:
             predecessors[succ].append(sid)
     tables = []
     for goal in goals:
@@ -167,9 +171,10 @@ def optimal_plan(task: PlanningTask,
 
     Ties between equal-length plans go to the lexicographically first
     action-name sequence: the parent chain of the first goal state the
-    sweep dequeues (see the module docstring for why).  Each step is the
-    first action in ``expand(parent)`` that yields the child.  That is the
-    action that discovered the child: the parent was expanded with
+    sweep dequeues (see the module docstring for why).  Successor rows hold
+    no actions, so each step is re-derived: the first action in
+    ``applicable_actions(parent)`` whose progression gives the child.  That
+    is the action that discovered the child: the parent was expanded with
     successors in name order and only the first arrival is recorded, so
     when two actions lead to the same state the earlier name is taken.
     """
@@ -177,10 +182,12 @@ def optimal_plan(task: PlanningTask,
     _, parents, state, _ = _sweep(domain, task.initial, [task.goal], budget)
     if state is None:
         return None
-    actions = []
+    states, actions = domain.states, []
     while parents[state] is not None:
         parent = parents[state]
-        actions.append(next(action for action, succ in domain.expand(parent)
-                            if succ == state))
+        bits, child = states[parent], states[state]
+        actions.append(next(action
+                            for action in domain.applicable_actions(bits)
+                            if step(bits, action) == child))
         state = parent
     return tuple(reversed(actions))

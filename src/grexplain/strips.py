@@ -23,19 +23,27 @@ holds exactly one.  So an action with a grouped precondition is filed under
 the group's value, and an expansion tests only the actions of the one group
 fact that holds.  A compiler that knows such a group passes it; a raw
 STRIPS listing declares none, and no group is guessed from fact names.
-Expansion scans the bucket of every pivot that holds and tests each
-candidate's full precondition mask, so the group decides only how many
-candidates are tested, never the rows: a state that breaks the group still
-gets its exact row, in name order.
+A bucket lists its actions in name order.  Expansion scans the bucket of
+every pivot that holds and tests each candidate's full precondition mask,
+so the group decides only how many candidates are tested, never the rows: a
+state that breaks the group still gets its exact row, in name order.  Where
+exactly one pivot holds and no action is condition-free, as in every
+reachable grid and Sokoban state, that bucket's matches are the row's
+actions as they stand; otherwise the matches of all buckets that hold are
+merged and sorted by name.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
-``id`` lists ``(action, successor id)`` pairs in action name order.  A row
-fills lazily, the first time ``expand`` is asked for its state, and lives
-as long as the domain, so the table's size is bounded by the distinct
-states searched on that domain.  Search keys its maps by id,
-and ids are small consecutive ints that hash apart; a state int of one bit,
-such as a grid position ``1 << i``, hashes to one of only 61 values.
+``id`` is a tuple of successor ids, one per applicable action, in action
+name order.  A row holds no action: whoever needs one re-derives it from
+``applicable_actions`` and ``step``.  A tuple of ints holds no reference
+the garbage collector has to follow, so the collector stops tracking a row
+instead of promoting it with every collection.  A row fills lazily, the
+first time ``expand`` is asked for its state, and lives as long as the
+domain, so the table's size is bounded by the distinct states searched on
+that domain.  Search keys its maps by id, and ids are small consecutive
+ints that hash apart; a state int of one bit, such as a grid position
+``1 << i``, hashes to one of only 61 values.
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
@@ -65,6 +73,9 @@ class GroundAction(NamedTuple):
 
     def __repr__(self):
         return f"GroundAction({self.name})"
+
+
+_name = attrgetter("name")
 
 
 def step(state: int, action: GroundAction) -> Optional[int]:
@@ -109,8 +120,7 @@ class DomainDefinition:
 
         # Successor index: each action is bucketed under its pivot (see the
         # module docstring), so expansion only tests actions whose pivot
-        # holds; condition-free actions are always candidates.  Actions are
-        # ranked by name, so sorting ranks sorts names.
+        # holds; condition-free actions are always candidates.
         self._by_name = {}
         n = len(self.facts)
         counts = [0] * n
@@ -134,23 +144,22 @@ class DomainDefinition:
                 counts[pre.bit_length() - 1] += 1
         pivot_key = [(not one_hot >> i & 1, count, fact)
                      for i, (count, fact) in enumerate(zip(counts, self.facts))]
-        self._by_rank = tuple(sorted(self.actions, key=attrgetter("name")))
-        self._buckets = {}  # pivot fact index -> [(rank, pre mask)]
-        self._unconditional = []
-        for rank, action in enumerate(self._by_rank):
+        self._buckets = {}  # pivot fact index -> [(pre mask, action)]
+        self._unconditional = []  # condition-free actions
+        for action in sorted(self.actions, key=_name):
             pre = action.preconditions
             if not pre:
-                self._unconditional.append(rank)
+                self._unconditional.append(action)
                 continue
             if pre & (pre - 1):
                 pivot = min(_bits(pre), key=pivot_key.__getitem__)
             else:
                 pivot = pre.bit_length() - 1
-            self._buckets.setdefault(pivot, []).append((rank, pre))
+            self._buckets.setdefault(pivot, []).append((pre, action))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
-        self.rows = []  # id -> ((action, successor id), ...), or None
+        self.rows = []  # id -> (successor id, ...), or None
 
     def action(self, name: str) -> GroundAction:
         try:
@@ -178,18 +187,21 @@ class DomainDefinition:
 
     def applicable_actions(self, state: int) -> list:
         """All actions applicable in the encoded ``state``, sorted by name."""
-        ranks = list(self._unconditional)
         pivots = state & self._pivot_mask
         buckets = self._buckets
+        if pivots and not pivots & (pivots - 1) and not self._unconditional:
+            # One bucket, already in name order: every reachable grid and
+            # Sokoban state takes this path.
+            return [action for pre, action in buckets[pivots.bit_length() - 1]
+                    if pre & state == pre]
+        found = list(self._unconditional)
         while pivots:
             index = pivots.bit_length() - 1
             pivots ^= 1 << index
-            for rank, pre in buckets[index]:
-                if pre & state == pre:
-                    ranks.append(rank)
-        ranks.sort()
-        by_rank = self._by_rank
-        return [by_rank[r] for r in ranks]
+            found += [action for pre, action in buckets[index]
+                      if pre & state == pre]
+        found.sort(key=_name)
+        return found
 
     def state_id(self, state: int) -> int:
         """The dense id of the encoded ``state``, interned on first sight."""
@@ -201,16 +213,24 @@ class DomainDefinition:
         return found
 
     def expand(self, state_id: int) -> tuple:
-        """Row ``state_id`` of the successor table: ``(action, successor
-        id)`` pairs in action name order.  Computed by ``applicable_actions``
-        the first time a state is asked for, then read from the table."""
+        """Row ``state_id`` of the successor table: the ids of the states
+        the applicable actions lead to, in action name order.  Computed by
+        ``applicable_actions`` the first time a state is asked for, then
+        read from the table."""
         found = self.rows[state_id]
         if found is None:
-            state = self.states[state_id]
-            found = self.rows[state_id] = tuple([
-                (action, self.state_id(
-                    state & ~action.delete_effects | action.add_effects))
-                for action in self.applicable_actions(state)])
+            ids, states, rows = self._ids, self.states, self.rows
+            state = states[state_id]
+            row = []
+            for action in self.applicable_actions(state):
+                succ = state & ~action.delete_effects | action.add_effects
+                sid = ids.get(succ)
+                if sid is None:  # ``state_id``, inline
+                    sid = ids[succ] = len(states)
+                    states.append(succ)
+                    rows.append(None)
+                row.append(sid)
+            found = rows[state_id] = tuple(row)
         return found
 
     def __repr__(self):

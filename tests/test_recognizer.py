@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -281,3 +282,14 @@ def test_recognition_on_a_sokoban_board_expands_what_the_sweeps_expand():
     problem.domain.applicable_actions = counted
     mirror_posteriors(problem)
     assert len(expanded) == len(set(expanded)) == 11_480
+
+
+def test_filled_successor_rows_are_not_tracked_by_the_collector():
+    # rows hold successor ids only, so a collection untracks them rather
+    # than promoting every row a recognition fills
+    problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
+    mirror_posteriors(problem)
+    gc.collect()
+    rows = [row for row in problem.domain.rows if row is not None]
+    assert len(rows) > 1000
+    assert not any(gc.is_tracked(row) for row in rows)

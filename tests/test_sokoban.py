@@ -104,12 +104,14 @@ def test_successor_table_matches_apply_on_reachable_states(multi):
         state = queue.popleft()
         # the declared player group holds exactly once in every state
         assert bin(domain.encode(state) & domain.one_hot).count("1") == 1
-        expected = [(a, apply(domain, state, a)) for a in by_name
-                    if applicable(domain, state, a)]
-        row = domain.expand(domain.state_id(domain.encode(state)))
-        assert [(a, domain.states[succ]) for a, succ in row] == [
-            (a, domain.encode(succ)) for a, succ in expected]
-        for _, succ in expected:
+        moves = [a for a in by_name if applicable(domain, state, a)]
+        expected = [apply(domain, state, a) for a in moves]
+        bits = domain.encode(state)
+        assert domain.applicable_actions(bits) == moves
+        row = domain.expand(domain.state_id(bits))
+        assert [domain.states[succ] for succ in row] == [
+            domain.encode(succ) for succ in expected]
+        for succ in expected:
             if succ not in seen:
                 seen.add(succ)
                 queue.append(succ)

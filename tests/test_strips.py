@@ -187,11 +187,13 @@ def strips_domains(draw):
 def test_successor_table_matches_apply_oracle(case):
     domain, actions, states = case
     for state in states:  # repeats read the table
-        expected = [(a, domain.encode(apply(domain, state, a)))
-                    for a in sorted(actions, key=lambda a: a.name)
-                    if applicable(domain, state, a)]
-        row = domain.expand(domain.state_id(domain.encode(state)))
-        assert [(a, domain.states[succ]) for a, succ in row] == expected
+        moves = [a for a in sorted(actions, key=lambda a: a.name)
+                 if applicable(domain, state, a)]
+        bits = domain.encode(state)
+        assert domain.applicable_actions(bits) == moves
+        row = domain.expand(domain.state_id(bits))
+        assert [domain.states[succ] for succ in row] == [
+            domain.encode(apply(domain, state, a)) for a in moves]
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,7 +215,7 @@ def test_each_action_is_filed_under_the_pivot_the_rule_names(case):
         if pre:
             pivot = domain.facts.index(min(pre, key=key))
             expected.setdefault(pivot, []).append(action.name)
-    filed = {pivot: [domain._by_rank[rank].name for rank, _ in bucket]
+    filed = {pivot: [action.name for _, action in bucket]
              for pivot, bucket in domain._buckets.items()}
     assert filed == expected
 

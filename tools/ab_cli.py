@@ -4,16 +4,26 @@
 
 Each round starts one child process per tree, the parent first on odd
 rounds and the change first on even ones.  A child imports ``grexplain``
-from its tree's ``src/`` and sends every bundled request through
-``cli.main([..., "--format", "structured", "--out", FILE])``: the 17
-scenarios under that tree's ``src/grexplain/scenarios``, each as
-``recognize``, ``explain --question why``, ``explain --question whynot`` and
-``rank``.  It sends the whole set ``REPEATS`` times and prints each request's minimum
-time and the sha256 of its output as JSON.
+from its tree's ``src/`` and sends three sets of requests through
+``cli.main([..., "--format", "structured", "--out", FILE])``:
 
-Per round the tool prints the median of those minima for each side and
-their ratio (change / parent), then the medians over all rounds.  It exits
-1 if a request fails or the two trees write different output.
+- ``bundled``: the 17 scenarios under that tree's
+  ``src/grexplain/scenarios``, each as ``recognize``, ``explain --question
+  why``, ``explain --question whynot`` and ``rank``;
+- ``grid_ladder``: every board of the benchmark's ``grid_ladder`` pool, as
+  ``recognize`` and ``explain --question whynot``;
+- ``sokoban_deep``: every board of the ``sokoban_deep`` pool, as ``explain
+  --question whynot``.
+
+The pool boards are read from this checkout's ``perfbench/pool/*.json``,
+so both trees get the same boards.  A child sends every set ``REPEATS``
+times and prints each request's minimum time and the sha256 of its output
+as JSON; a round takes about 25 s on a 2-core Xeon.
+
+Per round the tool prints, for each set, the median of those minima on
+each side and their ratio (change / parent), then one row per set with the
+medians over all rounds.  It exits 1 if a request fails or the two trees
+write different output.
 """
 
 from __future__ import annotations
@@ -28,15 +38,42 @@ import tempfile
 import time
 from pathlib import Path
 
-REPEATS = 5  # sends of each request per child; the minimum is kept
+REPEATS = 3  # sends of each request per child; the minimum is kept
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
 
-# Must match perfbench/workloads.py VERB_ARGS, the benchmark's request set.
+# Must match perfbench/workloads.py VERB_ARGS and the verbs of its
+# WORKLOADS, the benchmark's request sets.
 VERBS = {
     "recognize": ["recognize"],
     "why": ["explain", "--question", "why"],
     "whynot": ["explain", "--question", "whynot"],
     "rank": ["rank"],
 }
+POOL_VERBS = {"grid_ladder": ("recognize", "whynot"),
+              "sokoban_deep": ("whynot",)}
+SETS = ("bundled", *POOL_VERBS)
+
+
+def requests(scenarios: Path, tmp: Path) -> list:
+    """(set, key, scenario path, verb) for every request a child sends;
+    pool boards are written under ``tmp``."""
+    found = []
+    paths = sorted(scenarios.glob("*.yaml")) + sorted(
+        (scenarios / "bench").glob("*.yaml"))
+    for path in paths:
+        for verb in VERBS:
+            found.append(("bundled", f"{path.relative_to(scenarios)}/{verb}",
+                          path, verb))
+    for name, verbs in POOL_VERBS.items():
+        pool = json.loads((POOL / f"{name}.json").read_text())
+        for entries in pool.values():
+            for entry in entries:
+                path = tmp / f"{entry['name']}.yaml"
+                path.write_text(entry["scenario"])
+                for verb in verbs:
+                    found.append((name, f"{name}/{entry['name']}/{verb}",
+                                  path, verb))
+    return found
 
 
 def child(tree: Path) -> None:
@@ -47,25 +84,23 @@ def child(tree: Path) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"grexplain imported from {cli.__file__}, not {src}")
 
-    scenarios = src / "grexplain" / "scenarios"
-    paths = sorted(scenarios.glob("*.yaml")) + sorted(
-        (scenarios / "bench").glob("*.yaml"))
-    best, digests = {}, {}
+    best = {name: {} for name in SETS}
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out.json"
+        tmp = Path(tmp)
+        out = tmp / "out.json"
+        sent = requests(src / "grexplain" / "scenarios", tmp)
         for _ in range(REPEATS):
-            for path in paths:
-                for verb, args in VERBS.items():
-                    key = f"{path.relative_to(scenarios)}/{verb}"
-                    argv = [*args, "--scenario", str(path),
-                            "--format", "structured", "--out", str(out)]
-                    t0 = time.perf_counter()
-                    code = cli.main(argv)
-                    elapsed = time.perf_counter() - t0
-                    if code != 0:
-                        raise SystemExit(f"{key}: exit {code}")
-                    best[key] = min(best.get(key, elapsed), elapsed)
-                    digests[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+            for name, key, path, verb in sent:
+                argv = [*VERBS[verb], "--scenario", str(path),
+                        "--format", "structured", "--out", str(out)]
+                t0 = time.perf_counter()
+                code = cli.main(argv)
+                elapsed = time.perf_counter() - t0
+                if code != 0:
+                    raise SystemExit(f"{key}: exit {code}")
+                best[name][key] = min(best[name].get(key, elapsed), elapsed)
+                digests[key] = hashlib.sha256(out.read_bytes()).hexdigest()
     print(json.dumps({"seconds": best, "digests": digests}))
 
 
@@ -92,27 +127,33 @@ def main() -> int:
         parser.error("--parent and --change are required")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    medians = {"parent": [], "change": []}
+    medians = {side: {name: [] for name in SETS} for side in trees}
     digests = {}
-    print(f"{'round':>6}  {'first':<6}  {'parent_ms':>9}  {'change_ms':>9}"
-          f"  {'ratio':>6}", flush=True)
+    print(f"{'round':>6}  {'first':<6}  {'set':<12}  {'parent_ms':>9}"
+          f"  {'change_ms':>9}  {'ratio':>6}", flush=True)
     for round_ in range(1, args.rounds + 1):
         order = ["parent", "change"] if round_ % 2 else ["change", "parent"]
         for side in order:
             result = run_child(trees[side])
-            medians[side].append(
-                statistics.median(result["seconds"].values()) * 1e3)
+            for name in SETS:
+                medians[side][name].append(statistics.median(
+                    result["seconds"][name].values()) * 1e3)
             digests[side] = result["digests"]
-        parent, change = medians["parent"][-1], medians["change"][-1]
-        print(f"{round_:>6}  {order[0]:<6}  {parent:>9.3f}  {change:>9.3f}"
-              f"  {change / parent:>6.3f}", flush=True)
+        for name in SETS:
+            parent = medians["parent"][name][-1]
+            change = medians["change"][name][-1]
+            print(f"{round_:>6}  {order[0]:<6}  {name:<12}  {parent:>9.3f}"
+                  f"  {change:>9.3f}  {change / parent:>6.3f}", flush=True)
 
-    ratios = [c / p for p, c in zip(medians["parent"], medians["change"])]
-    wins = sum(r < 1 for r in ratios)
-    print(f"{'median':>6}  {'':<6}  {statistics.median(medians['parent']):>9.3f}"
-          f"  {statistics.median(medians['change']):>9.3f}"
-          f"  {statistics.median(ratios):>6.3f}"
-          f"  (change faster in {wins} of {len(ratios)} rounds)")
+    for name in SETS:
+        parent, change = medians["parent"][name], medians["change"][name]
+        ratios = [c / p for p, c in zip(parent, change)]
+        wins = sum(r < 1 for r in ratios)
+        print(f"{'median':>6}  {'':<6}  {name:<12}"
+              f"  {statistics.median(parent):>9.3f}"
+              f"  {statistics.median(change):>9.3f}"
+              f"  {statistics.median(ratios):>6.3f}"
+              f"  (change faster in {wins} of {len(ratios)} rounds)")
     differ = sorted(key for key in digests["parent"]
                     if digests["parent"][key] != digests["change"].get(key))
     if differ or digests["parent"].keys() != digests["change"].keys():
