@@ -6,12 +6,10 @@ scenario directory), ``eval`` (agreement against a ground-truth annotation
 file).  Exit status is 0 on success, 2 on any validation/parse error and 3
 when the planner's expansion budget is exhausted.
 
-One verb table, ``VERBS``, gives each verb's help, options and command,
-and both parsers are built from it.  ``build_parser`` builds the full
-parser (the top level plus one subparser per verb), which owns every usage
-and error line.  ``main`` builds only the named verb's parser, whose ``-h``
-reads as the full parser's, and hands any argv that this parser would
-reject or leave unparsed to the full parser.
+One verb table, ``VERBS``, gives each verb's help, options and command.
+``build_parser`` builds one parser from it (the top level plus one
+subparser per verb) on the first ``main`` call, not at import, and every
+later call in the process parses with that same parser.
 
 Every command builds a structured payload first; text output is derived from
 it, so ``--format structured`` exposes exactly what the text shows, with
@@ -21,6 +19,7 @@ weights at full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -236,70 +235,34 @@ VERBS = {
 }
 
 
-def _add_verb_options(parser, verb):
-    """Give ``parser`` the options of ``verb`` from the verb table."""
-    _, scenario_help, priors, formats, extra, fn = VERBS[verb]
-    parser.add_argument("--scenario", required=True, help=scenario_help)
-    if priors:
-        parser.add_argument("--priors",
-                            help="YAML file of per-goal prior weights")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="planner node-expansion cap (at least 1)")
-    parser.add_argument("--format", choices=formats, default="text")
-    parser.add_argument("--out",
-                        help="write output to this file instead of stdout")
-    for flag, options in extra:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(fn=fn)
-    return parser
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: the top level plus one subparser per verb.  It owns
-    every usage and error line; ``parse_args`` defers to it."""
+    """The parser: the top level plus one subparser per verb of ``VERBS``.
+    Built once per process and shared, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="grexplain",
         description="Goal recognition with contrastive why / why-not explanations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for verb, row in VERBS.items():
-        _add_verb_options(sub.add_parser(verb, help=row[0]), verb)
+        help_, scenario_help, priors, formats, extra, fn = row
+        verb_parser = sub.add_parser(verb, help=help_)
+        add = verb_parser.add_argument
+        add("--scenario", required=True, help=scenario_help)
+        if priors:
+            add("--priors", help="YAML file of per-goal prior weights")
+        add("--budget", type=int, default=DEFAULT_BUDGET,
+            help="planner node-expansion cap (at least 1)")
+        add("--format", choices=formats, default="text")
+        add("--out", help="write output to this file instead of stdout")
+        for flag, options in extra:
+            add(flag, **options)
+        verb_parser.set_defaults(fn=fn)
     return parser
 
 
-class _Defer(Exception):
-    """Raised by a one-verb parser where it would report an error."""
-
-
-class _VerbParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Defer
-
-
-def parse_args(argv):
-    """Parse ``argv`` as ``build_parser().parse_args`` does, building only
-    the named verb's parser when ``argv[0]`` is a verb.
-
-    That parser prints only its own ``-h``, which reads as the full
-    parser's.  An error or a leftover argument goes to the full parser,
-    which may report it otherwise: it reports an unknown option after a verb
-    with the top-level usage, and it reads ``--=x`` as an ambiguous prefix
-    of its own ``--help`` and ``--version`` before any verb parser runs."""
-    if argv and argv[0] in VERBS:
-        parser = _add_verb_options(_VerbParser(prog=f"grexplain {argv[0]}"),
-                                   argv[0])
-        try:
-            args, rest = parser.parse_known_args(argv[1:])
-            if not rest:
-                args.command = argv[0]
-                return args
-        except _Defer:
-            pass
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.budget < 1:
             raise ValidationError(f"--budget must be at least 1, got {args.budget}")
@@ -315,13 +278,18 @@ def main(argv=None) -> int:
               else text)
     if args.out:
         try:
-            Path(args.out).write_text(output + "\n")
+            Path(args.out).write_text(output + "\n", encoding="utf-8")
         except OSError as exc:
             print(f"error: --out {args.out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
     else:
-        print(output)
+        try:
+            print(output)
+        except UnicodeEncodeError as exc:
+            print(f"error: stdout cannot encode the output as {exc.encoding}; "
+                  f"--out FILE writes it as UTF-8", file=sys.stderr)
+            return 2
     return 0
 
 

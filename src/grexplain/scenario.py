@@ -34,6 +34,7 @@ by the pure-Python parser; both exit 2 with ``error:``.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -42,13 +43,21 @@ from typing import Union
 import yaml
 
 from .errors import MalformedSpec, ParseError, ValidationError
-from .grids import DIRECTIONS, GridSpec, compile_grid, offset, parse_fact
+from .grids import (DIRECTIONS, GridSpec, check_board_size, compile_grid,
+                    offset, parse_fact)
 from .recognizer import GrProblem, Observation, goal_labels
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, step
 
 # The parser every file is read with, chosen once (see the module docstring).
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# Every file value a message quotes goes through this repr: it caps nesting
+# depth, item counts and length, so a value nested a thousand deep gives a
+# short message rather than a RecursionError.  Short values read as repr.
+_REPR = reprlib.Repr()
+_REPR.maxstring = _REPR.maxother = 60
+_quote = _REPR.repr
 
 
 @dataclass(frozen=True)
@@ -87,33 +96,35 @@ def _require(mapping, key, path):
 def _int(value, path):
     """A YAML integer; booleans, floats and strings are rejected, not cast."""
     if type(value) is not int:
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
+        raise ParseError(f"{path}: expected an integer, got {_quote(value)}")
     return value
 
 
 def _int_list(value, path):
     values = [] if value is None else value
     if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ParseError(f"{path}: expected a list of integers, got {value!r}")
+        raise ParseError(f"{path}: expected a list of integers, "
+                         f"got {_quote(value)}")
     return values
 
 
 def _list(value, path):
     if not isinstance(value, list):
-        raise ParseError(f"{path}: expected a list, got {value!r}")
+        raise ParseError(f"{path}: expected a list, got {_quote(value)}")
     return value
 
 
 def _str_list(value, path):
     if not all(isinstance(v, str) for v in _list(value, path)):
-        raise ParseError(f"{path}: expected a list of strings, got {value!r}")
+        raise ParseError(f"{path}: expected a list of strings, "
+                         f"got {_quote(value)}")
     return value
 
 
 def _name(value, path):
     """A required YAML string; null and other types are rejected, not cast."""
     if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string, got {value!r}")
+        raise ParseError(f"{path}: expected a string, got {_quote(value)}")
     return value
 
 
@@ -124,7 +135,7 @@ def _str(value, path, default):
 
 def _bool(value, path):
     if not isinstance(value, bool):
-        raise ParseError(f"{path}: expected true or false, got {value!r}")
+        raise ParseError(f"{path}: expected true or false, got {_quote(value)}")
     return value
 
 
@@ -140,6 +151,7 @@ def _read_map(text, kind: str) -> dict:
         raise ParseError("map: expected a non-empty ASCII map")
     rows = [line.rstrip() for line in text.splitlines() if line.strip()]
     width = max(len(r) for r in rows)
+    check_board_size("grid" if kind == "grid" else "board", width, len(rows))
     walls, boxes, labels = [], [], {}
     for r, row in enumerate(rows):
         for c, ch in enumerate(row.ljust(width, ".")):
@@ -226,7 +238,7 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
                                        "strips.goals")),
         )
     else:
-        raise ParseError(f"scenario: unknown kind {kind!r}")
+        raise ParseError(f"scenario: unknown kind {_quote(kind)}")
 
     return ScenarioFile(kind=kind, spec=spec, observations=observations,
                         goal_names=goal_names, name=name)
@@ -307,7 +319,8 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
         elif domain.has_action(token):
             action = domain.action(token)
         else:
-            raise ValidationError(f"observation {i}: unknown action {token!r}")
+            raise ValidationError(
+                f"observation {i}: unknown action {_quote(token)}")
         state = step(state, action)
         if state is None:
             raise ValidationError(
@@ -374,7 +387,7 @@ def _mapping(value, path) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ParseError(f"{path}: expected a mapping, got {value!r}")
+        raise ParseError(f"{path}: expected a mapping, got {_quote(value)}")
     return value
 
 
@@ -387,7 +400,8 @@ def _rank_mapping(raw, path) -> dict:
         try:
             index = int(text)
         except ValueError:
-            raise ParseError(f"{path}: bad observation key {key!r}") from None
+            raise ParseError(
+                f"{path}: bad observation key {_quote(key)}") from None
         rank = _int(value, f"{path}.{key}")
         if rank < 0:
             raise ParseError(f"{path}: ranks must be nonnegative ({key}: {value})")
@@ -435,7 +449,8 @@ def load_priors(path, problem: GrProblem) -> list:
             weight = float(value)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
-                f"priors: weight for {name} is not a number: {value!r}") from None
+                f"priors: weight for {name} is not a number: "
+                f"{_quote(value)}") from None
         if not 0 < weight < math.inf:
             raise ValidationError(
                 f"priors: weight for {name} must be positive and finite")

@@ -1,10 +1,19 @@
-import importlib.util
+import runpy
 import textwrap
+import types
 from pathlib import Path
 
 from grexplain import (answer_why_not, build_explanan, bundled_bench_paths,
                        bundled_scenario_path, mirror_posteriors)
 from grexplain.bench import format_report, run_bench, time_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_file(relative):
+    """The globals of the file at ``relative`` under the checkout, run by
+    path: the tools and the benchmark are not packages."""
+    return types.SimpleNamespace(**runpy.run_path(str(ROOT / relative)))
 
 
 def test_time_scenario_measures_all_three_phases(sokoban_problem):
@@ -61,11 +70,7 @@ def test_format_report_table_shape():
 
 
 def test_generator_reproduces_bundled_suite_byte_for_byte(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "tools" / "gen_bench_suite.py"
-    spec = importlib.util.spec_from_file_location("gen_bench_suite", path)
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
-    generator.main(tmp_path)
+    load_file("tools/gen_bench_suite.py").main(tmp_path)
     bundled = bundled_bench_paths()
     assert sorted(p.name for p in tmp_path.glob("*.yaml")) == [
         p.name for p in bundled]
@@ -80,10 +85,7 @@ def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
 
     from grexplain import cli, strips
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_file("perfbench/spans.py")
     for name in spans.LAYERS:
         module, attr = name.rsplit(".", 1)
         assert callable(getattr(importlib.import_module(module), attr)), name
@@ -101,3 +103,15 @@ def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
         tracer.uninstall()
     assert tracer.counts["optimal_plan"] > 0  # the wrappers saw the send
     assert traced.read_bytes() == plain.read_bytes()
+
+
+def test_ab_cli_sends_the_benchmark_requests():
+    """``tools/ab_cli.py`` times the benchmark's request sets: each verb
+    with the benchmark's arguments, and each pool with its workload's verbs."""
+    ab_cli = load_file("tools/ab_cli.py")
+    workloads = load_file("perfbench/workloads.py")
+    assert ({verb: tuple(args) for verb, args in ab_cli.VERBS.items()}
+            == workloads.VERB_ARGS)
+    assert ({name: workload.verbs
+             for name, workload in workloads.WORKLOADS.items()}
+            == {"bundled_suite": tuple(ab_cli.VERBS), **ab_cli.POOL_VERBS})

@@ -13,7 +13,8 @@ from grexplain import (GridSpec, ParseError, SokobanSpec, ValidationError,
                        mirror_posteriors)
 from grexplain import scenario as scenario_module
 from grexplain.cli import main
-from grexplain.grids import DIRECTIONS
+from grexplain.errors import MalformedSpec
+from grexplain.grids import DIRECTIONS, MAX_CELLS
 from grexplain.scenario import (_resolve_direction, parse_scenario,
                                 parse_scenario_file, serialize_scenario)
 
@@ -162,6 +163,19 @@ def test_sokoban_map_form(tmp_path):
     assert tuple(map(decode, problem.goals)) == (frozenset({"box-9"}),
                                                  frozenset({"box-14"}))
     assert problem.observations[0].action.name == "push-right-7-8"
+
+
+def test_an_oversized_map_fails_the_size_check_before_its_cells_are_read():
+    """A map past ``MAX_CELLS`` gets the same message as explicit fields,
+    even where a later cell would be a map error: no cell was read."""
+    row = "@1" + "." * MAX_CELLS + "@"
+    for data, board in (({"kind": "grid", "map": row}, "grid"),
+                        ({"kind": "sokoban", "map": row,
+                          "sokoban": {"goals": [[2]]}}, "board")):
+        with pytest.raises(MalformedSpec, match=rf"^{board} of width "
+                           rf"{MAX_CELLS + 3} and height 1 has "
+                           rf"{MAX_CELLS + 3} cells, more than the limit"):
+            parse_scenario(data)
 
 
 def test_map_and_explicit_forms_agree():
