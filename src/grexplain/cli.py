@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -286,10 +287,18 @@ def main(argv=None) -> int:
     else:
         try:
             print(output)
+            sys.stdout.flush()  # a closed reader raises here, not at exit
         except UnicodeEncodeError as exc:
             print(f"error: stdout cannot encode the output as {exc.encoding}; "
                   f"--out FILE writes it as UTF-8", file=sys.stderr)
             return 2
+        except BrokenPipeError:
+            # the reader left: send what is still buffered to devnull, so
+            # the flush at exit does not raise again, and exit 1 quietly
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return 0
 
 

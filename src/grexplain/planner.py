@@ -5,14 +5,25 @@ counterfactual-action plans.  Every action costs 1, so an optimal plan is a
 shortest one.  States and goals are int masks (the ``strips`` module
 docstring); the sweep works on the domain's dense state ids, reads
 successors from the domain's memoized table, and goes layer by layer,
-recording each state's first discovery as ``id -> parent id``; it reads a
-state's bits only for goal tests.  It stops once every goal asked for has
-been reached, so one sweep prices many goals from the same state, and every
+keeping the ids it has discovered: a set for the cost-only sweeps
+(``sweep_costs``, ``optimal_costs``), and for ``optimal_plan`` a map of
+each state's first discovery as ``id -> parent id``.  It reads a state's
+bits only for goal tests.  It stops once every goal asked for has been
+reached, so one sweep prices many goals from the same state, and every
 sweep on a domain shares that domain's successor table: a state expanded by
 one recognition sweep is read, not expanded again, by the next sweep and by
 counterfactual planning.  A row lists successor ids only, so
 ``optimal_plan`` names each step of its plan by re-deriving it from
 ``applicable_actions`` on the parent's bits.
+
+Each layer is goal-tested, first state to last, before any of it is
+expanded.  The budget counts states dequeued as a search that takes one
+state at a time would: when the last pending goal is first met at position
+p of a layer, the count is the states of the earlier layers plus p + 1, the
+sweep stops there, and BudgetExceeded is raised if that count is over the
+budget; otherwise the whole layer is counted, and checked against the
+budget, before it is expanded.  So the states of the final layer are never
+expanded, and a sweep asked for no goal dequeues nothing.
 
 ``distance_tables`` prices every goal from every state reachable from one
 state: one enumeration of that space, then one breadth-first sweep per goal
@@ -49,51 +60,66 @@ class PlanningTask:
 
 
 def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
-           budget: int):
-    """Breadth-first sweep from ``initial`` until every goal is reached.
+           budget: int, parents: Optional[dict] = None):
+    """Breadth-first sweep from ``initial`` until every goal is met (the
+    goal test and budget count are in the module docstring).
 
-    Returns (cost per goal or None if unreachable, ``id -> parent id`` map
-    of first discoveries with the initial state's id mapped to None, the id
-    of the state that reached the last goal or None, states dequeued).  The
-    goal test and the budget count apply when a state is dequeued, so the
-    sweep expands as many states as the farthest goal's single-goal search
-    would.
+    Returns (cost per goal or None if unreachable, states discovered, the
+    id of the first state at which the last pending goal was met or None,
+    states dequeued).  Discovered states are those of the layers expanded
+    plus the start.  A ``parents`` dict, when given, is the sweep's seen
+    set: it maps each discovered id to the id that discovered it first,
+    the start's to None.  Otherwise the sweep keeps a set.
     """
-    states, rows = domain.states, domain.rows
+    states, rows, expand = domain.states, domain.rows, domain.expand
     start = domain.state_id(initial)
-    parents = {start: None}
+    if parents is None:
+        seen = {start}
+    else:
+        seen = parents
+        parents[start] = None
     costs = [None] * len(goals)
     pending = list(range(len(goals)))
-    layer, depth, expansions, last = [start], 0, 0, None
+    layer, depth, expansions = [start], 0, 0
     while layer and pending:
-        successors = []
-        for sid in layer:
-            expansions += 1
+        unmet, last = [], -1
+        for i in pending:
+            goal = goals[i]
+            for p, sid in enumerate(layer):
+                if goal & states[sid] == goal:
+                    costs[i], last = depth, max(last, p)
+                    break
+            else:
+                unmet.append(i)
+        if not unmet:
+            expansions += last + 1
             if expansions > budget:
                 raise BudgetExceeded(budget)
-            state = states[sid]
-            for i in pending:
-                if goals[i] & state == goals[i]:
-                    costs[i], last = depth, sid
-            if last == sid:  # a goal holds here: each id is dequeued once
-                pending = [i for i in pending if costs[i] is None]
-                if not pending:
-                    break
-            for succ in rows[sid] or domain.expand(sid):
-                if succ not in parents:
-                    parents[succ] = sid
+            return costs, len(seen), layer[last], expansions
+        pending = unmet
+        expansions += len(layer)
+        if expansions > budget:
+            raise BudgetExceeded(budget)
+        successors = []
+        for sid in layer:
+            for succ in rows[sid] or expand(sid):
+                if succ not in seen:
+                    if parents is None:
+                        seen.add(succ)
+                    else:
+                        parents[succ] = sid
                     successors.append(succ)
         layer = successors
         depth += 1
-    return costs, parents, last, expansions
+    return costs, len(seen), None, expansions
 
 
 def sweep_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                 budget: int = DEFAULT_BUDGET) -> tuple:
     """``optimal_costs`` plus the sweep's size: (cost per goal, states
     discovered, states dequeued)."""
-    costs, parents, _, expanded = _sweep(domain, state, goals, budget)
-    return costs, len(parents), expanded
+    costs, discovered, _, expanded = _sweep(domain, state, goals, budget)
+    return costs, discovered, expanded
 
 
 def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
@@ -178,8 +204,8 @@ def optimal_plan(task: PlanningTask,
     successors in name order and only the first arrival is recorded, so
     when two actions lead to the same state the earlier name is taken.
     """
-    domain = task.domain
-    _, parents, state, _ = _sweep(domain, task.initial, [task.goal], budget)
+    domain, parents = task.domain, {}
+    _, _, state, _ = _sweep(domain, task.initial, [task.goal], budget, parents)
     if state is None:
         return None
     states, actions = domain.states, []

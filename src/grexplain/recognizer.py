@@ -10,7 +10,9 @@ observations is i and each cost is a plan length.  One planner sweep from
 the initial state prices every goal at once.  The suffix costs of the n
 observed states then come from one of two paths, chosen per problem from
 counts the first sweep already has: E0, the states it dequeued, and S0,
-the states it discovered.
+the states it discovered.  The sweep goal-tests each layer before
+expanding it (``planner`` module docstring), so S0 counts the start and
+the successors of every layer but the final one, which is never expanded.
 
 * Sweeps: one per observed state over the goals reachable from the initial
   state.  Each dequeues about E0 states.

@@ -23,14 +23,18 @@ holds exactly one.  So an action with a grouped precondition is filed under
 the group's value, and an expansion tests only the actions of the one group
 fact that holds.  A compiler that knows such a group passes it; a raw
 STRIPS listing declares none, and no group is guessed from fact names.
-A bucket lists its actions in name order.  Expansion scans the bucket of
+A bucket lists its actions in name order, each as an entry ``(pre, ~del,
+add, action)`` with the masks stored as ints, so a state ``s`` the action
+applies in leads to ``s & ~del | add``.  Expansion scans the bucket of
 every pivot that holds and tests each candidate's full precondition mask,
 so the group decides only how many candidates are tested, never the rows: a
 state that breaks the group still gets its exact row, in name order.  Where
 exactly one pivot holds and no action is condition-free, as in every
 reachable grid and Sokoban state, that bucket's matches are the row's
-actions as they stand; otherwise the matches of all buckets that hold are
-merged and sorted by name.
+actions as they stand, and ``expand`` fills the row straight from their
+entries without calling ``applicable_actions``; otherwise the matches of
+all buckets that hold are merged and sorted by name by
+``applicable_actions``, and ``expand`` progresses the state through each.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
@@ -85,6 +89,12 @@ def step(state: int, action: GroundAction) -> Optional[int]:
     if pre & state != pre:
         return None
     return state & ~action.delete_effects | action.add_effects
+
+
+def _entry(action: GroundAction) -> tuple:
+    """The bucket entry of ``action`` (module docstring)."""
+    return (action.preconditions, ~action.delete_effects, action.add_effects,
+            action)
 
 
 def _bits(mask: int):
@@ -144,7 +154,8 @@ class DomainDefinition:
                 counts[pre.bit_length() - 1] += 1
         pivot_key = [(not one_hot >> i & 1, count, fact)
                      for i, (count, fact) in enumerate(zip(counts, self.facts))]
-        self._buckets = {}  # pivot fact index -> [(pre mask, action)]
+        # pivot fact index -> [(pre, ~del, add, action)], masks as ints
+        self._buckets = {}
         self._unconditional = []  # condition-free actions
         for action in sorted(self.actions, key=_name):
             pre = action.preconditions
@@ -155,7 +166,7 @@ class DomainDefinition:
                 pivot = min(_bits(pre), key=pivot_key.__getitem__)
             else:
                 pivot = pre.bit_length() - 1
-            self._buckets.setdefault(pivot, []).append((pre, action))
+            self._buckets.setdefault(pivot, []).append(_entry(action))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
@@ -185,20 +196,28 @@ class DomainDefinition:
         """The fact set of a state int: the inverse of ``encode``."""
         return frozenset(self.facts[i] for i in _bits(state))
 
+    def _one_bucket(self, state: int) -> Optional[list]:
+        """The bucket of the one pivot that holds in ``state``, when exactly
+        one holds and no action is condition-free: its entries whose
+        precondition holds are then the state's actions, already in name
+        order.  None otherwise."""
+        pivots = state & self._pivot_mask
+        if pivots and not pivots & (pivots - 1) and not self._unconditional:
+            return self._buckets[pivots.bit_length() - 1]
+        return None
+
     def applicable_actions(self, state: int) -> list:
         """All actions applicable in the encoded ``state``, sorted by name."""
-        pivots = state & self._pivot_mask
-        buckets = self._buckets
-        if pivots and not pivots & (pivots - 1) and not self._unconditional:
-            # One bucket, already in name order: every reachable grid and
-            # Sokoban state takes this path.
-            return [action for pre, action in buckets[pivots.bit_length() - 1]
+        bucket = self._one_bucket(state)
+        if bucket is not None:
+            return [action for pre, _, _, action in bucket
                     if pre & state == pre]
         found = list(self._unconditional)
+        pivots = state & self._pivot_mask
         while pivots:
             index = pivots.bit_length() - 1
             pivots ^= 1 << index
-            found += [action for pre, action in buckets[index]
+            found += [action for pre, _, _, action in self._buckets[index]
                       if pre & state == pre]
         found.sort(key=_name)
         return found
@@ -214,22 +233,27 @@ class DomainDefinition:
 
     def expand(self, state_id: int) -> tuple:
         """Row ``state_id`` of the successor table: the ids of the states
-        the applicable actions lead to, in action name order.  Computed by
-        ``applicable_actions`` the first time a state is asked for, then
-        read from the table."""
+        the applicable actions lead to, in action name order.  Computed the
+        first time a state is asked for, then read from the table: from the
+        one holding bucket's entries where there is one, otherwise from
+        ``applicable_actions``."""
         found = self.rows[state_id]
         if found is None:
             ids, states, rows = self._ids, self.states, self.rows
             state = states[state_id]
+            bucket = self._one_bucket(state)
+            if bucket is None:
+                bucket = list(map(_entry, self.applicable_actions(state)))
             row = []
-            for action in self.applicable_actions(state):
-                succ = state & ~action.delete_effects | action.add_effects
-                sid = ids.get(succ)
-                if sid is None:  # ``state_id``, inline
-                    sid = ids[succ] = len(states)
-                    states.append(succ)
-                    rows.append(None)
-                row.append(sid)
+            for pre, keep, add, _ in bucket:
+                if pre & state == pre:
+                    succ = state & keep | add
+                    sid = ids.get(succ)
+                    if sid is None:  # ``state_id``, inline
+                        sid = ids[succ] = len(states)
+                        states.append(succ)
+                        rows.append(None)
+                    row.append(sid)
             found = rows[state_id] = tuple(row)
         return found
 

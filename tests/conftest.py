@@ -43,6 +43,24 @@ def apply(domain, state, action):
             | domain.decode(action.add_effects))
 
 
+def bfs_order(domain, initial):
+    """Breadth-first search oracle on fact sets: (state, depth) for every
+    state reachable from the fact set ``initial``, in the order a search
+    dequeues them when it tries each state's actions in name order with
+    the ``applicable`` and ``apply`` oracles and keeps first discoveries
+    only."""
+    actions = sorted(domain.actions, key=lambda a: a.name)
+    order, seen = [(initial, 0)], {initial}
+    for state, depth in order:
+        for action in actions:
+            if applicable(domain, state, action):
+                succ = apply(domain, state, action)
+                if succ not in seen:
+                    seen.add(succ)
+                    order.append((succ, depth + 1))
+    return order
+
+
 def walk(domain, initial, names):
     """Build an observation chain from action names, starting at the state
     int ``initial`` and stepping its decoded fact set with the ``apply``

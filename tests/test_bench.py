@@ -115,3 +115,22 @@ def test_ab_cli_sends_the_benchmark_requests():
     assert ({name: workload.verbs
              for name, workload in workloads.WORKLOADS.items()}
             == {"bundled_suite": tuple(ab_cli.VERBS), **ab_cli.POOL_VERBS})
+
+
+def test_ab_cli_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
+    gain_rule = load_file("tools/ab_cli.py").gain_rule
+    parent = [10.0, 10.4, 9.6, 10.2, 9.8, 10.0, 10.6, 9.4, 10.1, 9.9]
+    rule = gain_rule(parent, [p - 1 for p in parent])
+    assert rule["wins"] == 10 and rule["met"]
+    assert rule["parent"] == (9.75, 10.0, 10.25)
+    assert rule["change"] == (8.75, 9.0, 9.25)
+    # a gap inside the parent's interquartile range of 0.5
+    assert not gain_rule(parent, [p - 0.4 for p in parent])["met"]
+    # nine wins and a tie, then eight wins and two ties
+    assert gain_rule(parent, [p - 1 for p in parent[:9]] + parent[9:])["met"]
+    eight = gain_rule(parent, [p - 1 for p in parent[:8]] + parent[8:])
+    assert eight["wins"] == 8 and not eight["met"]
+    # one round is all three of its quartiles: a spread of zero
+    assert gain_rule([10.0], [9.0]) == {"parent": (10.0,) * 3,
+                                         "change": (9.0,) * 3,
+                                         "wins": 1, "met": True}

@@ -432,6 +432,22 @@ def test_an_ascii_locale_gets_utf8_files_and_an_error_on_stdout(tmp_path):
     assert "predicted: caf\u00e9" in answer.read_bytes().decode("utf-8")
 
 
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
+    """The read end of stdout's pipe is closed before the first write."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grexplain.cli", "recognize", "--scenario",
+             NAV, "--format", "structured"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @st.composite
 def strips_listings(draw):
     """A small raw-STRIPS scenario whose initial state, goals and

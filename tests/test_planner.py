@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,11 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 from grexplain import (BudgetExceeded, GridSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost,
                        optimal_costs, optimal_plan)
-from grexplain.planner import distance_tables
+from grexplain.planner import distance_tables, sweep_costs
 
-from conftest import (applicable, apply, bfs_grid_distance, random_grid_spec,
+from conftest import (apply, bfs_grid_distance, bfs_order, random_grid_spec,
                       strips_domain)
 from grexplain.grids import DIRECTIONS, offset
+from test_strips import strips_domains
 
 
 def grid_task(spec):
@@ -167,24 +167,9 @@ def test_optimal_costs_match_bfs_oracle_per_goal(case):
         bfs_grid_distance(spec, cell, g) for g in spec.goal_cells]
 
 
-def reachable_states(domain, initial):
-    """Every fact-set state reachable from ``initial``, found by applying
-    each action directly (no successor table)."""
-    seen, queue = {initial}, deque([initial])
-    while queue:
-        state = queue.popleft()
-        for action in domain.actions:
-            if applicable(domain, state, action):
-                succ = apply(domain, state, action)
-                if succ not in seen:
-                    seen.add(succ)
-                    queue.append(succ)
-    return seen
-
-
 def assert_tables_match_sweeps(domain, initial, goals):
     tables = distance_tables(domain, initial, goals)
-    for state in reachable_states(domain, domain.decode(initial)):
+    for state, _ in bfs_order(domain, domain.decode(initial)):
         state = domain.encode(state)
         sid = domain.state_id(state)
         assert [table[sid] for table in tables] == optimal_costs(domain, state,
@@ -226,7 +211,7 @@ def test_distance_tables_match_sweeps_on_every_sokoban_state():
     spec = SokobanSpec(4, 4, frozenset(), 1, (6, 7), (11, 15),
                        ((11, 15), (11,), (15,)), False)
     domain, initial, goals = compile_sokoban(spec)
-    assert len(reachable_states(domain, domain.decode(initial))) == 1676
+    assert len(bfs_order(domain, domain.decode(initial))) == 1676
     assert_tables_match_sweeps(domain, initial, goals)
 
 
@@ -262,6 +247,67 @@ def test_sweep_budget_fails_exactly_when_a_single_goal_search_does(goal_cells):
         assert swept == single, budget
         outcomes.add(swept)
     assert outcomes == {True, False}
+
+
+def dequeue_oracle(domain, initial, goals):
+    """(cost per goal, states a sweep dequeues), read off ``bfs_order``: the
+    1-based position of the first state by which every goal has been met,
+    every reachable state when some goal is never met, none for no goals."""
+    order = bfs_order(domain, domain.decode(initial))
+    costs, firsts = [], []
+    for goal in map(domain.decode, goals):
+        first = next((p for p, (state, _) in enumerate(order)
+                      if goal <= state), None)
+        firsts.append(first)
+        costs.append(None if first is None else order[first][1])
+    if not goals:
+        return costs, 0
+    if None in firsts:
+        return costs, len(order)
+    return costs, max(firsts) + 1
+
+
+def assert_dequeues_match_oracle(domain, initial, goals):
+    costs, dequeued = dequeue_oracle(domain, initial, goals)
+    found, _, swept = sweep_costs(domain, initial, goals)
+    assert (found, swept) == (costs, dequeued)
+    for budget in range(1, dequeued + 2):
+        try:
+            optimal_costs(domain, initial, goals, budget)
+        except BudgetExceeded:
+            assert budget < dequeued, budget
+        else:
+            assert budget >= dequeued, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_sweep_dequeues_match_bfs_order_on_grids(case):
+    spec, state = case
+    domain, _, goals = compile_grid(spec)
+    assert_dequeues_match_oracle(domain, domain.encode(state), goals)
+
+
+@st.composite
+def strips_sweeps(draw):
+    """A ``strips_domains`` listing, which always holds a condition-free
+    action, one of its drawn states and up to four goals, possibly none."""
+    domain, _, states = draw(strips_domains())
+    subsets = st.frozensets(st.sampled_from(domain.facts))
+    goals = draw(st.lists(subsets, max_size=4))
+    return domain, domain.encode(states[0]), list(map(domain.encode, goals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strips_sweeps())
+def test_sweep_dequeues_match_bfs_order_on_strips_listings(case):
+    assert_dequeues_match_oracle(*case)
+
+
+def test_an_empty_goal_list_dequeues_nothing():
+    domain, initial, _ = compile_grid(GridSpec(3, 3, frozenset(), 1, (9,)))
+    assert sweep_costs(domain, initial, []) == ([], 1, 0)
+    assert optimal_costs(domain, initial, [], budget=1) == []
 
 
 def test_budget_exceeded_raises():

@@ -270,18 +270,22 @@ def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):
 
 
 def test_recognition_on_a_sokoban_board_expands_what_the_sweeps_expand():
-    # the selection rule keeps this board on sweeps, before any enumeration
+    # the selection rule keeps this board on sweeps, before any enumeration;
+    # each sweep goal-tests a layer before expanding it, so the final
+    # layer's states are never expanded
     problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
-    expanded = []
-    applicable_actions = problem.domain.applicable_actions
+    domain, filled = problem.domain, []
+    expand = domain.expand
 
-    def counted(state):
-        expanded.append(state)
-        return applicable_actions(state)
+    def counted(state_id):
+        if domain.rows[state_id] is None:
+            filled.append(state_id)
+        return expand(state_id)
 
-    problem.domain.applicable_actions = counted
+    domain.expand = counted
     mirror_posteriors(problem)
-    assert len(expanded) == len(set(expanded)) == 11_480
+    rows = sum(row is not None for row in domain.rows)
+    assert len(filled) == len(set(filled)) == rows == 9_242
 
 
 def test_filled_successor_rows_are_not_tracked_by_the_collector():

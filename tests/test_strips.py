@@ -215,9 +215,14 @@ def test_each_action_is_filed_under_the_pivot_the_rule_names(case):
         if pre:
             pivot = domain.facts.index(min(pre, key=key))
             expected.setdefault(pivot, []).append(action.name)
-    filed = {pivot: [action.name for _, action in bucket]
+    filed = {pivot: [action.name for *_, action in bucket]
              for pivot, bucket in domain._buckets.items()}
     assert filed == expected
+    for bucket in domain._buckets.values():
+        for pre, keep, add, action in bucket:
+            assert (pre, keep, add) == (action.preconditions,
+                                        ~action.delete_effects,
+                                        action.add_effects)
 
 
 def test_encode_names_undeclared_facts():

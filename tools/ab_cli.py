@@ -22,8 +22,9 @@ as JSON; a round takes about 25 s on a 2-core Xeon.
 
 Per round the tool prints, for each set, the median of those minima on
 each side and their ratio (change / parent), then one row per set with the
-medians over all rounds.  It exits 1 if a request fails or the two trees
-write different output.
+medians over all rounds, each side's quartiles over the rounds, the rounds
+the change won and whether the change meets the gain rule (``gain_rule``).
+It exits 1 if a request fails or the two trees write different output.
 """
 
 from __future__ import annotations
@@ -52,6 +53,27 @@ VERBS = {
 POOL_VERBS = {"grid_ladder": ("recognize", "whynot"),
               "sokoban_deep": ("whynot",)}
 SETS = ("bundled", *POOL_VERBS)
+
+
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile) of ``values``; a single
+    value is all three."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def gain_rule(parent: list, change: list) -> dict:
+    """The gain test over paired timings, one pair per round, lower is
+    better: each side's quartiles, the rounds the change won (ties count
+    for neither side), and whether the change won at least nine rounds in
+    ten with a median more than the parent's interquartile range below
+    the parent's median."""
+    before, after = quartiles(parent), quartiles(change)
+    wins = sum(c < p for p, c in zip(parent, change))
+    met = (10 * wins >= 9 * len(parent)
+           and before[1] - after[1] > before[2] - before[0])
+    return {"parent": before, "change": after, "wins": wins, "met": met}
 
 
 def requests(scenarios: Path, tmp: Path) -> list:
@@ -148,12 +170,13 @@ def main() -> int:
     for name in SETS:
         parent, change = medians["parent"][name], medians["change"][name]
         ratios = [c / p for p, c in zip(parent, change)]
-        wins = sum(r < 1 for r in ratios)
-        print(f"{'median':>6}  {'':<6}  {name:<12}"
-              f"  {statistics.median(parent):>9.3f}"
-              f"  {statistics.median(change):>9.3f}"
+        rule = gain_rule(parent, change)
+        (p1, p2, p3), (c1, c2, c3) = rule["parent"], rule["change"]
+        print(f"{'median':>6}  {'':<6}  {name:<12}  {p2:>9.3f}  {c2:>9.3f}"
               f"  {statistics.median(ratios):>6.3f}"
-              f"  (change faster in {wins} of {len(ratios)} rounds)")
+              f"  (quartiles {p1:.3f}-{p3:.3f} and {c1:.3f}-{c3:.3f};"
+              f" change faster in {rule['wins']} of {len(ratios)} rounds;"
+              f" gain rule {'met' if rule['met'] else 'not met'})")
     differ = sorted(key for key in digests["parent"]
                     if digests["parent"][key] != digests["change"].get(key))
     if differ or digests["parent"].keys() != digests["change"].keys():
