@@ -5,11 +5,9 @@ counterfactual-action plans.  Every action costs 1, so an optimal plan is a
 shortest one.  States and goals are int masks (the ``strips`` module
 docstring); the sweep works on the domain's dense state ids, reads
 successors from the domain's memoized table, and goes layer by layer,
-keeping the ids it has discovered: a set for the cost-only sweeps
-(``sweep_costs``, ``optimal_costs``), and for ``optimal_plan`` a map of
-each state's first discovery as ``id -> parent id``.  It reads a state's
-bits only for goal tests.  It stops once every goal asked for has been
-reached, so one sweep prices many goals from the same state, and every
+recording each state's first discovery as ``id -> parent id``; it reads a
+state's bits only for goal tests.  It stops once every goal asked for has
+been reached, so one sweep prices many goals from the same state, and every
 sweep on a domain shares that domain's successor table: a state expanded by
 one recognition sweep is read, not expanded again, by the next sweep and by
 counterfactual planning.  A row lists successor ids only, so
@@ -60,24 +58,19 @@ class PlanningTask:
 
 
 def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
-           budget: int, parents: Optional[dict] = None):
+           budget: int):
     """Breadth-first sweep from ``initial`` until every goal is met (the
     goal test and budget count are in the module docstring).
 
-    Returns (cost per goal or None if unreachable, states discovered, the
-    id of the first state at which the last pending goal was met or None,
-    states dequeued).  Discovered states are those of the layers expanded
-    plus the start.  A ``parents`` dict, when given, is the sweep's seen
-    set: it maps each discovered id to the id that discovered it first,
-    the start's to None.  Otherwise the sweep keeps a set.
+    Returns (cost per goal or None if unreachable, ``id -> parent id`` map
+    of first discoveries with the initial state's id mapped to None, the id
+    of the first state at which the last pending goal was met or None,
+    states dequeued).  The map holds the states of the layers expanded plus
+    the start.
     """
     states, rows, expand = domain.states, domain.rows, domain.expand
     start = domain.state_id(initial)
-    if parents is None:
-        seen = {start}
-    else:
-        seen = parents
-        parents[start] = None
+    parents = {start: None}
     costs = [None] * len(goals)
     pending = list(range(len(goals)))
     layer, depth, expansions = [start], 0, 0
@@ -95,7 +88,7 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
             expansions += last + 1
             if expansions > budget:
                 raise BudgetExceeded(budget)
-            return costs, len(seen), layer[last], expansions
+            return costs, parents, layer[last], expansions
         pending = unmet
         expansions += len(layer)
         if expansions > budget:
@@ -103,23 +96,20 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
         successors = []
         for sid in layer:
             for succ in rows[sid] or expand(sid):
-                if succ not in seen:
-                    if parents is None:
-                        seen.add(succ)
-                    else:
-                        parents[succ] = sid
+                if succ not in parents:
+                    parents[succ] = sid
                     successors.append(succ)
         layer = successors
         depth += 1
-    return costs, len(seen), None, expansions
+    return costs, parents, None, expansions
 
 
 def sweep_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                 budget: int = DEFAULT_BUDGET) -> tuple:
     """``optimal_costs`` plus the sweep's size: (cost per goal, states
     discovered, states dequeued)."""
-    costs, discovered, _, expanded = _sweep(domain, state, goals, budget)
-    return costs, discovered, expanded
+    costs, parents, _, expanded = _sweep(domain, state, goals, budget)
+    return costs, len(parents), expanded
 
 
 def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
@@ -204,8 +194,8 @@ def optimal_plan(task: PlanningTask,
     successors in name order and only the first arrival is recorded, so
     when two actions lead to the same state the earlier name is taken.
     """
-    domain, parents = task.domain, {}
-    _, _, state, _ = _sweep(domain, task.initial, [task.goal], budget, parents)
+    domain = task.domain
+    _, parents, state, _ = _sweep(domain, task.initial, [task.goal], budget)
     if state is None:
         return None
     states, actions = domain.states, []

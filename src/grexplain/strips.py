@@ -91,12 +91,6 @@ def step(state: int, action: GroundAction) -> Optional[int]:
     return state & ~action.delete_effects | action.add_effects
 
 
-def _entry(action: GroundAction) -> tuple:
-    """The bucket entry of ``action`` (module docstring)."""
-    return (action.preconditions, ~action.delete_effects, action.add_effects,
-            action)
-
-
 def _bits(mask: int):
     """The indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -166,7 +160,8 @@ class DomainDefinition:
                 pivot = min(_bits(pre), key=pivot_key.__getitem__)
             else:
                 pivot = pre.bit_length() - 1
-            self._buckets.setdefault(pivot, []).append(_entry(action))
+            self._buckets.setdefault(pivot, []).append(
+                (pre, ~action.delete_effects, action.add_effects, action))
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
@@ -243,17 +238,20 @@ class DomainDefinition:
             state = states[state_id]
             bucket = self._one_bucket(state)
             if bucket is None:
-                bucket = list(map(_entry, self.applicable_actions(state)))
-            row = []
-            for pre, keep, add, _ in bucket:
-                if pre & state == pre:
-                    succ = state & keep | add
-                    sid = ids.get(succ)
-                    if sid is None:  # ``state_id``, inline
-                        sid = ids[succ] = len(states)
-                        states.append(succ)
-                        rows.append(None)
-                    row.append(sid)
+                row = [self.state_id(state & ~action.delete_effects
+                                     | action.add_effects)
+                       for action in self.applicable_actions(state)]
+            else:
+                row = []
+                for pre, keep, add, _ in bucket:
+                    if pre & state == pre:
+                        succ = state & keep | add
+                        sid = ids.get(succ)
+                        if sid is None:  # ``state_id``, inline
+                            sid = ids[succ] = len(states)
+                            states.append(succ)
+                            rows.append(None)
+                        row.append(sid)
             found = rows[state_id] = tuple(row)
         return found
 
