@@ -115,10 +115,11 @@ def _list(value, path):
 
 
 def _str_list(value, path):
-    if not all(isinstance(v, str) for v in _list(value, path)):
+    values = [] if value is None else _list(value, path)
+    if not all(isinstance(v, str) for v in values):
         raise ParseError(f"{path}: expected a list of strings, "
                          f"got {_quote(value)}")
-    return value
+    return values
 
 
 def _name(value, path):
@@ -179,9 +180,8 @@ def _read_map(text, kind: str) -> dict:
 
 def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
     kind = _require(data, "kind", "scenario")
-    observations = tuple(_str_list(data.get("observations") or [],
-                                   "observations"))
-    goal_names = tuple(_str_list(data.get("goal_names") or [], "goal_names"))
+    observations = tuple(_str_list(data.get("observations"), "observations"))
+    goal_names = tuple(_str_list(data.get("goal_names"), "goal_names"))
     name = _str(data.get("name"), "name", name)
 
     if kind == "grid":
@@ -223,7 +223,7 @@ def parse_scenario(data: dict, name: str = "") -> ScenarioFile:
             label = _name(_require(spec_action, "name", "strips.actions"),
                           "strips.actions.name")
             pre, add, dele = (
-                tuple(_str_list(spec_action.get(key) or [],
+                tuple(_str_list(spec_action.get(key),
                                 f"strips.actions.{label}.{key}"))
                 for key in ("pre", "add", "del"))
             actions.append((label, pre, add, dele))
@@ -394,14 +394,10 @@ def _mapping(value, path) -> dict:
 def _rank_mapping(raw, path) -> dict:
     ranks = {}
     for key, value in _mapping(raw, path).items():
-        text = str(key)
-        if text.startswith("o"):
-            text = text[1:]
-        try:
-            index = int(text)
-        except ValueError:
-            raise ParseError(
-                f"{path}: bad observation key {_quote(key)}") from None
+        text = str(key).removeprefix("o")
+        if not (text.isascii() and text.isdigit()):
+            raise ParseError(f"{path}: bad observation key {_quote(key)}")
+        index = int(text)
         rank = _int(value, f"{path}.{key}")
         if rank < 0:
             raise ParseError(f"{path}: ranks must be nonnegative ({key}: {value})")

@@ -16,11 +16,11 @@ del {player-c, box-n, clear-f}.
 
 All actions cost 1: plain walking counts toward plan length just like pushes.
 
-The ``player-*`` facts form the domain's exactly-one group (``one_hot``):
+The ``player-*`` facts are numbered first and form an exactly-one group:
 every reachable state has the player on exactly one cell, and every action
-has exactly one ``player-`` precondition, so the successor index files each
-action under its start cell and an expansion tests only the actions that
-start where the player stands.
+has exactly one ``player-`` precondition, its lowest precondition bit.  So
+the successor index files each action under its start cell, and an
+expansion tests only the actions that start where the player stands.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def compile_sokoban(spec: SokobanSpec):
                 player[cell] | box[dest] | clear[pair_to]))
 
     facts = [f"{kind}-{c}" for kind in ("player", "box", "clear") for c in floor]
-    domain = DomainDefinition(facts, actions, one_hot=(1 << k) - 1)
+    domain = DomainDefinition(facts, actions)
 
     occupied = {spec.player, *spec.boxes}
     initial = (player[spec.player] | sum(box[b] for b in spec.boxes)

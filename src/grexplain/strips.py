@@ -15,26 +15,25 @@ come from outside (a raw listing) and written only where they go out to a
 person (an error message) or name a board cell (a direction word).
 
 The successor index files each action under one precondition fact, its
-pivot, the least by the key (not in ``one_hot``, number of actions with
-that precondition, fact name); a single-bit precondition, such as a grid
-move's, is its own pivot.  ``one_hot`` is the domain's exactly-one
-group: facts of which, as its compiler guarantees, every reachable state
-holds exactly one.  So an action with a grouped precondition is filed under
-the group's value, and an expansion tests only the actions of the one group
-fact that holds.  A compiler that knows such a group passes it; a raw
-STRIPS listing declares none, and no group is guessed from fact names.
-A bucket lists its actions in name order, each as an entry ``(pre, ~del,
-add, action)`` with the masks stored as ints, so a state ``s`` the action
-applies in leads to ``s & ~del | add``.  Expansion scans the bucket of
-every pivot that holds and tests each candidate's full precondition mask,
-so the group decides only how many candidates are tested, never the rows: a
-state that breaks the group still gets its exact row, in name order.  Where
-exactly one pivot holds and no action is condition-free, as in every
-reachable grid and Sokoban state, that bucket's matches are the row's
-actions as they stand, and ``expand`` fills the row straight from their
-entries without calling ``applicable_actions``; otherwise the matches of
-all buckets that hold are merged and sorted by name by
-``applicable_actions``, and ``expand`` progresses the state through each.
+pivot: the lowest bit of its precondition mask, so a single-bit
+precondition, such as a grid move's, is its own pivot.  Condition-free
+actions form a list of their own.  A compiler that knows an exactly-one
+group (facts of which every reachable state holds exactly one) numbers
+that group first, so an action with a grouped precondition is filed under
+the group's value and an expansion tests only the actions of the one
+group fact that holds: ``compile_sokoban`` numbers the ``player-*`` facts
+first.  A raw STRIPS listing keeps its declared order, and no group is
+guessed from fact names.  A bucket lists its actions in name order, each
+as an entry ``(pre, ~del, add, action)`` with the masks stored as ints, so
+a state ``s`` the action applies in leads to ``s & ~del | add``.  The
+candidates of a state are the buckets of the pivots that hold plus the
+condition-free entries; an action that applies has its pivot holding, so
+it is a candidate, and expansion tests each candidate's full precondition
+mask.  So the pivot decides only how many candidates are tested, never
+the rows: a state that breaks a group still gets its exact row, in name
+order.  Where exactly one pivot holds and no action is condition-free, as
+in every reachable grid and Sokoban state, the candidates are that bucket
+as it stands; otherwise they are merged and sorted by name.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
@@ -100,34 +99,17 @@ def _bits(mask: int):
 
 
 class DomainDefinition:
-    """An ordered fact universe plus a list of ground actions.
+    """An ordered fact universe plus a list of ground actions."""
 
-    ``one_hot`` is an optional mask of facts that the domain's compiler
-    guarantees are exactly-one in every reachable state.  An action with a
-    precondition in it is bucketed under that fact (the pivot rule is in
-    the module docstring); the mask changes the speed of expansion, never
-    its rows.
-    """
-
-    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction],
-                 one_hot: int = 0):
+    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction]):
         self.facts = tuple(facts)
         self.actions = tuple(actions)
-        self.one_hot = one_hot
         self._index = {fact: i for i, fact in enumerate(self.facts)}
         if len(self._index) != len(self.facts):
             raise MalformedSpec("duplicate facts in domain universe")
-        if one_hot >> len(self.facts):
-            raise MalformedSpec(
-                f"one-hot group: a mask bit lies outside the "
-                f"{len(self.facts)} declared facts")
 
-        # Successor index: each action is bucketed under its pivot (see the
-        # module docstring), so expansion only tests actions whose pivot
-        # holds; condition-free actions are always candidates.
         self._by_name = {}
         n = len(self.facts)
-        counts = [0] * n
         for action in self.actions:
             name, pre, add, dele = action
             if name in self._by_name:
@@ -141,27 +123,19 @@ class DomainDefinition:
                 raise MalformedSpec(
                     f"action {name}: add and delete effects overlap: "
                     f"{sorted(self.decode(add & dele))}")
-            if pre & (pre - 1):
-                for i in _bits(pre):
-                    counts[i] += 1
-            elif pre:
-                counts[pre.bit_length() - 1] += 1
-        pivot_key = [(not one_hot >> i & 1, count, fact)
-                     for i, (count, fact) in enumerate(zip(counts, self.facts))]
-        # pivot fact index -> [(pre, ~del, add, action)], masks as ints
-        self._buckets = {}
-        self._unconditional = []  # condition-free actions
+        # Successor index (see the module docstring): entries
+        # (pre, ~del, add, action) in name order, filed under the lowest
+        # precondition bit; condition-free actions are always candidates.
+        self._buckets = {}  # pivot fact index -> [entry]
+        self._unconditional = []  # [entry]
         for action in sorted(self.actions, key=_name):
             pre = action.preconditions
-            if not pre:
-                self._unconditional.append(action)
-                continue
-            if pre & (pre - 1):
-                pivot = min(_bits(pre), key=pivot_key.__getitem__)
+            entry = (pre, ~action.delete_effects, action.add_effects, action)
+            if pre:
+                self._buckets.setdefault((pre & -pre).bit_length() - 1,
+                                         []).append(entry)
             else:
-                pivot = pre.bit_length() - 1
-            self._buckets.setdefault(pivot, []).append(
-                (pre, ~action.delete_effects, action.add_effects, action))
+                self._unconditional.append(entry)
         self._pivot_mask = sum(1 << i for i in self._buckets)
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
@@ -191,31 +165,24 @@ class DomainDefinition:
         """The fact set of a state int: the inverse of ``encode``."""
         return frozenset(self.facts[i] for i in _bits(state))
 
-    def _one_bucket(self, state: int) -> Optional[list]:
-        """The bucket of the one pivot that holds in ``state``, when exactly
-        one holds and no action is condition-free: its entries whose
-        precondition holds are then the state's actions, already in name
-        order.  None otherwise."""
+    def _candidates(self, state: int) -> list:
+        """The entries of the actions whose pivot holds in ``state`` and of
+        the condition-free actions, in action name order.  Where exactly
+        one pivot holds and no action is condition-free, this is that
+        bucket itself, not a copy."""
         pivots = state & self._pivot_mask
         if pivots and not pivots & (pivots - 1) and not self._unconditional:
             return self._buckets[pivots.bit_length() - 1]
-        return None
+        found = list(self._unconditional)
+        for index in _bits(pivots):
+            found += self._buckets[index]
+        found.sort(key=lambda entry: entry[3].name)
+        return found
 
     def applicable_actions(self, state: int) -> list:
         """All actions applicable in the encoded ``state``, sorted by name."""
-        bucket = self._one_bucket(state)
-        if bucket is not None:
-            return [action for pre, _, _, action in bucket
-                    if pre & state == pre]
-        found = list(self._unconditional)
-        pivots = state & self._pivot_mask
-        while pivots:
-            index = pivots.bit_length() - 1
-            pivots ^= 1 << index
-            found += [action for pre, _, _, action in self._buckets[index]
-                      if pre & state == pre]
-        found.sort(key=_name)
-        return found
+        return [action for pre, _, _, action in self._candidates(state)
+                if pre & state == pre]
 
     def state_id(self, state: int) -> int:
         """The dense id of the encoded ``state``, interned on first sight."""
@@ -229,32 +196,23 @@ class DomainDefinition:
     def expand(self, state_id: int) -> tuple:
         """Row ``state_id`` of the successor table: the ids of the states
         the applicable actions lead to, in action name order.  Computed the
-        first time a state is asked for, then read from the table: from the
-        one holding bucket's entries where there is one, otherwise from
-        ``applicable_actions``."""
+        first time a state is asked for, then read from the table."""
         found = self.rows[state_id]
         if found is None:
             ids, states, rows = self._ids, self.states, self.rows
             state = states[state_id]
-            bucket = self._one_bucket(state)
-            if bucket is None:
-                row = [self.state_id(state & ~action.delete_effects
-                                     | action.add_effects)
-                       for action in self.applicable_actions(state)]
-            else:
-                row = []
-                for pre, keep, add, _ in bucket:
-                    if pre & state == pre:
-                        succ = state & keep | add
-                        sid = ids.get(succ)
-                        if sid is None:  # ``state_id``, inline
-                            sid = ids[succ] = len(states)
-                            states.append(succ)
-                            rows.append(None)
-                        row.append(sid)
+            row = []
+            for pre, keep, add, _ in self._candidates(state):
+                if pre & state == pre:
+                    succ = state & keep | add
+                    sid = ids.get(succ)
+                    if sid is None:  # ``state_id``, inline
+                        sid = ids[succ] = len(states)
+                        states.append(succ)
+                        rows.append(None)
+                    row.append(sid)
             found = rows[state_id] = tuple(row)
         return found
 
     def __repr__(self):
         return f"DomainDefinition({len(self.facts)} facts, {len(self.actions)} actions)"
-

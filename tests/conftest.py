@@ -21,13 +21,13 @@ def sokoban_problem():
     return load_scenario(bundled_scenario_path("sokoban_pairs"))
 
 
-def strips_domain(facts, rows, one_hot=0):
+def strips_domain(facts, rows):
     """A domain over ``facts`` whose actions are given as (name, pre, add,
     delete) rows of fact names, turned into masks by ``encode``."""
     universe = DomainDefinition(facts, ())
     return DomainDefinition(facts, [
         GroundAction(name, *map(universe.encode, fact_sets))
-        for name, *fact_sets in rows], one_hot)
+        for name, *fact_sets in rows])
 
 
 def applicable(domain, state, action) -> bool:

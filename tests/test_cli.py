@@ -341,6 +341,16 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
     (GRID_3X3 + "observations: [right]\n", "--priors", b"g1: \xff\ng2: 1\n"),
     ("kind: grid\ngrid: {width: 1000000, height: 1000000, start: 1,"
      " goals: [2]}\nobservations: []\n", None, None),
+    (GRID_3X3 + "observations: false\n", None, None),
+    (GRID_3X3 + 'observations: ""\n', None, None),
+    (GRID_3X3 + "goal_names: 0\nobservations: [right]\n", None, None),
+    ("kind: strips\nstrips: {facts: [a, b], initial: [a], goals: [[b]],"
+     " actions: [{name: go, pre: false, add: [b], del: [a]}]}\n"
+     "observations: [go]\n", None, None),
+    (GRID_3X3 + "observations: [right]\n",
+     "--annotations", "why_ranks: {o0_1: 1}\n"),
+    (GRID_3X3 + "observations: [right]\n",
+     "--annotations", "why_ranks: {'o 1': 1}\n"),
 ], ids=["rank-not-int", "width-not-int", "empty-map", "prior-not-number",
         "eval-without-observations", "budget-zero", "budget-negative",
         "goal-fact-undeclared", "initial-fact-undeclared",
@@ -357,7 +367,9 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
         "name-not-a-string", "annotation-scenario-not-a-string",
         "action-name-null", "action-name-not-a-string", "cf-action-null",
         "cf-goal-null", "goal-names-fewer-than-goals", "scenario-not-utf8",
-        "priors-not-utf8", "grid-too-large"])
+        "priors-not-utf8", "grid-too-large", "observations-false",
+        "observations-empty-string", "goal-names-zero", "pre-false",
+        "rank-key-underscore", "rank-key-space"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, scenario, extra,
                                                    extra_file):
     def write(path, content):  # bytes are written as they are

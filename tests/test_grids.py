@@ -33,6 +33,22 @@ def test_blocked_cells_get_facts_but_no_moves():
     assert not any("-2" == a.name[-2:] or "-2-" in a.name for a in domain.actions)
 
 
+def test_every_reachable_grid_state_fills_its_row_from_one_bucket():
+    """Exactly one pivot, the agent's cell, holds in every reachable state,
+    so the row's candidates are that bucket itself, not a merged copy."""
+    domain, initial, _ = compile_grid(
+        GridSpec(5, 4, frozenset({7, 8, 14}), 1, (20,)))
+    found = [domain.state_id(initial)]
+    for sid in found:
+        bits = domain.states[sid]
+        pivots = bits & domain._pivot_mask
+        assert bin(pivots).count("1") == 1
+        assert (domain._candidates(bits)
+                is domain._buckets[pivots.bit_length() - 1])
+        found += [succ for succ in domain.expand(sid) if succ not in found]
+    assert len(found) == 17
+
+
 @st.composite
 def boards(draw):
     """A compiled grid, or a Sokoban board with ``multi_push`` on or off,

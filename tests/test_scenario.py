@@ -358,6 +358,17 @@ def test_null_action_and_goal_names_are_rejected_naming_the_field(tmp_path):
             load_annotations(notes)
 
 
+@pytest.mark.parametrize("key", [
+    "o1_0", "'1_0'", "'o 2'", "' 2'", "o\uff12", "\u0662", "o-1", "-1", "o",
+    "oo1", "1.0", "true"])
+def test_annotations_reject_keys_other_than_o_and_ascii_digits(tmp_path, key):
+    """Only ``o<digits>`` or ``<digits>`` names an observation: no
+    underscore, space, sign or non-ASCII digit, which ``int`` would take."""
+    path = write(tmp_path, f"why_ranks: {{{key}: 1}}\n", "ann.yaml")
+    with pytest.raises(ParseError, match="why_ranks: bad observation key"):
+        load_annotations(path)
+
+
 def test_annotations_reject_negative_ranks(tmp_path):
     path = write(tmp_path, "why_ranks: {o1: -2}\n", "ann.yaml")
     with pytest.raises(ParseError):

@@ -102,11 +102,11 @@ def test_successor_table_matches_apply_on_reachable_states(multi):
     queue = deque([initial])
     while queue:
         state = queue.popleft()
-        # the declared player group holds exactly once in every state
-        assert bin(domain.encode(state) & domain.one_hot).count("1") == 1
+        bits = domain.encode(state)
+        # exactly one pivot, the player's cell, holds: the one-bucket rows
+        assert bin(bits & domain._pivot_mask).count("1") == 1
         moves = [a for a in by_name if applicable(domain, state, a)]
         expected = [apply(domain, state, a) for a in moves]
-        bits = domain.encode(state)
         assert domain.applicable_actions(bits) == moves
         row = domain.expand(domain.state_id(bits))
         assert [domain.states[succ] for succ in row] == [

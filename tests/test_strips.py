@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
                        PlanningTask, SokobanSpec, compile_grid,
@@ -141,8 +141,6 @@ def test_domain_rejects_unknown_facts():
         build_problem(ScenarioFile("strips", listing, ()))
     with pytest.raises(MalformedSpec, match="action x: .*outside"):
         DomainDefinition(["f0"], [GroundAction("x", 0b10, 0, 0)])
-    with pytest.raises(MalformedSpec, match="one-hot group: .*outside"):
-        DomainDefinition(["f0"], [GroundAction("x", 0b1, 0, 0)], one_hot=0b11)
 
 
 def test_action_rejects_overlapping_effects():
@@ -152,11 +150,10 @@ def test_action_rejects_overlapping_effects():
 
 @st.composite
 def strips_domains(draw):
-    """A small raw-STRIPS domain, declared out of name order, that always
-    holds a condition-free action, a delete effect outside the preconditions
-    and two actions sharing a one-fact precondition (so a pivot fact), plus
-    a few fact-set states to expand.  The domain declares a drawn subset of
-    its facts as its exactly-one group, which the drawn states may break."""
+    """A small raw-STRIPS domain, declared out of name order, that holds a
+    delete effect outside the preconditions, two actions sharing a one-fact
+    precondition (so a pivot fact) and perhaps a condition-free action, plus
+    a few fact-set states to expand."""
     facts = [f"f{i}" for i in range(draw(st.integers(2, 6)))]
     subsets = st.frozensets(st.sampled_from(facts))
 
@@ -166,7 +163,8 @@ def strips_domains(draw):
 
     specs = [(draw(subsets), *effects())
              for _ in range(draw(st.integers(0, 5)))]
-    specs.append((frozenset(), *effects()))
+    if draw(st.booleans()):
+        specs.append((frozenset(), *effects()))
     pre, dropped = draw(st.lists(st.sampled_from(facts), min_size=2,
                                  max_size=2, unique=True))
     specs.append(({pre}, draw(subsets) - {dropped}, {dropped}))
@@ -175,15 +173,32 @@ def strips_domains(draw):
     names = draw(st.lists(st.text("abxyz-", min_size=1, max_size=4),
                           min_size=len(specs), max_size=len(specs),
                           unique=True))
-    group = draw(st.integers(0, (1 << len(facts)) - 1))
-    domain = strips_domain(facts, [(n, *sets) for n, sets in zip(names, specs)],
-                           group)
+    domain = strips_domain(facts, [(n, *sets) for n, sets in zip(names, specs)])
     states = draw(st.lists(subsets, min_size=1, max_size=6))
     return domain, domain.actions, states
 
 
+def fixed_case(facts, rows, states):
+    """A ``strips_domains`` case built from given rows and fact-set states."""
+    domain = strips_domain(facts, rows)
+    return domain, domain.actions, [frozenset(s) for s in states]
+
+
+# Pivots a and b both hold in {a, b, c}: bucket a holds "mid" and bucket b
+# holds "first" and "last", so the row needs the merge and the name sort.
+TWO_PIVOTS = fixed_case(["a", "b", "c"], [
+    ("mid", ["a"], ["c"], ["a"]), ("first", ["b", "c"], ["a"], ["b"]),
+    ("last", ["b"], [], [])], [["a", "b", "c"], ["a", "b"], ["b", "c"], []])
+# A condition-free action is a candidate in every state, pivot or none.
+CONDITION_FREE = fixed_case(["a", "b", "c"], [
+    ("go", ["a"], ["c"], []), ("free", [], ["b"], ["a"]),
+    ("after", ["c"], ["a"], ["c"])], [["a"], ["c"], ["a", "c"], []])
+
+
 @settings(max_examples=200, deadline=None)
 @given(strips_domains())
+@example(TWO_PIVOTS)
+@example(CONDITION_FREE)
 def test_successor_table_matches_apply_oracle(case):
     domain, actions, states = case
     for state in states:  # repeats read the table
@@ -198,28 +213,27 @@ def test_successor_table_matches_apply_oracle(case):
 
 @settings(max_examples=200, deadline=None)
 @given(strips_domains())
+@example(TWO_PIVOTS)
+@example(CONDITION_FREE)
 def test_each_action_is_filed_under_the_pivot_the_rule_names(case):
-    """The module docstring's rule, computed from fact names: an action's
-    pivot is its precondition fact least by (not in the one-hot group,
-    number of actions with that precondition, fact name)."""
+    """The module docstring's rule, computed from decoded fact sets: an
+    action's pivot is the first declared fact of its precondition, and
+    condition-free actions are filed apart; each list is in name order."""
     domain, actions, _ = case
-
-    def key(fact):
-        uses = sum(fact in domain.decode(a.preconditions) for a in actions)
-        in_group = domain.one_hot >> domain.facts.index(fact) & 1
-        return not in_group, uses, fact
-
-    expected = {}
+    expected, free = {}, []
     for action in sorted(actions, key=lambda a: a.name):
         pre = domain.decode(action.preconditions)
         if pre:
-            pivot = domain.facts.index(min(pre, key=key))
+            pivot = min(domain.facts.index(fact) for fact in pre)
             expected.setdefault(pivot, []).append(action.name)
+        else:
+            free.append(action.name)
     filed = {pivot: [action.name for *_, action in bucket]
              for pivot, bucket in domain._buckets.items()}
     assert filed == expected
-    for bucket in domain._buckets.values():
-        for pre, keep, add, action in bucket:
+    assert [action.name for *_, action in domain._unconditional] == free
+    for entries in [*domain._buckets.values(), domain._unconditional]:
+        for pre, keep, add, action in entries:
             assert (pre, keep, add) == (action.preconditions,
                                         ~action.delete_effects,
                                         action.add_effects)
