@@ -148,6 +148,32 @@ def test_action_rejects_overlapping_effects():
         DomainDefinition(["f0", "f1"], [GroundAction("bad", 0, 0b11, 0b10)])
 
 
+OUTSIDE = "a mask bit lies outside the 2 declared facts"
+
+
+@pytest.mark.parametrize("facts, rows, message", [
+    # One action, two faults: the range check runs before the overlap one.
+    (["f0", "f1"], [("x", 0b100, 0b11, 0b10)], f"action x: {OUTSIDE}"),
+    # Actions are checked in list order, each fully before the next.
+    (["f0", "f1"], [("a", 0, 0b11, 0b10), ("a", 0b1, 0, 0)],
+     "action a: add and delete effects overlap: ['f1']"),
+    (["f0", "f1"], [("r", 0b1000, 0, 0), ("o", 0, 0b1, 0b1)],
+     f"action r: {OUTSIDE}"),
+    # A repeated name is found before that action's own masks are read.
+    (["f0", "f1"], [("a", 0b1, 0, 0), ("b", 0, 0, 0), ("a", 0b1000, 0, 0)],
+     "duplicate action name: a"),
+    # The facts are checked before any action.
+    (["f0", "f0"], [("x", 0b100, 0b1, 0b1)],
+     "duplicate facts in domain universe"),
+])
+def test_domain_checks_report_the_first_fault_in_a_fixed_order(facts, rows,
+                                                                message):
+    for actions in (rows, [GroundAction(*row) for row in rows]):
+        with pytest.raises(MalformedSpec) as caught:
+            DomainDefinition(facts, actions)
+        assert str(caught.value) == message
+
+
 @st.composite
 def strips_domains(draw):
     """A small raw-STRIPS domain, declared out of name order, that holds a
