@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedSpec
-from .strips import DomainDefinition, GroundAction
+from .strips import DomainDefinition
 
 # Row and column step of each direction word, in the order moves are compiled.
 DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
@@ -106,11 +106,12 @@ def compile_grid(spec: GridSpec):
     """
     width, height, blocked = spec.width, spec.height, spec.blocked
     n = width * height
+    labels = [str(c) for c in range(n + 1)]  # each cell number, formatted once
     actions = []
     for cell in range(1, n + 1):
         if cell in blocked:
             continue
-        here = 1 << (cell - 1)
+        here, text = 1 << (cell - 1), labels[cell]
         # ``offset``'s rule, with one divmod for the cell's four neighbours.
         row, col = divmod(cell - 1, width)
         for direction, (drow, dcol) in DELTAS.items():
@@ -118,8 +119,8 @@ def compile_grid(spec: GridSpec):
             nbr = r * width + c + 1
             if not (0 <= r < height and 0 <= c < width) or nbr in blocked:
                 continue
-            actions.append(GroundAction(f"move-{direction}-{cell}-{nbr}",
-                                        here, 1 << (nbr - 1), here))
-    domain = DomainDefinition([f"at-{c}" for c in range(1, n + 1)], actions)
+            actions.append((f"move-{direction}-{text}-{labels[nbr]}",
+                            here, 1 << (nbr - 1), here))
+    domain = DomainDefinition([f"at-{label}" for label in labels[1:]], actions)
     return (domain, 1 << (spec.start - 1),
             [1 << (g - 1) for g in spec.goal_cells])

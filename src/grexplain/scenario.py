@@ -280,8 +280,8 @@ def _compile(scenario: ScenarioFile):
         except MalformedSpec as exc:
             raise MalformedSpec(f"{label}: {exc}") from None
 
-    actions = [GroundAction(name, *(encode(f"action {name}", facts)
-                                    for facts in fact_sets))
+    actions = [(name, *(encode(f"action {name}", facts)
+                        for facts in fact_sets))
                for name, *fact_sets in listing.actions]
     domain = DomainDefinition(listing.facts, actions)
     names = goal_labels(scenario.goal_names, len(listing.goals))
@@ -392,12 +392,19 @@ def _mapping(value, path) -> dict:
 
 
 def _rank_mapping(raw, path) -> dict:
-    ranks = {}
+    """Observation index -> rank; ``o1``, ``1`` and ``o01`` all name
+    observation 1, so two of them in one mapping are an error."""
+    ranks, keys = {}, {}
     for key, value in _mapping(raw, path).items():
         text = str(key).removeprefix("o")
         if not (text.isascii() and text.isdigit()):
             raise ParseError(f"{path}: bad observation key {_quote(key)}")
         index = int(text)
+        if index in keys:
+            raise ParseError(
+                f"{path}: keys {_quote(keys[index])} and {_quote(key)} both "
+                f"name observation {index}")
+        keys[index] = key
         rank = _int(value, f"{path}.{key}")
         if rank < 0:
             raise ParseError(f"{path}: ranks must be nonnegative ({key}: {value})")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedSpec
 from .grids import DIRECTIONS, check_board_size, offset
-from .strips import DomainDefinition, GroundAction
+from .strips import DomainDefinition
 
 
 @dataclass(frozen=True)
@@ -95,34 +95,37 @@ def compile_sokoban(spec: SokobanSpec):
         dest = offset(cell, direction, spec.width, spec.height, steps)
         return None if dest in spec.walls else dest
 
+    labels = {c: str(c) for c in floor}  # each cell number, formatted once
     actions = []
     for cell in floor:
+        text = labels[cell]
         for direction in DIRECTIONS:
             dest = step(cell, direction)
             if dest is None:
                 continue
+            suffix = f"{direction}-{text}-{labels[dest]}"
             pre = player[cell] | clear[dest]
-            actions.append(GroundAction(f"move-{direction}-{cell}-{dest}", pre,
-                                        player[dest] | clear[cell], pre))
+            actions.append((f"move-{suffix}", pre,
+                            player[dest] | clear[cell], pre))
             box_to = step(cell, direction, 2)
             if box_to is None:
                 continue
             pre = player[cell] | box[dest] | clear[box_to]
-            actions.append(GroundAction(
-                f"push-{direction}-{cell}-{dest}", pre,
-                player[dest] | box[box_to] | clear[cell], pre))
+            actions.append((f"push-{suffix}", pre,
+                            player[dest] | box[box_to] | clear[cell], pre))
             pair_to = step(cell, direction, 3) if spec.multi_push else None
             if pair_to is None:
                 continue
             # Two boxes in a row shift by one cell; the rear box lands where
             # the front box was, so only the line's ends change.
-            actions.append(GroundAction(
-                f"push2-{direction}-{cell}-{dest}",
+            actions.append((
+                f"push2-{suffix}",
                 player[cell] | box[dest] | box[box_to] | clear[pair_to],
                 player[dest] | box[pair_to] | clear[cell],
                 player[cell] | box[dest] | clear[pair_to]))
 
-    facts = [f"{kind}-{c}" for kind in ("player", "box", "clear") for c in floor]
+    facts = [f"{kind}-{labels[c]}" for kind in ("player", "box", "clear")
+             for c in floor]
     domain = DomainDefinition(facts, actions)
 
     occupied = {spec.player, *spec.boxes}

@@ -23,17 +23,29 @@ that group first, so an action with a grouped precondition is filed under
 the group's value and an expansion tests only the actions of the one
 group fact that holds: ``compile_sokoban`` numbers the ``player-*`` facts
 first.  A raw STRIPS listing keeps its declared order, and no group is
-guessed from fact names.  A bucket lists its actions in name order, each
-as an entry ``(pre, ~del, add, action)`` with the masks stored as ints, so
-a state ``s`` the action applies in leads to ``s & ~del | add``.  The
-candidates of a state are the buckets of the pivots that hold plus the
-condition-free entries; an action that applies has its pivot holding, so
-it is a candidate, and expansion tests each candidate's full precondition
-mask.  So the pivot decides only how many candidates are tested, never
-the rows: a state that breaks a group still gets its exact row, in name
-order.  Where exactly one pivot holds and no action is condition-free, as
-in every reachable grid and Sokoban state, the candidates are that bucket
-as it stands; otherwise they are merged and sorted by name.
+guessed from fact names.  The candidates of a state are the buckets of the
+pivots that hold plus the condition-free entries; an action that applies
+has its pivot holding, so it is a candidate, and expansion tests each
+candidate's full precondition mask.  So the pivot decides only how many
+candidates are tested, never the rows: a state that breaks a group still
+gets its exact row, in name order.  Where exactly one pivot holds and no
+action is condition-free, as in every reachable grid and Sokoban state,
+the candidates are that bucket as it stands; otherwise they are merged and
+sorted by name.
+
+A domain is built from ``(name, pre, add, del)`` 4-tuples of a name and
+three int masks; a ``GroundAction`` is one such tuple, and the compilers
+pass plain ones.  Each action is kept once, as an entry ``(pre, ~del, add,
+name)``: a state ``s`` the action applies in leads to ``s & ~del | add``.
+Each bucket lists its entries in name order (sorted bucket by bucket;
+names are unique, so that is the order of one global sort), and
+``_by_name`` maps a name to its entry in compile order.  Search reads only
+entries, so a compile builds no ``GroundAction``: the value is built from
+its entry the first time ``action`` reads it and is then cached, and
+``applicable_actions`` and ``actions`` (all of them, in compile order,
+built on first read) hand out the cached values.  So one name gives one
+object on every path, and a plan step ``is`` the ``domain.action`` of its
+name.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
@@ -50,13 +62,13 @@ ints that hash apart; a state int of one bit, such as a grid position
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
-package uses threads.  Actions, states and plans (tuples of actions) are
-plain values.
+package uses threads, and the lazily built action values follow the same
+rule.  Actions, states and plans (tuples of actions) are plain values.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import MalformedSpec
@@ -78,7 +90,7 @@ class GroundAction(NamedTuple):
         return f"GroundAction({self.name})"
 
 
-_name = attrgetter("name")
+_entry_name = itemgetter(3)  # the name field of an index entry
 
 
 def step(state: int, action: GroundAction) -> Optional[int]:
@@ -99,22 +111,25 @@ def _bits(mask: int):
 
 
 class DomainDefinition:
-    """An ordered fact universe plus a list of ground actions."""
+    """An ordered fact universe plus a list of ground actions, each a
+    ``(name, pre, add, del)`` 4-tuple such as a ``GroundAction``."""
 
-    def __init__(self, facts: Sequence[str], actions: Sequence[GroundAction]):
+    def __init__(self, facts: Sequence[str], actions: Iterable[tuple]):
         self.facts = tuple(facts)
-        self.actions = tuple(actions)
         self._index = {fact: i for i, fact in enumerate(self.facts)}
         if len(self._index) != len(self.facts):
             raise MalformedSpec("duplicate facts in domain universe")
 
-        self._by_name = {}
+        # Successor index (see the module docstring): entries
+        # (pre, ~del, add, name) filed under the lowest precondition bit;
+        # condition-free actions are always candidates.
+        by_name = self._by_name = {}  # name -> entry, in compile order
+        buckets = self._buckets = {}  # pivot fact index -> [entry]
+        free = self._unconditional = []  # [entry]
         n = len(self.facts)
-        for action in self.actions:
-            name, pre, add, dele = action
-            if name in self._by_name:
+        for name, pre, add, dele in actions:
+            if name in by_name:
                 raise MalformedSpec(f"duplicate action name: {name}")
-            self._by_name[name] = action
             if (pre | add | dele) >> n:
                 raise MalformedSpec(
                     f"action {name}: a mask bit lies outside the "
@@ -123,29 +138,41 @@ class DomainDefinition:
                 raise MalformedSpec(
                     f"action {name}: add and delete effects overlap: "
                     f"{sorted(self.decode(add & dele))}")
-        # Successor index (see the module docstring): entries
-        # (pre, ~del, add, action) in name order, filed under the lowest
-        # precondition bit; condition-free actions are always candidates.
-        self._buckets = {}  # pivot fact index -> [entry]
-        self._unconditional = []  # [entry]
-        for action in sorted(self.actions, key=_name):
-            pre = action.preconditions
-            entry = (pre, ~action.delete_effects, action.add_effects, action)
+            entry = by_name[name] = (pre, ~dele, add, name)
             if pre:
-                self._buckets.setdefault((pre & -pre).bit_length() - 1,
-                                         []).append(entry)
+                buckets.setdefault((pre & -pre).bit_length() - 1,
+                                   []).append(entry)
             else:
-                self._unconditional.append(entry)
-        self._pivot_mask = sum(1 << i for i in self._buckets)
+                free.append(entry)
+        for bucket in buckets.values():
+            bucket.sort(key=_entry_name)
+        free.sort(key=_entry_name)
+        self._pivot_mask = sum(1 << i for i in buckets)
+        self._values = {}  # name -> GroundAction, built on first read
+        self._actions = None
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
         self.rows = []  # id -> (successor id, ...), or None
 
+    @property
+    def actions(self) -> tuple:
+        """Every action as a ``GroundAction``, in compile order; built on
+        first read."""
+        if self._actions is None:
+            self._actions = tuple(map(self.action, self._by_name))
+        return self._actions
+
     def action(self, name: str) -> GroundAction:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise MalformedSpec(f"unknown action: {name}") from None
+        """The action called ``name``, built from its entry on first read
+        and the same object on every later one."""
+        found = self._values.get(name)
+        if found is None:
+            try:
+                pre, keep, add, _ = self._by_name[name]
+            except KeyError:
+                raise MalformedSpec(f"unknown action: {name}") from None
+            found = self._values[name] = GroundAction(name, pre, add, ~keep)
+        return found
 
     def has_action(self, name: str) -> bool:
         return name in self._by_name
@@ -176,12 +203,13 @@ class DomainDefinition:
         found = list(self._unconditional)
         for index in _bits(pivots):
             found += self._buckets[index]
-        found.sort(key=lambda entry: entry[3].name)
+        found.sort(key=_entry_name)
         return found
 
     def applicable_actions(self, state: int) -> list:
         """All actions applicable in the encoded ``state``, sorted by name."""
-        return [action for pre, _, _, action in self._candidates(state)
+        action = self.action
+        return [action(name) for pre, _, _, name in self._candidates(state)
                 if pre & state == pre]
 
     def state_id(self, state: int) -> int:
@@ -215,4 +243,5 @@ class DomainDefinition:
         return found
 
     def __repr__(self):
-        return f"DomainDefinition({len(self.facts)} facts, {len(self.actions)} actions)"
+        return (f"DomainDefinition({len(self.facts)} facts, "
+                f"{len(self._by_name)} actions)")

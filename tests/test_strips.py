@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
                        PlanningTask, SokobanSpec, compile_grid,
                        compile_sokoban, optimal_plan)
-from grexplain.grids import offset, parse_move
-from grexplain.scenario import ScenarioFile, StripsListing, build_problem
+from grexplain.grids import DIRECTIONS, offset, parse_move
+from grexplain.scenario import (ScenarioFile, StripsListing, _compile,
+                                build_problem)
 from grexplain.strips import step
 
 from conftest import (applicable, apply, random_grid_spec, strips_domain,
@@ -254,12 +255,13 @@ def test_each_action_is_filed_under_the_pivot_the_rule_names(case):
             expected.setdefault(pivot, []).append(action.name)
         else:
             free.append(action.name)
-    filed = {pivot: [action.name for *_, action in bucket]
+    filed = {pivot: [name for *_, name in bucket]
              for pivot, bucket in domain._buckets.items()}
     assert filed == expected
-    assert [action.name for *_, action in domain._unconditional] == free
+    assert [name for *_, name in domain._unconditional] == free
     for entries in [*domain._buckets.values(), domain._unconditional]:
-        for pre, keep, add, action in entries:
+        for pre, keep, add, name in entries:
+            action = domain.action(name)
             assert (pre, keep, add) == (action.preconditions,
                                         ~action.delete_effects,
                                         action.add_effects)
@@ -339,3 +341,119 @@ def test_compiled_masks_match_the_facts_action_names_imply(board, data):
             for assignment in spec.goal_assignments]
     facts = data.draw(st.frozensets(st.sampled_from(domain.facts)))
     assert domain.decode(domain.encode(facts)) == facts
+
+
+def eager_board_actions(kind, spec):
+    """A board's actions as ``GroundAction`` values in compile order, built
+    eagerly from ``offset`` and the bit layout the compilers' docstrings
+    give: the reference the lean compile must equal."""
+    width, height = spec.width, spec.height
+    walls = spec.blocked if kind == "grid" else spec.walls
+    floor = [c for c in range(1, width * height + 1) if c not in walls]
+
+    def toward(cell, direction, steps):
+        dest = offset(cell, direction, width, height, steps)
+        return None if dest in walls else dest
+
+    if kind == "grid":
+        return [GroundAction(f"move-{d}-{c}-{n}", 1 << (c - 1), 1 << (n - 1),
+                             1 << (c - 1))
+                for c in floor for d in DIRECTIONS
+                for n in [toward(c, d, 1)] if n is not None]
+    bit = {c: i for i, c in enumerate(floor)}
+    player, box, clear = (
+        lambda c, g=group: 1 << (g * len(floor) + bit[c]) for group in range(3))
+    actions = []
+    for c in floor:
+        for d in DIRECTIONS:
+            n, b, f = (toward(c, d, steps) for steps in (1, 2, 3))
+            if n is None:
+                continue
+            actions.append(GroundAction(f"move-{d}-{c}-{n}", player(c) | clear(n),
+                                        player(n) | clear(c), player(c) | clear(n)))
+            if b is None:
+                continue
+            pre = player(c) | box(n) | clear(b)
+            actions.append(GroundAction(f"push-{d}-{c}-{n}", pre,
+                                        player(n) | box(b) | clear(c), pre))
+            if f is None or not spec.multi_push:
+                continue
+            actions.append(GroundAction(
+                f"push2-{d}-{c}-{n}", player(c) | box(n) | box(b) | clear(f),
+                player(n) | box(f) | clear(c), player(c) | box(n) | clear(f)))
+    return actions
+
+
+@st.composite
+def small_boards(draw):
+    """A grid, or a Sokoban board of at most three boxes with ``multi_push``
+    on or off, small enough to walk every reachable state: (kind, spec)."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = range(1, width * height + 1)
+    free = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    walls = frozenset(cells) - set(free)
+    if draw(st.booleans()):
+        return "grid", GridSpec(width, height, walls, free[0])
+    boxes = tuple(free[1:1 + draw(st.integers(0, 3))])
+    return "sokoban", SokobanSpec(width, height, walls, free[0], boxes,
+                                  boxes, (), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_boards())
+def test_lean_compile_equals_an_eager_reference_compile(board):
+    kind, spec = board
+    domain, initial, _ = (compile_grid if kind == "grid"
+                          else compile_sokoban)(spec)
+    reference = eager_board_actions(kind, spec)
+    by_name = sorted(reference, key=lambda a: a.name)
+    for bucket in [*domain._buckets.values(), domain._unconditional]:
+        names = [name for *_, name in bucket]
+        assert names == sorted(names)
+    found, seen = [initial], {initial}
+    for state in found:
+        moves = [a for a in by_name if a.preconditions & state
+                 == a.preconditions]
+        assert domain.applicable_actions(state) == moves
+        row = domain.expand(domain.state_id(state))
+        succs = [step(state, a) for a in moves]
+        assert [domain.states[sid] for sid in row] == succs
+        found += [s for s in succs if s not in seen]
+        seen.update(succs)
+    # Read after the walk, so ``actions`` is built from values that
+    # ``applicable_actions`` already handed out.
+    assert domain.actions == tuple(reference)
+    assert [a.name for a in domain.actions] == [a.name for a in reference]
+    for action in domain.actions:
+        assert domain.action(action.name) is action
+    for state in found:
+        for action in domain.applicable_actions(state):
+            assert domain.action(action.name) is action
+
+
+def test_a_compile_builds_no_action_value(monkeypatch):
+    """Grid, Sokoban and raw-STRIPS compiles file plain tuples; an action
+    value is built only when it is read, then read again as the same
+    object."""
+    listing = StripsListing(facts=("a", "b"), actions=(
+        ("go", ("a",), ("b",), ("a",)), ("back", ("b",), ("a",), ("b",))),
+        initial=frozenset({"a"}), goals=(frozenset({"b"}),))
+    compiles = [
+        lambda: compile_grid(GridSpec(4, 3, frozenset({6}), 1, (12,))),
+        lambda: compile_sokoban(SokobanSpec(5, 1, frozenset(), 1, (2, 3),
+                                            (4, 5), ((4, 5),), True)),
+        lambda: _compile(ScenarioFile("strips", listing, ())),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("an action value was built")
+
+    for compile_ in compiles:
+        monkeypatch.setattr(GroundAction, "__new__", refuse)
+        domain, initial, _ = compile_()
+        domain.expand(domain.state_id(initial))
+        monkeypatch.undo()
+        (first, *_) = domain.applicable_actions(initial)
+        assert type(first) is GroundAction
+        assert domain.action(first.name) is first
+        assert domain.actions[domain.actions.index(first)] is first
