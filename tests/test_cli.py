@@ -258,22 +258,25 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
                        f"{question} answer\n")
 
 
-@pytest.mark.parametrize("ranks, keys", [
-    ("{o1: 0, 1: 5, o01: 2}", "keys 'o1' and 1 both name observation 1"),
-    ("{o01: 2, o1: 0}", "keys 'o01' and 'o1' both name observation 1"),
-    ("{o2: 1, 2: 1}", "keys 'o2' and 2 both name observation 2"),
+@pytest.mark.parametrize("notes, message", [
+    ("why_ranks: {o1: 0, 1: 5, o01: 2}",
+     "why_ranks: keys 'o1' and 1 both name observation 1"),
+    ("why_ranks: {o01: 2, o1: 0}",
+     "why_ranks: keys 'o01' and 'o1' both name observation 1"),
+    ("whynot_ranks: {o2: 1, o1: 0, 2: 1}",
+     "whynot_ranks: keys 'o2' and 2 both name observation 2"),
 ])
-def test_eval_rejects_two_keys_for_one_observation(tmp_path, capsys, ranks,
-                                                    keys):
+def test_eval_rejects_two_keys_for_one_observation(tmp_path, capsys, notes,
+                                                    message):
     """``o1``, ``1`` and ``o01`` all name observation 1: a second one exits
     2 naming both keys, rather than silently replacing the first rank."""
     board = tmp_path / "board.yaml"
     board.write_text(GRID_3X3 + "observations: [right, down]\n")
-    notes = tmp_path / "notes.yaml"
-    notes.write_text(f"why_ranks: {ranks}\n")
+    annotations = tmp_path / "notes.yaml"
+    annotations.write_text(notes + "\n")
     code, out, err = run(capsys, "eval", "--scenario", str(board),
-                         "--annotations", str(notes))
-    assert (code, out, err) == (2, "", f"error: why_ranks: {keys}\n")
+                         "--annotations", str(annotations))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("scenario, extra, extra_file", [

@@ -369,13 +369,6 @@ def test_annotations_reject_keys_other_than_o_and_ascii_digits(tmp_path, key):
         load_annotations(path)
 
 
-def test_annotations_reject_two_keys_for_one_observation(tmp_path):
-    path = write(tmp_path, "whynot_ranks: {o3: 1, o2: 0, 3: 1}\n", "ann.yaml")
-    with pytest.raises(ParseError, match=r"^whynot_ranks: keys 'o3' and 3 "
-                                         r"both name observation 3$"):
-        load_annotations(path)
-
-
 def test_annotations_reject_negative_ranks(tmp_path):
     path = write(tmp_path, "why_ranks: {o1: -2}\n", "ann.yaml")
     with pytest.raises(ParseError):
