@@ -27,9 +27,9 @@ DIRECTIONS = tuple(DELTAS)
 # largest benchmark board (34 x 34).  Each action's masks are ints as wide as
 # the fact list, so compiling takes memory that grows with the square of the
 # cell count: an open 64 x 64 multi-push Sokoban board (47,616 actions)
-# compiles in about 0.5 s to 255 MB peak RSS (Python 3.11, 2-core Xeon), and
-# four times the cells would need about 4 GB.  A fixed validation limit, not
-# a setting.
+# compiles in about 0.5 s to 231 MB peak RSS (Python 3.11, 2-core Xeon), and
+# four times the cells would need about 3.5 GB.  A fixed validation limit,
+# not a setting.
 MAX_CELLS = 4_096
 
 
@@ -103,25 +103,30 @@ def compile_grid(spec: GridSpec):
     """Compile a grid into (domain, initial state, goal masks).
 
     Fact ``at-<cell>`` is bit ``cell - 1``.  One goal hypothesis per goal
-    cell: its bit.
+    cell: its bit.  The moves go to ``DomainDefinition`` as a generator, so
+    each tuple is freed once its entry is filed and the compile never holds
+    a list of them beside the index (fewer live objects also mean fewer
+    garbage-collector passes).
     """
     width, height, blocked = spec.width, spec.height, spec.blocked
     n = width * height
     labels = [str(c) for c in range(n + 1)]  # each cell number, formatted once
-    actions = []
-    for cell in range(1, n + 1):
-        if cell in blocked:
-            continue
-        here, text = 1 << (cell - 1), labels[cell]
-        # ``offset``'s rule, with one divmod for the cell's four neighbours.
-        row, col = divmod(cell - 1, width)
-        for direction, (drow, dcol) in DELTAS.items():
-            r, c = row + drow, col + dcol
-            nbr = r * width + c + 1
-            if not (0 <= r < height and 0 <= c < width) or nbr in blocked:
+
+    def moves():
+        for cell in range(1, n + 1):
+            if cell in blocked:
                 continue
-            actions.append((f"move-{direction}-{text}-{labels[nbr]}",
-                            here, 1 << (nbr - 1), here))
-    domain = DomainDefinition([f"at-{label}" for label in labels[1:]], actions)
+            here, text = 1 << (cell - 1), labels[cell]
+            # ``offset``'s rule, one divmod for the cell's four neighbours.
+            row, col = divmod(cell - 1, width)
+            for direction, (drow, dcol) in DELTAS.items():
+                r, c = row + drow, col + dcol
+                nbr = r * width + c + 1
+                if not (0 <= r < height and 0 <= c < width) or nbr in blocked:
+                    continue
+                yield (f"move-{direction}-{text}-{labels[nbr]}",
+                       here, 1 << (nbr - 1), here)
+
+    domain = DomainDefinition([f"at-{label}" for label in labels[1:]], moves())
     return (domain, 1 << (spec.start - 1),
             [1 << (g - 1) for g in spec.goal_cells])

@@ -81,7 +81,8 @@ def compile_sokoban(spec: SokobanSpec):
 
     With ``floor`` the non-wall cells in order, ``player-<floor[i]>``,
     ``box-<floor[i]>`` and ``clear-<floor[i]>`` are bits i, len(floor) + i
-    and 2 * len(floor) + i.
+    and 2 * len(floor) + i.  The actions go to ``DomainDefinition`` as a
+    generator, as in ``compile_grid``.
     """
     n = spec.width * spec.height
     floor = [c for c in range(1, n + 1) if c not in spec.walls]
@@ -96,37 +97,36 @@ def compile_sokoban(spec: SokobanSpec):
         return None if dest in spec.walls else dest
 
     labels = {c: str(c) for c in floor}  # each cell number, formatted once
-    actions = []
-    for cell in floor:
-        text = labels[cell]
-        for direction in DIRECTIONS:
-            dest = step(cell, direction)
-            if dest is None:
-                continue
-            suffix = f"{direction}-{text}-{labels[dest]}"
-            pre = player[cell] | clear[dest]
-            actions.append((f"move-{suffix}", pre,
-                            player[dest] | clear[cell], pre))
-            box_to = step(cell, direction, 2)
-            if box_to is None:
-                continue
-            pre = player[cell] | box[dest] | clear[box_to]
-            actions.append((f"push-{suffix}", pre,
-                            player[dest] | box[box_to] | clear[cell], pre))
-            pair_to = step(cell, direction, 3) if spec.multi_push else None
-            if pair_to is None:
-                continue
-            # Two boxes in a row shift by one cell; the rear box lands where
-            # the front box was, so only the line's ends change.
-            actions.append((
-                f"push2-{suffix}",
-                player[cell] | box[dest] | box[box_to] | clear[pair_to],
-                player[dest] | box[pair_to] | clear[cell],
-                player[cell] | box[dest] | clear[pair_to]))
+
+    def actions():
+        for cell in floor:
+            text = labels[cell]
+            for direction in DIRECTIONS:
+                dest = step(cell, direction)
+                if dest is None:
+                    continue
+                suffix = f"{direction}-{text}-{labels[dest]}"
+                pre = player[cell] | clear[dest]
+                yield f"move-{suffix}", pre, player[dest] | clear[cell], pre
+                box_to = step(cell, direction, 2)
+                if box_to is None:
+                    continue
+                pre = player[cell] | box[dest] | clear[box_to]
+                yield (f"push-{suffix}", pre,
+                       player[dest] | box[box_to] | clear[cell], pre)
+                pair_to = step(cell, direction, 3) if spec.multi_push else None
+                if pair_to is None:
+                    continue
+                # Two boxes in a row shift by one cell; the rear box lands
+                # where the front box was, so only the line's ends change.
+                yield (f"push2-{suffix}",
+                       player[cell] | box[dest] | box[box_to] | clear[pair_to],
+                       player[dest] | box[pair_to] | clear[cell],
+                       player[cell] | box[dest] | clear[pair_to])
 
     facts = [f"{kind}-{labels[c]}" for kind in ("player", "box", "clear")
              for c in floor]
-    domain = DomainDefinition(facts, actions)
+    domain = DomainDefinition(facts, actions())
 
     occupied = {spec.player, *spec.boxes}
     initial = (player[spec.player] | sum(box[b] for b in spec.boxes)

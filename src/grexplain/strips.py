@@ -34,8 +34,8 @@ the candidates are that bucket as it stands; otherwise they are merged and
 sorted by name.
 
 A domain is built from ``(name, pre, add, del)`` 4-tuples of a name and
-three int masks; a ``GroundAction`` is one such tuple, and the compilers
-pass plain ones.  Each action is kept once, as an entry ``(pre, ~del, add,
+three int masks, read once in order; a ``GroundAction`` is one such tuple,
+and the compilers pass plain ones (the board compilers from a generator).  Each action is kept once, as an entry ``(pre, ~del, add,
 name)``: a state ``s`` the action applies in leads to ``s & ~del | add``.
 Each bucket lists its entries in name order (sorted bucket by bucket;
 names are unique, so that is the order of one global sort), and
