@@ -35,17 +35,19 @@ sorted by name.
 
 A domain is built from ``(name, pre, add, del)`` 4-tuples of a name and
 three int masks, read once in order; a ``GroundAction`` is one such tuple,
-and the compilers pass plain ones (the board compilers from a generator).  Each action is kept once, as an entry ``(pre, ~del, add,
-name)``: a state ``s`` the action applies in leads to ``s & ~del | add``.
-Each bucket lists its entries in name order (sorted bucket by bucket;
-names are unique, so that is the order of one global sort), and
-``_by_name`` maps a name to its entry in compile order.  Search reads only
-entries, so a compile builds no ``GroundAction``: the value is built from
-its entry the first time ``action`` reads it and is then cached, and
-``applicable_actions`` and ``actions`` (all of them, in compile order,
-built on first read) hand out the cached values.  So one name gives one
-object on every path, and a plan step ``is`` the ``domain.action`` of its
-name.
+and the compilers pass plain ones (the board compilers from a generator).
+Each action is kept once, as an entry ``(pre, ~del, add, name)``: a state
+``s`` the action applies in leads to ``s & ~del | add``.  Each bucket lists
+its entries in name order (sorted bucket by bucket; names are unique, so
+that is the order of one global sort), and ``_by_name`` maps a name to its
+entry in compile order.  Search reads only entries, so a compile builds no
+``GroundAction``: the value is built from its entry the first time
+``action`` reads it and is then cached, and ``applicable_actions`` and
+``actions`` (all of them, in compile order, built on first read) hand out
+the cached values.  So one name gives one object on every path, and a plan
+step ``is`` the ``domain.action`` of its name.  An entry holds only ints
+and a string, so the garbage collector stops tracking it at its first
+collection; a ``GroundAction``, a tuple subclass, stays tracked for life.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
