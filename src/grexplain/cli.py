@@ -3,8 +3,9 @@
 Verbs: ``recognize`` (posterior trace), ``explain`` (why / why-not answers),
 ``rank`` (per-observation ranking table), ``bench`` (timing report over a
 scenario directory), ``eval`` (agreement against a ground-truth annotation
-file).  Exit status is 0 on success, 2 on any validation/parse error and 3
-when the planner's expansion budget is exhausted.
+file).  Exit status is 0 on success, 1 when the reader of stdout closes it
+early, 2 on any validation/parse error and 3 when the planner's expansion
+budget is exhausted.
 
 One verb table, ``VERBS``, gives each verb's help, options and command.
 ``build_parser`` builds one parser from it (the top level plus one
@@ -25,7 +26,6 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import format_report, run_bench
 from .errors import BudgetExceeded, GrexError, ValidationError
 from .explainer import (answer_why, answer_why_not, build_explanan,
                         rank_observations)
@@ -159,6 +159,9 @@ def cmd_rank(args):
 
 
 def cmd_bench(args):
+    # Imported here: only this verb needs ``statistics`` and its imports.
+    from .bench import format_report, run_bench
+
     root = Path(args.scenario)
     paths = sorted(root.glob("*.yaml")) if root.is_dir() else [root]
     if not paths:

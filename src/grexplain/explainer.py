@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (EmptyExplanan, UnsolvableGoal, ZeroPosterior, ZeroPrior)
 from .planner import DEFAULT_BUDGET, PlanningTask, optimal_plan
@@ -49,8 +48,7 @@ def woe_with_priors(p: float, p_prime: float, prior: float,
     return math.log(p / p_prime) - math.log(prior / prior_prime)
 
 
-@dataclass(frozen=True)
-class ExplananEntry:
+class ExplananEntry(NamedTuple):
     """One weighted cause: at observation ``observation_index`` the evidence
     favours ``predicted_goal`` over ``counterfactual_goal`` by ``woe``."""
 
@@ -64,8 +62,7 @@ class ExplananEntry:
         return (self.predicted_goal, self.counterfactual_goal)
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     """A (pair, observation) combination left out of the explanation list."""
 
     observation_index: int
@@ -74,8 +71,7 @@ class Exclusion:
     counterfactual_goal: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CompleteExplanan:
+class CompleteExplanan(NamedTuple):
     """Every stored weight-of-evidence entry, grouped implicitly by goal pair,
     plus the side list of exclusions."""
 
@@ -127,12 +123,13 @@ def build_explanan(trace: PosteriorTrace,
         predicted=trace.predicted, counterfactual=trace.counterfactual)
 
 
-@dataclass
 class WhyAnswer:
     """Observational markers: per goal pair, the entries of maximum weight."""
 
-    markers: tuple
-    rendered: str = ""
+    __slots__ = ("markers", "rendered")
+
+    def __init__(self, markers: tuple, rendered: str = ""):
+        self.markers, self.rendered = markers, rendered
 
     @property
     def top(self) -> tuple:
@@ -143,15 +140,17 @@ class WhyAnswer:
         return tuple(e for e in self.markers if e.woe == best)
 
 
-@dataclass
 class CfSelection:
     """Why-not material for one counterfactual goal: its minimum-weight
     markers and the action an optimal plan would have taken instead."""
 
-    goal: int
-    markers: tuple
-    action: Optional[GroundAction]
-    status: str  # "action" | "already-satisfied" | "unsolvable" | "no-evidence"
+    __slots__ = ("goal", "markers", "action", "status")
+
+    def __init__(self, goal: int, markers: tuple,
+                 action: Optional[GroundAction], status: str):
+        self.goal, self.markers, self.action = goal, markers, action
+        # "action" | "already-satisfied" | "unsolvable" | "no-evidence"
+        self.status = status
 
     @property
     def marker(self) -> Optional[ExplananEntry]:
@@ -161,11 +160,13 @@ class CfSelection:
                    default=None)
 
 
-@dataclass
 class WhyNotAnswer:
-    selections: tuple
-    rendered: str = ""
-    planning_s: float = 0.0  # seconds spent in counterfactual_action
+    __slots__ = ("selections", "rendered", "planning_s")
+
+    def __init__(self, selections: tuple, rendered: str = "",
+                 planning_s: float = 0.0):
+        self.selections, self.rendered = selections, rendered
+        self.planning_s = planning_s  # seconds spent in counterfactual_action
 
     @property
     def markers(self) -> tuple:

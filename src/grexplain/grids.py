@@ -14,7 +14,7 @@ words and the suite generator read names through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedSpec
 from .strips import DomainDefinition
@@ -42,31 +42,38 @@ def check_board_size(kind: str, width: int, height: int) -> None:
             f"{width * height} cells, more than the limit of {MAX_CELLS}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridFields(NamedTuple):
     width: int
     height: int
-    blocked: frozenset = frozenset()
-    start: int = 1
-    goal_cells: tuple = ()
+    blocked: frozenset
+    start: int
+    goal_cells: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocked", frozenset(self.blocked))
-        object.__setattr__(self, "goal_cells", tuple(self.goal_cells))
-        if self.width < 1 or self.height < 1:
+
+class GridSpec(_GridFields):
+    """A grid board; ``blocked`` is kept as a frozenset and ``goal_cells``
+    as a tuple, and every cell is range-checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, width, height, blocked=frozenset(), start=1,
+                goal_cells=()):
+        blocked, goal_cells = frozenset(blocked), tuple(goal_cells)
+        if width < 1 or height < 1:
             raise MalformedSpec("grid dimensions must be positive")
-        check_board_size("grid", self.width, self.height)
-        n = self.width * self.height
-        for cell in self.blocked:
+        check_board_size("grid", width, height)
+        n = width * height
+        for cell in blocked:
             if not 1 <= cell <= n:
                 raise MalformedSpec(f"blocked cell {cell} out of range 1..{n}")
-        for label, cell in [("start", self.start)] + [
-            (f"goal {g}", g) for g in self.goal_cells
+        for label, cell in [("start", start)] + [
+            (f"goal {g}", g) for g in goal_cells
         ]:
             if not 1 <= cell <= n:
                 raise MalformedSpec(f"{label} out of range 1..{n}")
-            if cell in self.blocked:
+            if cell in blocked:
                 raise MalformedSpec(f"{label} is a blocked cell")
+        return super().__new__(cls, width, height, blocked, start, goal_cells)
 
 
 def offset(cell: int, direction: str, width: int, height: int, steps: int = 1):

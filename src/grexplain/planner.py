@@ -41,8 +41,7 @@ shortest plan, and its parent chain spells that plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
 from .strips import DomainDefinition, step
@@ -50,8 +49,7 @@ from .strips import DomainDefinition, step
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class PlanningTask:
+class PlanningTask(NamedTuple):
     domain: DomainDefinition
     initial: int
     goal: int

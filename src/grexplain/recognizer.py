@@ -33,8 +33,7 @@ over the goal set; unreachable goals get probability 0.  Goals within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
 from .grids import GridSpec
@@ -46,16 +45,24 @@ from .strips import DomainDefinition, GroundAction, step
 DEFAULT_TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One observed step: the action taken and the state int it produced."""
 
     action: GroundAction
     resulting_state: int
 
 
-@dataclass(frozen=True)
-class GrProblem:
+class _GrProblemFields(NamedTuple):
+    domain: DomainDefinition
+    initial: int
+    goals: tuple
+    observations: tuple
+    goal_names: tuple
+    board: Optional[Union[GridSpec, SokobanSpec]]
+    name: str
+
+
+class GrProblem(_GrProblemFields):
     """A goal-recognition problem: domain, initial state, goal hypotheses,
     and the observed action/state sequence.
 
@@ -68,26 +75,21 @@ class GrProblem:
     affects recognition or the explanations.
     """
 
-    domain: DomainDefinition
-    initial: int
-    goals: tuple
-    observations: tuple = ()
-    goal_names: tuple = ()
-    board: Optional[Union[GridSpec, SokobanSpec]] = None
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "goals", tuple(self.goals))
-        object.__setattr__(self, "observations", tuple(self.observations))
-        names = goal_labels(self.goal_names, len(self.goals))
-        object.__setattr__(self, "goal_names", names)
-        declared = len(self.domain.facts)
+    def __new__(cls, domain, initial, goals, observations=(), goal_names=(),
+                board=None, name=""):
+        goals, observations = tuple(goals), tuple(observations)
+        names = goal_labels(goal_names, len(goals))
+        declared = len(domain.facts)
         labels = ["initial state", *(f"goal {n}" for n in names)]
-        for label, mask in zip(labels, (self.initial, *self.goals)):
+        for label, mask in zip(labels, (initial, *goals)):
             if mask >> declared:
                 raise MalformedSpec(f"{label}: a mask bit lies outside the "
                                     f"{declared} declared facts")
-        validate_observations(self.domain, self.initial, self.observations)
+        validate_observations(domain, initial, observations)
+        return super().__new__(cls, domain, initial, goals, observations,
+                               names, board, name)
 
     def state_before(self, index: int) -> int:
         """The state immediately before 1-based observation ``index``."""
@@ -127,8 +129,7 @@ def validate_observations(domain: DomainDefinition, initial: int,
                 i, f"recorded state does not match applying {obs.action.name}")
 
 
-@dataclass(frozen=True)
-class PosteriorTrace:
+class PosteriorTrace(NamedTuple):
     """Per-prefix posterior distributions plus the predicted/counterfactual
     goal split taken from the final prefix."""
 

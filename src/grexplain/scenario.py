@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import yaml
 
@@ -60,8 +59,7 @@ _REPR.maxstring = _REPR.maxother = 60
 _quote = _REPR.repr
 
 
-@dataclass(frozen=True)
-class StripsListing:
+class StripsListing(NamedTuple):
     """Raw STRIPS scenario body: explicit facts, actions, initial and goals."""
 
     facts: tuple
@@ -70,8 +68,7 @@ class StripsListing:
     goals: tuple
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     kind: str
     spec: Union[GridSpec, SokobanSpec, StripsListing]
     observations: tuple
@@ -79,8 +76,7 @@ class ScenarioFile:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class AnnotationFile:
+class AnnotationFile(NamedTuple):
     scenario: str
     why_ranks: dict
     whynot_ranks: dict

@@ -25,55 +25,61 @@ expansion tests only the actions that start where the player stands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedSpec
 from .grids import DIRECTIONS, check_board_size, offset
 from .strips import DomainDefinition
 
 
-@dataclass(frozen=True)
-class SokobanSpec:
+class _SokobanFields(NamedTuple):
     width: int
     height: int
-    walls: frozenset = frozenset()
-    player: int = 1
-    boxes: tuple = ()
-    storage: tuple = ()
-    goal_assignments: tuple = ()  # each entry: tuple of storage cells to fill
-    multi_push: bool = False
+    walls: frozenset
+    player: int
+    boxes: tuple
+    storage: tuple
+    goal_assignments: tuple  # each entry: tuple of storage cells to fill
+    multi_push: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "walls", frozenset(self.walls))
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "storage", tuple(self.storage))
-        object.__setattr__(self, "goal_assignments",
-                           tuple(tuple(a) for a in self.goal_assignments))
-        if self.width < 1 or self.height < 1:
+
+class SokobanSpec(_SokobanFields):
+    """A Sokoban board; ``walls`` is kept as a frozenset and the cell lists
+    as tuples, and the board is checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, width, height, walls=frozenset(), player=1, boxes=(),
+                storage=(), goal_assignments=(), multi_push=False):
+        walls, boxes, storage = frozenset(walls), tuple(boxes), tuple(storage)
+        goal_assignments = tuple(tuple(a) for a in goal_assignments)
+        if width < 1 or height < 1:
             raise MalformedSpec("board dimensions must be positive")
-        check_board_size("board", self.width, self.height)
-        n = self.width * self.height
-        occupied = [("player", self.player)] + [("box", b) for b in self.boxes]
+        check_board_size("board", width, height)
+        n = width * height
+        occupied = [("player", player)] + [("box", b) for b in boxes]
         seen = set()
-        for label, cell in occupied + [("storage", s) for s in self.storage]:
+        for label, cell in occupied + [("storage", s) for s in storage]:
             if not 1 <= cell <= n:
                 raise MalformedSpec(f"{label} cell {cell} out of range 1..{n}")
-            if cell in self.walls:
+            if cell in walls:
                 raise MalformedSpec(f"{label} cell {cell} is a wall")
         for label, cell in occupied:
             if cell in seen:
                 raise MalformedSpec(f"entities overlap at cell {cell}")
             seen.add(cell)
-        if len(set(self.storage)) != len(self.storage):
+        if len(set(storage)) != len(storage):
             raise MalformedSpec("duplicate storage cells")
-        for assignment in self.goal_assignments:
+        for assignment in goal_assignments:
             if len(set(assignment)) != len(assignment):
                 raise MalformedSpec(f"goal assignment repeats a storage: {assignment}")
             for cell in assignment:
-                if cell not in self.storage:
+                if cell not in storage:
                     raise MalformedSpec(f"goal assignment uses non-storage cell {cell}")
-            if len(assignment) > len(self.boxes):
+            if len(assignment) > len(boxes):
                 raise MalformedSpec("goal assignment needs more boxes than exist")
+        return super().__new__(cls, width, height, walls, player, boxes,
+                               storage, goal_assignments, multi_push)
 
 
 def compile_sokoban(spec: SokobanSpec):

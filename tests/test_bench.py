@@ -134,3 +134,15 @@ def test_ab_cli_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
     assert gain_rule([10.0], [9.0]) == {"parent": (10.0,) * 3,
                                          "change": (9.0,) * 3,
                                          "wins": 1, "met": True}
+
+
+def test_ab_cli_times_setup_from_source_without_writing_bytecode(tmp_path):
+    """The ``setup`` row imports from a copy of ``src/`` with no
+    ``__pycache__`` and leaves none behind, so every import compiles
+    grexplain from source as a fresh checkout does."""
+    ab_cli = load_file("tools/ab_cli.py")
+    src = ab_cli.source_copy(ROOT, tmp_path / "src")
+    assert (src / "grexplain" / "cli.py").is_file()
+    assert not list(src.rglob("__pycache__"))
+    assert ab_cli.import_ms(src) > 0
+    assert not list(src.rglob("__pycache__"))

@@ -481,6 +481,24 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_bench():
+    """Every call pays for what ``import grexplain.cli`` loads: the records
+    are named tuples and slotted classes, so ``dataclasses`` (and with it
+    ``inspect``) stays out, and ``bench`` with ``statistics`` loads only for
+    the bench verb (``test_bench_on_directory`` runs that verb)."""
+    probe = ("import json, sys; before = set(sys.modules); "
+             "import grexplain.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    added = set(json.loads(proc.stdout))
+    assert "grexplain.cli" in added
+    assert not added & {"dataclasses", "inspect", "statistics",
+                        "grexplain.bench"}
+
+
 @st.composite
 def strips_listings(draw):
     """A small raw-STRIPS scenario whose initial state, goals and

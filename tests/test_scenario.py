@@ -6,17 +6,21 @@ import pytest
 import yaml
 
 import grexplain
-from grexplain import (GridSpec, ParseError, SokobanSpec, ValidationError,
-                       bundled_bench_paths, bundled_scenario_path,
-                       compile_grid, compile_sokoban,
+from grexplain import (DomainDefinition, GridSpec, GrProblem, GroundAction,
+                       Observation, ParseError, PlanningTask, SokobanSpec,
+                       ValidationError, bundled_bench_paths,
+                       bundled_scenario_path, compile_grid, compile_sokoban,
                        load_annotations, load_priors, load_scenario,
                        mirror_posteriors)
 from grexplain import scenario as scenario_module
 from grexplain.cli import main
 from grexplain.errors import MalformedSpec
+from grexplain.explainer import CompleteExplanan, Exclusion, ExplananEntry
 from grexplain.grids import DIRECTIONS, MAX_CELLS
-from grexplain.scenario import (_resolve_direction, parse_scenario,
-                                parse_scenario_file, serialize_scenario)
+from grexplain.recognizer import PosteriorTrace
+from grexplain.scenario import (ScenarioFile, _resolve_direction,
+                                parse_scenario, parse_scenario_file,
+                                serialize_scenario)
 
 from conftest import applicable, apply
 
@@ -476,3 +480,48 @@ def test_utf16_file_reads_like_its_utf8_text(tmp_path):
     assert load_scenario(utf16).name == "caf\u00e9"
     assert (problem_signature(load_scenario(utf16))
             == problem_signature(load_scenario(utf8)))
+
+
+def _line_problem():
+    """A problem on a 3 x 1 grid, its goals given as a list and unnamed."""
+    domain, initial, goals = compile_grid(GridSpec(3, 1, (), 1, [2, 3]))
+    return GrProblem(domain, initial, goals, [])
+
+
+RECORDS = {
+    "Observation": (lambda: Observation(GroundAction("go", 1, 2, 1), 2),
+                    {"resulting_state": 2}),
+    "PosteriorTrace": (lambda: PosteriorTrace((0.5, 0.5), (), frozenset({0, 1}),
+                                              frozenset()),
+                       {"per_prefix": ()}),
+    "ExplananEntry": (lambda: ExplananEntry(0, 1, 1, 0.5), {"woe": 0.5}),
+    "Exclusion": (lambda: Exclusion(1, "no-weight", 0, 1),
+                  {"reason": "no-weight"}),
+    "CompleteExplanan": (lambda: CompleteExplanan((), (), 0, frozenset({0}),
+                                                  frozenset({1})),
+                         {"entries": ()}),
+    "PlanningTask": (lambda: PlanningTask(DomainDefinition(["a"], ()), 0, 1),
+                     {"goal": 1}),
+    "GridSpec": (lambda: GridSpec(3, 2, [5], 1, [3, 6]),
+                 {"blocked": frozenset({5}), "goal_cells": (3, 6)}),
+    "SokobanSpec": (lambda: SokobanSpec(4, 1, [], 1, [2], [4], [[4]]),
+                    {"walls": frozenset(), "boxes": (2,), "storage": (4,),
+                     "goal_assignments": ((4,),)}),
+    "GrProblem": (_line_problem, {"goals": (2, 4), "observations": (),
+                                  "goal_names": ("g1", "g2")}),
+    "ScenarioFile": (lambda: ScenarioFile("grid", GridSpec(3, 1), ("right",)),
+                     {"observations": ("right",)}),
+}
+
+
+@pytest.mark.parametrize("build, fields", RECORDS.values(), ids=list(RECORDS))
+def test_records_refuse_assignment_and_normalize_their_fields(build, fields):
+    """Each record's fields read as given, with the board specs' lists
+    stored as a frozenset and tuples and a problem's unnamed goals called
+    g1, g2, ...; assigning to any of them raises AttributeError."""
+    record = build()
+    for name, value in fields.items():
+        got = getattr(record, name)
+        assert (got, type(got)) == (value, type(value))
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)

@@ -1,9 +1,18 @@
-"""Interleaved in-process timing of ``cli.main`` in two source trees.
+"""Interleaved timing of ``grexplain`` start-up and of in-process
+``cli.main`` requests in two source trees.
 
     python3 tools/ab_cli.py --parent DIR --change DIR [--rounds N]
 
-Each round starts one child process per tree, the parent first on odd
-rounds and the change first on even ones.  A child imports ``grexplain``
+Each round runs both trees, the parent first on odd rounds and the change
+first on even ones.  It first times ``import grexplain.cli`` (the
+``setup`` row): ``IMPORTS`` fresh interpreters per tree, alternating
+between the trees, each importing from a copy of the tree's ``src/``
+made without ``__pycache__`` and run with ``PYTHONDONTWRITEBYTECODE=1``.
+So grexplain compiles from source on every import while the standard
+library and PyYAML load their installed bytecode, as in the benchmark's
+fresh checkout; a round's value is each tree's median import.
+
+It then starts one child process per tree.  A child imports ``grexplain``
 from its tree's ``src/`` and sends three sets of requests through
 ``cli.main([..., "--format", "structured", "--out", FILE])``:
 
@@ -20,10 +29,11 @@ so both trees get the same boards.  A child sends every set ``REPEATS``
 times and prints each request's minimum time and the sha256 of its output
 as JSON; a round takes about 25 s on a 2-core Xeon.
 
-Per round the tool prints, for each set, the median of those minima on
-each side and their ratio (change / parent), then one row per set with the
-medians over all rounds, each side's quartiles over the rounds, the rounds
-the change won and whether the change meets the gain rule (``gain_rule``).
+Per round the tool prints the ``setup`` time and, for each set, the
+median of those minima on each side and their ratio (change / parent),
+then one row per set with the medians over all rounds, each side's
+quartiles over the rounds, the rounds the change won and whether the
+change meets the gain rule (``gain_rule``).
 It exits 1 if a request fails or the two trees write different output.
 """
 
@@ -32,6 +42,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +52,7 @@ import time
 from pathlib import Path
 
 REPEATS = 3  # sends of each request per child; the minimum is kept
+IMPORTS = 5  # fresh-interpreter imports of grexplain.cli per tree per round
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
 
 # Must match perfbench/workloads.py VERB_ARGS and the verbs of its
@@ -53,6 +66,11 @@ VERBS = {
 POOL_VERBS = {"grid_ladder": ("recognize", "whynot"),
               "sokoban_deep": ("whynot",)}
 SETS = ("bundled", *POOL_VERBS)
+ROWS = ("setup", *SETS)
+
+IMPORT_PROBE = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+                "t = time.perf_counter(); import grexplain.cli; "
+                "print(time.perf_counter() - t); print(grexplain.cli.__file__)")
 
 
 def quartiles(values: list) -> tuple:
@@ -74,6 +92,27 @@ def gain_rule(parent: list, change: list) -> dict:
     met = (10 * wins >= 9 * len(parent)
            and before[1] - after[1] > before[2] - before[0])
     return {"parent": before, "change": after, "wins": wins, "met": met}
+
+
+def source_copy(tree: Path, dest: Path) -> Path:
+    """A copy of ``tree``'s ``src/`` at ``dest``, without bytecode."""
+    return shutil.copytree(tree / "src", dest,
+                           ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def import_ms(src: Path) -> float:
+    """Milliseconds a fresh interpreter takes to import ``grexplain.cli``
+    from ``src``, writing no bytecode."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)  # it would recompile the stdlib too
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src)],
+                          capture_output=True, text=True, env=env, check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"{src}: {done.stderr.strip()}")
+    seconds, path = done.stdout.splitlines()
+    if not Path(path).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"grexplain imported from {path}, not {src}")
+    return float(seconds) * 1e3
 
 
 def requests(scenarios: Path, tmp: Path) -> list:
@@ -149,25 +188,33 @@ def main() -> int:
         parser.error("--parent and --change are required")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    medians = {side: {name: [] for name in SETS} for side in trees}
+    medians = {side: {name: [] for name in ROWS} for side in trees}
     digests = {}
     print(f"{'round':>6}  {'first':<6}  {'set':<12}  {'parent_ms':>9}"
           f"  {'change_ms':>9}  {'ratio':>6}", flush=True)
-    for round_ in range(1, args.rounds + 1):
-        order = ["parent", "change"] if round_ % 2 else ["change", "parent"]
-        for side in order:
-            result = run_child(trees[side])
-            for name in SETS:
-                medians[side][name].append(statistics.median(
-                    result["seconds"][name].values()) * 1e3)
-            digests[side] = result["digests"]
-        for name in SETS:
-            parent = medians["parent"][name][-1]
-            change = medians["change"][name][-1]
-            print(f"{round_:>6}  {order[0]:<6}  {name:<12}  {parent:>9.3f}"
-                  f"  {change:>9.3f}  {change / parent:>6.3f}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        sources = {side: source_copy(tree, Path(tmp) / side)
+                   for side, tree in trees.items()}
+        for round_ in range(1, args.rounds + 1):
+            order = ["parent", "change"] if round_ % 2 else ["change", "parent"]
+            imports = {side: [] for side in trees}
+            for _ in range(IMPORTS):
+                for side in order:
+                    imports[side].append(import_ms(sources[side]))
+            for side in order:
+                medians[side]["setup"].append(statistics.median(imports[side]))
+                result = run_child(trees[side])
+                for name in SETS:
+                    medians[side][name].append(statistics.median(
+                        result["seconds"][name].values()) * 1e3)
+                digests[side] = result["digests"]
+            for name in ROWS:
+                parent = medians["parent"][name][-1]
+                change = medians["change"][name][-1]
+                print(f"{round_:>6}  {order[0]:<6}  {name:<12}  {parent:>9.3f}"
+                      f"  {change:>9.3f}  {change / parent:>6.3f}", flush=True)
 
-    for name in SETS:
+    for name in ROWS:
         parent, change = medians["parent"][name], medians["change"][name]
         ratios = [c / p for p, c in zip(parent, change)]
         rule = gain_rule(parent, change)
