@@ -10,7 +10,10 @@ between the trees, each importing from a copy of the tree's ``src/``
 made without ``__pycache__`` and run with ``PYTHONDONTWRITEBYTECODE=1``.
 So grexplain compiles from source on every import while the standard
 library and PyYAML load their installed bytecode, as in the benchmark's
-fresh checkout; a round's value is each tree's median import.
+fresh checkout.  As in the benchmark's ``setup_s``, each import time is
+scaled to the reference host speed by this checkout's
+``perfbench/hostspeed.py`` probe, taken right after it; a round's value is
+each tree's median import.
 
 It then starts one child process per tree.  A child imports ``grexplain``
 from its tree's ``src/`` and sends three sets of requests through
@@ -53,7 +56,8 @@ from pathlib import Path
 
 REPEATS = 3  # sends of each request per child; the minimum is kept
 IMPORTS = 5  # fresh-interpreter imports of grexplain.cli per tree per round
-POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+POOL = PERFBENCH / "pool"
 
 # Must match perfbench/workloads.py VERB_ARGS and the verbs of its
 # WORKLOADS, the benchmark's request sets.
@@ -68,9 +72,11 @@ POOL_VERBS = {"grid_ladder": ("recognize", "whynot"),
 SETS = ("bundled", *POOL_VERBS)
 ROWS = ("setup", *SETS)
 
-IMPORT_PROBE = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+IMPORT_PROBE = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
                 "t = time.perf_counter(); import grexplain.cli; "
-                "print(time.perf_counter() - t); print(grexplain.cli.__file__)")
+                "t = time.perf_counter() - t; "
+                "from hostspeed import REFERENCE_S, probe; "
+                "print(t * REFERENCE_S / probe()); print(grexplain.cli.__file__)")
 
 
 def quartiles(values: list) -> tuple:
@@ -102,11 +108,12 @@ def source_copy(tree: Path, dest: Path) -> Path:
 
 def import_ms(src: Path) -> float:
     """Milliseconds a fresh interpreter takes to import ``grexplain.cli``
-    from ``src``, writing no bytecode."""
+    from ``src``, writing no bytecode, at the reference host speed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPYCACHEPREFIX", None)  # it would recompile the stdlib too
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src)],
-                          capture_output=True, text=True, env=env, check=False)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src),
+                           str(PERFBENCH)], capture_output=True, text=True,
+                          env=env, check=False)
     if done.returncode != 0:
         raise SystemExit(f"{src}: {done.stderr.strip()}")
     seconds, path = done.stdout.splitlines()
