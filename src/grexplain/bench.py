@@ -15,9 +15,9 @@ byte-for-byte identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import mean, stdev
+from typing import NamedTuple
 
 from .errors import GrexError
 from .explainer import answer_why, answer_why_not, build_explanan, rank_observations
@@ -26,16 +26,14 @@ from .recognizer import GrProblem, mirror_posteriors
 from .scenario import build_problem, parse_scenario_file
 
 
-@dataclass
-class ScenarioTiming:
+class ScenarioTiming(NamedTuple):
     name: str
     recognition_s: float
     explanation_s: float
     counterfactual_s: float
 
 
-@dataclass
-class TimingReport:
+class TimingReport(NamedTuple):
     """One row of the benchmark table."""
 
     domain: str
@@ -46,7 +44,7 @@ class TimingReport:
     explain_only_sd: float
     time_increase_pct: float
     counterfactual_planning_pct: float
-    failures: list = field(default_factory=list)
+    failures: tuple
 
 
 def time_scenario(problem: GrProblem, name: str = "",
@@ -94,7 +92,7 @@ def run_bench(paths, budget: int = DEFAULT_BUDGET) -> list:
         timings = rows.get(kind, [])
         if not timings:
             reports.append(TimingReport(kind, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                        failures.get(kind, [])))
+                                        tuple(failures[kind])))
             continue
         totals = [t.recognition_s + t.explanation_s for t in timings]
         explains = [t.explanation_s for t in timings]
@@ -112,7 +110,7 @@ def run_bench(paths, budget: int = DEFAULT_BUDGET) -> list:
                                if recognitions > 0 else 0.0),
             counterfactual_planning_pct=(cf_sum / explain_sum * 100.0
                                          if explain_sum > 0 else 0.0),
-            failures=failures.get(kind, []),
+            failures=tuple(failures.get(kind, ())),
         ))
     return reports
 

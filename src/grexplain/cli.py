@@ -164,7 +164,7 @@ def cmd_bench(args):
 
     root = Path(args.scenario)
     paths = sorted(root.glob("*.yaml")) if root.is_dir() else [root]
-    if not paths:
+    if not (root.exists() and paths):
         raise GrexError(f"no scenario files under {root}")
     reports = run_bench(paths, budget=args.budget)
     payload = {"reports": [

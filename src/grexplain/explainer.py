@@ -67,8 +67,8 @@ class Exclusion(NamedTuple):
 
     observation_index: int
     reason: str  # "zero-posterior" | "no-weight"
-    predicted_goal: Optional[int] = None
-    counterfactual_goal: Optional[int] = None
+    predicted_goal: int
+    counterfactual_goal: int
 
 
 class CompleteExplanan(NamedTuple):
@@ -123,13 +123,11 @@ def build_explanan(trace: PosteriorTrace,
         predicted=trace.predicted, counterfactual=trace.counterfactual)
 
 
-class WhyAnswer:
+class WhyAnswer(NamedTuple):
     """Observational markers: per goal pair, the entries of maximum weight."""
 
-    __slots__ = ("markers", "rendered")
-
-    def __init__(self, markers: tuple, rendered: str = ""):
-        self.markers, self.rendered = markers, rendered
+    markers: tuple
+    rendered: str = ""
 
     @property
     def top(self) -> tuple:
@@ -140,33 +138,23 @@ class WhyAnswer:
         return tuple(e for e in self.markers if e.woe == best)
 
 
-class CfSelection:
+class CfSelection(NamedTuple):
     """Why-not material for one counterfactual goal: its minimum-weight
-    markers and the action an optimal plan would have taken instead."""
+    markers, the earliest of them (the first point the evidence turned
+    against the goal, ties keeping the first listed; None without markers)
+    and the action an optimal plan would have taken instead."""
 
-    __slots__ = ("goal", "markers", "action", "status")
-
-    def __init__(self, goal: int, markers: tuple,
-                 action: Optional[GroundAction], status: str):
-        self.goal, self.markers, self.action = goal, markers, action
-        # "action" | "already-satisfied" | "unsolvable" | "no-evidence"
-        self.status = status
-
-    @property
-    def marker(self) -> Optional[ExplananEntry]:
-        """The earliest marker (the first point the evidence turned against
-        the goal), or None without markers; ties keep the first listed."""
-        return min(self.markers, key=lambda e: e.observation_index,
-                   default=None)
+    goal: int
+    markers: tuple
+    marker: Optional[ExplananEntry]
+    action: Optional[GroundAction]
+    status: str  # "action" | "already-satisfied" | "unsolvable" | "no-evidence"
 
 
-class WhyNotAnswer:
-    __slots__ = ("selections", "rendered", "planning_s")
-
-    def __init__(self, selections: tuple, rendered: str = "",
-                 planning_s: float = 0.0):
-        self.selections, self.rendered = selections, rendered
-        self.planning_s = planning_s  # seconds spent in counterfactual_action
+class WhyNotAnswer(NamedTuple):
+    selections: tuple
+    planning_s: float  # seconds spent in counterfactual_action
+    rendered: str = ""
 
     @property
     def markers(self) -> tuple:
@@ -252,7 +240,7 @@ def answer_why(problem: GrProblem, explanan: CompleteExplanan,
         answer = WhyAnswer(markers=tuple(e for e in answer.markers
                                          if e.predicted_goal in goals))
     if answer.markers:
-        answer.rendered = render(answer, problem)
+        answer = answer._replace(rendered=render(answer, problem))
     return answer
 
 
@@ -271,6 +259,8 @@ def answer_why_not(problem: GrProblem, explanan: CompleteExplanan,
     from .render import render
 
     cf_groups = dict(select_cf_om(explanan))
+    ruled_out = {x.counterfactual_goal for x in explanan.excluded_pairs
+                 if x.reason == "zero-posterior"}
     selections = []
     planning_s = 0.0
     for g_prime in sorted(explanan.counterfactual):
@@ -278,26 +268,21 @@ def answer_why_not(problem: GrProblem, explanan: CompleteExplanan,
             continue
         markers = cf_groups.get(g_prime)
         if markers is None:
-            reasons = {x.reason for x in explanan.excluded_pairs
-                       if x.counterfactual_goal == g_prime}
-            status = "unsolvable" if "zero-posterior" in reasons else "no-evidence"
-            selections.append(CfSelection(g_prime, (), None, status))
+            status = "unsolvable" if g_prime in ruled_out else "no-evidence"
+            selections.append(CfSelection(g_prime, (), None, None, status))
             continue
-        selection = CfSelection(g_prime, markers, None, "action")
+        marker = min(markers, key=lambda e: e.observation_index)
         started = time.perf_counter()
         try:
-            selection.action = counterfactual_action(
-                problem, selection.marker, g_prime, budget)
-            if selection.action is None:
-                selection.status = "already-satisfied"
+            action = counterfactual_action(problem, marker, g_prime, budget)
+            status = "already-satisfied" if action is None else "action"
         except UnsolvableGoal:
-            selection.status = "unsolvable"
+            action, status = None, "unsolvable"
         planning_s += time.perf_counter() - started
-        selections.append(selection)
+        selections.append(CfSelection(g_prime, markers, marker, action, status))
 
-    answer = WhyNotAnswer(selections=tuple(selections), planning_s=planning_s)
-    answer.rendered = render(answer, problem)
-    return answer
+    answer = WhyNotAnswer(tuple(selections), planning_s)
+    return answer._replace(rendered=render(answer, problem))
 
 
 def rank_observations(explanan: CompleteExplanan):

@@ -105,16 +105,38 @@ def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
     assert traced.read_bytes() == plain.read_bytes()
 
 
-def test_ab_cli_sends_the_benchmark_requests():
-    """``tools/ab_cli.py`` times the benchmark's request sets: each verb
-    with the benchmark's arguments, and each pool with its workload's verbs."""
+def test_ab_cli_sends_the_benchmark_requests(tmp_path):
+    """``tools/ab_cli.py`` sends the benchmark's request sets: every bundled
+    scenario with each of the four benchmark verbs, and every board of each
+    generated pool with its workload's verbs, each verb with the
+    benchmark's arguments."""
     ab_cli = load_file("tools/ab_cli.py")
     workloads = load_file("perfbench/workloads.py")
-    assert ({verb: tuple(args) for verb, args in ab_cli.VERBS.items()}
-            == workloads.VERB_ARGS)
-    assert ({name: workload.verbs
-             for name, workload in workloads.WORKLOADS.items()}
-            == {"bundled_suite": tuple(ab_cli.VERBS), **ab_cli.POOL_VERBS})
+    verb_args = workloads.VERB_ARGS
+    bundled = workloads.WORKLOADS["bundled_suite"].verbs
+    assert set(bundled) == set(verb_args) == {"recognize", "why", "whynot",
+                                              "rank"}
+    expected = set()
+    for path in (ROOT / "src" / "grexplain" / "scenarios").rglob("*.yaml"):
+        for verb in bundled:
+            expected.add(("bundled_suite",
+                          (*verb_args[verb], "--scenario", str(path))))
+    boards = {}
+    for name in ("grid_ladder", "sokoban_deep"):
+        verbs = workloads.WORKLOADS[name].verbs
+        for entries in workloads.load_pool(name).values():
+            for entry in entries:
+                path = tmp_path / f"{entry['name']}.yaml"
+                boards[path] = entry["scenario"]
+                for verb in verbs:
+                    expected.add((name, (*verb_args[verb], "--scenario",
+                                         str(path))))
+
+    sent = ab_cli.requests(ROOT, tmp_path)
+    assert len({key for _, key, _ in sent}) == len(sent) == len(expected)
+    assert {(name, tuple(argv)) for name, _, argv in sent} == expected
+    for path, scenario in boards.items():
+        assert path.read_text() == scenario
 
 
 def test_ab_cli_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_spread():

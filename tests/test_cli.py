@@ -483,20 +483,25 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_bench():
     """Every call pays for what ``import grexplain.cli`` loads: the records
-    are named tuples and slotted classes, so ``dataclasses`` (and with it
-    ``inspect``) stays out, and ``bench`` with ``statistics`` loads only for
-    the bench verb (``test_bench_on_directory`` runs that verb)."""
+    are named tuples, so ``dataclasses`` (and with it ``inspect``) stays
+    out, and ``bench`` with ``statistics`` loads only for the bench verb
+    (``test_bench_on_directory`` runs that verb).  Importing ``bench`` then
+    adds ``statistics`` but still neither ``dataclasses`` nor ``inspect``."""
     probe = ("import json, sys; before = set(sys.modules); "
-             "import grexplain.cli; "
-             "print(json.dumps(sorted(set(sys.modules) - before)))")
+             "import grexplain.cli; cli = set(sys.modules); "
+             "import grexplain.bench; "
+             "print(json.dumps([sorted(cli - before), "
+             "sorted(set(sys.modules) - cli)]))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    added = set(json.loads(proc.stdout))
-    assert "grexplain.cli" in added
-    assert not added & {"dataclasses", "inspect", "statistics",
-                        "grexplain.bench"}
+    by_cli, by_bench = map(set, json.loads(proc.stdout))
+    assert "grexplain.cli" in by_cli
+    assert not by_cli & {"dataclasses", "inspect", "statistics",
+                         "grexplain.bench"}
+    assert "grexplain.bench" in by_bench
+    assert not by_bench & {"dataclasses", "inspect"}
 
 
 @st.composite
@@ -760,6 +765,44 @@ def test_bench_on_directory(tmp_path, capsys):
     assert code == 0
     assert "cf planning %" in out
     assert "grid (1)" in out and "sokoban (1)" in out
+
+
+def test_bench_on_a_missing_path_or_an_empty_directory_exits_2(tmp_path,
+                                                                capsys):
+    """No scenario to time is a usage error; a file that exists but does
+    not load is a failure row of a run that succeeds."""
+    for root in (tmp_path / "missing.yaml", tmp_path):
+        code, out, err = run(capsys, "bench", "--scenario", str(root))
+        assert (code, out) == (2, "")
+        assert err == f"error: no scenario files under {root}\n"
+    (tmp_path / "broken.yaml").write_text("kind: grid\nobservations: []\n")
+    code, out, _ = run(capsys, "bench", "--scenario",
+                       str(tmp_path / "broken.yaml"))
+    assert code == 0
+    assert "(unloadable) (0)" in out and "failed: broken.yaml: " in out
+
+
+def test_bench_structured_payload_keys(tmp_path, capsys):
+    """Each structured bench report has exactly these keys in this order,
+    and its failures are a JSON list of strings."""
+    (tmp_path / "broken.yaml").write_text("kind: grid\nobservations: []\n")
+    (tmp_path / "ok.yaml").write_text(
+        bundled_scenario_path("nav_crossroads").read_text())
+    code, out, _ = run(capsys, "bench", "--scenario", str(tmp_path),
+                       "--format", "structured")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["domain"] for r in reports] == ["(unloadable)", "grid"]
+    for report in reports:
+        assert list(report) == [
+            "domain", "scenarios", "total_with_explain_s", "total_sd_s",
+            "explain_only_s", "explain_only_sd_s", "time_increase_pct",
+            "counterfactual_planning_pct", "failures"]
+        assert isinstance(report["failures"], list)
+        assert all(isinstance(f, str) for f in report["failures"])
+    assert [len(r["failures"]) for r in reports] == [1, 0]
+    assert reports[0]["failures"][0].startswith("broken.yaml: ")
+    assert reports[1]["scenarios"] == 1
 
 
 def test_eval_against_annotations(tmp_path, capsys):

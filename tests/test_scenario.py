@@ -13,9 +13,11 @@ from grexplain import (DomainDefinition, GridSpec, GrProblem, GroundAction,
                        load_annotations, load_priors, load_scenario,
                        mirror_posteriors)
 from grexplain import scenario as scenario_module
+from grexplain.bench import ScenarioTiming, TimingReport
 from grexplain.cli import main
 from grexplain.errors import MalformedSpec
-from grexplain.explainer import CompleteExplanan, Exclusion, ExplananEntry
+from grexplain.explainer import (CfSelection, CompleteExplanan, Exclusion,
+                                 ExplananEntry, WhyAnswer, WhyNotAnswer)
 from grexplain.grids import DIRECTIONS, MAX_CELLS
 from grexplain.recognizer import PosteriorTrace
 from grexplain.scenario import (ScenarioFile, _resolve_direction,
@@ -511,6 +513,20 @@ RECORDS = {
                                   "goal_names": ("g1", "g2")}),
     "ScenarioFile": (lambda: ScenarioFile("grid", GridSpec(3, 1), ("right",)),
                      {"observations": ("right",)}),
+    "WhyAnswer": (lambda: WhyAnswer((ExplananEntry(0, 1, 2, 0.5),)),
+                  {"markers": (ExplananEntry(0, 1, 2, 0.5),), "rendered": ""}),
+    "CfSelection": (lambda: CfSelection(1, (ExplananEntry(0, 1, 2, -0.5),),
+                                        ExplananEntry(0, 1, 2, -0.5), None,
+                                        "already-satisfied"),
+                    {"goal": 1, "marker": ExplananEntry(0, 1, 2, -0.5),
+                     "action": None, "status": "already-satisfied"}),
+    "WhyNotAnswer": (lambda: WhyNotAnswer((), 0.25),
+                     {"selections": (), "planning_s": 0.25, "rendered": ""}),
+    "ScenarioTiming": (lambda: ScenarioTiming("grid_01", 0.5, 0.25, 0.125),
+                       {"name": "grid_01", "counterfactual_s": 0.125}),
+    "TimingReport": (lambda: TimingReport("grid", 0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                          0.0, ("broken.yaml: bad",)),
+                     {"scenario_count": 0, "failures": ("broken.yaml: bad",)}),
 }
 
 

@@ -16,21 +16,23 @@ scaled to the reference host speed by this checkout's
 each tree's median import.
 
 It then starts one child process per tree.  A child imports ``grexplain``
-from its tree's ``src/`` and sends three sets of requests through
-``cli.main([..., "--format", "structured", "--out", FILE])``:
+from its tree's ``src/`` and sends one set of requests per benchmark
+workload through ``cli.main([..., "--format", "structured", "--out",
+FILE])``, each verb with the arguments of ``perfbench/workloads.py``'s
+``VERB_ARGS``:
 
-- ``bundled``: the 17 scenarios under that tree's
-  ``src/grexplain/scenarios``, each as ``recognize``, ``explain --question
-  why``, ``explain --question whynot`` and ``rank``;
-- ``grid_ladder``: every board of the benchmark's ``grid_ladder`` pool, as
-  ``recognize`` and ``explain --question whynot``;
-- ``sokoban_deep``: every board of the ``sokoban_deep`` pool, as ``explain
-  --question whynot``.
+- ``bundled_suite``: the 17 bundled scenarios of that tree, each with every
+  verb of the workload (``recognize``, ``why``, ``whynot`` and ``rank``);
+- ``grid_ladder`` and ``sokoban_deep``: every board of the workload's pool,
+  each with every verb of that workload.
 
-The pool boards are read from this checkout's ``perfbench/pool/*.json``,
-so both trees get the same boards.  A child sends every set ``REPEATS``
-times and prints each request's minimum time and the sha256 of its output
-as JSON; a round takes about 25 s on a 2-core Xeon.
+Verbs and pool boards are read from this checkout's ``perfbench/``, so
+both trees get the same requests.  A child sends every set ``REPEATS``
+times.  Each send is scaled to the reference host speed by the mean of the
+``hostspeed`` probes taken just before and just after it, as the
+benchmark's runner scales its requests, and the child prints each
+request's minimum scaled time and the sha256 of its output as JSON; a
+round takes about 30 s on a 2-core Xeon.
 
 Per round the tool prints the ``setup`` time and, for each set, the
 median of those minima on each side and their ratio (change / parent),
@@ -57,19 +59,12 @@ from pathlib import Path
 REPEATS = 3  # sends of each request per child; the minimum is kept
 IMPORTS = 5  # fresh-interpreter imports of grexplain.cli per tree per round
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-POOL = PERFBENCH / "pool"
+sys.path.insert(0, str(PERFBENCH))
 
-# Must match perfbench/workloads.py VERB_ARGS and the verbs of its
-# WORKLOADS, the benchmark's request sets.
-VERBS = {
-    "recognize": ["recognize"],
-    "why": ["explain", "--question", "why"],
-    "whynot": ["explain", "--question", "whynot"],
-    "rank": ["rank"],
-}
-POOL_VERBS = {"grid_ladder": ("recognize", "whynot"),
-              "sokoban_deep": ("whynot",)}
-SETS = ("bundled", *POOL_VERBS)
+from hostspeed import REFERENCE_S, probe  # noqa: E402
+from workloads import VERB_ARGS, WORKLOADS, bundled_paths, load_pool  # noqa: E402
+
+SETS = tuple(WORKLOADS)
 ROWS = ("setup", *SETS)
 
 IMPORT_PROBE = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
@@ -122,30 +117,30 @@ def import_ms(src: Path) -> float:
     return float(seconds) * 1e3
 
 
-def requests(scenarios: Path, tmp: Path) -> list:
-    """(set, key, scenario path, verb) for every request a child sends;
-    pool boards are written under ``tmp``."""
+def requests(tree: Path, tmp: Path) -> list:
+    """(set, key, argv) for every request a child sends to the tree at
+    ``tree``, ``argv`` without the output options; pool boards are written
+    under ``tmp``."""
     found = []
-    paths = sorted(scenarios.glob("*.yaml")) + sorted(
-        (scenarios / "bench").glob("*.yaml"))
-    for path in paths:
-        for verb in VERBS:
-            found.append(("bundled", f"{path.relative_to(scenarios)}/{verb}",
-                          path, verb))
-    for name, verbs in POOL_VERBS.items():
-        pool = json.loads((POOL / f"{name}.json").read_text())
-        for entries in pool.values():
-            for entry in entries:
-                path = tmp / f"{entry['name']}.yaml"
-                path.write_text(entry["scenario"])
-                for verb in verbs:
-                    found.append((name, f"{name}/{entry['name']}/{verb}",
-                                  path, verb))
+    for name, workload in WORKLOADS.items():
+        if workload.rungs:
+            paths = []
+            for entries in load_pool(name).values():
+                for entry in entries:
+                    path = tmp / f"{entry['name']}.yaml"
+                    path.write_text(entry["scenario"])
+                    paths.append(path)
+        else:
+            paths = bundled_paths(tree)
+        for path in paths:
+            for verb in workload.verbs:
+                found.append((name, f"{name}/{path.stem}/{verb}",
+                              [*VERB_ARGS[verb], "--scenario", str(path)]))
     return found
 
 
 def child(tree: Path) -> None:
-    """Time the bundled requests of ``tree`` and print the JSON result."""
+    """Time every request of ``tree`` and print the JSON result."""
     src = tree / "src"
     sys.path.insert(0, str(src))
     import grexplain.cli as cli
@@ -157,18 +152,21 @@ def child(tree: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         out = tmp / "out.json"
-        sent = requests(src / "grexplain" / "scenarios", tmp)
+        sent = requests(tree, tmp)
         for _ in range(REPEATS):
-            for name, key, path, verb in sent:
-                argv = [*VERBS[verb], "--scenario", str(path),
-                        "--format", "structured", "--out", str(out)]
+            before = probe()
+            for name, key, argv in sent:
                 t0 = time.perf_counter()
-                code = cli.main(argv)
+                code = cli.main([*argv, "--format", "structured",
+                                 "--out", str(out)])
                 elapsed = time.perf_counter() - t0
+                after = probe()
                 if code != 0:
                     raise SystemExit(f"{key}: exit {code}")
-                best[name][key] = min(best[name].get(key, elapsed), elapsed)
+                scaled = elapsed * 2 * REFERENCE_S / (before + after)
+                best[name][key] = min(best[name].get(key, scaled), scaled)
                 digests[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+                before = after
     print(json.dumps({"seconds": best, "digests": digests}))
 
 
@@ -197,7 +195,7 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     medians = {side: {name: [] for name in ROWS} for side in trees}
     digests = {}
-    print(f"{'round':>6}  {'first':<6}  {'set':<12}  {'parent_ms':>9}"
+    print(f"{'round':>6}  {'first':<6}  {'set':<13}  {'parent_ms':>9}"
           f"  {'change_ms':>9}  {'ratio':>6}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         sources = {side: source_copy(tree, Path(tmp) / side)
@@ -218,7 +216,7 @@ def main() -> int:
             for name in ROWS:
                 parent = medians["parent"][name][-1]
                 change = medians["change"][name][-1]
-                print(f"{round_:>6}  {order[0]:<6}  {name:<12}  {parent:>9.3f}"
+                print(f"{round_:>6}  {order[0]:<6}  {name:<13}  {parent:>9.3f}"
                       f"  {change:>9.3f}  {change / parent:>6.3f}", flush=True)
 
     for name in ROWS:
@@ -226,7 +224,7 @@ def main() -> int:
         ratios = [c / p for p, c in zip(parent, change)]
         rule = gain_rule(parent, change)
         (p1, p2, p3), (c1, c2, c3) = rule["parent"], rule["change"]
-        print(f"{'median':>6}  {'':<6}  {name:<12}  {p2:>9.3f}  {c2:>9.3f}"
+        print(f"{'median':>6}  {'':<6}  {name:<13}  {p2:>9.3f}  {c2:>9.3f}"
               f"  {statistics.median(ratios):>6.3f}"
               f"  (quartiles {p1:.3f}-{p3:.3f} and {c1:.3f}-{c3:.3f};"
               f" change faster in {rule['wins']} of {len(ratios)} rounds;"
