@@ -12,8 +12,6 @@ Timing is passive: with instrumentation removed the computed explanations are
 byte-for-byte identical.
 """
 
-from __future__ import annotations
-
 import time
 from pathlib import Path
 from statistics import mean, stdev

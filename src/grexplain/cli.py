@@ -17,8 +17,6 @@ it, so ``--format structured`` exposes exactly what the text shows, with
 weights at full precision.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

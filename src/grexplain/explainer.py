@@ -17,8 +17,6 @@ of being stored as infinities or noise; the shared opening moves of a plan
 therefore carry no rank.
 """
 
-from __future__ import annotations
-
 import math
 import time
 from typing import NamedTuple, Optional, Sequence
@@ -41,11 +39,10 @@ def woe_with_priors(p: float, p_prime: float, prior: float,
                     prior_prime: float) -> float:
     """Weight of evidence under arbitrary priors: log posterior ratio minus
     log prior ratio.  Reduces exactly to ``woe_uniform`` when priors match."""
-    if p <= 0 or p_prime <= 0:
-        raise ZeroPosterior(f"posteriors must be positive, got ({p}, {p_prime})")
+    woe = woe_uniform(p, p_prime)
     if prior <= 0 or prior_prime <= 0:
         raise ZeroPrior(f"priors must be positive, got ({prior}, {prior_prime})")
-    return math.log(p / p_prime) - math.log(prior / prior_prime)
+    return woe - math.log(prior / prior_prime)
 
 
 class ExplananEntry(NamedTuple):

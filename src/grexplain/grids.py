@@ -12,8 +12,6 @@ Board names follow one format on grids and Sokoban boards alike: an action is
 words and the suite generator read names through them.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import MalformedSpec

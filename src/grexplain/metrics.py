@@ -6,8 +6,6 @@ over n).  Counterfactual-action agreement is a plain percentage of matching
 choices.
 """
 
-from __future__ import annotations
-
 from typing import Mapping
 
 from .errors import KeyMismatch, MissingAnnotation

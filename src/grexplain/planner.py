@@ -39,8 +39,6 @@ The first goal state dequeued therefore ends the lexicographically first
 shortest plan, and its parent chain spells that plan.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded

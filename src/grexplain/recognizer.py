@@ -31,8 +31,6 @@ over the goal set; unreachable goals get probability 0.  Goals within
 ``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec

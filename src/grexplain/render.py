@@ -10,8 +10,6 @@ name.  The counterfactual clause intentionally drops the second "cell"
 answers are expected to use.
 """
 
-from __future__ import annotations
-
 from typing import Optional
 
 from .explainer import WhyAnswer, WhyNotAnswer
@@ -44,12 +42,8 @@ def _observed_action(problem: GrProblem, observation_index: int) -> GroundAction
 
 def render_why(answer: WhyAnswer, problem: GrProblem) -> str:
     """"Because the agent has <marker phrase>." with tied markers joined."""
-    seen = []
-    for entry in answer.markers:
-        if entry.observation_index not in seen:
-            seen.append(entry.observation_index)
     phrases = [action_phrase(_observed_action(problem, i), problem)
-               for i in sorted(seen)]
+               for i in sorted({e.observation_index for e in answer.markers})]
     return f"Because the agent has {' and '.join(phrases)}."
 
 

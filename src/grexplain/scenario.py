@@ -31,8 +31,6 @@ an unterminated flow mapping is reported at line 3 by libyaml and at line 2
 by the pure-Python parser; both exit 2 with ``error:``.
 """
 
-from __future__ import annotations
-
 import math
 import reprlib
 from importlib import resources

@@ -23,8 +23,6 @@ the successor index files each action under its start cell, and an
 expansion tests only the actions that start where the player stands.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import MalformedSpec

@@ -68,8 +68,6 @@ package uses threads, and the lazily built action values follow the same
 rule.  Actions, states and plans (tuples of actions) are plain values.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 

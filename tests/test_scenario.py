@@ -1,5 +1,7 @@
 import json
+import sys
 import textwrap
+import typing
 from pathlib import Path
 
 import pytest
@@ -541,3 +543,20 @@ def test_records_refuse_assignment_and_normalize_their_fields(build, fields):
         assert (got, type(got)) == (value, type(value))
         with pytest.raises(AttributeError):
             setattr(record, name, value)
+
+
+def test_record_field_annotations_are_evaluated_types():
+    """No field annotation of a record class defined in a grexplain module
+    is a ``typing.ForwardRef``: under string annotations ``NamedTuple``
+    compiles one per field on every import of the package."""
+    import grexplain.bench  # noqa: F401  (loaded on demand by the CLI)
+    import grexplain.cli  # noqa: F401
+    records = [cls for name, module in list(sys.modules.items())
+               if name.startswith("grexplain")
+               for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and hasattr(cls, "_fields") and cls.__module__ == name]
+    assert set(RECORDS) <= {cls.__name__ for cls in records}
+    assert [f"{cls.__name__}.{field}" for cls in records
+            for field, hint in vars(cls).get("__annotations__", {}).items()
+            if isinstance(hint, typing.ForwardRef)] == []
