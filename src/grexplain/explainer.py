@@ -27,12 +27,21 @@ from .recognizer import GrProblem, PosteriorTrace
 from .strips import GroundAction
 
 
+def _log_ratio(a: float, b: float, error: type, what: str) -> float:
+    """``math.log(a / b)``, or ``error`` for an input that is not positive
+    or a ratio past float range (priors far apart bring one about)."""
+    if a <= 0 or b <= 0:
+        raise error(f"{what}s must be positive, got ({a}, {b})")
+    if not 0 < a / b < math.inf:
+        raise error(f"{what} ratio {a} / {b} is out of floating-point range, "
+                    f"so the priors are too far apart")
+    return math.log(a / b)
+
+
 def woe_uniform(p: float, p_prime: float) -> float:
     """Weight of evidence for one hypothesis over another, uniform priors:
     the natural log of the posterior ratio."""
-    if p <= 0 or p_prime <= 0:
-        raise ZeroPosterior(f"posteriors must be positive, got ({p}, {p_prime})")
-    return math.log(p / p_prime)
+    return _log_ratio(p, p_prime, ZeroPosterior, "posterior")
 
 
 def woe_with_priors(p: float, p_prime: float, prior: float,
@@ -40,9 +49,7 @@ def woe_with_priors(p: float, p_prime: float, prior: float,
     """Weight of evidence under arbitrary priors: log posterior ratio minus
     log prior ratio.  Reduces exactly to ``woe_uniform`` when priors match."""
     woe = woe_uniform(p, p_prime)
-    if prior <= 0 or prior_prime <= 0:
-        raise ZeroPrior(f"priors must be positive, got ({prior}, {prior_prime})")
-    return woe - math.log(prior / prior_prime)
+    return woe - _log_ratio(prior, prior_prime, ZeroPrior, "prior")
 
 
 class ExplananEntry(NamedTuple):
@@ -129,10 +136,7 @@ class WhyAnswer(NamedTuple):
     @property
     def top(self) -> tuple:
         """The markers of greatest weight; empty when there are none."""
-        if not self.markers:
-            return ()
-        best = max(e.woe for e in self.markers)
-        return tuple(e for e in self.markers if e.woe == best)
+        return _extremes(self.markers, lambda e: None, max).get(None, ())
 
 
 class CfSelection(NamedTuple):
@@ -164,20 +168,33 @@ class WhyNotAnswer(NamedTuple):
                 if sel.action is not None}
 
 
+def _extremes(entries, key, pick) -> dict:
+    """The one tie rule of every marker and rank: group ``entries`` by
+    ``key(entry)``, groups in order of first appearance, and map each key
+    to the tuple of its group's entries, in list order, whose weight equals
+    ``pick`` (``max`` or ``min``) of the group's weights.  Weights compare
+    as floats, and every tie is kept."""
+    groups = {}
+    for e in entries:
+        groups.setdefault(key(e), []).append(e)
+    return {k: tuple(e for e in group if e.woe == extreme)
+            for k, group in groups.items()
+            for extreme in [pick(e.woe for e in group)]}
+
+
+def _entries(explanan: CompleteExplanan, question: str) -> tuple:
+    if not explanan.entries:
+        raise EmptyExplanan(
+            "no observation weighs a predicted goal against a counterfactual "
+            f"goal, so there is no {question} answer")
+    return explanan.entries
+
+
 def select_om(explanan: CompleteExplanan) -> WhyAnswer:
     """Markers answering "why g?": for every goal pair, all entries attaining
     that pair's maximum weight (ties are all retained)."""
-    if not explanan.entries:
-        raise EmptyExplanan("no observation weighs a predicted goal against a "
-                            "counterfactual goal, so there is no why answer")
-    groups = {}  # pair -> its entries, pairs in order of first appearance
-    for e in explanan.entries:
-        groups.setdefault(e.pair, []).append(e)
-    markers = []
-    for group in groups.values():
-        best = max(e.woe for e in group)
-        markers.extend(e for e in group if e.woe == best)
-    return WhyAnswer(markers=tuple(markers))
+    ties = _extremes(_entries(explanan, "why"), lambda e: e.pair, max)
+    return WhyAnswer(markers=tuple(e for group in ties.values() for e in group))
 
 
 def select_cf_om(explanan: CompleteExplanan) -> list:
@@ -186,18 +203,8 @@ def select_cf_om(explanan: CompleteExplanan) -> list:
 
     Returns (goal index, entries) pairs ordered by goal index.
     """
-    if not explanan.entries:
-        raise EmptyExplanan("no observation weighs a predicted goal against a "
-                            "counterfactual goal, so there is no why-not answer")
-    result = []
-    for g_prime in sorted(explanan.counterfactual):
-        group = [e for e in explanan.entries if e.counterfactual_goal == g_prime]
-        if not group:
-            continue
-        worst = min(e.woe for e in group)
-        ties = tuple(e for e in group if e.woe == worst)
-        result.append((g_prime, ties))
-    return result
+    return sorted(_extremes(_entries(explanan, "why-not"),
+                            lambda e: e.counterfactual_goal, min).items())
 
 
 def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
@@ -292,21 +299,12 @@ def rank_observations(explanan: CompleteExplanan):
     share a rank (dense ranking); observations excluded from the explanation
     list rank 0 in both orderings.
     """
-    why_score = {}
-    whynot_score = {}
-    for e in explanan.entries:
-        i = e.observation_index
-        why_score[i] = max(why_score.get(i, -math.inf), e.woe)
-        whynot_score[i] = min(whynot_score.get(i, math.inf), e.woe)
-
-    def dense_ranks(scores, reverse):
+    def dense_ranks(pick, reverse):
+        scores = {i: ties[0].woe for i, ties in _extremes(
+            explanan.entries, lambda e: e.observation_index, pick).items()}
         ordered = sorted(set(scores.values()), reverse=reverse)
         rank_of = {value: r for r, value in enumerate(ordered, start=1)}
-        return {i: rank_of[v] for i, v in scores.items()}
+        return {i: rank_of[scores[i]] if i in scores else 0
+                for i in range(1, explanan.observation_count + 1)}
 
-    why_ranks = dense_ranks(why_score, reverse=True)
-    whynot_ranks = dense_ranks(whynot_score, reverse=False)
-    for i in range(1, explanan.observation_count + 1):
-        why_ranks.setdefault(i, 0)
-        whynot_ranks.setdefault(i, 0)
-    return (dict(sorted(why_ranks.items())), dict(sorted(whynot_ranks.items())))
+    return dense_ranks(max, reverse=True), dense_ranks(min, reverse=False)

@@ -757,6 +757,22 @@ def test_priors_flag_changes_distribution(tmp_path, capsys):
     assert payload["posteriors"][0][0] > 0.9  # heavy prior on g1 dominates
 
 
+def test_priors_too_far_apart_for_a_weight_exit_2(tmp_path, capsys):
+    """Posteriors 1e-320 and 1 have a ratio past float range, and so do the
+    priors: a weight would be inf - inf = NaN, so every weighing verb stops."""
+    board, priors = tmp_path / "board.yaml", tmp_path / "priors.yaml"
+    board.write_text("kind: grid\nmap: |\n  @.1\n  ..2\n"
+                     "observations: [right, right]\n")
+    priors.write_text("g1: 1e-320\ng2: 1\n")
+    for verb in (["explain", "--question", "why"],
+                 ["explain", "--question", "whynot"], ["rank"]):
+        code, out, err = run(capsys, *verb, "--scenario", str(board),
+                             "--priors", str(priors), "--format", "structured")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "out of floating-point range" in err
+
+
 def test_bench_on_directory(tmp_path, capsys):
     for name in ("nav_crossroads", "sokoban_pairs"):
         src = bundled_scenario_path(name)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grexplain import (EmptyExplanan, GridSpec, GrProblem, UnsolvableGoal,
                        answer_why, build_explanan, compile_grid, counterfactual_action,
@@ -210,6 +211,61 @@ def test_empty_explanan_raises():
     with pytest.raises(EmptyExplanan):
         select_cf_om(empty)
     assert select_om(explanan)  # sanity: nonempty works
+
+
+WEIGHTS = (-1.5, -0.25, 0.25, 0.7, 1.5)
+
+
+@st.composite
+def tied_explanans(draw):
+    """An explanation list in ``build_explanan``'s order (observation, then
+    predicted goal, then counterfactual goal), each key at most once, with
+    weights from five values so that ties are common."""
+    goals = draw(st.permutations(range(4)))
+    split = draw(st.integers(1, 3))
+    predicted, counterfactual = sorted(goals[:split]), sorted(goals[split:])
+    n = draw(st.integers(1, 5))
+    entries = [ExplananEntry(g, h, i, draw(st.sampled_from(WEIGHTS)))
+               for i in range(1, n + 1) for g in predicted
+               for h in counterfactual if draw(st.booleans())]
+    return CompleteExplanan(tuple(entries), (), n, frozenset(predicted),
+                            frozenset(counterfactual))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_explanans())
+def test_markers_and_ranks_keep_every_tie(explanan):
+    entries, n = explanan.entries, explanan.observation_count
+    weights = {i: [e.woe for e in entries if e.observation_index == i]
+               for i in range(1, n + 1)}
+
+    def dense(scores, beats):  # rank 1 + the distinct scores that beat it
+        return [(i, 1 + len({s for s in scores.values() if beats(s, scores[i])})
+                 if i in scores else 0) for i in range(1, n + 1)]
+
+    why, whynot = rank_observations(explanan)
+    assert list(why.items()) == dense(
+        {i: max(w) for i, w in weights.items() if w}, lambda s, t: s > t)
+    assert list(whynot.items()) == dense(
+        {i: min(w) for i, w in weights.items() if w}, lambda s, t: s < t)
+    if not entries:
+        for select in (select_om, select_cf_om):
+            with pytest.raises(EmptyExplanan):
+                select(explanan)
+        return
+
+    answer = select_om(explanan)
+    pairs = dict.fromkeys(e.pair for e in entries)
+    assert list(answer.markers) == [
+        e for pair in pairs for e in entries if e.pair == pair
+        and all(e.woe >= x.woe for x in entries if x.pair == pair)]
+    assert list(answer.top) == [e for e in answer.markers
+                                if all(e.woe >= x.woe for x in answer.markers)]
+    assert select_cf_om(explanan) == [
+        (h, tuple(e for e in entries if e.counterfactual_goal == h and all(
+            e.woe <= x.woe for x in entries if x.counterfactual_goal == h)))
+        for h in sorted(explanan.counterfactual)
+        if any(e.counterfactual_goal == h for e in entries)]
 
 
 # --- counterfactual actions ---------------------------------------------

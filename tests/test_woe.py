@@ -39,6 +39,14 @@ def test_zero_inputs_rejected():
         woe_with_priors(0.0, 0.5, 0.5, 0.5)
     with pytest.raises(ZeroPrior):
         woe_with_priors(0.4, 0.5, 0.0, 0.5)
+    # ratios past float range: priors far apart make tiny posteriors
+    for p, q in ((1.0, 1e-320), (1e300, 1e-300), (5e-324, 2.0)):
+        with pytest.raises(ZeroPosterior, match="out of floating-point range"):
+            woe_uniform(p, q)
+        with pytest.raises(ZeroPosterior, match="priors are too far apart"):
+            woe_with_priors(p, q, 0.5, 0.5)
+        with pytest.raises(ZeroPrior, match="out of floating-point range"):
+            woe_with_priors(0.4, 0.5, p, q)
 
 
 def test_uniform_priors_reduce_exactly():
