@@ -219,15 +219,13 @@ def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
     UnsolvableGoal when no plan exists.
     """
     state = problem.state_before(marker.observation_index)
-    goal = problem.goals[g_prime]
-    if goal & state == goal:
-        return None
-    plan = optimal_plan(PlanningTask(problem.domain, state, goal), budget)
+    plan = optimal_plan(
+        PlanningTask(problem.domain, state, problem.goals[g_prime]), budget)
     if plan is None:
         raise UnsolvableGoal(
             f"goal {problem.goal_names[g_prime]} is unreachable from the state "
             f"before observation {marker.observation_index}")
-    return plan[0]
+    return plan[0] if plan else None
 
 
 def answer_why(problem: GrProblem, explanan: CompleteExplanan,

@@ -8,8 +8,8 @@ and each legal adjacent move becomes a unit-cost action named
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
-``parse_move`` and ``parse_fact`` are their one reader; rendering, direction
-words and the suite generator read names through them.
+Only the two compilers write them, and ``parse_move`` and ``parse_fact``
+are their one reader (for rendering, direction words and the suite generator).
 """
 
 from typing import NamedTuple

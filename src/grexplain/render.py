@@ -12,6 +12,7 @@ answers are expected to use.
 
 from typing import Optional
 
+from .errors import ValidationError
 from .explainer import WhyAnswer, WhyNotAnswer
 from .grids import GridSpec, parse_move
 from .recognizer import GrProblem
@@ -90,24 +91,27 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
     The board's pieces keep their symbols (``@`` the agent's start, ``$``
     a box); arrows mark the other cells observed actions left.  ``highlight`` is a
     set of observation indices whose source cells, pieces included, are
-    drawn as hollow dots.
+    drawn as hollow dots.  More than 35 labelled cells raise ValidationError.
     """
     board = problem.board
     if board is None:
         return "(no map: generic STRIPS domain)"
     width, height = board.width, board.height
     if isinstance(board, GridSpec):
-        blocked, labelled = board.blocked, board.goal_cells
+        blocked, labelled, marks = board.blocked, board.goal_cells, "goal"
         pieces = {board.start: "@"}
     else:
-        blocked, labelled = board.walls, board.storage
+        blocked, labelled, marks = board.walls, board.storage, "storage"
         pieces = {board.player: "@", **dict.fromkeys(board.boxes, "$")}
+    if len(labelled) > len(_LABELS):
+        raise ValidationError(
+            f"ascii-grid: the board has {len(labelled)} {marks} cells, more "
+            f"than the {len(_LABELS)} map labels (1-9, then a-z)")
 
     cells = {}
     for c in range(1, width * height + 1):
         cells[c] = "#" if c in blocked else "."
-    for idx, cell in enumerate(labelled):
-        cells[cell] = _LABELS[idx % len(_LABELS)]
+    cells.update(zip(labelled, _LABELS))
     cells.update(pieces)
 
     for i, obs in enumerate(problem.observations, start=1):
@@ -123,6 +127,7 @@ def render_ascii(problem: GrProblem, highlight: Optional[set] = None) -> str:
     rows = []
     for r in range(height):
         rows.append("".join(cells[r * width + c + 1] for c in range(width)))
-    legend = ("legend: # wall, @ start, $ box, digits goal cells, "
+    box = "" if isinstance(board, GridSpec) else "$ box, "
+    legend = (f"legend: # wall, @ start, {box}1-9 then a-z {marks} cells, "
               "^v<> observed moves, o marker")
     return "\n".join(rows + [legend])

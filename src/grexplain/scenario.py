@@ -17,10 +17,10 @@ has one spec builder and both forms pass the same type and range checks.
 Observations are direction words for boards (``up``/``down``/``left``/
 ``right``) or exact action names; on a ``strips`` listing every token is an
 action name, so an action may be called ``up``.  One rule resolves a
-direction word on either kind of board: from the agent's cell (its ``at-``
-or ``player-`` fact), the first applicable of ``move``, ``push`` and
-``push2`` toward the neighbouring cell.  Annotation files carry
-ground-truth ranks and counterfactual actions for the agreement metrics.
+direction word on either kind of board: the one action among the domain's
+``applicable_actions`` whose ``grids.parse_move`` direction is that word
+(at most one applies).  Annotation files carry ground-truth ranks and
+counterfactual actions for the agreement metrics.
 
 Every file is read as bytes and parsed by libyaml when PyYAML was built
 with it (``CSafeLoader``), else by PyYAML's pure-Python ``SafeLoader``.
@@ -41,7 +41,7 @@ import yaml
 
 from .errors import MalformedSpec, ParseError, ValidationError
 from .grids import (DIRECTIONS, GridSpec, check_board_size, compile_grid,
-                    offset, parse_fact)
+                    parse_fact, parse_move)
 from .recognizer import GrProblem, Observation, goal_labels
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, step
@@ -283,19 +283,15 @@ def _compile(scenario: ScenarioFile):
         encode(f"goal {name}", goal) for name, goal in zip(names, listing.goals)]
 
 
-def _resolve_direction(domain: DomainDefinition, board, state: int,
-                       word: str, index: int) -> GroundAction:
-    """The first move, push or push2 applicable in the encoded ``state``
-    from the agent's cell toward its neighbour in direction ``word`` on
-    ``board`` (a ``GridSpec`` or ``SokobanSpec``)."""
-    cell = next(cell for kind, cell in map(parse_fact, domain.decode(state))
-                if kind in ("at", "player"))
-    nbr = offset(cell, word, board.width, board.height)
-    for verb in ("move", "push", "push2"):
-        name = f"{verb}-{word}-{cell}-{nbr}"
-        if (domain.has_action(name)
-                and step(state, domain.action(name)) is not None):
-            return domain.action(name)
+def _resolve_direction(domain: DomainDefinition, state: int, word: str,
+                       index: int) -> GroundAction:
+    """The action applicable in the encoded board ``state`` toward ``word``.
+    An error names the agent's cell, the state's lowest bit: both board
+    compilers number the agent's facts first."""
+    for action in domain.applicable_actions(state):
+        if parse_move(action.name)[1] == word:
+            return action
+    cell = parse_fact(domain.facts[(state & -state).bit_length() - 1])[1]
     raise ValidationError(f"observation {index}: no applicable {word} action "
                           f"from cell {cell}")
 
@@ -309,7 +305,7 @@ def build_problem(scenario: ScenarioFile) -> GrProblem:
     state = initial
     for i, token in enumerate(scenario.observations, start=1):
         if board is not None and token in DIRECTIONS:
-            action = _resolve_direction(domain, board, state, token, i)
+            action = _resolve_direction(domain, state, token, i)
         elif domain.has_action(token):
             action = domain.action(token)
         else:

@@ -12,7 +12,7 @@ names into masks through ``encode``, the one name-to-bit reader, and
 int: a recognition problem's initial state and goals, an observation's
 resulting state and a planning task.  Fact names are read only where they
 come from outside (a raw listing) and written only where they go out to a
-person (an error message) or name a board cell (a direction word).
+person (an error message).
 
 The successor index files each action under one precondition fact, its
 pivot: the lowest bit of its precondition mask, so a single-bit

@@ -1,7 +1,11 @@
 import runpy
+import subprocess
+import sys
 import textwrap
 import types
 from pathlib import Path
+
+import pytest
 
 from grexplain import (answer_why_not, build_explanan, bundled_bench_paths,
                        bundled_scenario_path, mirror_posteriors)
@@ -156,6 +160,20 @@ def test_ab_cli_gain_rule_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
     assert gain_rule([10.0], [9.0]) == {"parent": (10.0,) * 3,
                                          "change": (9.0,) * 3,
                                          "wins": 1, "met": True}
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_ab_cli_rejects_fewer_than_one_round_before_copying(tmp_path, rounds):
+    """A round count below 1 exits 2 with a usage error before either tree
+    is read: the trees named here do not exist."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_cli.py"),
+         "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--rounds", rounds],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"error: --rounds must be at least 1, got {rounds}\n")
 
 
 def test_ab_cli_times_setup_from_source_without_writing_bytecode(tmp_path):

@@ -199,6 +199,41 @@ def test_ascii_grid_format(capsys):
     assert "....1##2." in out
 
 
+ANSWER_VERBS = [["recognize"], ["explain", "--question", "why"],
+                ["explain", "--question", "whynot"], ["rank"]]
+
+
+def test_ascii_grid_refuses_more_labelled_cells_than_labels(tmp_path, capsys):
+    # 38 goal cells: labels past the 35th would repeat 1, 2, 3, a, b, c.
+    path = tmp_path / "goals38.yaml"
+    path.write_text("kind: grid\nmap: |\n  @123456789abcdefghij\n"
+                    "  klmnopqrstuvwxyzABC.\nobservations: [down]\n")
+    for verb in ANSWER_VERBS:
+        code, out, err = run(capsys, *verb, "--scenario", str(path),
+                             "--format", "ascii-grid")
+        assert code == 2 and out == ""
+        assert err == ("error: ascii-grid: the board has 38 goal cells, "
+                       "more than the 35 map labels (1-9, then a-z)\n")
+        for fmt in ("text", "structured"):
+            code, _, err = run(capsys, *verb, "--scenario", str(path),
+                               "--format", fmt)
+            assert code == 0 and err == ""
+
+
+def test_ascii_grid_draws_35_labelled_cells_with_distinct_labels(
+        tmp_path, capsys):
+    labels = "123456789abcdefghijklmnopqrstuvwxyz"
+    path = tmp_path / "goals35.yaml"
+    path.write_text(f"kind: grid\nmap: |\n  @{labels[:17]}\n  {labels[17:]}\n"
+                    "observations: [down]\n")
+    code, out, _ = run(capsys, "recognize", "--scenario", str(path),
+                       "--format", "ascii-grid")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[:2] == [f"@{labels[:17]}", labels[17:]]
+    assert len(set(rows[0][1:] + rows[1])) == 35
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "answer.txt"
     code, out, _ = run(capsys, "explain", "--scenario", NAV,
@@ -728,6 +763,44 @@ def test_pool_boards_match_reference_digests(tmp_path):
                     mismatched.append(checked[-1])
     assert len(checked) == 10
     assert mismatched == []
+
+
+HASH_SEED_PROBE = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from grexplain import bundled_bench_paths, bundled_scenario_path
+from grexplain.cli import main
+paths = bundled_bench_paths() + [bundled_scenario_path("nav_crossroads"),
+                                 bundled_scenario_path("sokoban_pairs")]
+digest = hashlib.sha256()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp, "out.json")
+    for path in paths:
+        for args in {verbs!r}:
+            code = main([*args, "--scenario", str(path),
+                         "--format", "structured", "--out", str(out)])
+            assert code == 0, (path, args)
+            digest.update(out.read_bytes())
+print(len(paths), digest.hexdigest())
+"""
+
+
+def test_structured_output_does_not_depend_on_the_hash_seed():
+    """Two interpreters with different string-hash seeds send every bundled
+    scenario under the four answer verbs and read one SHA-256 over all the
+    structured outputs: set and dict iteration order must not reach them."""
+    script = HASH_SEED_PROBE.format(verbs=ANSWER_VERBS)
+    digests = set()
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(
+            Path(grexplain.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        count, digest = proc.stdout.split()
+        assert count == "17"
+        digests.add(digest)
+    assert len(digests) == 1
 
 
 def test_missing_file_exits_2(capsys):

@@ -102,6 +102,16 @@ def test_ascii_sokoban_rendering(sokoban_problem):
                          "....6...."]
 
 
+def test_ascii_legend_names_the_labels_and_what_they_mark(nav_problem,
+                                                          sokoban_problem):
+    assert render_ascii(nav_problem).splitlines()[-1] == (
+        "legend: # wall, @ start, 1-9 then a-z goal cells, "
+        "^v<> observed moves, o marker")
+    assert render_ascii(sokoban_problem).splitlines()[-1] == (
+        "legend: # wall, @ start, $ box, 1-9 then a-z storage cells, "
+        "^v<> observed moves, o marker")
+
+
 @pytest.mark.parametrize("name", ["nav_crossroads", "sokoban_pairs"])
 def test_hand_built_problem_renders_from_its_board(name):
     # A problem built by hand with board= renders as the loaded one does;

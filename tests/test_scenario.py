@@ -76,6 +76,21 @@ def test_inapplicable_observation_reports_index(tmp_path):
     assert "observation 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text, word, cell", [
+    ("kind: grid\nmap: '@.1'\nobservations: [up]\n", "up", 1),
+    ("kind: sokoban\nmap: |\n  #@$.1\n  .....\nsokoban: {goals: [[5]]}\n"
+     "observations: [left]\n", "left", 2),
+    ("kind: sokoban\nmap: |\n  .@$#1\n  .....\nsokoban: {goals: [[5]]}\n"
+     "observations: [right]\n", "right", 2),
+], ids=["off-the-board", "into-a-wall", "box-against-a-wall"])
+def test_a_direction_word_with_no_applicable_action_names_the_agents_cell(
+        tmp_path, capsys, text, word, cell):
+    path = write(tmp_path, text)
+    assert main(["recognize", "--scenario", str(path)]) == 2
+    message = f"observation 1: no applicable {word} action from cell {cell}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unknown_action_token_rejected(tmp_path):
     path = write(tmp_path, """
         kind: grid
@@ -127,12 +142,12 @@ def test_direction_words_resolve_to_the_unique_applicable_action(
             assert len(expected) <= 1
             encoded = domain.encode(state)
             if expected:
-                assert (_resolve_direction(domain, board, encoded, word, 1)
+                assert (_resolve_direction(domain, encoded, word, 1)
                         == expected[0])
                 resolved.add(expected[0].name.split("-")[0])
             else:
                 with pytest.raises(ValidationError):
-                    _resolve_direction(domain, board, encoded, word, 1)
+                    _resolve_direction(domain, encoded, word, 1)
     assert resolved == verbs
 
 

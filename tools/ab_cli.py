@@ -39,7 +39,9 @@ median of those minima on each side and their ratio (change / parent),
 then one row per set with the medians over all rounds, each side's
 quartiles over the rounds, the rounds the change won and whether the
 change meets the gain rule (``gain_rule``).
-It exits 1 if a request fails or the two trees write different output.
+It exits 1 if a request fails or the two trees write different output,
+and 2, before either tree is copied, if ``--rounds`` (default 10) is
+below 1.
 """
 
 from __future__ import annotations
@@ -191,6 +193,8 @@ def main() -> int:
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required")
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, got {args.rounds}")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     medians = {side: {name: [] for name in ROWS} for side in trees}
