@@ -12,11 +12,16 @@ class GrexError(Exception):
 
 
 class BudgetExceeded(GrexError):
-    """The planner ran past its node-expansion budget."""
+    """The planner ran past its node-expansion budget; ``prefix`` is the
+    observation prefix a recognition sweep was pricing (0 for the initial
+    state), or None for any other search."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"expansion budget of {budget} nodes exceeded")
+    def __init__(self, budget: int, prefix=None):
+        where = ("" if prefix is None
+                 else f" pricing the goals after observation {prefix}")
+        super().__init__(f"expansion budget of {budget} nodes exceeded{where}")
         self.budget = budget
+        self.prefix = prefix
 
 
 class InvalidObservationChain(GrexError):

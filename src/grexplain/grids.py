@@ -8,8 +8,9 @@ and each legal adjacent move becomes a unit-cost action named
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
-Only the two compilers write them, and ``parse_move`` and ``parse_fact``
-are their one reader (for rendering, direction words and the suite generator).
+Only the two compilers write them, and ``parse_move``, ``move_direction``
+and ``parse_fact`` are their one reader (for rendering, direction words and
+the suite generator).
 """
 
 from typing import NamedTuple
@@ -96,6 +97,12 @@ def parse_move(name: str):
         return parts[0], parts[1], int(parts[2]), int(parts[3])
     except ValueError:
         return None
+
+
+def move_direction(name: str) -> str:
+    """The direction word of a compiled board action name: its second field,
+    read without ``parse_move``'s checks and cell conversions."""
+    return name.split("-", 2)[1]
 
 
 def parse_fact(fact: str):

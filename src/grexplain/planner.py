@@ -36,7 +36,10 @@ falls out of the discovery order: successors are generated in name order and
 each layer is expanded first to last, so by induction on depth every layer
 is discovered in the lexicographic order of its states' first-found paths.
 The first goal state dequeued therefore ends the lexicographically first
-shortest plan, and its parent chain spells that plan.
+shortest plan, and its parent chain spells that plan.  A sweep returns each
+goal's first hit with its parent map, so every goal's chain is at hand:
+``optimal_plan`` spells its one goal's, and the recognizer follows the
+chains along the observations (``recognizer`` module docstring).
 """
 
 from typing import NamedTuple, Optional, Sequence
@@ -60,14 +63,15 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
 
     Returns (cost per goal or None if unreachable, ``id -> parent id`` map
     of first discoveries with the initial state's id mapped to None, the id
-    of the first state at which the last pending goal was met or None,
-    states dequeued).  The map holds the states of the layers expanded plus
-    the start.
+    of each goal's first hit, the first state of its layer that satisfies
+    it, or None if unreachable, states dequeued).  The map holds the states
+    of the layers expanded plus the start, so it holds every first hit's
+    parent chain.
     """
     states, rows, expand = domain.states, domain.rows, domain.expand
     start = domain.state_id(initial)
     parents = {start: None}
-    costs = [None] * len(goals)
+    costs, hits = [None] * len(goals), [None] * len(goals)
     pending = list(range(len(goals)))
     layer, depth, expansions = [start], 0, 0
     while layer and pending:
@@ -76,7 +80,7 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
             goal = goals[i]
             for p, sid in enumerate(layer):
                 if goal & states[sid] == goal:
-                    costs[i], last = depth, max(last, p)
+                    costs[i], hits[i], last = depth, sid, max(last, p)
                     break
             else:
                 unmet.append(i)
@@ -84,7 +88,7 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
             expansions += last + 1
             if expansions > budget:
                 raise BudgetExceeded(budget)
-            return costs, parents, layer[last], expansions
+            return costs, parents, hits, expansions
         pending = unmet
         expansions += len(layer)
         if expansions > budget:
@@ -97,7 +101,7 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
                     successors.append(succ)
         layer = successors
         depth += 1
-    return costs, parents, None, expansions
+    return costs, parents, hits, expansions
 
 
 def sweep_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
@@ -191,7 +195,7 @@ def optimal_plan(task: PlanningTask,
     when two actions lead to the same state the earlier name is taken.
     """
     domain = task.domain
-    _, parents, state, _ = _sweep(domain, task.initial, [task.goal], budget)
+    _, parents, (state,), _ = _sweep(domain, task.initial, [task.goal], budget)
     if state is None:
         return None
     states, actions = domain.states, []

@@ -14,8 +14,9 @@ the states it discovered.  The sweep goal-tests each layer before
 expanding it (``planner`` module docstring), so S0 counts the start and
 the successors of every layer but the final one, which is never expanded.
 
-* Sweeps: one per observed state over the goals reachable from the initial
-  state.  Each dequeues about E0 states.
+* Sweeps: from each observed state, one over the goals reachable from the
+  initial state that have lost their certificate (below).  A plain sweep,
+  over all of them, dequeues about E0 states.
 * Tables (``planner.distance_tables``): enumerate the R states reachable
   from the initial state, then one backward sweep per reachable goal, so
   about |G| + 2 passes over R states.  R is at least S0, so the tables are
@@ -23,20 +24,38 @@ the successors of every layer but the final one, which is never expanded.
   min(budget, n * E0 // (|G| + 2)) states; past the cap the sweeps run
   after all, over the successor rows the enumeration already expanded.
 
-Both paths give the same costs.  BudgetExceeded is raised exactly where
-the n + 1 sweeps raise it: the first sweep is common to both, and the
-tables are used only when every reachable state fits in the budget, so
-that no sweep could have raised.  Scores are normalized into a posterior
-over the goal set; unreachable goals get probability 0.  Goals within
+A goal's certificate is the parent chain of its first hit in the last
+sweep that priced it (``planner`` module docstring).  Observation i moves
+the agent one unit step, from s(i - 1) to s(i).  If the sweep from
+s(i - 1) first met goal g at depth d and that hit's chain passes through
+s(i), then dist(s(i), g) = d - 1 exactly, and the rest of the chain is a
+shortest path from s(i).  So g keeps its certificate, and needs no search,
+for as long as the agent follows the chain; the goals that leave theirs are
+swept together from s(i), and that sweep gives them new chains.  A goal met
+at depth 0 has no chain, so no certificate.  This is the exact form of
+recomputing only when the observation leaves the current plan (Vered and
+Kaminka 2017).  The selection rule above still counts plain sweeps, so
+certification never changes the path taken.
+
+Both paths give the same costs.  BudgetExceeded is raised where the sweeps
+the recognizer actually runs raise it, and names the observation prefix
+that sweep was pricing (0 for the initial state).  Each of those sweeps
+starts from the same state as one of the n + 1 plain sweeps (the initial
+state over every goal, each observed state over the reachable goals) but
+looks for a subset of its goals, so it dequeues no more; and the tables are
+used only when every reachable state fits in the budget, so that no sweep
+could have raised.  So a budget that the n + 1 plain sweeps fit never
+exits 3.  Scores are normalized into a posterior over the goal set;
+unreachable goals get probability 0.  Goals within
 ``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
 """
 
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import AllGoalsUnsolvable, InvalidObservationChain, MalformedSpec
+from .errors import (AllGoalsUnsolvable, BudgetExceeded,
+                     InvalidObservationChain, MalformedSpec)
 from .grids import GridSpec
-from .planner import (DEFAULT_BUDGET, distance_tables, optimal_costs,
-                      sweep_costs)
+from .planner import DEFAULT_BUDGET, _sweep, distance_tables
 from .sokoban import SokobanSpec
 from .strips import DomainDefinition, GroundAction, step
 
@@ -152,6 +171,49 @@ def _normalize(scores, prefix: int) -> tuple:
     return tuple(s / total for s in scores)
 
 
+def _sweep_chains(domain: DomainDefinition, state: int, goals: Sequence[int],
+                  budget: int, prefix: int) -> tuple:
+    """One planner sweep from ``state``, the state after observation
+    ``prefix``: (cost per goal, each goal's certificate, states discovered,
+    states dequeued).  A certificate lists the ids of the first hit's parent
+    chain, goal end first and without ``state``, so it is empty for a goal
+    met at depth 0 or never met.  A BudgetExceeded names ``prefix``."""
+    try:
+        costs, parents, hits, expanded = _sweep(domain, state, goals, budget)
+    except BudgetExceeded:
+        raise BudgetExceeded(budget, prefix) from None
+    chains = []
+    for sid in hits:
+        chain = []
+        while sid is not None and parents[sid] is not None:
+            chain.append(sid)
+            sid = parents[sid]
+        chains.append(chain)
+    return costs, chains, len(parents), expanded
+
+
+def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
+                  chains: list, budget: int, prefix: int) -> list:
+    """Cost to each goal from ``state``, the state after observation
+    ``prefix``.  A goal whose certificate in ``chains`` passes next through
+    ``state`` reads it off the chain; the others are priced by one sweep,
+    which replaces their certificates (module docstring)."""
+    sid = domain.state_id(state)
+    costs, left = [None] * len(goals), []
+    for k, chain in enumerate(chains):
+        if chain and chain[-1] == sid:
+            chain.pop()
+            costs[k] = len(chain)
+        else:
+            left.append(k)
+    if left:
+        found, renewed, _, _ = _sweep_chains(
+            domain, state, [goals[k] for k in left], budget, prefix)
+        for k, cost, chain in zip(left, found, renewed):
+            costs[k], chains[k] = cost, chain
+    return costs
+
+
 def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = None,
                       budget: int = DEFAULT_BUDGET) -> PosteriorTrace:
     """Run the mirroring recognizer over the full observation sequence.
@@ -164,10 +226,11 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
         raise MalformedSpec("priors must assign one weight per goal")
 
     domain, goals = problem.domain, problem.goals
-    base_costs, discovered, expanded = sweep_costs(domain, problem.initial,
-                                                   goals, budget)
+    base_costs, chains, discovered, expanded = _sweep_chains(
+        domain, problem.initial, goals, budget, 0)
     reachable = [j for j, c in enumerate(base_costs) if c is not None]
     reachable_goals = [goals[j] for j in reachable]
+    chains = [chains[j] for j in reachable]
 
     def distribution(scores, prefix):
         if priors is not None:
@@ -187,8 +250,8 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     per_prefix = []
     for i, obs in enumerate(problem.observations, start=1):
         if tables is None:
-            suffixes = optimal_costs(domain, obs.resulting_state,
-                                     reachable_goals, budget)
+            suffixes = _suffix_costs(domain, obs.resulting_state,
+                                     reachable_goals, chains, budget, i)
         else:
             sid = domain.state_id(obs.resulting_state)
             suffixes = [table[sid] for table in tables]

@@ -18,8 +18,8 @@ Observations are direction words for boards (``up``/``down``/``left``/
 ``right``) or exact action names; on a ``strips`` listing every token is an
 action name, so an action may be called ``up``.  One rule resolves a
 direction word on either kind of board: the one action among the domain's
-``applicable_actions`` whose ``grids.parse_move`` direction is that word
-(at most one applies).  Annotation files carry ground-truth ranks and
+``applicable_actions`` whose ``grids.move_direction`` is that word (at
+most one applies).  Annotation files carry ground-truth ranks and
 counterfactual actions for the agreement metrics.
 
 Every file is read as bytes and parsed by libyaml when PyYAML was built
@@ -41,7 +41,7 @@ import yaml
 
 from .errors import MalformedSpec, ParseError, ValidationError
 from .grids import (DIRECTIONS, GridSpec, check_board_size, compile_grid,
-                    parse_fact, parse_move)
+                    move_direction, parse_fact)
 from .recognizer import GrProblem, Observation, goal_labels
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, step
@@ -289,7 +289,7 @@ def _resolve_direction(domain: DomainDefinition, state: int, word: str,
     An error names the agent's cell, the state's lowest bit: both board
     compilers number the agent's facts first."""
     for action in domain.applicable_actions(state):
-        if parse_move(action.name)[1] == word:
+        if move_direction(action.name) == word:
             return action
     cell = parse_fact(domain.facts[(state & -state).bit_length() - 1])[1]
     raise ValidationError(f"observation {index}: no applicable {word} action "

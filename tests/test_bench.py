@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grexplain import (answer_why_not, build_explanan, bundled_bench_paths,
-                       bundled_scenario_path, mirror_posteriors)
+                       bundled_scenario_path, load_scenario, mirror_posteriors)
 from grexplain.bench import format_report, run_bench, time_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,6 +107,17 @@ def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
         tracer.uninstall()
     assert tracer.counts["optimal_plan"] > 0  # the wrappers saw the send
     assert traced.read_bytes() == plain.read_bytes()
+
+
+def test_search_counts_counts_one_board():
+    """``tools/search_counts.py`` on ``bench/sokoban_03``: the initial sweep
+    and one observation sweep, and the rows and states that recognition
+    leaves on the domain."""
+    counts = load_file("tools/search_counts.py").board_counts(
+        load_scenario(bundled_scenario_path("bench/sokoban_03")))
+    assert counts == {"path": "sweeps", "sweeps": 2, "dequeues": 11_953,
+                      "obs_dequeues": 472, "largest": 11_481,
+                      "rows": 9_242, "states": 11_948}
 
 
 def test_ab_cli_sends_the_benchmark_requests(tmp_path):

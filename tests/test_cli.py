@@ -814,6 +814,18 @@ def test_budget_exhaustion_exits_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget, prefix", [(5, 0), (500, 2)])
+def test_budget_exhaustion_names_the_prefix_being_priced(capsys, budget,
+                                                         prefix):
+    # sokoban_pairs' initial sweep dequeues 397 states and the sweep from
+    # the second observed state 535
+    code, out, err = run(capsys, "recognize", "--scenario", PAIRS,
+                         "--budget", str(budget))
+    assert (code, out) == (3, "")
+    assert err == (f"error: expansion budget of {budget} nodes exceeded "
+                   f"pricing the goals after observation {prefix}\n")
+
+
 def test_budget_exhaustion_exits_3_on_a_grid(capsys):
     code, _, err = run(capsys, "recognize", "--scenario", NAV, "--budget", "20")
     assert code == 3

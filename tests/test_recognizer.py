@@ -2,13 +2,17 @@ import gc
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from grexplain import (AllGoalsUnsolvable, BudgetExceeded, GridSpec,
                        GrProblem, InvalidObservationChain, MalformedSpec,
-                       Observation, bundled_scenario_path, compile_grid,
-                       load_scenario, mirror_posteriors, optimal_costs)
+                       Observation, PlanningTask, SokobanSpec,
+                       bundled_scenario_path, compile_grid, compile_sokoban,
+                       load_scenario, mirror_posteriors, optimal_costs,
+                       optimal_plan)
 from grexplain import recognizer
 from grexplain.planner import sweep_costs
+from grexplain.strips import step
 from grexplain.recognizer import PosteriorTrace, split_goals
 
 from conftest import bfs_grid_distance, random_grid_spec, walk
@@ -297,3 +301,149 @@ def test_filled_successor_rows_are_not_tracked_by_the_collector():
     rows = [row for row in problem.domain.rows if row is not None]
     assert len(rows) > 1000
     assert not any(gc.is_tracked(row) for row in rows)
+
+
+@st.composite
+def drawn_grids(draw):
+    """(domain, initial, goals) of a grid of up to 6x6 cells with walls and
+    1-4 distinct goal cells."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = range(1, width * height + 1)
+    blocked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    free = [c for c in cells if c not in blocked]
+    assume(free)
+    start = draw(st.sampled_from(free))
+    goals = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4,
+                          unique=True))
+    return compile_grid(GridSpec(width, height, blocked, start, goals))
+
+
+@st.composite
+def drawn_sokobans(draw):
+    """(domain, initial, goals) of a Sokoban board of 3x3 to 5x4 cells with
+    1-2 boxes off the border, 2-3 storage cells and 1-3 goal assignments."""
+    width, height = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+    cells = range(1, width * height + 1)
+    inner = [r * width + c + 1 for r in range(1, height - 1)
+             for c in range(1, width - 1)]
+    boxes = draw(st.lists(st.sampled_from(inner), min_size=1, max_size=2,
+                          unique=True))
+    player = draw(st.sampled_from([c for c in cells if c not in boxes]))
+    open_cells = [c for c in cells if c not in boxes and c != player]
+    walls = draw(st.sets(st.sampled_from(open_cells), max_size=2))
+    storage = draw(st.lists(
+        st.sampled_from([c for c in cells if c not in walls and c not in boxes]),
+        min_size=2, max_size=3, unique=True))
+    goals = draw(st.lists(st.lists(st.sampled_from(storage), min_size=1,
+                                   max_size=len(boxes), unique=True),
+                          min_size=1, max_size=3))
+    return compile_sokoban(SokobanSpec(width, height, walls, player, boxes,
+                                       storage, goals, draw(st.booleans())))
+
+
+@st.composite
+def drawn_problems(draw, boards):
+    """A problem on a board from ``boards`` whose 0-6 observations first
+    follow an optimal plan to one goal for a drawn number of steps, so that
+    certificates hold for a while, and then walk at random."""
+    domain, initial, goals = draw(boards)
+    plan = optimal_plan(PlanningTask(domain, initial,
+                                     draw(st.sampled_from(goals)))) or ()
+    actions = list(plan[:draw(st.integers(0, len(plan)))])
+    state = initial
+    for action in actions:
+        state = step(state, action)
+    for _ in range(draw(st.integers(0, 6 - min(len(actions), 6)))):
+        applicable = domain.applicable_actions(state)
+        if not applicable:
+            break
+        actions.append(draw(st.sampled_from(applicable)))
+        state = step(state, actions[-1])
+    observations, state = [], initial
+    for action in actions[:6]:
+        state = step(state, action)
+        observations.append(Observation(action, state))
+    return GrProblem(domain, initial, tuple(goals), observations)
+
+
+def plain_posteriors(problem):
+    """The per-prefix posteriors of the n + 1 plain sweeps: every goal priced
+    by ``optimal_costs`` from the initial state and from each observed
+    state, with no certificate; None where no goal is reachable."""
+    domain, goals = problem.domain, problem.goals
+    base = optimal_costs(domain, problem.initial, goals)
+    if all(b is None for b in base):
+        return None
+    per_prefix = []
+    for i, obs in enumerate(problem.observations, start=1):
+        suffixes = optimal_costs(domain, obs.resulting_state, goals)
+        scores = [0.0 if b is None or s is None else b / (i + s)
+                  for b, s in zip(base, suffixes)]
+        if sum(scores) == 0:
+            return None
+        per_prefix.append(tuple(s / sum(scores) for s in scores))
+    return tuple(per_prefix)
+
+
+def traced_or_none(problem, budget=recognizer.DEFAULT_BUDGET):
+    try:
+        return mirror_posteriors(problem, budget=budget)
+    except AllGoalsUnsolvable:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_problems(drawn_grids()))
+def test_certified_sweeps_match_the_plain_sweeps_on_grids(problem):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recognizer, "distance_tables", lambda *args: None)
+        trace = traced_or_none(problem)
+    expected = plain_posteriors(problem)
+    assert (trace is None) == (expected is None)
+    assert trace is None or trace.per_prefix == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_problems(drawn_sokobans()))
+def test_certified_sweeps_match_the_plain_sweeps_on_sokoban(problem):
+    trace = traced_or_none(problem)
+    expected = plain_posteriors(problem)
+    assert (trace is None) == (expected is None)
+    assert trace is None or trace.per_prefix == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(drawn_problems(drawn_grids()),
+                 drawn_problems(drawn_sokobans())), st.data())
+def test_a_budget_the_plain_sweeps_fit_returns_the_unlimited_trace(problem,
+                                                                   data):
+    unlimited = traced_or_none(problem)
+    assume(unlimited is not None)
+    largest = max(sweep_costs(problem.domain, state, goals)[2]
+                  for state, goals in sweep_calls(problem))
+    budget = data.draw(st.integers(1, largest + 1))
+    try:
+        trace = mirror_posteriors(problem, budget=budget)
+    except BudgetExceeded as exc:
+        assert budget < largest
+        assert 0 <= exc.prefix <= len(problem.observations)
+    else:
+        assert trace == unlimited
+
+
+def test_certificates_skip_sweeps_on_sokoban_03(monkeypatch):
+    # The first three observations stay on both goals' certificates and the
+    # fourth leaves one of them, so the n + 1 = 5 plain sweeps shrink to the
+    # initial one and one from the fourth observed state, for that goal.
+    problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
+    sweep, sizes = recognizer._sweep, []
+
+    def counted(*args):
+        result = sweep(*args)
+        sizes.append(result[-1])
+        return result
+
+    monkeypatch.setattr(recognizer, "_sweep", counted)
+    mirror_posteriors(problem)
+    assert len(problem.observations) + 1 == 5
+    assert sizes == [11_481, 472]
