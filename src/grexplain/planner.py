@@ -36,10 +36,11 @@ falls out of the discovery order: successors are generated in name order and
 each layer is expanded first to last, so by induction on depth every layer
 is discovered in the lexicographic order of its states' first-found paths.
 The first goal state dequeued therefore ends the lexicographically first
-shortest plan, and its parent chain spells that plan.  A sweep returns each
-goal's first hit with its parent map, so every goal's chain is at hand:
-``optimal_plan`` spells its one goal's, and the recognizer follows the
-chains along the observations (``recognizer`` module docstring).
+shortest plan, and its parent chain spells that plan.  ``sweep`` returns
+each goal's first hit with its parent map, and ``Sweep.chains`` walks every
+goal's chain: ``optimal_plan`` spells its one goal's, and the recognizer
+follows the chains along the observations (``recognizer`` module
+docstring).
 """
 
 from typing import NamedTuple, Optional, Sequence
@@ -56,17 +57,37 @@ class PlanningTask(NamedTuple):
     goal: int
 
 
-def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
-           budget: int):
+class Sweep(NamedTuple):
+    """What one breadth-first sweep (``sweep``) found."""
+
+    costs: list      # cost per goal, or None if unreachable
+    parents: dict    # id -> parent id of first discoveries, the start -> None
+    hits: list       # id of each goal's first hit, or None if unreachable
+    dequeued: int    # states dequeued, as the budget counts them
+
+    def chains(self) -> list:
+        """Each goal's first-hit parent chain: the ids from the hit back to,
+        but not including, the sweep's start, goal end first; empty for a
+        goal met at depth 0 or never met."""
+        parents, chains = self.parents, []
+        for sid in self.hits:
+            chain = []
+            while sid is not None and parents[sid] is not None:
+                chain.append(sid)
+                sid = parents[sid]
+            chains.append(chain)
+        return chains
+
+
+def sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
+          budget: int = DEFAULT_BUDGET) -> Sweep:
     """Breadth-first sweep from ``initial`` until every goal is met (the
     goal test and budget count are in the module docstring).
 
-    Returns (cost per goal or None if unreachable, ``id -> parent id`` map
-    of first discoveries with the initial state's id mapped to None, the id
-    of each goal's first hit, the first state of its layer that satisfies
-    it, or None if unreachable, states dequeued).  The map holds the states
-    of the layers expanded plus the start, so it holds every first hit's
-    parent chain.
+    A goal's first hit is the first state of its layer that satisfies it.
+    ``parents`` holds the start and the states of the layers expanded, so it
+    holds every first hit's parent chain; its size is the states
+    discovered.
     """
     states, rows, expand = domain.states, domain.rows, domain.expand
     start = domain.state_id(initial)
@@ -88,7 +109,7 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
             expansions += last + 1
             if expansions > budget:
                 raise BudgetExceeded(budget)
-            return costs, parents, hits, expansions
+            return Sweep(costs, parents, hits, expansions)
         pending = unmet
         expansions += len(layer)
         if expansions > budget:
@@ -101,15 +122,15 @@ def _sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
                     successors.append(succ)
         layer = successors
         depth += 1
-    return costs, parents, hits, expansions
+    return Sweep(costs, parents, hits, expansions)
 
 
 def sweep_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                 budget: int = DEFAULT_BUDGET) -> tuple:
     """``optimal_costs`` plus the sweep's size: (cost per goal, states
     discovered, states dequeued)."""
-    costs, parents, _, expanded = _sweep(domain, state, goals, budget)
-    return costs, len(parents), expanded
+    found = sweep(domain, state, goals, budget)
+    return found.costs, len(found.parents), found.dequeued
 
 
 def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
@@ -195,15 +216,15 @@ def optimal_plan(task: PlanningTask,
     when two actions lead to the same state the earlier name is taken.
     """
     domain = task.domain
-    _, parents, (state,), _ = _sweep(domain, task.initial, [task.goal], budget)
-    if state is None:
+    found = sweep(domain, task.initial, [task.goal], budget)
+    if found.costs[0] is None:
         return None
-    states, actions = domain.states, []
-    while parents[state] is not None:
-        parent = parents[state]
-        bits, child = states[parent], states[state]
+    states = domain.states
+    path = [domain.state_id(task.initial), *reversed(found.chains()[0])]
+    actions = []
+    for parent, child in zip(path, path[1:]):
+        bits = states[parent]
         actions.append(next(action
                             for action in domain.applicable_actions(bits)
-                            if step(bits, action) == child))
-        state = parent
-    return tuple(reversed(actions))
+                            if step(bits, action) == states[child]))
+    return tuple(actions)

@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .errors import (AllGoalsUnsolvable, BudgetExceeded,
                      InvalidObservationChain, MalformedSpec)
 from .grids import GridSpec
-from .planner import DEFAULT_BUDGET, _sweep, distance_tables
+from .planner import DEFAULT_BUDGET, Sweep, distance_tables, sweep
 from .sokoban import SokobanSpec
 from .strips import DomainDefinition, GroundAction, step
 
@@ -171,25 +171,14 @@ def _normalize(scores, prefix: int) -> tuple:
     return tuple(s / total for s in scores)
 
 
-def _sweep_chains(domain: DomainDefinition, state: int, goals: Sequence[int],
-                  budget: int, prefix: int) -> tuple:
-    """One planner sweep from ``state``, the state after observation
-    ``prefix``: (cost per goal, each goal's certificate, states discovered,
-    states dequeued).  A certificate lists the ids of the first hit's parent
-    chain, goal end first and without ``state``, so it is empty for a goal
-    met at depth 0 or never met.  A BudgetExceeded names ``prefix``."""
+def _priced(domain: DomainDefinition, state: int, goals: Sequence[int],
+            budget: int, prefix: int) -> Sweep:
+    """``planner.sweep`` from ``state``, the state after observation
+    ``prefix``; a BudgetExceeded names ``prefix``."""
     try:
-        costs, parents, hits, expanded = _sweep(domain, state, goals, budget)
+        return sweep(domain, state, goals, budget)
     except BudgetExceeded:
         raise BudgetExceeded(budget, prefix) from None
-    chains = []
-    for sid in hits:
-        chain = []
-        while sid is not None and parents[sid] is not None:
-            chain.append(sid)
-            sid = parents[sid]
-        chains.append(chain)
-    return costs, chains, len(parents), expanded
 
 
 def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
@@ -207,9 +196,8 @@ def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
         else:
             left.append(k)
     if left:
-        found, renewed, _, _ = _sweep_chains(
-            domain, state, [goals[k] for k in left], budget, prefix)
-        for k, cost, chain in zip(left, found, renewed):
+        found = _priced(domain, state, [goals[k] for k in left], budget, prefix)
+        for k, cost, chain in zip(left, found.costs, found.chains()):
             costs[k], chains[k] = cost, chain
     return costs
 
@@ -226,11 +214,11 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
         raise MalformedSpec("priors must assign one weight per goal")
 
     domain, goals = problem.domain, problem.goals
-    base_costs, chains, discovered, expanded = _sweep_chains(
-        domain, problem.initial, goals, budget, 0)
+    first = _priced(domain, problem.initial, goals, budget, 0)
+    base_costs, discovered, expanded = (first.costs, len(first.parents),
+                                        first.dequeued)
     reachable = [j for j, c in enumerate(base_costs) if c is not None]
     reachable_goals = [goals[j] for j in reachable]
-    chains = [chains[j] for j in reachable]
 
     def distribution(scores, prefix):
         if priors is not None:
@@ -246,6 +234,9 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     if passes * discovered <= n * expanded:
         tables = distance_tables(domain, problem.initial, reachable_goals,
                                  min(budget, n * expanded // passes))
+    if tables is None:
+        chains = first.chains()
+        chains = [chains[j] for j in reachable]
 
     per_prefix = []
     for i, obs in enumerate(problem.observations, start=1):

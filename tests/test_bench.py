@@ -110,14 +110,19 @@ def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
 
 
 def test_search_counts_counts_one_board():
-    """``tools/search_counts.py`` on ``bench/sokoban_03``: the initial sweep
-    and one observation sweep, and the rows and states that recognition
-    leaves on the domain."""
-    counts = load_file("tools/search_counts.py").board_counts(
-        load_scenario(bundled_scenario_path("bench/sokoban_03")))
-    assert counts == {"path": "sweeps", "sweeps": 2, "dequeues": 11_953,
-                      "obs_dequeues": 472, "largest": 11_481,
-                      "rows": 9_242, "states": 11_948}
+    """``tools/search_counts.py`` on ``bench/sokoban_03``: every column of
+    one board's row, read off that recognition (its sweep sizes are pinned
+    by ``test_recognizer.test_certificates_skip_sweeps_on_sokoban_03``)."""
+    tool = load_file("tools/search_counts.py")
+    problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
+    counts = tool.board_counts(problem)
+    domain = problem.domain
+    assert set(counts) == {"path", *tool.COLUMNS}
+    assert counts["path"] == "sweeps"
+    assert 0 < counts["obs_dequeues"] < counts["largest"] < counts["dequeues"]
+    assert counts["rows"] == sum(row is not None for row in domain.rows)
+    assert counts["states"] == len(domain.states)
+    assert len(tool.row("bundled", "bench/sokoban_03", counts).split()) == 9
 
 
 def test_ab_cli_sends_the_benchmark_requests(tmp_path):

@@ -436,14 +436,14 @@ def test_certificates_skip_sweeps_on_sokoban_03(monkeypatch):
     # fourth leaves one of them, so the n + 1 = 5 plain sweeps shrink to the
     # initial one and one from the fourth observed state, for that goal.
     problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
-    sweep, sizes = recognizer._sweep, []
+    sweep, sizes = recognizer.sweep, []
 
     def counted(*args):
         result = sweep(*args)
-        sizes.append(result[-1])
+        sizes.append(result.dequeued)
         return result
 
-    monkeypatch.setattr(recognizer, "_sweep", counted)
+    monkeypatch.setattr(recognizer, "sweep", counted)
     mirror_posteriors(problem)
     assert len(problem.observations) + 1 == 5
     assert sizes == [11_481, 472]

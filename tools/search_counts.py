@@ -1,10 +1,9 @@
 """Search counts of recognition on the bundled and benchmark-pool boards.
 
-    python3 tools/search_counts.py [--boards] [POOL ...]
+    python3 tools/search_counts.py
 
-POOL is ``bundled``, ``grid_ladder`` or ``sokoban_deep`` (default: all
-three).  ``bundled`` is the 17 bundled scenarios that the ``bundled_suite``
-workload sends; the other two are every board of that workload's pool in
+The boards are the 17 bundled scenarios that the ``bundled_suite`` workload
+sends, then every board of the ``grid_ladder`` and ``sokoban_deep`` pools in
 ``perfbench/pool/``, which is only read.  Each board is compiled afresh and
 recognized once by ``mirror_posteriors`` at the default budget, with the
 planner sweep that the recognizer calls wrapped to count:
@@ -19,11 +18,11 @@ planner sweep that the recognizer calls wrapped to count:
 - ``rows`` and ``states``: the successor rows filled and the states
   interned, read off the domain afterwards.
 
-It prints one total row per pool, whose ``largest`` is the pool's
-maximum, after one row per board when ``--boards`` is given.
+It prints one row per board, then one total row per pool (``bundled``,
+``grid_ladder``, ``sokoban_deep``), whose ``largest`` is the pool's
+maximum.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -43,12 +42,12 @@ COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states")
 
 def board_counts(problem) -> dict:
     """The counts of one recognition of ``problem`` (module docstring)."""
-    sweep, tables = recognizer._sweep, recognizer.distance_tables
+    sweep, tables = recognizer.sweep, recognizer.distance_tables
     sizes, built = [], []
 
     def counted_sweep(*args):
         result = sweep(*args)
-        sizes.append(result[-1])
+        sizes.append(result.dequeued)
         return result
 
     def spied_tables(*args):
@@ -56,11 +55,11 @@ def board_counts(problem) -> dict:
         built.append(found is not None)
         return found
 
-    recognizer._sweep, recognizer.distance_tables = counted_sweep, spied_tables
+    recognizer.sweep, recognizer.distance_tables = counted_sweep, spied_tables
     try:
         recognizer.mirror_posteriors(problem)
     finally:
-        recognizer._sweep, recognizer.distance_tables = sweep, tables
+        recognizer.sweep, recognizer.distance_tables = sweep, tables
     domain = problem.domain
     return {"path": "tables" if any(built) else "sweeps",
             "sweeps": len(sizes), "dequeues": sum(sizes),
@@ -87,28 +86,20 @@ def row(pool: str, board: str, counts: dict) -> str:
             + "  ".join(f"{counts[c]:>12,}" for c in COLUMNS))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("pools", nargs="*", metavar="POOL",
-                        help=f"one of {', '.join(POOLS)} (default: all)")
-    parser.add_argument("--boards", action="store_true",
-                        help="also print one row per board")
-    args = parser.parse_args(argv)
-    for pool in args.pools:
-        if pool not in POOLS:
-            parser.error(f"unknown pool {pool!r}; choose from {', '.join(POOLS)}")
+def main() -> int:
     print(f"{'pool':<13}  {'board':<24}  {'path':<13}  "
           + "  ".join(f"{c:>12}" for c in COLUMNS))
-    for pool in args.pools or POOLS:
+    totals = []
+    for pool in POOLS:
         boards = []
         for board, problem in problems(pool):
             boards.append(board_counts(problem))
-            if args.boards:
-                print(row(pool, board, boards[-1]))
+            print(row(pool, board, boards[-1]))
         total = {column: (max if column == "largest" else sum)(
             counts[column] for counts in boards) for column in COLUMNS}
         total["path"] = "/".join(sorted({c["path"] for c in boards}))
-        print(row(pool, "(all)", total))
+        totals.append(row(pool, "(all)", total))
+    print("\n".join(totals))
     return 0
 
 
