@@ -12,14 +12,13 @@ class GrexError(Exception):
 
 
 class BudgetExceeded(GrexError):
-    """The planner ran past its node-expansion budget; ``prefix`` is the
-    observation prefix a recognition sweep was pricing (0 for the initial
-    state), or None for any other search."""
+    """The planner ran past its node-expansion budget.  ``search`` names the
+    search that did (empty for a bare planner call), and ``prefix`` is the
+    observation prefix after which its start state holds, or None."""
 
-    def __init__(self, budget: int, prefix=None):
-        where = ("" if prefix is None
-                 else f" pricing the goals after observation {prefix}")
-        super().__init__(f"expansion budget of {budget} nodes exceeded{where}")
+    def __init__(self, budget: int, search: str = "", prefix=None):
+        super().__init__(f"expansion budget of {budget} nodes exceeded"
+                         + (f" {search}" if search else ""))
         self.budget = budget
         self.prefix = prefix
 

@@ -21,7 +21,8 @@ import math
 import time
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (EmptyExplanan, UnsolvableGoal, ZeroPosterior, ZeroPrior)
+from .errors import (BudgetExceeded, EmptyExplanan, UnsolvableGoal,
+                     ZeroPosterior, ZeroPrior)
 from .planner import DEFAULT_BUDGET, PlanningTask, optimal_plan
 from .recognizer import GrProblem, PosteriorTrace
 from .strips import GroundAction
@@ -216,15 +217,22 @@ def counterfactual_action(problem: GrProblem, marker: ExplananEntry,
     The returned action may well lie on a suboptimal plan toward a predicted
     goal; that is fine, it is still the optimal first step toward ``g_prime``.
     Returns None when the goal already holds in that state, and raises
-    UnsolvableGoal when no plan exists.
+    UnsolvableGoal when no plan exists.  A BudgetExceeded names the goal
+    and the marker's observation: recognition may have fit the budget
+    without a plain sweep from that state (``recognizer`` module docstring).
     """
-    state = problem.state_before(marker.observation_index)
-    plan = optimal_plan(
-        PlanningTask(problem.domain, state, problem.goals[g_prime]), budget)
+    k, name = marker.observation_index, problem.goal_names[g_prime]
+    state = problem.state_before(k)
+    try:
+        plan = optimal_plan(
+            PlanningTask(problem.domain, state, problem.goals[g_prime]), budget)
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            budget, f"planning a counterfactual action toward {name} from "
+            f"the state before observation {k}", k - 1) from None
     if plan is None:
-        raise UnsolvableGoal(
-            f"goal {problem.goal_names[g_prime]} is unreachable from the state "
-            f"before observation {marker.observation_index}")
+        raise UnsolvableGoal(f"goal {name} is unreachable from the state "
+                             f"before observation {k}")
     return plan[0] if plan else None
 
 

@@ -1,34 +1,42 @@
-"""Grid-navigation scenarios compiled into ground STRIPS domains.
+"""Grid-navigation scenarios as ground STRIPS domains worked out from cells.
 
 Cells are numbered 1..width*height, row-major from the top-left corner, so
 "up" from cell c is c - width and "right" is c + 1.  Every cell gets an
 ``at-<cell>`` fact (blocked cells keep their fact but no action enters them),
-and each legal adjacent move becomes a unit-cost action named
+and each legal adjacent move is a unit-cost action named
 ``move-<direction>-<from>-<to>``: pre and del {at-<from>}, add {at-<to>}.
+``compile_grid`` files none of them.  Its ``GridDomain`` computes each
+successor row from the agent's cell and builds a move's name and value only
+where one is read (an observation, a plan step, the output), while raw
+STRIPS listings and Sokoban boards keep the successor index of
+``DomainDefinition`` (``strips`` module docstring).
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
-Only the two compilers write them, and ``parse_move``, ``move_direction``
-and ``parse_fact`` are their one reader (for rendering, direction words and
-the suite generator).
+Only ``GridDomain`` and ``compile_sokoban`` write them, and ``parse_move``,
+``move_direction`` and ``parse_fact`` are their one reader (for rendering,
+direction words, ``GridDomain``'s name lookup and the suite generator).
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import MalformedSpec
-from .strips import DomainDefinition
+from .strips import DomainDefinition, _bits, _entry_name
 
 # Row and column step of each direction word, in the order moves are compiled.
 DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 DIRECTIONS = tuple(DELTAS)
 
 # The most cells a grid or Sokoban board may have: 64 x 64, 3.5 times the
-# largest benchmark board (34 x 34).  Each action's masks are ints as wide as
-# the fact list, so compiling takes memory that grows with the square of the
-# cell count: an open 64 x 64 multi-push Sokoban board (47,616 actions)
-# compiles in about 0.5 s to 231 MB peak RSS (Python 3.11, 2-core Xeon), and
-# four times the cells would need about 3.5 GB.  A fixed validation limit,
-# not a setting.
+# largest benchmark board (34 x 34).  A Sokoban compile files every action,
+# with masks as wide as the fact list, so its memory grows with the square
+# of the cell count: an open 64 x 64 multi-push board (47,616 actions)
+# compiles in about 0.4 s to 230 MB peak RSS (Python 3.11, 2-core Xeon), and
+# four times the cells would need about 3.5 GB.  A grid compile files no
+# action: an open 64 x 64 grid compiles in about 1 ms and fills all 4,096
+# rows in about 8 ms, within 2 MB of the 15.7 MB the import takes; reading
+# all 16,128 actions (``actions``) adds about 20 MB.  A fixed validation
+# limit, not a setting.
 MAX_CELLS = 4_096
 
 
@@ -111,34 +119,131 @@ def parse_fact(fact: str):
     return kind, int(cell)
 
 
-def compile_grid(spec: GridSpec):
-    """Compile a grid into (domain, initial state, goal masks).
+class GridDomain(DomainDefinition):
+    """A grid's domain: fact ``at-<cell>`` is bit ``cell - 1``, and the
+    moves are worked out from cell arithmetic, so no action is filed.
 
-    Fact ``at-<cell>`` is bit ``cell - 1``.  One goal hypothesis per goal
-    cell: its bit.  The moves go to ``DomainDefinition`` as a generator, so
-    each tuple is freed once its entry is filed and the compile never holds
-    a list of them beside the index (fewer live objects also mean fewer
-    garbage-collector passes).
+    A state of one fact on the board is the agent on that cell.  It is
+    interned through a list indexed by the cell, and its row lists the free
+    cells one ``offset`` step away, in name order: down, left, right, up.
+    A cell's moves become index entries ``(pre, ~del, add, name)`` the
+    first time a name, ``applicable_actions`` or ``actions`` reads that
+    cell, and a name is known only in the exact spelling the entry has, so
+    ``move-up-012-3`` and a move off the board or into a blocked cell are
+    unknown.  Any other state (none, several or a bit past the board) gets
+    ``DomainDefinition``'s row and id: every move whose cell holds, in name
+    order, interned by value.
     """
-    width, height, blocked = spec.width, spec.height, spec.blocked
-    n = width * height
-    labels = [str(c) for c in range(n + 1)]  # each cell number, formatted once
 
-    def moves():
-        for cell in range(1, n + 1):
-            if cell in blocked:
-                continue
-            here, text = 1 << (cell - 1), labels[cell]
-            # ``offset``'s rule, one divmod for the cell's four neighbours.
-            row, col = divmod(cell - 1, width)
-            for direction, (drow, dcol) in DELTAS.items():
-                r, c = row + drow, col + dcol
-                nbr = r * width + c + 1
-                if not (0 <= r < height and 0 <= c < width) or nbr in blocked:
-                    continue
-                yield (f"move-{direction}-{text}-{labels[nbr]}",
-                       here, 1 << (nbr - 1), here)
+    def __init__(self, spec: GridSpec):
+        n = spec.width * spec.height
+        # Set before the base initializer: the traced benchmark run reads
+        # ``actions`` as soon as that returns.
+        self.width = spec.width
+        self._free = [cell not in spec.blocked for cell in range(1, n + 1)]
+        self._entries = [None] * n  # cell index -> entries, on first read
+        super().__init__([f"at-{cell}" for cell in range(1, n + 1)], ())
+        self._cell_ids = [None] * n  # cell index -> id of that state
 
-    domain = DomainDefinition([f"at-{label}" for label in labels[1:]], moves())
-    return (domain, 1 << (spec.start - 1),
+    def _moves(self, i: int) -> list:
+        """(cell index, direction) of each move from cell index ``i``, in
+        name order: ``offset``'s rule, into free cells only.  A list, built
+        by plain tests, because every row fill reads it."""
+        width, free, found = self.width, self._free, []
+        if free[i]:
+            col = i % width
+            if i + width < len(free) and free[i + width]:
+                found.append((i + width, "down"))
+            if col and free[i - 1]:
+                found.append((i - 1, "left"))
+            if col + 1 < width and free[i + 1]:
+                found.append((i + 1, "right"))
+            if i >= width and free[i - width]:
+                found.append((i - width, "up"))
+        return found
+
+    def _cell(self, state: int) -> Optional[int]:
+        """The cell index of a state of one fact on the board, or None."""
+        i = state.bit_length() - 1
+        return i if 0 <= i < len(self._free) and state == 1 << i else None
+
+    def _cell_entries(self, i: int) -> list:
+        """The entries of the moves from cell index ``i``, in name order."""
+        found = self._entries[i]
+        if found is None:
+            here = 1 << i
+            found = self._entries[i] = [
+                (here, ~here, 1 << j, f"move-{direction}-{i + 1}-{j + 1}")
+                for j, direction in self._moves(i)]
+        return found
+
+    def _entry(self, name: str) -> Optional[tuple]:
+        move = parse_move(name)
+        if move and move[0] == "move" and 1 <= move[2] <= len(self._free):
+            for entry in self._cell_entries(move[2] - 1):
+                if entry[3] == name:
+                    return entry
+        return None
+
+    def _candidates(self, state: int) -> list:
+        found = []
+        for i in _bits(state & (1 << len(self._free)) - 1):
+            found += self._cell_entries(i)
+        found.sort(key=_entry_name)
+        return found
+
+    @property
+    def actions(self) -> tuple:
+        """Every move as a ``GroundAction``, cell by cell in the order of
+        ``DIRECTIONS``, as the eager compile listed them."""
+        if self._actions is None:
+            self._actions = tuple(
+                self.action(name) for i in range(len(self._free))
+                for name in sorted((e[3] for e in self._cell_entries(i)),
+                                   key=lambda n: DIRECTIONS.index(
+                                       move_direction(n))))
+        return self._actions
+
+    def state_id(self, state: int) -> int:
+        i = self._cell(state)
+        if i is None:
+            return super().state_id(state)
+        found = self._cell_ids[i]
+        if found is None:
+            found = self._cell_ids[i] = len(self.states)
+            self.states.append(state)
+            self.rows.append(None)
+        return found
+
+    def expand(self, state_id: int) -> tuple:
+        found = self.rows[state_id]
+        if found is None:
+            state = self.states[state_id]
+            i = self._cell(state)
+            if i is None:
+                found = tuple(self.state_id(state & keep | add)
+                              for pre, keep, add, _ in self._candidates(state)
+                              if pre & state == pre)
+            else:
+                ids, states, rows = self._cell_ids, self.states, self.rows
+                row = []
+                for j, _ in self._moves(i):
+                    sid = ids[j]
+                    if sid is None:  # ``state_id``, inline
+                        sid = ids[j] = len(states)
+                        states.append(1 << j)
+                        rows.append(None)
+                    row.append(sid)
+                found = tuple(row)
+            self.rows[state_id] = found
+        return found
+
+    def __repr__(self):
+        return f"GridDomain({self.width} wide, {len(self.facts)} cells)"
+
+
+def compile_grid(spec: GridSpec):
+    """Compile a grid into (``GridDomain``, initial state, goal masks): one
+    goal hypothesis per goal cell, its bit."""
+    return (GridDomain(spec), 1 << (spec.start - 1),
             [1 << (g - 1) for g in spec.goal_cells])

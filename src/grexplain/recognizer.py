@@ -178,7 +178,9 @@ def _priced(domain: DomainDefinition, state: int, goals: Sequence[int],
     try:
         return sweep(domain, state, goals, budget)
     except BudgetExceeded:
-        raise BudgetExceeded(budget, prefix) from None
+        raise BudgetExceeded(
+            budget, f"pricing the goals after observation {prefix}",
+            prefix) from None
 
 
 def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],

@@ -14,28 +14,30 @@ resulting state and a planning task.  Fact names are read only where they
 come from outside (a raw listing) and written only where they go out to a
 person (an error message).
 
-The successor index files each action under one precondition fact, its
-pivot: the lowest bit of its precondition mask, so a single-bit
-precondition, such as a grid move's, is its own pivot.  Condition-free
-actions form a list of their own.  A compiler that knows an exactly-one
-group (facts of which every reachable state holds exactly one) numbers
-that group first, so an action with a grouped precondition is filed under
-the group's value and an expansion tests only the actions of the one
-group fact that holds: ``compile_sokoban`` numbers the ``player-*`` facts
-first.  A raw STRIPS listing keeps its declared order, and no group is
-guessed from fact names.  The candidates of a state are the buckets of the
-pivots that hold plus the condition-free entries; an action that applies
-has its pivot holding, so it is a candidate, and expansion tests each
-candidate's full precondition mask.  So the pivot decides only how many
+The successor index serves raw STRIPS listings and Sokoban boards; a grid
+files no action and computes its rows from cell arithmetic instead
+(``grids.GridDomain``, which overrides the lookups below).  The index files
+each action under one precondition fact, its pivot: the lowest bit of its
+precondition mask, so a single-bit precondition is its own pivot.
+Condition-free actions form a list of their own.  A compiler that knows
+an exactly-one group (facts of which every reachable state holds exactly
+one) numbers that group first, so an action with a grouped precondition is
+filed under the group's value and an expansion tests only the actions of
+the one group fact that holds: ``compile_sokoban`` numbers the
+``player-*`` facts first.  A raw STRIPS listing keeps its declared order,
+and no group is guessed from fact names.  The candidates of a state are
+the buckets of the pivots that hold plus the condition-free entries; an
+action that applies has its pivot holding, so it is a candidate, and
+expansion tests each candidate's full precondition mask.  So the pivot decides only how many
 candidates are tested, never the rows: a state that breaks a group still
 gets its exact row, in name order.  Where exactly one pivot holds and no
-action is condition-free, as in every reachable grid and Sokoban state,
-the candidates are that bucket as it stands; otherwise they are merged and
+action is condition-free, as in every reachable Sokoban state, the
+candidates are that bucket as it stands; otherwise they are merged and
 sorted by name.
 
 A domain is built from ``(name, pre, add, del)`` 4-tuples of a name and
 three int masks, read once in order; a ``GroundAction`` is one such tuple,
-and the compilers pass plain ones (the board compilers from a generator).
+and the compilers pass plain ones (``compile_sokoban`` from a generator).
 Each action is kept once, as an entry ``(pre, ~del, add, name)``: a state
 ``s`` the action applies in leads to ``s & ~del | add``.  Each bucket lists
 its entries in name order (sorted bucket by bucket; names are unique, so
@@ -60,7 +62,8 @@ first time ``expand`` is asked for its state, and lives as long as the
 domain, so the table's size is bounded by the distinct states searched on
 that domain.  Search keys its maps by id, and ids are small consecutive
 ints that hash apart; a state int of one bit, such as a grid position
-``1 << i``, hashes to one of only 61 values.
+``1 << i``, hashes to one of only 61 values, which is why a grid interns
+its one-cell states through a list indexed by the cell.
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
@@ -167,15 +170,19 @@ class DomainDefinition:
         and the same object on every later one."""
         found = self._values.get(name)
         if found is None:
-            try:
-                pre, keep, add, _ = self._by_name[name]
-            except KeyError:
-                raise MalformedSpec(f"unknown action: {name}") from None
+            entry = self._entry(name)
+            if entry is None:
+                raise MalformedSpec(f"unknown action: {name}")
+            pre, keep, add, _ = entry
             found = self._values[name] = GroundAction(name, pre, add, ~keep)
         return found
 
     def has_action(self, name: str) -> bool:
-        return name in self._by_name
+        return self._entry(name) is not None
+
+    def _entry(self, name: str) -> Optional[tuple]:
+        """The index entry of the action called ``name``, or None."""
+        return self._by_name.get(name)
 
     def encode(self, facts: Iterable[str]) -> int:
         """The state int of a fact set; MalformedSpec names any fact the

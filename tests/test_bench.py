@@ -125,6 +125,32 @@ def test_search_counts_counts_one_board():
     assert len(tool.row("bundled", "bench/sokoban_03", counts).split()) == 9
 
 
+def test_stage_times_times_one_board(tmp_path):
+    """``tools/stage_times.py`` on ``bench/grid_01``: every stage is timed
+    inside the request, the output is written and the wrappers are gone
+    afterwards; the pools are the bundled suite, the four rungs and
+    ``sokoban_deep``."""
+    import json
+
+    from grexplain import cli, scenario
+
+    tool = load_file("tools/stage_times.py")
+    originals = (scenario.parse_scenario_file, scenario._compile,
+                 cli.mirror_posteriors, json.dumps)
+    out = tmp_path / "out.json"
+    stages = tool.request_stages(bundled_scenario_path("bench/grid_01"),
+                                 "whynot", out, runs=1)
+    assert set(stages) == {*tool.STAGES, "request"}
+    assert all(stages[stage] > 0 for stage in tool.STAGES)
+    assert sum(stages[stage] for stage in tool.STAGES) < stages["request"]
+    assert out.read_text().startswith("{\n")
+    assert (scenario.parse_scenario_file, scenario._compile,
+            cli.mirror_posteriors, json.dumps) == originals
+    assert [pool for pool, _ in tool.pools(tmp_path)] == [
+        "bundled", *(f"grid_ladder {rung}" for rung in "ABCD"),
+        "sokoban_deep"]
+
+
 def test_ab_cli_sends_the_benchmark_requests(tmp_path):
     """``tools/ab_cli.py`` sends the benchmark's request sets: every bundled
     scenario with each of the four benchmark verbs, and every board of each

@@ -293,6 +293,32 @@ def test_no_evidence_says_there_is_no_answer(tmp_path, capsys):
                        f"{question} answer\n")
 
 
+# 9 x 3, agent on cell 12: ``move-up-12-3`` is legal, cell 11 is blocked.
+GRID_9X3 = ("kind: grid\ngrid: {width: 9, height: 3, blocked: [11], start: 12,"
+            " goals: [1, 27]}\n")
+
+
+@pytest.mark.parametrize("name", [
+    "move-up-012-3", "move-up-+12-3", "move-up-1_2-3", "move-up- 12-3",
+    "move-down-21-30", "move-left-10-9", "move-left-12-11", "move-down-12-3",
+])
+def test_board_action_names_are_known_only_as_compiled(tmp_path, capsys,
+                                                       name):
+    """A name whose numbers parse to a legal move but are spelled otherwise
+    than the compiler spells them, a move off the board, one into a blocked
+    cell and one whose direction does not fit its cells are unknown, both
+    as an observation token and as an annotated counterfactual action."""
+    board, notes = tmp_path / "board.yaml", tmp_path / "notes.yaml"
+    board.write_text(GRID_9X3 + f"observations: ['{name}']\n")
+    assert run(capsys, "recognize", "--scenario", str(board)) == (
+        2, "", f"error: observation 1: unknown action {name!r}\n")
+    board.write_text(GRID_9X3 + "observations: [right]\n")
+    notes.write_text(f"counterfactual_actions: {{g1: '{name}'}}\n")
+    assert run(capsys, "eval", "--scenario", str(board), "--annotations",
+               str(notes)) == (
+        2, "", f"error: annotation names unknown action {name!r}\n")
+
+
 @pytest.mark.parametrize("notes, message", [
     ("why_ranks: {o1: 0, 1: 5, o01: 2}",
      "why_ranks: keys 'o1' and 1 both name observation 1"),

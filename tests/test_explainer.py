@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grexplain import (EmptyExplanan, GridSpec, GrProblem, UnsolvableGoal,
-                       answer_why, build_explanan, compile_grid, counterfactual_action,
+from grexplain import (BudgetExceeded, EmptyExplanan, GridSpec, GrProblem,
+                       UnsolvableGoal, answer_why, answer_why_not,
+                       build_explanan, compile_grid, counterfactual_action,
                        mirror_posteriors, rank_observations, select_cf_om,
                        select_om)
 from grexplain.explainer import CompleteExplanan, ExplananEntry
@@ -315,6 +316,21 @@ def test_counterfactual_action_unreachable_goal():
     marker = ExplananEntry(1, 0, 1, 0.5)
     with pytest.raises(UnsolvableGoal):
         counterfactual_action(problem, marker, 0)
+
+
+def test_an_exhausted_counterfactual_search_names_its_goal_and_marker(
+        nav_problem):
+    """Recognition fits the default budget; planning g1's counterfactual
+    action at budget 1 does not, and the error says which search ran out."""
+    explanan = build_explanan(mirror_posteriors(nav_problem))
+    marker = answer_why_not(nav_problem, explanan).selections[0].marker
+    with pytest.raises(BudgetExceeded) as raised:
+        answer_why_not(nav_problem, explanan, budget=1)
+    assert str(raised.value) == (
+        "expansion budget of 1 nodes exceeded planning a counterfactual "
+        f"action toward g1 from the state before observation "
+        f"{marker.observation_index}")
+    assert raised.value.prefix == marker.observation_index - 1
 
 
 # --- ranking ------------------------------------------------------------

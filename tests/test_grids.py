@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,11 @@ from grexplain import (GridSpec, MalformedSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost)
 from grexplain.grids import (DIRECTIONS, MAX_CELLS, offset, parse_fact,
                              parse_move)
+
+# The benchmark's own board rules, loaded read-only by path: they restate
+# the compilers' semantics without importing grexplain.
+Board = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench"
+                           / "model.py"))["Board"]
 
 
 def test_two_by_two_has_eight_moves():
@@ -33,20 +41,47 @@ def test_blocked_cells_get_facts_but_no_moves():
     assert not any("-2" == a.name[-2:] or "-2-" in a.name for a in domain.actions)
 
 
-def test_every_reachable_grid_state_fills_its_row_from_one_bucket():
-    """Exactly one pivot, the agent's cell, holds in every reachable state,
-    so the row's candidates are that bucket itself, not a merged copy."""
+def test_every_reachable_grid_state_is_one_cell_interned_by_its_index():
+    """Every reachable grid state holds one fact, the agent's cell, so each
+    takes the cell-arithmetic row and is interned through the cell's list
+    slot, never the by-value map."""
     domain, initial, _ = compile_grid(
         GridSpec(5, 4, frozenset({7, 8, 14}), 1, (20,)))
     found = [domain.state_id(initial)]
     for sid in found:
-        bits = domain.states[sid]
-        pivots = bits & domain._pivot_mask
-        assert bin(pivots).count("1") == 1
-        assert (domain._candidates(bits)
-                is domain._buckets[pivots.bit_length() - 1])
+        i = domain._cell(domain.states[sid])
+        assert domain.states[sid] == 1 << i
+        assert domain._cell_ids[i] == sid
         found += [succ for succ in domain.expand(sid) if succ not in found]
     assert len(found) == 17
+    assert domain._ids == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_grid_rows_and_names_follow_the_benchmark_board_model(width, height,
+                                                              data):
+    """Walked breadth-first, each reachable state's row and its
+    ``applicable_actions`` names are ``Board.successors`` of its cell, and
+    the ids are dense, in the order the model's own search discovers the
+    cells."""
+    cells = range(1, width * height + 1)
+    blocked = data.draw(st.frozensets(st.sampled_from(cells),
+                                      max_size=len(cells) - 1))
+    start = data.draw(st.sampled_from([c for c in cells if c not in blocked]))
+    board = Board("grid", width, height, blocked, start, ())
+    order = [start]
+    for cell in order:
+        order += [nxt for _, nxt in board.successors(cell) if nxt not in order]
+    domain, initial, _ = compile_grid(GridSpec(width, height, blocked, start))
+    assert domain.state_id(initial) == 0
+    for sid, cell in enumerate(order):
+        steps = board.successors(cell)
+        assert [a.name for a in domain.applicable_actions(
+            domain.states[sid])] == [name for name, _ in steps]
+        assert [domain.states[succ] for succ in domain.expand(sid)] == [
+            1 << (nxt - 1) for _, nxt in steps]
+    assert domain.states == [1 << (cell - 1) for cell in order]
 
 
 @st.composite

@@ -431,6 +431,30 @@ def test_lean_compile_equals_an_eager_reference_compile(board):
             assert domain.action(action.name) is action
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_boards().filter(lambda board: board[0] == "grid"), st.data())
+def test_grid_states_of_any_fact_set_get_the_eager_row(board, data):
+    """A grid state need not be one cell: none, several (blocked ones
+    too) or a bit past the board.  Each still gets the row the eager
+    compile gives, every move whose cell holds in name order, and each
+    state keeps one id however it is interned."""
+    _, spec = board
+    domain, _, _ = compile_grid(spec)
+    by_name = sorted(eager_board_actions("grid", spec), key=lambda a: a.name)
+    n = len(domain.facts)
+    states = data.draw(st.lists(st.integers(0, (1 << (n + 1)) - 1),
+                                min_size=1, max_size=6))
+    for state in states:
+        moves = [a for a in by_name if a.preconditions & state
+                 == a.preconditions]
+        assert domain.applicable_actions(state) == moves
+        row = domain.expand(domain.state_id(state))
+        assert [domain.states[sid] for sid in row] == [
+            step(state, a) for a in moves]
+    assert [domain.state_id(state) for state in domain.states] == list(
+        range(len(domain.states)))
+
+
 def test_a_compile_builds_no_action_value(monkeypatch):
     """Grid, Sokoban and raw-STRIPS compiles file plain tuples; an action
     value is built only when it is read, then read again as the same
