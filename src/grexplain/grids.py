@@ -5,11 +5,8 @@ Cells are numbered 1..width*height, row-major from the top-left corner, so
 ``at-<cell>`` fact (blocked cells keep their fact but no action enters them),
 and each legal adjacent move is a unit-cost action named
 ``move-<direction>-<from>-<to>``: pre and del {at-<from>}, add {at-<to>}.
-``compile_grid`` files none of them.  Its ``GridDomain`` computes each
-successor row from the agent's cell and builds a move's name and value only
-where one is read (an observation, a plan step, the output), while raw
-STRIPS listings and Sokoban boards keep the successor index of
-``DomainDefinition`` (``strips`` module docstring).
+No move is filed: ``GridDomain`` computes each row from the agent's cell
+and builds a move's name and value only where one is read.
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
@@ -120,19 +117,15 @@ def parse_fact(fact: str):
 
 
 class GridDomain(DomainDefinition):
-    """A grid's domain: fact ``at-<cell>`` is bit ``cell - 1``, and the
-    moves are worked out from cell arithmetic, so no action is filed.
+    """A grid's domain, fact ``at-<cell>`` being bit ``cell - 1``.
 
-    A state of one fact on the board is the agent on that cell.  It is
-    interned through a list indexed by the cell, and its row lists the free
-    cells one ``offset`` step away, in name order: down, left, right, up.
-    A cell's moves become index entries ``(pre, ~del, add, name)`` the
-    first time a name, ``applicable_actions`` or ``actions`` reads that
-    cell, and a name is known only in the exact spelling the entry has, so
-    ``move-up-012-3`` and a move off the board or into a blocked cell are
-    unknown.  Any other state (none, several or a bit past the board) gets
-    ``DomainDefinition``'s row and id: every move whose cell holds, in name
-    order, interned by value.
+    A one-cell state is interned by its cell index, and its row lists the
+    free cells one ``offset`` step away in name order: down, left, right,
+    up.  A cell's moves become index entries the first time a name,
+    ``applicable_actions`` or ``actions`` reads the cell; a name is known
+    only as the entry spells it, so ``move-up-012-3`` is unknown.  Any other
+    state gets ``DomainDefinition``'s row and id: every move whose cell
+    holds, in name order, interned by value.
     """
 
     def __init__(self, spec: GridSpec):
@@ -147,8 +140,7 @@ class GridDomain(DomainDefinition):
 
     def _moves(self, i: int) -> list:
         """(cell index, direction) of each move from cell index ``i``, in
-        name order: ``offset``'s rule, into free cells only.  A list, built
-        by plain tests, because every row fill reads it."""
+        name order; a list, not a generator, as every row fill reads it."""
         width, free, found = self.width, self._free, []
         if free[i]:
             col = i % width
@@ -237,9 +229,6 @@ class GridDomain(DomainDefinition):
                 found = tuple(row)
             self.rows[state_id] = found
         return found
-
-    def __repr__(self):
-        return f"GridDomain({self.width} wide, {len(self.facts)} cells)"
 
 
 def compile_grid(spec: GridSpec):

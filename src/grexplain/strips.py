@@ -14,10 +14,9 @@ resulting state and a planning task.  Fact names are read only where they
 come from outside (a raw listing) and written only where they go out to a
 person (an error message).
 
-The successor index serves raw STRIPS listings and Sokoban boards; a grid
-files no action and computes its rows from cell arithmetic instead
-(``grids.GridDomain``, which overrides the lookups below).  The index files
-each action under one precondition fact, its pivot: the lowest bit of its
+The successor index serves raw STRIPS listings and Sokoban boards (a grid
+computes its rows instead: ``grids.GridDomain``).  It files each action
+under one precondition fact, its pivot: the lowest bit of its
 precondition mask, so a single-bit precondition is its own pivot.
 Condition-free actions form a list of their own.  A compiler that knows
 an exactly-one group (facts of which every reachable state holds exactly
@@ -62,8 +61,8 @@ first time ``expand`` is asked for its state, and lives as long as the
 domain, so the table's size is bounded by the distinct states searched on
 that domain.  Search keys its maps by id, and ids are small consecutive
 ints that hash apart; a state int of one bit, such as a grid position
-``1 << i``, hashes to one of only 61 values, which is why a grid interns
-its one-cell states through a list indexed by the cell.
+``1 << i``, hashes to one of only 61 values (so a grid interns those by
+cell index).
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
@@ -250,5 +249,4 @@ class DomainDefinition:
         return found
 
     def __repr__(self):
-        return (f"DomainDefinition({len(self.facts)} facts, "
-                f"{len(self._by_name)} actions)")
+        return f"{type(self).__name__}({len(self.facts)} facts)"
