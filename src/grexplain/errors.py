@@ -33,10 +33,16 @@ class InvalidObservationChain(GrexError):
 
 
 class AllGoalsUnsolvable(GrexError):
-    """Every goal hypothesis received score zero at some observation prefix."""
+    """Every goal hypothesis received score zero at some observation prefix.
+    ``held`` names the goals still reachable there when each of them held
+    in the initial state, so scored 0 on its base cost of 0."""
 
-    def __init__(self, prefix: int):
-        super().__init__(f"no goal hypothesis is reachable after observation {prefix}")
+    def __init__(self, prefix: int, held: tuple = ()):
+        super().__init__(
+            f"every goal hypothesis reachable after observation {prefix} "
+            f"({', '.join(held)}) held in the initial state, so each scores 0"
+            if held else
+            f"no goal hypothesis is reachable after observation {prefix}")
         self.prefix = prefix
 
 

@@ -6,7 +6,9 @@ Cells are numbered 1..width*height, row-major from the top-left corner, so
 and each legal adjacent move is a unit-cost action named
 ``move-<direction>-<from>-<to>``: pre and del {at-<from>}, add {at-<to>}.
 No move is filed: ``GridDomain`` computes each row from the agent's cell
-and builds a move's name and value only where one is read.
+and builds a move's name and value only where one is read, and formats the
+``at-<cell>`` names only where ``facts``, ``encode``, ``decode`` or an
+error message reads them.
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
@@ -30,10 +32,10 @@ DIRECTIONS = tuple(DELTAS)
 # of the cell count: an open 64 x 64 multi-push board (47,616 actions)
 # compiles in about 0.4 s to 230 MB peak RSS (Python 3.11, 2-core Xeon), and
 # four times the cells would need about 3.5 GB.  A grid compile files no
-# action: an open 64 x 64 grid compiles in about 1 ms and fills all 4,096
-# rows in about 8 ms, within 2 MB of the 15.7 MB the import takes; reading
-# all 16,128 actions (``actions``) adds about 20 MB.  A fixed validation
-# limit, not a setting.
+# action and formats no fact name: an open 64 x 64 grid compiles in about
+# 0.25 ms and fills all 4,096 rows in about 9 ms, within 2 MB of the 15.8 MB
+# the import takes; reading all 16,128 actions (``actions``) adds about
+# 20 MB.  A fixed validation limit, not a setting.
 MAX_CELLS = 4_096
 
 
@@ -121,37 +123,47 @@ class GridDomain(DomainDefinition):
 
     A one-cell state is interned by its cell index, and its row lists the
     free cells one ``offset`` step away in name order: down, left, right,
-    up.  A cell's moves become index entries the first time a name,
-    ``applicable_actions`` or ``actions`` reads the cell; a name is known
-    only as the entry spells it, so ``move-up-012-3`` is unknown.  Any other
-    state gets ``DomainDefinition``'s row and id: every move whose cell
-    holds, in name order, interned by value.
+    up.  A cell's moves become index entries, in that order, the first time
+    a name, ``applicable_actions`` or ``actions`` reads the cell, and a
+    one-cell state's candidates are its cell's entries as they stand; a
+    name is known only as the entry spells it, so ``move-up-012-3`` is
+    unknown.  Any other state gets ``DomainDefinition``'s row and id: every
+    move whose cell holds, in name order, interned by value.
     """
 
     def __init__(self, spec: GridSpec):
         n = spec.width * spec.height
         # Set before the base initializer: the traced benchmark run reads
-        # ``actions`` as soon as that returns.
+        # ``facts`` and ``actions`` as soon as that returns.
         self.width = spec.width
         self._free = [cell not in spec.blocked for cell in range(1, n + 1)]
         self._entries = [None] * n  # cell index -> entries, on first read
-        super().__init__([f"at-{cell}" for cell in range(1, n + 1)], ())
+        super().__init__((), ())
+        self.fact_count = n
         self._cell_ids = [None] * n  # cell index -> id of that state
 
-    def _moves(self, i: int) -> list:
-        """(cell index, direction) of each move from cell index ``i``, in
+    @property
+    def facts(self) -> tuple:
+        """``at-1`` to ``at-<cells>``, formatted on first read."""
+        if not self._facts:
+            self._facts = tuple(f"at-{cell}"
+                                for cell in range(1, len(self._free) + 1))
+        return self._facts
+
+    def _neighbours(self, i: int) -> list:
+        """The indices of the free cells one step from cell index ``i``, in
         name order; a list, not a generator, as every row fill reads it."""
         width, free, found = self.width, self._free, []
         if free[i]:
             col = i % width
             if i + width < len(free) and free[i + width]:
-                found.append((i + width, "down"))
+                found.append(i + width)
             if col and free[i - 1]:
-                found.append((i - 1, "left"))
+                found.append(i - 1)
             if col + 1 < width and free[i + 1]:
-                found.append((i + 1, "right"))
+                found.append(i + 1)
             if i >= width and free[i - width]:
-                found.append((i - width, "up"))
+                found.append(i - width)
         return found
 
     def _cell(self, state: int) -> Optional[int]:
@@ -163,10 +175,13 @@ class GridDomain(DomainDefinition):
         """The entries of the moves from cell index ``i``, in name order."""
         found = self._entries[i]
         if found is None:
-            here = 1 << i
+            here, width = 1 << i, self.width
+            # At width 1 a one-cell step is vertical: listed last, down and
+            # up win there.
+            words = {-1: "left", 1: "right", width: "down", -width: "up"}
             found = self._entries[i] = [
-                (here, ~here, 1 << j, f"move-{direction}-{i + 1}-{j + 1}")
-                for j, direction in self._moves(i)]
+                (here, ~here, 1 << j, f"move-{words[j - i]}-{i + 1}-{j + 1}")
+                for j in self._neighbours(i)]
         return found
 
     def _entry(self, name: str) -> Optional[tuple]:
@@ -178,6 +193,9 @@ class GridDomain(DomainDefinition):
         return None
 
     def _candidates(self, state: int) -> list:
+        i = self._cell(state)
+        if i is not None:
+            return self._cell_entries(i)
         found = []
         for i in _bits(state & (1 << len(self._free)) - 1):
             found += self._cell_entries(i)
@@ -219,7 +237,7 @@ class GridDomain(DomainDefinition):
             else:
                 ids, states, rows = self._cell_ids, self.states, self.rows
                 row = []
-                for j, _ in self._moves(i):
+                for j in self._neighbours(i):
                     sid = ids[j]
                     if sid is None:  # ``state_id``, inline
                         sid = ids[j] = len(states)

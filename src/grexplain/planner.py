@@ -10,9 +10,10 @@ state's bits only for goal tests.  It stops once every goal asked for has
 been reached, so one sweep prices many goals from the same state, and every
 sweep on a domain shares that domain's successor table: a state expanded by
 one recognition sweep is read, not expanded again, by the next sweep and by
-counterfactual planning.  A row lists successor ids only, so
-``optimal_plan`` names each step of its plan by re-deriving it from
-``applicable_actions`` on the parent's bits.
+counterfactual planning.  A row lists successor ids only, in the order of
+``applicable_actions`` on the same state (``strips`` module docstring), so
+``optimal_plan`` names each step of its plan by the child's position in the
+parent's row.
 
 Each layer is goal-tested, first state to last, before any of it is
 expanded.  The budget counts states dequeued as a search that takes one
@@ -46,7 +47,7 @@ docstring).
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .strips import DomainDefinition, step
+from .strips import DomainDefinition
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -209,22 +210,19 @@ def optimal_plan(task: PlanningTask,
     Ties between equal-length plans go to the lexicographically first
     action-name sequence: the parent chain of the first goal state the
     sweep dequeues (see the module docstring for why).  Successor rows hold
-    no actions, so each step is re-derived: the first action in
-    ``applicable_actions(parent)`` whose progression gives the child.  That
-    is the action that discovered the child: the parent was expanded with
-    successors in name order and only the first arrival is recorded, so
-    when two actions lead to the same state the earlier name is taken.
+    no actions, so each step is named by position:
+    ``applicable_actions(parent)[rows[parent].index(child)]``, as the row
+    and that list hold the same actions in the same order.  ``index`` takes
+    the first position that leads to the child, which is the action that
+    discovered it: the parent was expanded with successors in name order
+    and only the first arrival is recorded, so when two actions lead to the
+    same state the earlier name is taken.
     """
     domain = task.domain
     found = sweep(domain, task.initial, [task.goal], budget)
     if found.costs[0] is None:
         return None
-    states = domain.states
+    states, rows = domain.states, domain.rows
     path = [domain.state_id(task.initial), *reversed(found.chains()[0])]
-    actions = []
-    for parent, child in zip(path, path[1:]):
-        bits = states[parent]
-        actions.append(next(action
-                            for action in domain.applicable_actions(bits)
-                            if step(bits, action) == states[child]))
-    return tuple(actions)
+    return tuple(domain.applicable_actions(states[parent])[
+        rows[parent].index(child)] for parent, child in zip(path, path[1:]))

@@ -98,7 +98,7 @@ class GrProblem(_GrProblemFields):
                 board=None, name=""):
         goals, observations = tuple(goals), tuple(observations)
         names = goal_labels(goal_names, len(goals))
-        declared = len(domain.facts)
+        declared = domain.fact_count
         labels = ["initial state", *(f"goal {n}" for n in names)]
         for label, mask in zip(labels, (initial, *goals)):
             if mask >> declared:
@@ -252,7 +252,15 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
         for j, suffix in zip(reachable, suffixes):
             if suffix is not None:
                 scores[j] = base_costs[j] / (i + suffix)
-        per_prefix.append(distribution(scores, i))
+        try:
+            per_prefix.append(distribution(scores, i))
+        except AllGoalsUnsolvable:
+            held = [j for j, suffix in zip(reachable, suffixes)
+                    if suffix is not None]
+            if held and not any(base_costs[j] for j in held):
+                raise AllGoalsUnsolvable(
+                    i, tuple(problem.goal_names[j] for j in held)) from None
+            raise
 
     final = per_prefix[-1] if per_prefix else prior_dist
     predicted, counterfactual = split_goals(final)

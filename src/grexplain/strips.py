@@ -1,18 +1,19 @@
 """Ground STRIPS world model: facts, states, unit-cost actions, progression.
 
 Facts are strings with lexicographic (stable, total) ordering.  A domain
-numbers its facts in declaration order, fact i is bit i, and a state is a
-Python ``int`` holding the bits of the facts that hold (closed world:
-anything not set is false).  An action is a name plus three such masks, so
-applicability is ``pre & s == pre`` and progression is ``s & ~del | add``
-(``step``).  The compilers write the bits straight from the fact order they
-emit, initial states and goals included; a raw STRIPS listing turns fact
-names into masks through ``encode``, the one name-to-bit reader, and
-``decode`` is its inverse.  Past the file reader every state and goal is an
-int: a recognition problem's initial state and goals, an observation's
-resulting state and a planning task.  Fact names are read only where they
-come from outside (a raw listing) and written only where they go out to a
-person (an error message).
+numbers its facts in declaration order, fact i is bit i (``fact_count`` of
+them), and a state is a Python ``int`` holding the bits of the facts that
+hold (closed world: anything not set is false).  An action is a name plus
+three such masks, so applicability is ``pre & s == pre`` and progression is
+``s & ~del | add`` (``step``).  The compilers write the bits straight from
+the fact order they emit, initial states and goals included; a raw STRIPS
+listing turns fact names into masks through ``encode``, the one name-to-bit
+reader, and ``decode`` is its inverse; the name-to-bit map is built on the
+first ``encode``.  Past the file reader every state and goal is an int: a
+recognition problem's initial state and goals, an observation's resulting
+state and a planning task.  Fact names are read only where they come from
+outside (a raw listing) and written only where they go out to a person (an
+error message).
 
 The successor index serves raw STRIPS listings and Sokoban boards (a grid
 computes its rows instead: ``grids.GridDomain``).  It files each action
@@ -42,27 +43,30 @@ Each action is kept once, as an entry ``(pre, ~del, add, name)``: a state
 its entries in name order (sorted bucket by bucket; names are unique, so
 that is the order of one global sort), and ``_by_name`` maps a name to its
 entry in compile order.  Search reads only entries, so a compile builds no
-``GroundAction``: the value is built from its entry the first time
-``action`` reads it and is then cached, and ``applicable_actions`` and
-``actions`` (all of them, in compile order, built on first read) hand out
-the cached values.  So one name gives one object on every path, and a plan
-step ``is`` the ``domain.action`` of its name.  An entry holds only ints
-and a string, so the garbage collector stops tracking it at its first
+``GroundAction``: a value is built from the entry in hand the first time it
+is read (``applicable_actions`` holds its entries; ``action`` looks the
+name up) and is then cached under its name, which ``has_action`` also reads
+first.  ``actions`` (all of them, in compile order) is built on first read
+from the same cache.  So one name gives one object on every path, and a
+plan step ``is`` the ``domain.action`` of its name.  An entry holds only
+ints and a string, so the garbage collector stops tracking it at its first
 collection; a ``GroundAction``, a tuple subclass, stays tracked for life.
 
 Each domain interns the state ints it meets to dense ids (``state_id``;
 ``states[id]`` maps back) and keeps a successor table indexed by id: row
 ``id`` is a tuple of successor ids, one per applicable action, in action
-name order.  A row holds no action: whoever needs one re-derives it from
-``applicable_actions`` and ``step``.  A tuple of ints holds no reference
-the garbage collector has to follow, so the collector stops tracking a row
-instead of promoting it with every collection.  A row fills lazily, the
-first time ``expand`` is asked for its state, and lives as long as the
-domain, so the table's size is bounded by the distinct states searched on
-that domain.  Search keys its maps by id, and ids are small consecutive
-ints that hash apart; a state int of one bit, such as a grid position
-``1 << i``, hashes to one of only 61 values (so a grid interns those by
-cell index).
+name order.  A row holds no action, but a row and ``applicable_actions`` of
+its state read the same candidates through the same test, so they list the
+same actions in the same order: the action behind successor k is
+``applicable_actions(state)[k]``, which is how ``optimal_plan`` names its
+steps.  A tuple of ints holds no reference the garbage collector has to
+follow, so the collector stops tracking a row instead of promoting it with
+every collection.  A row fills lazily, the first time ``expand`` is asked
+for its state, and lives as long as the domain, so the table's size is
+bounded by the distinct states searched on that domain.  Search keys its
+maps by id, and ids are small consecutive ints that hash apart; a state int
+of one bit, such as a grid position ``1 << i``, hashes to one of only 61
+values (so a grid interns those by cell index).
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
@@ -117,9 +121,8 @@ class DomainDefinition:
     ``(name, pre, add, del)`` 4-tuple such as a ``GroundAction``."""
 
     def __init__(self, facts: Sequence[str], actions: Iterable[tuple]):
-        self.facts = tuple(facts)
-        self._index = {fact: i for i, fact in enumerate(self.facts)}
-        if len(self._index) != len(self.facts):
+        self._facts = facts = tuple(facts)
+        if len(set(facts)) != len(facts):
             raise MalformedSpec("duplicate facts in domain universe")
 
         # Successor index (see the module docstring): entries
@@ -128,7 +131,7 @@ class DomainDefinition:
         by_name = self._by_name = {}  # name -> entry, in compile order
         buckets = self._buckets = {}  # pivot fact index -> [entry]
         free = self._unconditional = []  # [entry]
-        n = len(self.facts)
+        n = self.fact_count = len(facts)
         for name, pre, add, dele in actions:
             if name in by_name:
                 raise MalformedSpec(f"duplicate action name: {name}")
@@ -150,11 +153,17 @@ class DomainDefinition:
             bucket.sort(key=_entry_name)
         free.sort(key=_entry_name)
         self._pivot_mask = sum(1 << i for i in buckets)
+        self._index = None  # fact name -> bit, built on first ``encode``
         self._values = {}  # name -> GroundAction, built on first read
         self._actions = None
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
         self.rows = []  # id -> (successor id, ...), or None
+
+    @property
+    def facts(self) -> tuple:
+        """The fact names, fact i being bit i."""
+        return self._facts
 
     @property
     def actions(self) -> tuple:
@@ -172,12 +181,19 @@ class DomainDefinition:
             entry = self._entry(name)
             if entry is None:
                 raise MalformedSpec(f"unknown action: {name}")
-            pre, keep, add, _ = entry
+            found = self._value(entry)
+        return found
+
+    def _value(self, entry: tuple) -> GroundAction:
+        """The ``GroundAction`` of an index entry, cached under its name."""
+        pre, keep, add, name = entry
+        found = self._values.get(name)
+        if found is None:
             found = self._values[name] = GroundAction(name, pre, add, ~keep)
         return found
 
     def has_action(self, name: str) -> bool:
-        return self._entry(name) is not None
+        return name in self._values or self._entry(name) is not None
 
     def _entry(self, name: str) -> Optional[tuple]:
         """The index entry of the action called ``name``, or None."""
@@ -187,12 +203,15 @@ class DomainDefinition:
         """The state int of a fact set; MalformedSpec names any fact the
         domain does not declare."""
         facts = frozenset(facts)
+        if self._index is None:
+            self._index = {fact: i for i, fact in enumerate(self.facts)}
+        index = self._index
         try:
-            return sum(1 << self._index[f] for f in facts)
+            return sum(1 << index[f] for f in facts)
         except KeyError:
             raise MalformedSpec(
                 f"facts not declared in the domain: "
-                f"{sorted(f for f in facts if f not in self._index)}") from None
+                f"{sorted(f for f in facts if f not in index)}") from None
 
     def decode(self, state: int) -> frozenset:
         """The fact set of a state int: the inverse of ``encode``."""
@@ -213,10 +232,11 @@ class DomainDefinition:
         return found
 
     def applicable_actions(self, state: int) -> list:
-        """All actions applicable in the encoded ``state``, sorted by name."""
-        action = self.action
-        return [action(name) for pre, _, _, name in self._candidates(state)
-                if pre & state == pre]
+        """All actions applicable in the encoded ``state``, sorted by name:
+        the actions of row ``state_id(state)``, in the row's order."""
+        value = self._value
+        return [value(entry) for entry in self._candidates(state)
+                if entry[0] & state == entry[0]]
 
     def state_id(self, state: int) -> int:
         """The dense id of the encoded ``state``, interned on first sight."""
@@ -249,4 +269,4 @@ class DomainDefinition:
         return found
 
     def __repr__(self):
-        return f"{type(self).__name__}({len(self.facts)} facts)"
+        return f"{type(self).__name__}({self.fact_count} facts)"

@@ -126,26 +126,32 @@ def test_search_counts_counts_one_board():
 
 
 def test_stage_times_times_one_board(tmp_path):
-    """``tools/stage_times.py`` on ``bench/grid_01``: every stage is timed
+    """``tools/stage_times.py`` on ``bench/grid_01``: every stage, the
+    observation replay and the counterfactual plans included, is timed
     inside the request, the output is written and the wrappers are gone
     afterwards; the pools are the bundled suite, the four rungs and
     ``sokoban_deep``."""
     import json
 
-    from grexplain import cli, scenario
+    from grexplain import cli, explainer, scenario
 
     tool = load_file("tools/stage_times.py")
-    originals = (scenario.parse_scenario_file, scenario._compile,
-                 cli.mirror_posteriors, json.dumps)
+
+    def wrapped():
+        return (scenario.parse_scenario_file, scenario._compile,
+                scenario.build_problem, cli.mirror_posteriors,
+                explainer.optimal_plan, json.dumps)
+
+    originals = wrapped()
     out = tmp_path / "out.json"
     stages = tool.request_stages(bundled_scenario_path("bench/grid_01"),
                                  "whynot", out, runs=1)
     assert set(stages) == {*tool.STAGES, "request"}
+    assert {"replay", "plan"} <= set(tool.STAGES)
     assert all(stages[stage] > 0 for stage in tool.STAGES)
     assert sum(stages[stage] for stage in tool.STAGES) < stages["request"]
     assert out.read_text().startswith("{\n")
-    assert (scenario.parse_scenario_file, scenario._compile,
-            cli.mirror_posteriors, json.dumps) == originals
+    assert wrapped() == originals
     assert [pool for pool, _ in tool.pools(tmp_path)] == [
         "bundled", *(f"grid_ladder {rung}" for rung in "ABCD"),
         "sokoban_deep"]

@@ -272,6 +272,22 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_goals_that_held_initially_exit_2_saying_so(tmp_path, capsys):
+    """g1 holds in the initial state, so its base cost of 0 scores 0 after
+    ``right`` although it is one step away: the exit-2 message says that
+    rather than calling it unreachable."""
+    board = tmp_path / "board.yaml"
+    board.write_text("kind: grid\ngrid: {width: 3, height: 1, start: 1, "
+                     "goals: [1]}\nobservations: [right]\n")
+    assert run(capsys, "recognize", "--scenario", str(board)) == (
+        2, "", "error: every goal hypothesis reachable after observation 1 "
+        "(g1) held in the initial state, so each scores 0\n")
+    board.write_text("kind: grid\ngrid: {width: 3, height: 1, blocked: [2], "
+                     "start: 1, goals: [3]}\nobservations: []\n")
+    assert run(capsys, "recognize", "--scenario", str(board)) == (
+        2, "", "error: no goal hypothesis is reachable after observation 0\n")
+
+
 GRID_3X3 = ("kind: grid\ngrid: {width: 3, height: 3, blocked: [], start: 1,"
             " goals: [9, 3]}\n")
 
@@ -317,6 +333,28 @@ def test_board_action_names_are_known_only_as_compiled(tmp_path, capsys,
     assert run(capsys, "eval", "--scenario", str(board), "--annotations",
                str(notes)) == (
         2, "", f"error: annotation names unknown action {name!r}\n")
+
+
+def test_a_name_read_once_keeps_the_exact_spelling_rule(tmp_path, capsys):
+    """Reading ``move-up-12-3`` caches its value; ``move-up-012-3`` is still
+    unknown to ``has_action`` and ``action``, and as an observation after
+    the move it spells differently."""
+    problem = build_problem(parse_scenario(yaml.safe_load(
+        Path(NAV).read_text())))
+    domain = problem.domain
+    assert domain.action("move-up-12-3").name == "move-up-12-3"
+    assert domain.has_action("move-up-12-3")
+    assert not domain.has_action("move-up-012-3")
+    with pytest.raises(grexplain.MalformedSpec,
+                       match="unknown action: move-up-012-3"):
+        domain.action("move-up-012-3")
+    board = tmp_path / "board.yaml"
+    board.write_text(Path(NAV).read_text().replace(
+        "observations: [right, right, right, right, right, right, up, up]",
+        "observations: [move-up-20-11, right, move-up-12-3, down, "
+        "move-up-012-3]"))
+    assert run(capsys, "recognize", "--scenario", str(board)) == (
+        2, "", "error: observation 5: unknown action 'move-up-012-3'\n")
 
 
 @pytest.mark.parametrize("notes, message", [

@@ -7,6 +7,7 @@ from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
                        PlanningTask, SokobanSpec, compile_grid,
                        compile_sokoban, optimal_plan)
 from grexplain.grids import DIRECTIONS, offset, parse_move
+from grexplain.planner import sweep
 from grexplain.scenario import (ScenarioFile, StripsListing, _compile,
                                 build_problem)
 from grexplain.strips import step
@@ -481,3 +482,80 @@ def test_a_compile_builds_no_action_value(monkeypatch):
         assert type(first) is GroundAction
         assert domain.action(first.name) is first
         assert domain.actions[domain.actions.index(first)] is first
+
+
+@st.composite
+def stepped_domains(draw):
+    """A domain and the states to walk from: a grid from states of any fact
+    set (as in the eager-row test above), a Sokoban board with
+    ``multi_push`` on or off from its initial state, or a raw-STRIPS listing
+    that holds two actions leading to the same successor."""
+    kind = draw(st.sampled_from(["grid", "sokoban", "strips"]))
+    if kind == "strips":
+        domain, actions, states = draw(strips_domains())
+        twin = draw(st.sampled_from(actions))
+        name = draw(st.sampled_from([f"0{twin.name}", f"{twin.name}~"]))
+        domain = DomainDefinition(domain.facts,
+                                  [*actions, twin._replace(name=name)])
+        return domain, [domain.encode(state) for state in states]
+    spec = draw(small_boards().filter(lambda board: board[0] == kind))[1]
+    if kind == "sokoban":
+        domain, initial, _ = compile_sokoban(spec)
+        return domain, [initial]
+    domain, initial, _ = compile_grid(spec)
+    n = domain.fact_count
+    return domain, [initial, *draw(st.lists(
+        st.integers(0, (1 << (n + 1)) - 1), min_size=1, max_size=3))]
+
+
+def first_step_plan(domain, initial, goal):
+    """The old naming rule, kept as the oracle: each step of the sweep's
+    chain is the first applicable action whose ``step`` gives the child."""
+    found = sweep(domain, initial, [goal])
+    if found.costs[0] is None:
+        return None
+    states = domain.states
+    path = [domain.state_id(initial), *reversed(found.chains()[0])]
+    return tuple(next(action
+                      for action in domain.applicable_actions(states[parent])
+                      if step(states[parent], action) == states[child])
+                 for parent, child in zip(path, path[1:]))
+
+
+def walked_rows(domain, start, cap=300):
+    """The ids of the states reachable from ``start``, breadth first, up to
+    about ``cap``; each state's row is checked against its
+    ``applicable_actions`` stepped in order, each action being
+    ``domain.action`` of its name."""
+    found = [domain.state_id(start)]
+    seen = set(found)
+    for sid in found:
+        bits = domain.states[sid]
+        actions = domain.applicable_actions(bits)
+        row = domain.expand(sid)
+        assert [step(bits, action) for action in actions] == [
+            domain.states[succ] for succ in row]
+        for action in actions:
+            assert domain.action(action.name) is action
+        if len(found) < cap:
+            found += [succ for succ in row if succ not in seen]
+            seen.update(row)
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(stepped_domains(), st.data())
+def test_rows_list_the_applicable_actions_in_order(case, data):
+    """Each reachable state's row is its ``applicable_actions`` stepped, in
+    order, so naming a plan step by its row position gives the old rule's
+    plans, action for action."""
+    domain, starts = case
+    for start in starts[1:]:
+        walked_rows(domain, start)
+    found = walked_rows(domain, starts[0])
+    goals = data.draw(st.lists(st.sampled_from(found), max_size=4))
+    for goal in [domain.states[sid] for sid in goals]:
+        plan = optimal_plan(PlanningTask(domain, starts[0], goal))
+        expected = first_step_plan(domain, starts[0], goal)
+        assert plan == expected
+        assert all(a is b for a, b in zip(plan, expected))

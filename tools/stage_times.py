@@ -7,18 +7,22 @@ The requests are the benchmark's: every bundled scenario with the four
 ``sokoban_deep`` pools in ``perfbench/pool/`` (only read) with its
 workload's verbs, each sent through ``grexplain.cli.main`` with
 ``--format structured``.  For each send, wrappers installed just before it
-and removed just after it time five stages:
+and removed just after it time seven stages:
 
 - ``parse``: ``scenario.parse_scenario_file`` (read, YAML, spec checks);
 - ``compile``: ``scenario._compile``;
+- ``replay``: ``scenario.build_problem`` less its ``_compile``, that is
+  direction words, observation steps and the problem's checks;
 - ``fill``: the calls of the compiled domain's ``expand``, each of which
   computes one successor row;
 - ``recognize``: ``mirror_posteriors``, less the rows it filled;
+- ``plan``: ``explainer.optimal_plan`` (counterfactual actions), less the
+  rows it filled;
 - ``encode``: ``json.dumps``, the structured output's ``indent=2`` encode.
 
 ``request`` is the whole ``main`` call and ``other`` is what the stages
-leave of it (observation replay, explanation, rendering, argument parsing,
-the write).  Each request is sent ``RUNS`` times and a stage's time for it
+leave of it (the rest of the explanation, rendering, argument parsing, the
+write).  Each request is sent ``RUNS`` times and a stage's time for it
 is the median over those sends.  A pool's row is the mean over its
 requests of those medians, in ms, each with its share of the request.  The
 pools are ``bundled``, the four ``grid_ladder`` rungs and ``sokoban_deep``.
@@ -36,12 +40,12 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from grexplain import cli, scenario  # noqa: E402
+from grexplain import cli, explainer, scenario  # noqa: E402
 from workloads import (VERB_ARGS, WORKLOADS, bundled_paths,  # noqa: E402
                        load_pool)
 
 RUNS = 7
-STAGES = ("parse", "compile", "fill", "recognize", "encode")
+STAGES = ("parse", "compile", "replay", "fill", "recognize", "plan", "encode")
 
 
 def send_stages(path, verb: str, out) -> dict:
@@ -49,13 +53,18 @@ def send_stages(path, verb: str, out) -> dict:
     scenario file ``path``, writing its output to ``out``."""
     seconds = dict.fromkeys(STAGES, 0.0)
 
-    def timed(stage, fn):
+    def timed(stage, fn, less=None):
+        """``fn`` timed into ``stage``, less what it spent in stage
+        ``less``."""
         def wrapper(*args, **kwargs):
+            inner = seconds[less] if less else 0.0
             started = perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 seconds[stage] += perf_counter() - started
+                if less:
+                    seconds[stage] -= seconds[less] - inner
         return wrapper
 
     compile_ = timed("compile", scenario._compile)
@@ -65,19 +74,15 @@ def send_stages(path, verb: str, out) -> dict:
         found[0].expand = timed("fill", found[0].expand)
         return found
 
-    recognize = timed("recognize", cli.mirror_posteriors)
-
-    def recognized(*args, **kwargs):
-        filled = seconds["fill"]
-        try:
-            return recognize(*args, **kwargs)
-        finally:
-            seconds["recognize"] -= seconds["fill"] - filled
-
     patches = [(scenario, "parse_scenario_file",
                 timed("parse", scenario.parse_scenario_file)),
                (scenario, "_compile", compiled),
-               (cli, "mirror_posteriors", recognized),
+               (scenario, "build_problem",
+                timed("replay", scenario.build_problem, "compile")),
+               (cli, "mirror_posteriors",
+                timed("recognize", cli.mirror_posteriors, "fill")),
+               (explainer, "optimal_plan",
+                timed("plan", explainer.optimal_plan, "fill")),
                (json, "dumps", timed("encode", json.dumps))]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     for owner, name, wrapper in patches:
