@@ -18,11 +18,14 @@ the successors of every layer but the final one, which is never expanded.
   initial state that have lost their certificate (below).  A plain sweep,
   over all of them, dequeues about E0 states.
 * Tables (``planner.distance_tables``): enumerate the R states reachable
-  from the initial state, then one backward sweep per reachable goal, so
-  about |G| + 2 passes over R states.  R is at least S0, so the tables are
+  from the initial state that are not hopeless for every reachable goal,
+  then one backward sweep per reachable goal, so about |G| + 2 passes over
+  R states.  Where no state is hopeless R is at least S0, so the tables are
   tried only when (|G| + 2) * S0 <= n * E0, and enumerated under a cap of
   min(budget, n * E0 // (|G| + 2)) states; past the cap the sweeps run
   after all, over the successor rows the enumeration already expanded.
+  S0 also counts the hopeless states the first sweep discovered, so on a
+  Sokoban board the tables are tried more rarely.
 
 A goal's certificate is the parent chain of its first hit in the last
 sweep that priced it (``planner`` module docstring).  Observation i moves
@@ -34,20 +37,26 @@ for as long as the agent follows the chain; the goals that leave theirs are
 swept together from s(i), and that sweep gives them new chains.  A goal met
 at depth 0 has no chain, so no certificate.  This is the exact form of
 recomputing only when the observation leaves the current plan (Vered and
-Kaminka 2017).  The selection rule above still counts plain sweeps, so
-certification never changes the path taken.
+Kaminka 2017).  A goal that a sweep from s(i) finds unreachable stays
+unreachable from every later observed state, as each is reachable from
+s(i), so it is priced None and never swept again.  The selection rule
+above still counts plain sweeps, so neither changes the path taken.
 
 Both paths give the same costs.  BudgetExceeded is raised where the sweeps
 the recognizer actually runs raise it, and names the observation prefix
 that sweep was pricing (0 for the initial state).  Each of those sweeps
 starts from the same state as one of the n + 1 plain sweeps (the initial
 state over every goal, each observed state over the reachable goals) but
-looks for a subset of its goals, so it dequeues no more; and the tables are
-used only when every reachable state fits in the budget, so that no sweep
-could have raised.  So a budget that the n + 1 plain sweeps fit never
-exits 3.  Scores are normalized into a posterior over the goal set;
-unreachable goals get probability 0.  Goals within
-``DEFAULT_TIE_TOLERANCE`` of the final maximum are co-predicted.
+looks for a subset of its goals: it drops at least the states the plain
+sweep drops as hopeless and stops no later, so it dequeues no more.  The
+tables are used only when the reachable states that are not hopeless for
+every reachable goal fit in the budget, and no sweep dequeues any other
+state but its start, so no sweep could have raised.  So a budget that the
+n + 1 plain sweeps fit never exits 3.  As the sweeps drop hopeless states,
+a Sokoban board needs a smaller budget than one that dequeued them.
+Scores are normalized into a posterior over the goal set; unreachable
+goals get probability 0.  Goals within ``DEFAULT_TIE_TOLERANCE`` of the
+final maximum are co-predicted.
 """
 
 from typing import NamedTuple, Optional, Sequence, Union
@@ -187,11 +196,15 @@ def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                   chains: list, budget: int, prefix: int) -> list:
     """Cost to each goal from ``state``, the state after observation
     ``prefix``.  A goal whose certificate in ``chains`` passes next through
-    ``state`` reads it off the chain; the others are priced by one sweep,
-    which replaces their certificates (module docstring)."""
+    ``state`` reads it off the chain; a goal whose chain is None was
+    unreachable from an earlier observed state, so it is from this one too;
+    the others are priced by one sweep, which replaces their certificates,
+    or sets None for a goal it finds unreachable (module docstring)."""
     sid = domain.state_id(state)
     costs, left = [None] * len(goals), []
     for k, chain in enumerate(chains):
+        if chain is None:
+            continue
         if chain and chain[-1] == sid:
             chain.pop()
             costs[k] = len(chain)
@@ -200,7 +213,7 @@ def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
     if left:
         found = _priced(domain, state, [goals[k] for k in left], budget, prefix)
         for k, cost, chain in zip(left, found.costs, found.chains()):
-            costs[k], chains[k] = cost, chain
+            costs[k], chains[k] = cost, None if cost is None else chain
     return costs
 
 

@@ -21,13 +21,25 @@ every reachable state has the player on exactly one cell, and every action
 has exactly one ``player-`` precondition, its lowest precondition bit.  So
 the successor index files each action under its start cell, and an
 expansion tests only the actions that start where the player stands.
+
+A box moves from cell x to x + d only if x - d and x + d are both floor: a
+``push`` needs the player at x - d, and in a ``push2`` the front box needs
+the rear box at x - d and the rear box needs the player behind it.  So a
+box can end on a storage cell only from that cell's pull closure: the
+storage itself and every cell x whose neighbour x + d is in the closure
+while x - d is floor.  A goal's live cells are the union of its storages'
+closures.  Boxes are never added, so a state with fewer boxes on its live
+cells than the goal has storages is hopeless for it: these are the dead
+squares of Junghanns and Schaeffer (2001).  ``SokobanDomain.drop_hopeless``
+gives the planner that test, which never rules out a state that can reach
+the goal.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import MalformedSpec
 from .grids import DIRECTIONS, check_board_size, offset
-from .strips import DomainDefinition
+from .strips import DomainDefinition, _bits
 
 
 class _SokobanFields(NamedTuple):
@@ -80,20 +92,78 @@ class SokobanSpec(_SokobanFields):
                                storage, goal_assignments, multi_push)
 
 
+class SokobanDomain(DomainDefinition):
+    """A Sokoban board's domain, which tells the planner the states that
+    are hopeless for a goal (module docstring).
+
+    ``pulls[i]`` lists the floor indices from which one push moves a box
+    onto floor cell i, and ``box-<floor[i]>`` is bit ``len(pulls) + i``.
+    """
+
+    def __init__(self, facts, actions, pulls: list):
+        super().__init__(facts, actions)
+        self._pulls = pulls
+        self._bounds = {}  # goal mask -> (live box mask, boxes needed)
+
+    def _bound(self, goal: int) -> Optional[tuple]:
+        """(live box mask, boxes needed) of ``goal``, or None for a goal
+        with a bit other than a box bit."""
+        if goal not in self._bounds:
+            pulls = self._pulls
+            k = len(pulls)
+            storage, found = goal >> k, None
+            if storage << k == goal and not storage >> k:
+                live = set(_bits(storage))
+                todo = list(live)
+                while todo:
+                    for j in pulls[todo.pop()]:
+                        if j not in live:
+                            live.add(j)
+                            todo.append(j)
+                found = sum(1 << (k + j) for j in live), storage.bit_count()
+            self._bounds[goal] = found
+        return self._bounds[goal]
+
+    def drop_hopeless(self, ids: list, goals: Sequence[int]) -> list:
+        """The ids of ``ids`` whose states have enough boxes on the live
+        cells of some goal of ``goals``, in order; ``ids`` itself if a goal
+        is not boxes alone."""
+        bounds = [self._bound(goal) for goal in goals]
+        if None in bounds:
+            return ids
+        states = self.states
+        if len(bounds) == 1:  # the usual case, and a faster filter
+            (live, need), = bounds
+            return [sid for sid in ids
+                    if (states[sid] & live).bit_count() >= need]
+        kept = []
+        for sid in ids:
+            state = states[sid]
+            for live, need in bounds:
+                if (state & live).bit_count() >= need:
+                    kept.append(sid)
+                    break
+        return kept
+
+
 def compile_sokoban(spec: SokobanSpec):
-    """Compile a Sokoban board into (domain, initial state, goal masks).
+    """Compile a Sokoban board into (``SokobanDomain``, initial state, goal
+    masks).
 
     With ``floor`` the non-wall cells in order, ``player-<floor[i]>``,
     ``box-<floor[i]>`` and ``clear-<floor[i]>`` are bits i, len(floor) + i
     and 2 * len(floor) + i.  The actions go to ``DomainDefinition`` as a
-    generator, as in ``compile_grid``.
+    generator, as in ``compile_grid``, which fills the pull lists as it
+    yields the pushes.
     """
     n = spec.width * spec.height
     floor = [c for c in range(1, n + 1) if c not in spec.walls]
     k = len(floor)
-    player = {c: 1 << i for i, c in enumerate(floor)}
-    box = {c: 1 << (k + i) for i, c in enumerate(floor)}
-    clear = {c: 1 << (2 * k + i) for i, c in enumerate(floor)}
+    at = {c: i for i, c in enumerate(floor)}
+    player = {c: 1 << i for c, i in at.items()}
+    box = {c: 1 << (k + i) for c, i in at.items()}
+    clear = {c: 1 << (2 * k + i) for c, i in at.items()}
+    pulls = [[] for _ in floor]
 
     def step(cell, direction, steps=1):
         """The floor cell ``steps`` moves away, or None at a wall or edge."""
@@ -115,6 +185,7 @@ def compile_sokoban(spec: SokobanSpec):
                 box_to = step(cell, direction, 2)
                 if box_to is None:
                     continue
+                pulls[at[box_to]].append(at[dest])
                 pre = player[cell] | box[dest] | clear[box_to]
                 yield (f"push-{suffix}", pre,
                        player[dest] | box[box_to] | clear[cell], pre)
@@ -130,7 +201,7 @@ def compile_sokoban(spec: SokobanSpec):
 
     facts = [f"{kind}-{labels[c]}" for kind in ("player", "box", "clear")
              for c in floor]
-    domain = DomainDefinition(facts, actions())
+    domain = SokobanDomain(facts, actions(), pulls)
 
     occupied = {spec.player, *spec.boxes}
     initial = (player[spec.player] | sum(box[b] for b in spec.boxes)

@@ -238,6 +238,14 @@ class DomainDefinition:
         return [value(entry) for entry in self._candidates(state)
                 if entry[0] & state == entry[0]]
 
+    def drop_hopeless(self, ids: list, goals: Sequence[int]) -> list:
+        """The ids of ``ids`` whose states are not known to be hopeless for
+        every goal of ``goals``, in order.  A state is hopeless for a goal
+        when no action sequence leads from it to a state that meets the
+        goal.  No state is known hopeless here, so this is ``ids`` itself;
+        ``SokobanDomain`` knows some."""
+        return ids
+
     def state_id(self, state: int) -> int:
         """The dense id of the encoded ``state``, interned on first sight."""
         found = self._ids.get(state)

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import grexplain
-from grexplain import bundled_bench_paths, bundled_scenario_path
+from grexplain import bundled_bench_paths, bundled_scenario_path, recognizer
 from grexplain.cli import build_parser, main
 from grexplain.scenario import build_problem, parse_scenario
 
@@ -878,16 +878,43 @@ def test_budget_exhaustion_exits_3(capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("budget, prefix", [(5, 0), (500, 2)])
+@pytest.mark.parametrize("budget, prefix", [(5, 0), (400, 2)])
 def test_budget_exhaustion_names_the_prefix_being_priced(capsys, budget,
                                                          prefix):
-    # sokoban_pairs' initial sweep dequeues 397 states and the sweep from
-    # the second observed state 535
+    # sokoban_pairs' initial sweep dequeues 324 states and the sweep from
+    # the second observed state 423
     code, out, err = run(capsys, "recognize", "--scenario", PAIRS,
                          "--budget", str(budget))
     assert (code, out) == (3, "")
     assert err == (f"error: expansion budget of {budget} nodes exceeded "
                    f"pricing the goals after observation {prefix}\n")
+
+
+def test_a_stranded_box_on_the_table_path_exits_2(tmp_path, capsys,
+                                                  monkeypatch):
+    """Forty-two observations put this board on the distance tables.  The
+    second push strands the box on cell 8, on the right edge, where no
+    storage can be reached: that state is hopeless, so the tables never
+    expand it and the later observed states are interned past their end.
+    Recognition must stop at observation 2 without reading them."""
+    tables, built = recognizer.distance_tables, []
+
+    def spy(*args):
+        built.append(tables(*args))
+        return built[-1]
+
+    monkeypatch.setattr(recognizer, "distance_tables", spy)
+    moves = ["right", "right"] + ["left", "left", "right", "right"] * 10
+    board = tmp_path / "stranded.yaml"
+    board.write_text(yaml.safe_dump({
+        "kind": "sokoban", "observations": moves,
+        "sokoban": {"width": 4, "height": 3, "player": 5, "boxes": [6],
+                    "storage": [1, 9], "goals": [[1], [9]]}}))
+    code, out, err = run(capsys, "recognize", "--scenario", str(board))
+    assert (code, out) == (2, "")
+    assert err == ("error: no goal hypothesis is reachable after "
+                   "observation 2\n")
+    assert len(built) == 1 and built[0] is not None
 
 
 def test_budget_exhaustion_exits_3_on_a_grid(capsys):

@@ -289,7 +289,7 @@ def test_recognition_on_a_sokoban_board_expands_what_the_sweeps_expand():
     domain.expand = counted
     mirror_posteriors(problem)
     rows = sum(row is not None for row in domain.rows)
-    assert len(filled) == len(set(filled)) == rows == 9_242
+    assert len(filled) == len(set(filled)) == rows == 3_218
 
 
 def test_filled_successor_rows_are_not_tracked_by_the_collector():
@@ -446,4 +446,4 @@ def test_certificates_skip_sweeps_on_sokoban_03(monkeypatch):
     monkeypatch.setattr(recognizer, "sweep", counted)
     mirror_posteriors(problem)
     assert len(problem.observations) + 1 == 5
-    assert sizes == [11_481, 472]
+    assert sizes == [3_636, 388]

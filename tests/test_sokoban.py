@@ -1,9 +1,13 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grexplain import (MalformedSpec, PlanningTask, SokobanSpec,
-                       compile_sokoban, optimal_cost, optimal_plan)
+                       compile_sokoban, distance_tables, optimal_cost,
+                       optimal_costs, optimal_plan)
+from grexplain.planner import sweep
+from grexplain.strips import DomainDefinition, step
 
 from conftest import applicable, apply
 
@@ -134,3 +138,86 @@ def test_goal_audit_reports_dead_hypotheses():
     domain, initial, goals = compile_sokoban(spec)
     assert [optimal_cost(PlanningTask(domain, initial, g)) is None
             for g in goals] == [True, False]
+
+
+def test_a_box_that_can_reach_no_storage_makes_a_state_hopeless():
+    # 4x3 open board: a box on the right edge, cell 8, can move only up or
+    # down, so it never reaches storage 1 or 9 on the left edge; a goal
+    # that is not boxes alone turns the test off
+    spec = SokobanSpec(4, 3, frozenset(), 7, (8,), (1, 9), ((1,), (9,)),
+                       False)
+    domain, initial, goals = compile_sokoban(spec)
+    sid = domain.state_id(initial)
+    assert domain.drop_hopeless([sid], goals) == []
+    assert domain.drop_hopeless([sid], [goals[0] | initial]) == [sid]
+    moved = domain.state_id(step(initial, domain.action("move-up-7-3")))
+    assert domain.drop_hopeless([moved, sid], goals) == []
+    assert optimal_costs(domain, initial, goals) == [None, None]
+    assert sweep(domain, initial, goals).dequeued == 1
+
+
+@st.composite
+def pruned_searches(draw):
+    """A Sokoban board of 3x3 to 5x4 cells with 1-3 boxes anywhere (so on
+    dead cells too), up to three walls, 1-3 goals of 1 to as many storage
+    cells as boxes, ``multi_push`` on or off, and a start state reached by
+    a random walk of up to eight actions from the initial state."""
+    width, height = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+    cells = range(1, width * height + 1)
+    boxes = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3,
+                          unique=True))
+    player = draw(st.sampled_from([c for c in cells if c not in boxes]))
+    walls = draw(st.sets(st.sampled_from(
+        [c for c in cells if c not in boxes and c != player]), max_size=3))
+    storage = draw(st.lists(
+        st.sampled_from([c for c in cells if c not in walls]),
+        min_size=1, max_size=4, unique=True))
+    goals = draw(st.lists(st.lists(
+        st.sampled_from(storage), min_size=1,
+        max_size=min(len(boxes), len(storage)), unique=True),
+        min_size=1, max_size=3))
+    domain, state, goal_masks = compile_sokoban(SokobanSpec(
+        width, height, walls, player, boxes, storage, goals,
+        draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 8))):
+        moves = domain.applicable_actions(state)
+        if not moves:
+            break
+        state = step(state, draw(st.sampled_from(moves)))
+    return domain, state, goal_masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(pruned_searches())
+def test_dead_square_pruning_keeps_every_search_result(case):
+    """The same actions with no hopeless test give the same costs, first
+    hits, chains, plans and tables, and never dequeue fewer states."""
+    domain, start, goals = case
+    oracle = DomainDefinition(domain.facts, domain.actions)
+    assert optimal_costs(domain, start, goals) == optimal_costs(oracle, start,
+                                                                goals)
+    pruned, plain = sweep(domain, start, goals), sweep(oracle, start, goals)
+
+    def spelled(found, on):
+        """The hits and chains of a sweep on ``on`` as state ints."""
+        states = on.states
+        return ([None if sid is None else states[sid] for sid in found.hits],
+                [[states[sid] for sid in chain] for chain in found.chains()])
+
+    assert spelled(pruned, domain) == spelled(plain, oracle)
+    assert plain.dequeued >= pruned.dequeued
+    def plan_names(on, goal):
+        plan = optimal_plan(PlanningTask(on, start, goal))
+        return None if plan is None else [a.name for a in plan]
+
+    for goal in goals:
+        assert plan_names(domain, goal) == plan_names(oracle, goal)
+    # every state interned so far is reachable from ``start``, so the
+    # unpruned tables cover it
+    tables = distance_tables(domain, start, goals)
+    expected = distance_tables(oracle, start, goals)
+    for sid, state in enumerate(domain.states[:len(tables[0])]):
+        costs = [table[oracle.state_id(state)] for table in expected]
+        assert [table[sid] for table in tables] == costs
+        if not domain.drop_hopeless([sid], goals):
+            assert costs == [None] * len(goals)
