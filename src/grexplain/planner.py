@@ -110,7 +110,7 @@ def sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
     start = domain.state_id(initial)
     parents = {start: None}
     costs, hits = [None] * len(goals), [None] * len(goals)
-    pending = list(range(len(goals)))
+    pending, wanted = list(range(len(goals))), goals
     layer, depth, expansions = [start], 0, 0
     while layer and pending:
         unmet, last = [], -1
@@ -127,6 +127,8 @@ def sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
             if expansions > budget:
                 raise BudgetExceeded(budget)
             return Sweep(costs, parents, hits, expansions)
+        if len(unmet) < len(pending):
+            wanted = [goals[i] for i in unmet]
         pending = unmet
         expansions += len(layer)
         if expansions > budget:
@@ -137,7 +139,7 @@ def sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
                 if succ not in parents:
                     parents[succ] = sid
                     successors.append(succ)
-        layer = domain.drop_hopeless(successors, [goals[i] for i in pending])
+        layer = domain.drop_hopeless(successors, wanted)
         depth += 1
     return Sweep(costs, parents, hits, expansions)
 
