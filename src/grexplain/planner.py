@@ -39,6 +39,17 @@ budget; otherwise the whole layer is counted, and checked against the
 budget, before it is expanded.  So the states of the final layer are never
 expanded, and a sweep asked for no goal dequeues nothing.
 
+Across goals the budget holds one way.  A state kept for a pending goal is
+kept whatever other goals are pending, so a sweep for several goals
+dequeues at least as many states as the sweep for any one of them, and
+raises BudgetExceeded whenever one of those would.  Where nothing is
+dropped it dequeues exactly as many as the largest of them.  Where hopeless
+states are dropped it may dequeue more, and so raise where none of them
+would, as it also expands the states kept only for its other goals: in a
+5 x 1 Sokoban corridor with the player on cell 5, a box on 3 and the goals
+box-1 and box-5, the sweep for both dequeues 6 states and each one-goal
+sweep 5.
+
 ``distance_tables`` prices every goal from every state reachable from one
 state: one enumeration of that space, which drops the states hopeless for
 every goal as a sweep does, then one breadth-first sweep per goal over the
@@ -156,7 +167,9 @@ def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> list:
     """Optimal cost from ``state`` to each goal (None if unreachable), from
     one sweep.  ``budget >= 1`` caps the states expanded; BudgetExceeded is
-    raised exactly when some single-goal ``optimal_cost`` would raise it.
+    raised whenever some single-goal ``optimal_cost`` would raise it, and on
+    a domain that drops hopeless states it may also be raised when none
+    would (module docstring).
     """
     return sweep_costs(domain, state, goals, budget)[0]
 
@@ -165,20 +178,19 @@ def _reachable(domain: DomainDefinition, start: int, goals: Sequence[int],
                cap: int):
     """Ids of the states reachable from id ``start``, in breadth-first
     order, that are not hopeless for every goal of ``goals``, ``start``
-    first; or None once more than ``cap`` are found.  As in ``sweep``, each
-    new layer drops its hopeless states before any of it is expanded."""
-    rows, found, seen, layer = domain.rows, [start], {start}, [start]
-    while layer:
+    first; or None as soon as one state's row takes the count past
+    ``cap``.  As in ``sweep``, a hopeless state is dropped when it is
+    discovered, so it is never expanded."""
+    rows, found, seen = domain.rows, [start], {start}
+    for sid in found:
         successors = []
-        for sid in layer:
-            for succ in rows[sid] or domain.expand(sid):
-                if succ not in seen:
-                    seen.add(succ)
-                    successors.append(succ)
-        layer = domain.drop_hopeless(successors, goals)
-        if len(found) + len(layer) > cap:
+        for succ in rows[sid] or domain.expand(sid):
+            if succ not in seen:
+                seen.add(succ)
+                successors.append(succ)
+        found += domain.drop_hopeless(successors, goals)
+        if len(found) > cap:
             return None
-        found += layer
     return found
 
 

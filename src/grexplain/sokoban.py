@@ -131,12 +131,7 @@ class SokobanDomain(DomainDefinition):
         bounds = [self._bound(goal) for goal in goals]
         if None in bounds:
             return ids
-        states = self.states
-        if len(bounds) == 1:  # the usual case, and a faster filter
-            (live, need), = bounds
-            return [sid for sid in ids
-                    if (states[sid] & live).bit_count() >= need]
-        kept = []
+        states, kept = self.states, []
         for sid in ids:
             state = states[sid]
             for live, need in bounds:

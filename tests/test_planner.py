@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from grexplain import (BudgetExceeded, GridSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost,
                        optimal_costs, optimal_plan)
-from grexplain.planner import distance_tables, sweep_costs
+from grexplain.planner import distance_tables, sweep, sweep_costs
 
 from conftest import (apply, bfs_grid_distance, bfs_order, random_grid_spec,
                       strips_domain)
@@ -227,6 +227,22 @@ def test_distance_tables_give_up_past_the_cap_and_keep_their_rows():
     assert [table[start] for table in tables] == [2, None]
 
 
+def test_distance_tables_give_up_at_the_row_that_passes_the_cap():
+    # goal 25 is walled off, so a sweep for it discovers all 19 reachable
+    # states in breadth-first order; the tables stop after the row of the
+    # state that discovered state cap + 1, and fill no later row
+    spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
+    domain, initial, goals = compile_grid(spec)
+    parents = sweep(domain, initial, [goals[1]]).parents
+    order = list(parents)
+    assert len(order) == 19
+    for cap in range(1, 19):
+        fresh = compile_grid(spec)[0]
+        assert distance_tables(fresh, initial, goals, cap=cap) is None
+        expanded = order.index(parents[order[cap]]) + 1
+        assert sum(row is not None for row in fresh.rows) == expanded, cap
+
+
 @pytest.mark.parametrize("goal_cells", [(1, 21, 7, 10), (1, 21, 7, 25, 10)],
                          ids=["reachable", "one-walled-off"])
 def test_sweep_budget_fails_exactly_when_a_single_goal_search_does(goal_cells):
@@ -249,6 +265,23 @@ def test_sweep_budget_fails_exactly_when_a_single_goal_search_does(goal_cells):
         assert swept == single, budget
         outcomes.add(swept)
     assert outcomes == {True, False}
+
+
+def test_a_sokoban_sweep_for_several_goals_may_run_out_where_none_alone_does():
+    # 5x1 corridor, player on 5, box on 3: box-1 is met at depth 3 by the
+    # second state of that layer, (player 2, box 1), which the sweep for
+    # box-5 alone drops as hopeless; the sweep for both goals expands it,
+    # and box-5 is never met, so it dequeues 6 states against 5 and 5
+    spec = SokobanSpec(5, 1, frozenset(), 5, (3,), (1, 5), ((1,), (5,)),
+                       False)
+    domain, initial, goals = compile_sokoban(spec)
+    assert [sweep_costs(domain, initial, [g])[2] for g in goals] == [5, 5]
+    assert sweep_costs(domain, initial, goals)[2] == 6
+    for g in goals:
+        optimal_cost(PlanningTask(domain, initial, g), budget=5)
+    with pytest.raises(BudgetExceeded):
+        optimal_costs(domain, initial, goals, budget=5)
+    assert optimal_costs(domain, initial, goals, budget=6) == [3, None]
 
 
 def dequeue_oracle(domain, initial, goals):

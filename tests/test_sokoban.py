@@ -206,6 +206,11 @@ def test_dead_square_pruning_keeps_every_search_result(case):
 
     assert spelled(pruned, domain) == spelled(plain, oracle)
     assert plain.dequeued >= pruned.dequeued
+    # a goal's states are kept whatever other goals are pending, so the
+    # sweep for all goals dequeues at least what any one goal's sweep does
+    assert pruned.dequeued >= max(sweep(domain, start, [goal]).dequeued
+                                  for goal in goals)
+
     def plan_names(on, goal):
         plan = optimal_plan(PlanningTask(on, start, goal))
         return None if plan is None else [a.name for a in plan]
