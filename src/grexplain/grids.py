@@ -20,7 +20,7 @@ direction words, ``GridDomain``'s name lookup and the suite generator).
 from typing import NamedTuple, Optional
 
 from .errors import MalformedSpec
-from .strips import DomainDefinition, _bits, _entry_name
+from .strips import DomainDefinition
 
 # Row and column step of each direction word, in the order moves are compiled.
 DELTAS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
@@ -121,14 +121,14 @@ def parse_fact(fact: str):
 class GridDomain(DomainDefinition):
     """A grid's domain, fact ``at-<cell>`` being bit ``cell - 1``.
 
-    A one-cell state is interned by its cell index, and its row lists the
-    free cells one ``offset`` step away in name order: down, left, right,
-    up.  A cell's moves become index entries, in that order, the first time
-    a name, ``applicable_actions`` or ``actions`` reads the cell, and a
-    one-cell state's candidates are its cell's entries as they stand; a
-    name is known only as the entry spells it, so ``move-up-012-3`` is
-    unknown.  Any other state gets ``DomainDefinition``'s row and id: every
-    move whose cell holds, in name order, interned by value.
+    A state is one cell, and its id is the cell's index: ``states`` holds
+    every cell's state from the compile, and any other state is a
+    MalformedSpec (no move leads from a cell to one).  A cell's row lists
+    the free cells one ``offset`` step away in name order: down, left,
+    right, up.  A cell's moves become index entries, in that order, the
+    first time a name, ``applicable_actions`` or ``actions`` reads the
+    cell; a name is known only as the entry spells it, so
+    ``move-up-012-3`` is unknown.
     """
 
     def __init__(self, spec: GridSpec):
@@ -140,7 +140,8 @@ class GridDomain(DomainDefinition):
         self._entries = [None] * n  # cell index -> entries, on first read
         super().__init__((), ())
         self.fact_count = n
-        self._cell_ids = [None] * n  # cell index -> id of that state
+        self.states = [1 << i for i in range(n)]
+        self.rows = [None] * n
 
     @property
     def facts(self) -> tuple:
@@ -166,11 +167,6 @@ class GridDomain(DomainDefinition):
                 found.append(i - width)
         return found
 
-    def _cell(self, state: int) -> Optional[int]:
-        """The cell index of a state of one fact on the board, or None."""
-        i = state.bit_length() - 1
-        return i if 0 <= i < len(self._free) and state == 1 << i else None
-
     def _cell_entries(self, i: int) -> list:
         """The entries of the moves from cell index ``i``, in name order."""
         found = self._entries[i]
@@ -193,14 +189,7 @@ class GridDomain(DomainDefinition):
         return None
 
     def _candidates(self, state: int) -> list:
-        i = self._cell(state)
-        if i is not None:
-            return self._cell_entries(i)
-        found = []
-        for i in _bits(state & (1 << len(self._free)) - 1):
-            found += self._cell_entries(i)
-        found.sort(key=_entry_name)
-        return found
+        return self._cell_entries(self.state_id(state))
 
     @property
     def actions(self) -> tuple:
@@ -215,37 +204,17 @@ class GridDomain(DomainDefinition):
         return self._actions
 
     def state_id(self, state: int) -> int:
-        i = self._cell(state)
-        if i is None:
-            return super().state_id(state)
-        found = self._cell_ids[i]
-        if found is None:
-            found = self._cell_ids[i] = len(self.states)
-            self.states.append(state)
-            self.rows.append(None)
-        return found
+        """The cell index of a one-cell state on the board."""
+        i = state.bit_length() - 1
+        if 0 <= i < self.fact_count and state == 1 << i:
+            return i
+        raise MalformedSpec(f"grid state {state:#x} is not one cell of the "
+                            f"{self.fact_count} on the board")
 
     def expand(self, state_id: int) -> tuple:
         found = self.rows[state_id]
         if found is None:
-            state = self.states[state_id]
-            i = self._cell(state)
-            if i is None:
-                found = tuple(self.state_id(state & keep | add)
-                              for pre, keep, add, _ in self._candidates(state)
-                              if pre & state == pre)
-            else:
-                ids, states, rows = self._cell_ids, self.states, self.rows
-                row = []
-                for j in self._neighbours(i):
-                    sid = ids[j]
-                    if sid is None:  # ``state_id``, inline
-                        sid = ids[j] = len(states)
-                        states.append(1 << j)
-                        rows.append(None)
-                    row.append(sid)
-                found = tuple(row)
-            self.rows[state_id] = found
+            found = self.rows[state_id] = tuple(self._neighbours(state_id))
         return found
 
 

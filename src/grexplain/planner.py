@@ -40,15 +40,15 @@ budget, before it is expanded.  So the states of the final layer are never
 expanded, and a sweep asked for no goal dequeues nothing.
 
 Across goals the budget holds one way.  A state kept for a pending goal is
-kept whatever other goals are pending, so a sweep for several goals
-dequeues at least as many states as the sweep for any one of them, and
+kept whatever other goals are pending, so a sweep for a set of goals
+dequeues at least as many states as the sweep for any subset of them, and
 raises BudgetExceeded whenever one of those would.  Where nothing is
-dropped it dequeues exactly as many as the largest of them.  Where hopeless
-states are dropped it may dequeue more, and so raise where none of them
-would, as it also expands the states kept only for its other goals: in a
-5 x 1 Sokoban corridor with the player on cell 5, a box on 3 and the goals
-box-1 and box-5, the sweep for both dequeues 6 states and each one-goal
-sweep 5.
+dropped it dequeues exactly as many as the largest one-goal sweep.  Where
+hopeless states are dropped it may dequeue more, and so raise where none of
+them would, as it also expands the states kept only for its other goals: in
+a 5 x 1 Sokoban corridor with the player on cell 5, a box on 3 and the
+goals box-1 and box-5, the sweep for both dequeues 6 states and each
+one-goal sweep 5.
 
 ``distance_tables`` prices every goal from every state reachable from one
 state: one enumeration of that space, which drops the states hopeless for
@@ -155,23 +155,11 @@ def sweep(domain: DomainDefinition, initial: int, goals: Sequence[int],
     return Sweep(costs, parents, hits, expansions)
 
 
-def sweep_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
-                budget: int = DEFAULT_BUDGET) -> tuple:
-    """``optimal_costs`` plus the sweep's size: (cost per goal, states
-    discovered, states dequeued)."""
-    found = sweep(domain, state, goals, budget)
-    return found.costs, len(found.parents), found.dequeued
-
-
 def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> list:
     """Optimal cost from ``state`` to each goal (None if unreachable), from
-    one sweep.  ``budget >= 1`` caps the states expanded; BudgetExceeded is
-    raised whenever some single-goal ``optimal_cost`` would raise it, and on
-    a domain that drops hopeless states it may also be raised when none
-    would (module docstring).
-    """
-    return sweep_costs(domain, state, goals, budget)[0]
+    one sweep, under ``budget >= 1`` as the module docstring counts it."""
+    return sweep(domain, state, goals, budget).costs
 
 
 def _reachable(domain: DomainDefinition, start: int, goals: Sequence[int],

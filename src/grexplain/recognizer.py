@@ -47,13 +47,12 @@ the recognizer actually runs raise it, and names the observation prefix
 that sweep was pricing (0 for the initial state).  Each of those sweeps
 starts from the same state as one of the n + 1 plain sweeps (the initial
 state over every goal, each observed state over the reachable goals) but
-looks for a subset of its goals: it drops at least the states the plain
-sweep drops as hopeless and stops no later, so it dequeues no more.  The
-tables are used only when the reachable states that are not hopeless for
-every reachable goal fit in the budget, and no sweep dequeues any other
-state but its start, so no sweep could have raised.  So a budget that the
-n + 1 plain sweeps fit never exits 3.  As the sweeps drop hopeless states,
-a Sokoban board needs a smaller budget than one that dequeued them.
+looks for a subset of its goals, so by the one-way rule across goals
+(``planner`` module docstring) it dequeues no more.  The tables are used
+only when the reachable states that are not hopeless for every reachable
+goal fit in the budget, and no sweep dequeues any other state but its
+start, so no sweep could have raised.  So a budget that the n + 1 plain
+sweeps fit never exits 3.
 Scores are normalized into a posterior over the goal set; unreachable
 goals get probability 0.  Goals within ``DEFAULT_TIE_TOLERANCE`` of the
 final maximum are co-predicted.
@@ -230,7 +229,7 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
 
     domain, goals = problem.domain, problem.goals
     first = _priced(domain, problem.initial, goals, budget, 0)
-    base_costs, discovered, expanded = (first.costs, len(first.parents),
+    base_costs, discovered, dequeued = (first.costs, len(first.parents),
                                         first.dequeued)
     reachable = [j for j, c in enumerate(base_costs) if c is not None]
     reachable_goals = [goals[j] for j in reachable]
@@ -246,9 +245,9 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     # The selection rule and its cap (module docstring).
     n, passes = len(problem.observations), len(goals) + 2
     tables = None
-    if passes * discovered <= n * expanded:
+    if passes * discovered <= n * dequeued:
         tables = distance_tables(domain, problem.initial, reachable_goals,
-                                 min(budget, n * expanded // passes))
+                                 min(budget, n * dequeued // passes))
     if tables is None:
         chains = first.chains()
         chains = [chains[j] for j in reachable]

@@ -66,7 +66,8 @@ for its state, and lives as long as the domain, so the table's size is
 bounded by the distinct states searched on that domain.  Search keys its
 maps by id, and ids are small consecutive ints that hash apart; a state int
 of one bit, such as a grid position ``1 << i``, hashes to one of only 61
-values (so a grid interns those by cell index).
+values (so a grid's states are its cells from the compile, each one's
+id its cell index: ``grids.GridDomain``).
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the

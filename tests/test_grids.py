@@ -42,16 +42,16 @@ def test_blocked_cells_get_facts_but_no_moves():
 
 
 def test_every_reachable_grid_state_is_one_cell_interned_by_its_index():
-    """Every reachable grid state holds one fact, the agent's cell, so each
-    takes the cell-arithmetic row and is interned through the cell's list
-    slot, never the by-value map."""
+    """Every reachable grid state holds one fact, the agent's cell, and its
+    id is that cell's index; every cell is a state from the compile, and
+    the by-value map stays empty."""
     domain, initial, _ = compile_grid(
         GridSpec(5, 4, frozenset({7, 8, 14}), 1, (20,)))
+    assert domain.states == [1 << i for i in range(20)]
     found = [domain.state_id(initial)]
     for sid in found:
-        i = domain._cell(domain.states[sid])
-        assert domain.states[sid] == 1 << i
-        assert domain._cell_ids[i] == sid
+        assert domain.states[sid] == 1 << sid
+        assert domain.state_id(1 << sid) == sid
         found += [succ for succ in domain.expand(sid) if succ not in found]
     assert len(found) == 17
     assert domain._ids == {}
@@ -61,10 +61,10 @@ def test_every_reachable_grid_state_is_one_cell_interned_by_its_index():
 @given(st.integers(1, 7), st.integers(1, 7), st.data())
 def test_grid_rows_and_names_follow_the_benchmark_board_model(width, height,
                                                               data):
-    """Walked breadth-first, each reachable state's row and its
-    ``applicable_actions`` names are ``Board.successors`` of its cell, and
-    the ids are dense, in the order the model's own search discovers the
-    cells."""
+    """Walked breadth-first in the order the model's own search discovers
+    the cells, each reachable state's id is its cell index, and its row and
+    its ``applicable_actions`` names are ``Board.successors`` of its
+    cell."""
     cells = range(1, width * height + 1)
     blocked = data.draw(st.frozensets(st.sampled_from(cells),
                                       max_size=len(cells) - 1))
@@ -73,15 +73,15 @@ def test_grid_rows_and_names_follow_the_benchmark_board_model(width, height,
     order = [start]
     for cell in order:
         order += [nxt for _, nxt in board.successors(cell) if nxt not in order]
-    domain, initial, _ = compile_grid(GridSpec(width, height, blocked, start))
-    assert domain.state_id(initial) == 0
-    for sid, cell in enumerate(order):
+    domain = compile_grid(GridSpec(width, height, blocked, start))[0]
+    for cell in order:
+        sid = domain.state_id(1 << (cell - 1))
+        assert sid == cell - 1
         steps = board.successors(cell)
         assert [a.name for a in domain.applicable_actions(
             domain.states[sid])] == [name for name, _ in steps]
-        assert [domain.states[succ] for succ in domain.expand(sid)] == [
-            1 << (nxt - 1) for _, nxt in steps]
-    assert domain.states == [1 << (cell - 1) for cell in order]
+        assert list(domain.expand(sid)) == [nxt - 1 for _, nxt in steps]
+    assert domain.states == [1 << (cell - 1) for cell in cells]
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from grexplain import (BudgetExceeded, GridSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost,
                        optimal_costs, optimal_plan)
-from grexplain.planner import distance_tables, sweep, sweep_costs
+from grexplain.planner import distance_tables, sweep
 
 from conftest import (apply, bfs_grid_distance, bfs_order, random_grid_spec,
                       strips_domain)
@@ -275,8 +275,8 @@ def test_a_sokoban_sweep_for_several_goals_may_run_out_where_none_alone_does():
     spec = SokobanSpec(5, 1, frozenset(), 5, (3,), (1, 5), ((1,), (5,)),
                        False)
     domain, initial, goals = compile_sokoban(spec)
-    assert [sweep_costs(domain, initial, [g])[2] for g in goals] == [5, 5]
-    assert sweep_costs(domain, initial, goals)[2] == 6
+    assert [sweep(domain, initial, [g]).dequeued for g in goals] == [5, 5]
+    assert sweep(domain, initial, goals).dequeued == 6
     for g in goals:
         optimal_cost(PlanningTask(domain, initial, g), budget=5)
     with pytest.raises(BudgetExceeded):
@@ -304,8 +304,8 @@ def dequeue_oracle(domain, initial, goals):
 
 def assert_dequeues_match_oracle(domain, initial, goals):
     costs, dequeued = dequeue_oracle(domain, initial, goals)
-    found, _, swept = sweep_costs(domain, initial, goals)
-    assert (found, swept) == (costs, dequeued)
+    found = sweep(domain, initial, goals)
+    assert (found.costs, found.dequeued) == (costs, dequeued)
     for budget in range(1, dequeued + 2):
         try:
             optimal_costs(domain, initial, goals, budget)
@@ -341,7 +341,8 @@ def test_sweep_dequeues_match_bfs_order_on_strips_listings(case):
 
 def test_an_empty_goal_list_dequeues_nothing():
     domain, initial, _ = compile_grid(GridSpec(3, 3, frozenset(), 1, (9,)))
-    assert sweep_costs(domain, initial, []) == ([], 1, 0)
+    found = sweep(domain, initial, [])
+    assert (found.costs, len(found.parents), found.dequeued) == ([], 1, 0)
     assert optimal_costs(domain, initial, [], budget=1) == []
 
 

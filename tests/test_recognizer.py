@@ -11,7 +11,7 @@ from grexplain import (AllGoalsUnsolvable, BudgetExceeded, GridSpec,
                        load_scenario, mirror_posteriors, optimal_costs,
                        optimal_plan)
 from grexplain import recognizer
-from grexplain.planner import sweep_costs
+from grexplain.planner import sweep
 from grexplain.strips import step
 from grexplain.recognizer import PosteriorTrace, split_goals
 
@@ -264,7 +264,7 @@ def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):
     # and beside those counts reach every outcome; all of 1..26,585 would
     # take minutes.
     problem = load_scenario(bundled_scenario_path("sokoban_pairs"))
-    sizes = [sweep_costs(problem.domain, state, goals)[2]
+    sizes = [sweep(problem.domain, state, goals).dequeued
              for state, goals in sweep_calls(problem)]
     cap = len(problem.observations) * sizes[0] // (len(problem.goals) + 2)
     budgets = sorted({1, 2} | {c + d for c in sizes + [cap] for d in (-1, 0, 1)})
@@ -419,7 +419,7 @@ def test_a_budget_the_plain_sweeps_fit_returns_the_unlimited_trace(problem,
                                                                    data):
     unlimited = traced_or_none(problem)
     assume(unlimited is not None)
-    largest = max(sweep_costs(problem.domain, state, goals)[2]
+    largest = max(sweep(problem.domain, state, goals).dequeued
                   for state, goals in sweep_calls(problem))
     budget = data.draw(st.integers(1, largest + 1))
     try:

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grexplain import (DomainDefinition, GridSpec, GroundAction, MalformedSpec,
-                       PlanningTask, SokobanSpec, compile_grid,
-                       compile_sokoban, optimal_plan)
+from grexplain import (DomainDefinition, GridSpec, GroundAction,
+                       GrProblem, MalformedSpec, PlanningTask, SokobanSpec,
+                       compile_grid, compile_sokoban, mirror_posteriors,
+                       optimal_plan)
 from grexplain.grids import DIRECTIONS, offset, parse_move
 from grexplain.planner import sweep
 from grexplain.scenario import (ScenarioFile, StripsListing, _compile,
@@ -434,26 +435,27 @@ def test_lean_compile_equals_an_eager_reference_compile(board):
 
 @settings(max_examples=100, deadline=None)
 @given(small_boards().filter(lambda board: board[0] == "grid"), st.data())
-def test_grid_states_of_any_fact_set_get_the_eager_row(board, data):
-    """A grid state need not be one cell: none, several (blocked ones
-    too) or a bit past the board.  Each still gets the row the eager
-    compile gives, every move whose cell holds in name order, and each
-    state keeps one id however it is interned."""
+def test_a_grid_state_that_is_not_one_cell_is_malformed(board, data):
+    """A grid state is one cell of the board.  A state of no cell, of
+    several cells (blocked ones too) or with a bit past the board raises
+    MalformedSpec, the exit-2 class, from ``state_id`` and
+    ``applicable_actions``, and from ``mirror_posteriors`` on a problem
+    built by hand to start there."""
     _, spec = board
     domain, _, _ = compile_grid(spec)
-    by_name = sorted(eager_board_actions("grid", spec), key=lambda a: a.name)
-    n = len(domain.facts)
-    states = data.draw(st.lists(st.integers(0, (1 << (n + 1)) - 1),
-                                min_size=1, max_size=6))
-    for state in states:
-        moves = [a for a in by_name if a.preconditions & state
-                 == a.preconditions]
-        assert domain.applicable_actions(state) == moves
-        row = domain.expand(domain.state_id(state))
-        assert [domain.states[sid] for sid in row] == [
-            step(state, a) for a in moves]
-    assert [domain.state_id(state) for state in domain.states] == list(
-        range(len(domain.states)))
+    n = domain.fact_count
+    state = data.draw(st.one_of(
+        st.just(0), st.integers(n, n + 3).map(lambda i: 1 << i),
+        st.integers(0, (1 << (n + 1)) - 1).filter(lambda s: s & (s - 1))))
+    with pytest.raises(MalformedSpec, match="not one cell"):
+        domain.state_id(state)
+    with pytest.raises(MalformedSpec, match="not one cell"):
+        domain.applicable_actions(state)
+    if not state >> n:  # ``GrProblem`` rejects a bit past the board itself
+        problem = GrProblem(domain, state, [1 << (spec.start - 1)])
+        with pytest.raises(MalformedSpec, match="not one cell"):
+            mirror_posteriors(problem)
+    assert domain.states == [1 << i for i in range(n)]
 
 
 def test_a_compile_builds_no_action_value(monkeypatch):
@@ -486,10 +488,10 @@ def test_a_compile_builds_no_action_value(monkeypatch):
 
 @st.composite
 def stepped_domains(draw):
-    """A domain and the states to walk from: a grid from states of any fact
-    set (as in the eager-row test above), a Sokoban board with
-    ``multi_push`` on or off from its initial state, or a raw-STRIPS listing
-    that holds two actions leading to the same successor."""
+    """A domain and the states to walk from: a grid from its initial state
+    and a few other cells, a Sokoban board with ``multi_push`` on or off
+    from its initial state, or a raw-STRIPS listing that holds two actions
+    leading to the same successor."""
     kind = draw(st.sampled_from(["grid", "sokoban", "strips"]))
     if kind == "strips":
         domain, actions, states = draw(strips_domains())
@@ -503,9 +505,8 @@ def stepped_domains(draw):
         domain, initial, _ = compile_sokoban(spec)
         return domain, [initial]
     domain, initial, _ = compile_grid(spec)
-    n = domain.fact_count
     return domain, [initial, *draw(st.lists(
-        st.integers(0, (1 << (n + 1)) - 1), min_size=1, max_size=3))]
+        st.sampled_from(domain.states), min_size=1, max_size=3))]
 
 
 def first_step_plan(domain, initial, goal):

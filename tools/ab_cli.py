@@ -28,8 +28,11 @@ FILE])``, each verb with the arguments of ``perfbench/workloads.py``'s
 
 Verbs and pool boards are read from this checkout's ``perfbench/``, so
 both trees get the same requests.  A child sends every set ``REPEATS``
-times.  Each send is scaled to the reference host speed by the mean of the
-``hostspeed`` probes taken just before and just after it, as the
+times.  Before each send it runs ``gc.collect()`` and then ``gc.freeze()``,
+so a send starts with empty generations and is timed with only the
+collections its own objects trigger, not ones that earlier requests' objects
+left due.  Each send is scaled to the reference host speed by the mean of
+the ``hostspeed`` probes taken just before and just after it, as the
 benchmark's runner scales its requests, and the child prints each
 request's minimum scaled time and the sha256 of its output as JSON; a
 round takes about 30 s on a 2-core Xeon.
@@ -47,6 +50,7 @@ below 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -158,6 +162,8 @@ def child(tree: Path) -> None:
         for _ in range(REPEATS):
             before = probe()
             for name, key, argv in sent:
+                gc.collect()
+                gc.freeze()
                 t0 = time.perf_counter()
                 code = cli.main([*argv, "--format", "structured",
                                  "--out", str(out)])

@@ -16,7 +16,8 @@ planner sweep that the recognizer calls wrapped to count:
   part dequeued by the sweeps from observed states;
 - ``largest``: the most states one of those sweeps dequeued;
 - ``rows`` and ``states``: the successor rows filled and the states
-  interned, read off the domain afterwards.
+  interned, read off the domain afterwards.  On a grid ``states`` is the
+  board's cell count, because every cell is a state from the compile.
 
 It prints one row per board, then one total row per pool (``bundled``,
 ``grid_ladder``, ``sokoban_deep``), whose ``largest`` is the pool's
