@@ -51,12 +51,12 @@ goals box-1 and box-5, the sweep for both dequeues 6 states and each
 one-goal sweep 5.
 
 ``distance_tables`` prices every goal from every state reachable from one
-state: one enumeration of that space, which drops the states hopeless for
-every goal as a sweep does, then one breadth-first sweep per goal over the
-reversed edges, so each cost is a table lookup.  It takes a cap,
-not a budget, and never raises BudgetExceeded.  The rule for when the
-recognizer takes the tables instead of one sweep per observed state is
-stated in the ``recognizer`` module docstring.
+state: one breadth-first pass interns that whole space, hopeless states
+included, and records each state's predecessors, then one breadth-first
+sweep per goal runs over those reversed edges, so each cost is a table
+lookup.  It takes a cap, not a budget, and never raises BudgetExceeded.
+The rule for when the recognizer takes the tables instead of one sweep per
+observed state is stated in the ``recognizer`` module docstring.
 
 Among equal-length plans the lexicographically first action sequence is
 returned, so downstream explanations are reproducible run to run.  This
@@ -162,47 +162,31 @@ def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
     return sweep(domain, state, goals, budget).costs
 
 
-def _reachable(domain: DomainDefinition, start: int, goals: Sequence[int],
-               cap: int):
-    """Ids of the states reachable from id ``start``, in breadth-first
-    order, that are not hopeless for every goal of ``goals``, ``start``
-    first; or None as soon as one state's row takes the count past
-    ``cap``.  As in ``sweep``, a hopeless state is dropped when it is
-    discovered, so it is never expanded."""
-    rows, found, seen = domain.rows, [start], {start}
-    for sid in found:
-        successors = []
-        for succ in rows[sid] or domain.expand(sid):
-            if succ not in seen:
-                seen.add(succ)
-                successors.append(succ)
-        found += domain.drop_hopeless(successors, goals)
-        if len(found) > cap:
-            return None
-    return found
-
-
 def distance_tables(domain: DomainDefinition, state: int, goals: Sequence[int],
                     cap: int = DEFAULT_BUDGET) -> Optional[list]:
     """Optimal cost to each goal from every state reachable from ``state``.
 
     Returns one list per goal, indexed by state id (``domain.state_id``):
-    the cost, or None where the goal is unreachable.  Ids of states not
-    reachable from ``state`` also read None.  A state hopeless for every
-    goal reads None and is not expanded, so a state reachable only through
-    such states is interned only after the tables are built: its id lies
-    past their end, and reads as None.  Each goal's sweep starts from every
-    kept state that satisfies it.  Returns None instead once more than
-    ``cap`` states are kept, keeping the successor rows expanded so far.
+    the cost, or None where the goal is unreachable.  One breadth-first
+    pass interns every reachable state, so each has an id inside every
+    list; ids of other states read None.  Each goal's sweep starts from
+    every reachable state that satisfies it.  Returns None instead as soon
+    as one state's row takes the count past ``cap``, keeping the successor
+    rows expanded so far.
     """
-    found = _reachable(domain, domain.state_id(state), goals, cap)
-    if found is None:
-        return None
-    states, rows = domain.states, domain.rows
-    predecessors = [[] for _ in states]
+    start, rows = domain.state_id(state), domain.rows
+    found, predecessors = [start], {start: []}
     for sid in found:
-        for succ in rows[sid]:
-            predecessors[succ].append(sid)
+        for succ in rows[sid] or domain.expand(sid):
+            preds = predecessors.get(succ)
+            if preds is None:
+                predecessors[succ] = [sid]
+                found.append(succ)
+            else:
+                preds.append(sid)
+        if len(found) > cap:
+            return None
+    states = domain.states
     tables = []
     for goal in goals:
         table = [None] * len(states)

@@ -18,14 +18,13 @@ the successors of every layer but the final one, which is never expanded.
   initial state that have lost their certificate (below).  A plain sweep,
   over all of them, dequeues about E0 states.
 * Tables (``planner.distance_tables``): enumerate the R states reachable
-  from the initial state that are not hopeless for every reachable goal,
-  then one backward sweep per reachable goal, so about |G| + 2 passes over
-  R states.  Where no state is hopeless R is at least S0, so the tables are
+  from the initial state, then one backward sweep per reachable goal, so
+  about |G| + 2 passes over R states.  R is at least S0, so the tables are
   tried only when (|G| + 2) * S0 <= n * E0, and enumerated under a cap of
   min(budget, n * E0 // (|G| + 2)) states; past the cap the sweeps run
   after all, over the successor rows the enumeration already expanded.
-  S0 also counts the hopeless states the first sweep discovered, so on a
-  Sokoban board the tables are tried more rarely.
+  Every observed state is reachable from the initial state, so each has
+  an id inside the tables.
 
 A goal's certificate is the parent chain of its first hit in the last
 sweep that priced it (``planner`` module docstring).  Observation i moves
@@ -48,10 +47,9 @@ that sweep was pricing (0 for the initial state).  Each of those sweeps
 starts from the same state as one of the n + 1 plain sweeps (the initial
 state over every goal, each observed state over the reachable goals) but
 looks for a subset of its goals, so by the one-way rule across goals
-(``planner`` module docstring) it dequeues no more.  The tables are used
-only when the reachable states that are not hopeless for every reachable
-goal fit in the budget, and no sweep dequeues any other state but its
-start, so no sweep could have raised.  So a budget that the n + 1 plain
+(``planner`` module docstring) it dequeues no more.  On the tables path
+the sweep from the initial state is the only one, and the tables take a
+cap, not a budget, so they never raise.  So a budget that the n + 1 plain
 sweeps fit never exits 3.
 Scores are normalized into a posterior over the goal set; unreachable
 goals get probability 0.  Goals within ``DEFAULT_TIE_TOLERANCE`` of the

@@ -894,9 +894,9 @@ def test_a_stranded_box_on_the_table_path_exits_2(tmp_path, capsys,
                                                   monkeypatch):
     """Forty-two observations put this board on the distance tables.  The
     second push strands the box on cell 8, on the right edge, where no
-    storage can be reached: that state is hopeless, so the tables never
-    expand it and the later observed states are interned past their end.
-    Recognition must stop at observation 2 without reading them."""
+    storage can be reached.  The tables enumerate that state and every
+    later observed state, and each reads None for both goals, so
+    recognition stops at observation 2."""
     tables, built = recognizer.distance_tables, []
 
     def spy(*args):

@@ -168,14 +168,12 @@ def test_optimal_costs_match_bfs_oracle_per_goal(case):
 
 
 def assert_tables_match_sweeps(domain, initial, goals):
-    # a state reachable only through a hopeless one is interned after the
-    # tables are built, so its id lies past their end and reads None
     tables = distance_tables(domain, initial, goals)
     for state, _ in bfs_order(domain, domain.decode(initial)):
         state = domain.encode(state)
         sid = domain.state_id(state)
-        assert [table[sid] if sid < len(table) else None
-                for table in tables] == optimal_costs(domain, state, goals)
+        assert [table[sid] for table in tables] == optimal_costs(domain, state,
+                                                                 goals)
 
 
 @settings(max_examples=100, deadline=None)

@@ -217,11 +217,12 @@ def test_dead_square_pruning_keeps_every_search_result(case):
 
     for goal in goals:
         assert plan_names(domain, goal) == plan_names(oracle, goal)
-    # every state interned so far is reachable from ``start``, so the
-    # unpruned tables cover it
+    # the tables intern every state reachable from ``start``, and the
+    # searches above interned no other
     tables = distance_tables(domain, start, goals)
     expected = distance_tables(oracle, start, goals)
-    for sid, state in enumerate(domain.states[:len(tables[0])]):
+    assert len(tables[0]) == len(domain.states) == len(oracle.states)
+    for sid, state in enumerate(domain.states):
         costs = [table[oracle.state_id(state)] for table in expected]
         assert [table[sid] for table in tables] == costs
         if not domain.drop_hopeless([sid], goals):

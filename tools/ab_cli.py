@@ -4,10 +4,13 @@
     python3 tools/ab_cli.py --parent DIR --change DIR [--rounds N]
 
 Each round runs both trees, the parent first on odd rounds and the change
-first on even ones.  It first times ``import grexplain.cli`` (the
-``setup`` row): ``IMPORTS`` fresh interpreters per tree, alternating
-between the trees, each importing from a copy of the tree's ``src/``
-made without ``__pycache__`` and run with ``PYTHONDONTWRITEBYTECODE=1``.
+first on even ones.  Every process of round r, on both sides, runs under
+``PYTHONHASHSEED=r``, so the two sides of a pair share one hash layout and
+the rounds vary it, rather than each process drawing its own.  It first
+times ``import grexplain.cli`` (the ``setup`` row): ``IMPORTS`` fresh
+interpreters per tree, alternating between the trees, each importing from
+a copy of the tree's ``src/`` made without ``__pycache__`` and run with
+``PYTHONDONTWRITEBYTECODE=1``.
 So grexplain compiles from source on every import while the standard
 library and PyYAML load their installed bytecode, as in the benchmark's
 fresh checkout.  As in the benchmark's ``setup_s``, each import time is
@@ -39,9 +42,9 @@ round takes about 30 s on a 2-core Xeon.
 
 Per round the tool prints the ``setup`` time and, for each set, the
 median of those minima on each side and their ratio (change / parent),
-then one row per set with the medians over all rounds, each side's
-quartiles over the rounds, the rounds the change won and whether the
-change meets the gain rule (``gain_rule``).
+then one row per set with the medians over all rounds, the ratio's range
+over the rounds, each side's quartiles over the rounds, the rounds the
+change won and whether the change meets the gain rule (``gain_rule``).
 It exits 1 if a request fails or the two trees write different output,
 and 2, before either tree is copied, if ``--rounds`` (default 10) is
 below 1.
@@ -107,10 +110,12 @@ def source_copy(tree: Path, dest: Path) -> Path:
                            ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def import_ms(src: Path) -> float:
+def import_ms(src: Path, seed: int) -> float:
     """Milliseconds a fresh interpreter takes to import ``grexplain.cli``
-    from ``src``, writing no bytecode, at the reference host speed."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    from ``src``, under hash seed ``seed`` and writing no bytecode, at the
+    reference host speed."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONHASHSEED=str(seed))
     env.pop("PYTHONPYCACHEPREFIX", None)  # it would recompile the stdlib too
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src),
                            str(PERFBENCH)], capture_output=True, text=True,
@@ -178,10 +183,11 @@ def child(tree: Path) -> None:
     print(json.dumps({"seconds": best, "digests": digests}))
 
 
-def run_child(tree: Path) -> dict:
+def run_child(tree: Path, seed: int) -> dict:
     done = subprocess.run(
         [sys.executable, __file__, "--child", str(tree)],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONHASHSEED=str(seed)))
     if done.returncode != 0:
         raise SystemExit(f"{tree}: {done.stderr.strip()}")
     return json.loads(done.stdout)
@@ -215,10 +221,10 @@ def main() -> int:
             imports = {side: [] for side in trees}
             for _ in range(IMPORTS):
                 for side in order:
-                    imports[side].append(import_ms(sources[side]))
+                    imports[side].append(import_ms(sources[side], round_))
             for side in order:
                 medians[side]["setup"].append(statistics.median(imports[side]))
-                result = run_child(trees[side])
+                result = run_child(trees[side], round_)
                 for name in SETS:
                     medians[side][name].append(statistics.median(
                         result["seconds"][name].values()) * 1e3)
@@ -236,7 +242,8 @@ def main() -> int:
         (p1, p2, p3), (c1, c2, c3) = rule["parent"], rule["change"]
         print(f"{'median':>6}  {'':<6}  {name:<13}  {p2:>9.3f}  {c2:>9.3f}"
               f"  {statistics.median(ratios):>6.3f}"
-              f"  (quartiles {p1:.3f}-{p3:.3f} and {c1:.3f}-{c3:.3f};"
+              f"  (ratios {min(ratios):.3f}-{max(ratios):.3f};"
+              f" quartiles {p1:.3f}-{p3:.3f} and {c1:.3f}-{c3:.3f};"
               f" change faster in {rule['wins']} of {len(ratios)} rounds;"
               f" gain rule {'met' if rule['met'] else 'not met'})")
     differ = sorted(key for key in digests["parent"]

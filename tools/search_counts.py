@@ -8,8 +8,10 @@ sends, then every board of the ``grid_ladder`` and ``sokoban_deep`` pools in
 recognized once by ``mirror_posteriors`` at the default budget, with the
 planner sweep that the recognizer calls wrapped to count:
 
-- ``path``: the path the recognizer's selection rule took, ``tables`` or
-  ``sweeps`` (the ``recognizer`` module docstring);
+- ``path``: the path the recognizer's selection rule took (the
+  ``recognizer`` module docstring): ``tables``; ``sweeps`` where the
+  tables were not tried; or ``capped`` where they were tried, gave up at
+  their cap and the sweeps ran after all;
 - ``sweeps``: the planner sweeps run, the one from the initial state
   included;
 - ``dequeues``: the states those sweeps dequeued, and ``obs_dequeues``, the
@@ -44,7 +46,7 @@ COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states")
 def board_counts(problem) -> dict:
     """The counts of one recognition of ``problem`` (module docstring)."""
     sweep, tables = recognizer.sweep, recognizer.distance_tables
-    sizes, built = [], []
+    sizes, path = [], "sweeps"
 
     def counted_sweep(*args):
         result = sweep(*args)
@@ -52,8 +54,9 @@ def board_counts(problem) -> dict:
         return result
 
     def spied_tables(*args):
+        nonlocal path
         found = tables(*args)
-        built.append(found is not None)
+        path = "capped" if found is None else "tables"
         return found
 
     recognizer.sweep, recognizer.distance_tables = counted_sweep, spied_tables
@@ -62,7 +65,7 @@ def board_counts(problem) -> dict:
     finally:
         recognizer.sweep, recognizer.distance_tables = sweep, tables
     domain = problem.domain
-    return {"path": "tables" if any(built) else "sweeps",
+    return {"path": path,
             "sweeps": len(sizes), "dequeues": sum(sizes),
             "obs_dequeues": sum(sizes[1:]), "largest": max(sizes),
             "rows": sum(row is not None for row in domain.rows),
@@ -83,12 +86,12 @@ def problems(pool: str):
 
 
 def row(pool: str, board: str, counts: dict) -> str:
-    return (f"{pool:<13}  {board:<24}  {counts['path']:<13}  "
+    return (f"{pool:<13}  {board:<24}  {counts['path']:<20}  "
             + "  ".join(f"{counts[c]:>12,}" for c in COLUMNS))
 
 
 def main() -> int:
-    print(f"{'pool':<13}  {'board':<24}  {'path':<13}  "
+    print(f"{'pool':<13}  {'board':<24}  {'path':<20}  "
           + "  ".join(f"{c:>12}" for c in COLUMNS))
     totals = []
     for pool in POOLS:
