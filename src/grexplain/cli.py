@@ -15,6 +15,13 @@ later call in the process parses with that same parser.
 Every command builds a structured payload first; text output is derived from
 it, so ``--format structured`` exposes exactly what the text shows, with
 weights at full precision.
+
+Imports at module level are what every request runs: the scenario loader
+with PyYAML, the recognizer, the planner and the domains.  The rest loads
+with the first call that runs it: ``explainer`` where an explanation list
+is built (``explain``, ``rank``, ``eval``), ``render`` with an answer's text
+or ``--format ascii-grid``, ``metrics`` in ``eval`` and ``bench`` in
+``bench``.
 """
 
 import argparse
@@ -25,12 +32,8 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceeded, GrexError, ValidationError
-from .explainer import (answer_why, answer_why_not, build_explanan,
-                        rank_observations)
-from .metrics import eval_cf_agreement, eval_mae
 from .planner import DEFAULT_BUDGET
 from .recognizer import mirror_posteriors
-from .render import render_ascii
 from .scenario import load_annotations, load_priors, load_scenario
 from .version import __version__
 
@@ -54,8 +57,19 @@ def _run(args, explain=True):
     problem = load_scenario(args.scenario)
     priors = load_priors(args.priors, problem) if args.priors else None
     trace = mirror_posteriors(problem, priors=priors, budget=args.budget)
-    explanan = build_explanan(trace, priors=priors) if explain else None
-    return problem, trace, explanan
+    if not explain:
+        return problem, trace, None
+    from .explainer import build_explanan
+    return problem, trace, build_explanan(trace, priors=priors)
+
+
+def _map_above(args, problem, text, highlight=None):
+    """``text`` under the ASCII map of ``problem`` under ``--format
+    ascii-grid``, else ``text`` unchanged."""
+    if args.format != "ascii-grid":
+        return text
+    from .render import render_ascii
+    return render_ascii(problem, highlight=highlight) + "\n" + text
 
 
 def _goal_index(problem, label):
@@ -86,13 +100,12 @@ def cmd_recognize(args):
     lines.append(f"predicted: {', '.join(payload['predicted'])}")
     if payload["counterfactual"]:
         lines.append(f"counterfactual: {', '.join(payload['counterfactual'])}")
-    text = "\n".join(lines)
-    if args.format == "ascii-grid":
-        text = render_ascii(problem) + "\n" + text
-    return payload, text
+    return payload, _map_above(args, problem, "\n".join(lines))
 
 
 def cmd_explain(args):
+    from .explainer import answer_why, answer_why_not
+
     problem, _, explanan = _run(args)
     goal_filter = None
     if args.goal:
@@ -133,13 +146,12 @@ def cmd_explain(args):
         lines.append(f"  marker o{marker['observation']} ({marker['action']}): "
                      f"WoE {marker['woe']:.2f} for {marker['predicted']} "
                      f"over {marker['counterfactual']}")
-    text = "\n".join(lines)
-    if args.format == "ascii-grid":
-        text = render_ascii(problem, highlight=highlight) + "\n" + text
-    return payload, text
+    return payload, _map_above(args, problem, "\n".join(lines), highlight)
 
 
 def cmd_rank(args):
+    from .explainer import rank_observations
+
     problem, _, explanan = _run(args)
     why_ranks, whynot_ranks = rank_observations(explanan)
     payload = {
@@ -150,10 +162,7 @@ def cmd_rank(args):
     lines = [f"{'obs':>5}  {'WhyQ':>5}  {'WhyNotQ':>8}"]
     for i in sorted(why_ranks, reverse=True):
         lines.append(f"{'o' + str(i):>5}  {why_ranks[i]:>5}  {whynot_ranks[i]:>8}")
-    text = "\n".join(lines)
-    if args.format == "ascii-grid":
-        text = render_ascii(problem) + "\n" + text
-    return payload, text
+    return payload, _map_above(args, problem, "\n".join(lines))
 
 
 def cmd_bench(args):
@@ -177,6 +186,9 @@ def cmd_bench(args):
 
 
 def cmd_eval(args):
+    from .explainer import answer_why_not, rank_observations
+    from .metrics import eval_cf_agreement, eval_mae
+
     annotations = load_annotations(args.annotations)
     problem, _, explanan = _run(args)
     n = len(problem.observations)

@@ -56,13 +56,11 @@ goals get probability 0.  Goals within ``DEFAULT_TIE_TOLERANCE`` of the
 final maximum are co-predicted.
 """
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (AllGoalsUnsolvable, BudgetExceeded,
                      InvalidObservationChain, MalformedSpec)
-from .grids import GridSpec
 from .planner import DEFAULT_BUDGET, Sweep, distance_tables, sweep
-from .sokoban import SokobanSpec
 from .strips import DomainDefinition, GroundAction, step
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -81,7 +79,7 @@ class _GrProblemFields(NamedTuple):
     goals: tuple
     observations: tuple
     goal_names: tuple
-    board: Optional[Union[GridSpec, SokobanSpec]]
+    board: Optional[tuple]
     name: str
 
 

@@ -33,7 +33,6 @@ by the pure-Python parser; both exit 2 with ``error:``.
 
 import math
 import reprlib
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -45,6 +44,9 @@ from .grids import (DIRECTIONS, GridSpec, check_board_size, compile_grid,
 from .recognizer import GrProblem, Observation, goal_labels
 from .sokoban import SokobanSpec, compile_sokoban
 from .strips import DomainDefinition, GroundAction, step
+
+# The scenario files shipped inside the package.
+_BUNDLED = Path(__file__).parent / "scenarios"
 
 # The parser every file is read with, chosen once (see the module docstring).
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -328,7 +330,7 @@ def load_scenario(path) -> GrProblem:
 def bundled_scenario_path(name: str) -> Path:
     """Path of a scenario shipped with the package (e.g. "nav_crossroads",
     "sokoban_pairs", or "bench/grid_01")."""
-    path = Path(str(resources.files("grexplain") / "scenarios" / f"{name}.yaml"))
+    path = _BUNDLED / f"{name}.yaml"
     if not path.exists():
         raise ParseError(f"no bundled scenario named {name!r}")
     return path
@@ -336,8 +338,7 @@ def bundled_scenario_path(name: str) -> Path:
 
 def bundled_bench_paths() -> list:
     """All scenario files of the bundled benchmark suite."""
-    root = Path(str(resources.files("grexplain") / "scenarios" / "bench"))
-    return sorted(root.glob("*.yaml"))
+    return sorted((_BUNDLED / "bench").glob("*.yaml"))
 
 
 def serialize_scenario(scenario: ScenarioFile) -> str:

@@ -1,3 +1,4 @@
+import json
 import runpy
 import subprocess
 import sys
@@ -107,6 +108,45 @@ def test_traced_benchmark_installs_and_leaves_output_unchanged(tmp_path):
         tracer.uninstall()
     assert tracer.counts["optimal_plan"] > 0  # the wrappers saw the send
     assert traced.read_bytes() == plain.read_bytes()
+
+
+TRACED_PROBE = textwrap.dedent("""\
+    import json, sys
+    src, perfbench, sends = sys.argv[1:]
+    sys.path[:0] = [src, perfbench]
+    import grexplain.cli
+    for argv in json.loads(sends):
+        assert grexplain.cli.main(argv) == 0, argv
+    from spans import Tracer
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()""")
+
+
+@pytest.mark.parametrize("workload", ["bundled_suite", "grid_ladder",
+                                      "sokoban_deep"])
+def test_traced_benchmark_installs_after_one_send_of_each_verb_and_kind(
+        tmp_path, workload):
+    """The traced run installs its wrappers after untimed sends, looking up
+    every module of ``spans.LAYERS`` in ``sys.modules``; so after one
+    request of each verb and scenario kind a workload sends, in a fresh
+    interpreter, every one of those modules is loaded."""
+    import yaml
+
+    workloads = load_file("perfbench/workloads.py")
+    assert workload in workloads.WORKLOADS
+    sends = {}
+    for request in workloads.build(workload, 1, ROOT, tmp_path):
+        kind = yaml.safe_load(request.scenario.read_text())["kind"]
+        sends.setdefault((request.verb, kind), [
+            *workloads.VERB_ARGS[request.verb], "--scenario",
+            str(request.scenario), "--format", "structured",
+            "--out", str(tmp_path / "out.json")])
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_PROBE, str(ROOT / "src"),
+         str(ROOT / "perfbench"), json.dumps(list(sends.values()))],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_search_counts_counts_one_board():
@@ -239,3 +279,25 @@ def test_ab_cli_times_setup_from_source_without_writing_bytecode(tmp_path):
     assert not list(src.rglob("__pycache__"))
     assert ab_cli.import_ms(src, 1) > 0
     assert not list(src.rglob("__pycache__"))
+
+
+def test_ab_cli_times_startup_requests_from_source_without_writing_bytecode(
+        tmp_path):
+    """Each start-up row imports from the bytecode-free copy of ``src/``,
+    leaves no ``__pycache__`` and writes the request's structured output;
+    the rows cover every scenario kind and verb the workloads send."""
+    ab_cli = load_file("tools/ab_cli.py")
+    workloads = load_file("perfbench/workloads.py")
+    verbs = {verb for w in workloads.WORKLOADS.values() for verb in w.verbs}
+    assert set(ab_cli.STARTUP) == {f"{kind}/{verb}" for kind in
+                                   ("grid", "sokoban") for verb in verbs}
+    src = ab_cli.source_copy(ROOT, tmp_path / "src")
+    out = tmp_path / "out.json"
+    argv = ab_cli.startup_argv(src, "sokoban/whynot", out)
+    assert argv[:3] == ["explain", "--question", "whynot"]
+    assert ab_cli.import_ms(src, 1, argv) > 0
+    assert not list(src.rglob("__pycache__"))
+    expected = tmp_path / "expected.json"
+    from grexplain.cli import main
+    assert main([*argv[:-1], str(expected)]) == 0
+    assert out.read_bytes() == expected.read_bytes()

@@ -580,27 +580,79 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def loaded_by(*steps):
+    """The modules each of ``steps``, Python source run in turn in one fresh
+    interpreter, adds to ``sys.modules``."""
+    probe = textwrap.dedent("""\
+        import json, sys
+        found = []
+        for step in json.loads(sys.argv[1]):
+            before = set(sys.modules)
+            exec(step)
+            found.append(sorted(set(sys.modules) - before))
+        print(json.dumps(found))""")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(steps)],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          check=True)
+    return [set(names) for names in json.loads(proc.stdout)]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_bench():
     """Every call pays for what ``import grexplain.cli`` loads: the records
     are named tuples, so ``dataclasses`` (and with it ``inspect``) stays
     out, and ``bench`` with ``statistics`` loads only for the bench verb
     (``test_bench_on_directory`` runs that verb).  Importing ``bench`` then
     adds ``statistics`` but still neither ``dataclasses`` nor ``inspect``."""
-    probe = ("import json, sys; before = set(sys.modules); "
-             "import grexplain.cli; cli = set(sys.modules); "
-             "import grexplain.bench; "
-             "print(json.dumps([sorted(cli - before), "
-             "sorted(set(sys.modules) - cli)]))")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(grexplain.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
-    by_cli, by_bench = map(set, json.loads(proc.stdout))
+    by_cli, by_bench = loaded_by("import grexplain.cli",
+                                 "import grexplain.bench")
     assert "grexplain.cli" in by_cli
     assert not by_cli & {"dataclasses", "inspect", "statistics",
                          "grexplain.bench"}
     assert "grexplain.bench" in by_bench
     assert not by_bench & {"dataclasses", "inspect"}
+
+
+DEFERRED = {"grexplain.explainer", "grexplain.render", "grexplain.metrics",
+            "grexplain.bench"}
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    """``import grexplain.cli`` and a grid ``recognize`` load none of the
+    explainer, the renderer, the metrics or ``bench``; a why-not answer
+    loads the explainer and the renderer but not the metrics."""
+    out = str(tmp_path / "out.json")
+
+    def send(*argv):
+        return (f"from grexplain.cli import main; "
+                f"assert main({[*argv, '--out', out]!r}) == 0")
+
+    by_cli, by_recognize, by_whynot = loaded_by(
+        "import grexplain.cli",
+        send("recognize", "--scenario", NAV, "--format", "structured"),
+        send("explain", "--question", "whynot", "--scenario", NAV,
+             "--format", "structured"))
+    assert "grexplain.cli" in by_cli
+    assert not (by_cli | by_recognize) & DEFERRED
+    assert by_whynot & DEFERRED == {"grexplain.explainer", "grexplain.render"}
+
+
+def test_the_package_root_loads_each_public_name_from_its_home_module():
+    """``from grexplain import X`` gives the object X's home module defines,
+    ``render`` stays the function after its module loads, an unknown name
+    is an AttributeError and ``dir`` lists every public name."""
+    import importlib
+
+    import grexplain.render  # noqa: F401  (binds no module over the name)
+
+    for name in grexplain.__all__:
+        home = importlib.import_module(f"grexplain.{grexplain._HOME[name]}")
+        assert getattr(grexplain, name) is getattr(home, name), name
+    assert grexplain.render is sys.modules["grexplain.render"].render
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        grexplain.nope  # noqa: B018
+    assert set(grexplain.__all__) <= set(dir(grexplain))
 
 
 @st.composite

@@ -1,5 +1,5 @@
-"""Interleaved timing of ``grexplain`` start-up and of in-process
-``cli.main`` requests in two source trees.
+"""Interleaved timing of ``grexplain`` start-up, of fresh-process
+requests and of in-process ``cli.main`` requests in two source trees.
 
     python3 tools/ab_cli.py --parent DIR --change DIR [--rounds N]
 
@@ -13,10 +13,21 @@ a copy of the tree's ``src/`` made without ``__pycache__`` and run with
 ``PYTHONDONTWRITEBYTECODE=1``.
 So grexplain compiles from source on every import while the standard
 library and PyYAML load their installed bytecode, as in the benchmark's
-fresh checkout.  As in the benchmark's ``setup_s``, each import time is
-scaled to the reference host speed by this checkout's
-``perfbench/hostspeed.py`` probe, taken right after it; a round's value is
-each tree's median import.
+fresh checkout.  Each import time is scaled to the reference host speed
+by this checkout's ``perfbench/hostspeed.py`` probe, taken in the same
+interpreter just before the import.  Nothing of grexplain is loaded then,
+so the probe runs on the same heap in both trees; a probe taken after the
+call (as the benchmark's ``setup_s`` takes it) runs on what the call left,
+and read the change's Sokoban ``rank`` about 7% faster than the parent's
+while the call took the same time.  A round's value is each tree's median.
+
+The start-up rows (``grid/recognize`` to ``sokoban/rank``) time the same
+way what a one-shot call costs: a fresh interpreter imports
+``grexplain.cli`` and sends one request through ``cli.main([...,
+"--format", "structured", "--out", FILE])``, timed from the import to the
+return.  There is one row for each scenario kind and verb the workloads
+send, the grid kind on the tree's bundled ``nav_crossroads`` and the
+Sokoban kind on its ``sokoban_pairs``.
 
 It then starts one child process per tree.  A child imports ``grexplain``
 from its tree's ``src/`` and sends one set of requests per benchmark
@@ -40,7 +51,8 @@ benchmark's runner scales its requests, and the child prints each
 request's minimum scaled time and the sha256 of its output as JSON; a
 round takes about 30 s on a 2-core Xeon.
 
-Per round the tool prints the ``setup`` time and, for each set, the
+Per round the tool prints the ``setup`` and start-up times and, for each
+set, the
 median of those minima on each side and their ratio (change / parent),
 then one row per set with the medians over all rounds, the ratio's range
 over the rounds, each side's quartiles over the rounds, the rounds the
@@ -74,13 +86,20 @@ from hostspeed import REFERENCE_S, probe  # noqa: E402
 from workloads import VERB_ARGS, WORKLOADS, bundled_paths, load_pool  # noqa: E402
 
 SETS = tuple(WORKLOADS)
-ROWS = ("setup", *SETS)
+KINDS = {"grid": "nav_crossroads", "sokoban": "sokoban_pairs"}
+STARTUP = {f"{kind}/{verb}": (scenario, verb)
+           for kind, scenario in KINDS.items() for verb in VERB_ARGS}
+ROWS = ("setup", *STARTUP, *SETS)
 
-IMPORT_PROBE = ("import sys, time; sys.path[:0] = sys.argv[1:]; "
-                "t = time.perf_counter(); import grexplain.cli; "
-                "t = time.perf_counter() - t; "
+IMPORT_PROBE = ("import sys, time; src, bench, *argv = sys.argv[1:]; "
+                "sys.path[:0] = [src, bench]; "
                 "from hostspeed import REFERENCE_S, probe; "
-                "print(t * REFERENCE_S / probe()); print(grexplain.cli.__file__)")
+                "speed = REFERENCE_S / probe(); "
+                "t = time.perf_counter(); import grexplain.cli; "
+                "code = grexplain.cli.main(argv) if argv else 0; "
+                "t = time.perf_counter() - t; "
+                "print(t * speed); print(grexplain.cli.__file__); "
+                "sys.exit(code)")
 
 
 def quartiles(values: list) -> tuple:
@@ -110,16 +129,26 @@ def source_copy(tree: Path, dest: Path) -> Path:
                            ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def import_ms(src: Path, seed: int) -> float:
+def startup_argv(src: Path, row: str, out: Path) -> list:
+    """The request of start-up row ``row`` on the source copy ``src``,
+    writing its structured output to ``out``."""
+    scenario, verb = STARTUP[row]
+    path = src / "grexplain" / "scenarios" / f"{scenario}.yaml"
+    return [*VERB_ARGS[verb], "--scenario", str(path), "--format",
+            "structured", "--out", str(out)]
+
+
+def import_ms(src: Path, seed: int, argv: list = ()) -> float:
     """Milliseconds a fresh interpreter takes to import ``grexplain.cli``
-    from ``src``, under hash seed ``seed`` and writing no bytecode, at the
-    reference host speed."""
+    from ``src`` and then, if ``argv`` is given, to send that request
+    through ``cli.main``, under hash seed ``seed`` and writing no bytecode,
+    at the reference host speed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONHASHSEED=str(seed))
     env.pop("PYTHONPYCACHEPREFIX", None)  # it would recompile the stdlib too
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src),
-                           str(PERFBENCH)], capture_output=True, text=True,
-                          env=env, check=False)
+                           str(PERFBENCH), *argv], capture_output=True,
+                          text=True, env=env, check=False)
     if done.returncode != 0:
         raise SystemExit(f"{src}: {done.stderr.strip()}")
     seconds, path = done.stdout.splitlines()
@@ -211,28 +240,38 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     medians = {side: {name: [] for name in ROWS} for side in trees}
     digests = {}
-    print(f"{'round':>6}  {'first':<6}  {'set':<13}  {'parent_ms':>9}"
+    print(f"{'round':>6}  {'first':<6}  {'set':<17}  {'parent_ms':>9}"
           f"  {'change_ms':>9}  {'ratio':>6}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         sources = {side: source_copy(tree, Path(tmp) / side)
                    for side, tree in trees.items()}
         for round_ in range(1, args.rounds + 1):
             order = ["parent", "change"] if round_ % 2 else ["change", "parent"]
-            imports = {side: [] for side in trees}
+            imports = {side: {row: [] for row in ("setup", *STARTUP)}
+                       for side in trees}
             for _ in range(IMPORTS):
-                for side in order:
-                    imports[side].append(import_ms(sources[side], round_))
+                for row in imports["parent"]:
+                    for side in order:
+                        out = Path(tmp) / f"{side}.json"
+                        argv = (startup_argv(sources[side], row, out)
+                                if row in STARTUP else ())
+                        imports[side][row].append(
+                            import_ms(sources[side], round_, argv))
+                        if argv:
+                            digests.setdefault(side, {})[row] = (
+                                hashlib.sha256(out.read_bytes()).hexdigest())
             for side in order:
-                medians[side]["setup"].append(statistics.median(imports[side]))
+                for row, times in imports[side].items():
+                    medians[side][row].append(statistics.median(times))
                 result = run_child(trees[side], round_)
                 for name in SETS:
                     medians[side][name].append(statistics.median(
                         result["seconds"][name].values()) * 1e3)
-                digests[side] = result["digests"]
+                digests[side].update(result["digests"])
             for name in ROWS:
                 parent = medians["parent"][name][-1]
                 change = medians["change"][name][-1]
-                print(f"{round_:>6}  {order[0]:<6}  {name:<13}  {parent:>9.3f}"
+                print(f"{round_:>6}  {order[0]:<6}  {name:<17}  {parent:>9.3f}"
                       f"  {change:>9.3f}  {change / parent:>6.3f}", flush=True)
 
     for name in ROWS:
@@ -240,7 +279,7 @@ def main() -> int:
         ratios = [c / p for p, c in zip(parent, change)]
         rule = gain_rule(parent, change)
         (p1, p2, p3), (c1, c2, c3) = rule["parent"], rule["change"]
-        print(f"{'median':>6}  {'':<6}  {name:<13}  {p2:>9.3f}  {c2:>9.3f}"
+        print(f"{'median':>6}  {'':<6}  {name:<17}  {p2:>9.3f}  {c2:>9.3f}"
               f"  {statistics.median(ratios):>6.3f}"
               f"  (ratios {min(ratios):.3f}-{max(ratios):.3f};"
               f" quartiles {p1:.3f}-{p3:.3f} and {c1:.3f}-{c3:.3f};"
