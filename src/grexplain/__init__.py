@@ -26,8 +26,7 @@ _HOME = {name: module for module, names in (
                   "select_om woe_uniform woe_with_priors"),
     ("grids", "GridSpec compile_grid"),
     ("metrics", "eval_cf_agreement eval_mae"),
-    ("planner", "PlanningTask distance_tables optimal_cost optimal_costs "
-                "optimal_plan"),
+    ("planner", "PlanningTask optimal_cost optimal_costs optimal_plan"),
     ("recognizer", "GrProblem Observation mirror_posteriors"),
     ("render", "render render_ascii"),
     ("scenario", "bundled_bench_paths bundled_scenario_path load_annotations "

@@ -217,6 +217,30 @@ class GridDomain(DomainDefinition):
             found = self.rows[state_id] = tuple(self._neighbours(state_id))
         return found
 
+    def distance_tables(self, goals, limit):
+        """Each goal's optimal cost from every cell, a list per goal indexed
+        by cell index (None where unreachable): one breadth-first pass over
+        the rows from the goal's cell, as every move can be undone.  None
+        instead for a goal that is not one cell, and as soon as a row takes
+        a pass past ``limit`` cells; the rows filled are kept."""
+        rows, expand, tables = self.rows, self.expand, []
+        for goal in goals:
+            i = goal.bit_length() - 1
+            if i < 0 or goal != 1 << i:
+                return None
+            table, found = [None] * self.fact_count, [i]
+            table[i] = 0
+            for sid in found:
+                depth = table[sid] + 1
+                for succ in rows[sid] or expand(sid):
+                    if table[succ] is None:
+                        table[succ] = depth
+                        found.append(succ)
+                if len(found) > limit:
+                    return None
+            tables.append(table)
+        return tables
+
 
 def compile_grid(spec: GridSpec):
     """Compile a grid into (``GridDomain``, initial state, goal masks): one

@@ -50,14 +50,6 @@ a 5 x 1 Sokoban corridor with the player on cell 5, a box on 3 and the
 goals box-1 and box-5, the sweep for both dequeues 6 states and each
 one-goal sweep 5.
 
-``distance_tables`` prices every goal from every state reachable from one
-state: one breadth-first pass interns that whole space, hopeless states
-included, and records each state's predecessors, then one breadth-first
-sweep per goal runs over those reversed edges, so each cost is a table
-lookup.  It takes a cap, not a budget, and never raises BudgetExceeded.
-The rule for when the recognizer takes the tables instead of one sweep per
-observed state is stated in the ``recognizer`` module docstring.
-
 Among equal-length plans the lexicographically first action sequence is
 returned, so downstream explanations are reproducible run to run.  This
 falls out of the discovery order: successors are generated in name order and
@@ -160,51 +152,6 @@ def optimal_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
     """Optimal cost from ``state`` to each goal (None if unreachable), from
     one sweep, under ``budget >= 1`` as the module docstring counts it."""
     return sweep(domain, state, goals, budget).costs
-
-
-def distance_tables(domain: DomainDefinition, state: int, goals: Sequence[int],
-                    cap: int = DEFAULT_BUDGET) -> Optional[list]:
-    """Optimal cost to each goal from every state reachable from ``state``.
-
-    Returns one list per goal, indexed by state id (``domain.state_id``):
-    the cost, or None where the goal is unreachable.  One breadth-first
-    pass interns every reachable state, so each has an id inside every
-    list; ids of other states read None.  Each goal's sweep starts from
-    every reachable state that satisfies it.  Returns None instead as soon
-    as one state's row takes the count past ``cap``, keeping the successor
-    rows expanded so far.
-    """
-    start, rows = domain.state_id(state), domain.rows
-    found, predecessors = [start], {start: []}
-    for sid in found:
-        for succ in rows[sid] or domain.expand(sid):
-            preds = predecessors.get(succ)
-            if preds is None:
-                predecessors[succ] = [sid]
-                found.append(succ)
-            else:
-                preds.append(sid)
-        if len(found) > cap:
-            return None
-    states = domain.states
-    tables = []
-    for goal in goals:
-        table = [None] * len(states)
-        layer = [sid for sid in found if goal & states[sid] == goal]
-        for sid in layer:
-            table[sid] = 0
-        depth = 0
-        while layer:
-            depth += 1
-            discovered = []
-            for sid in layer:
-                for pred in predecessors[sid]:
-                    if table[pred] is None:
-                        table[pred] = depth
-                        discovered.append(pred)
-            layer = discovered
-        tables.append(table)
-    return tables
 
 
 def optimal_cost(task: PlanningTask,

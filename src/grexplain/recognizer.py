@@ -8,23 +8,16 @@ so a goal the observations keep optimal scores 1 and goals the agent walks
 away from decay toward 0.  Every action costs 1, so the prefix cost after i
 observations is i and each cost is a plan length.  One planner sweep from
 the initial state prices every goal at once.  The suffix costs of the n
-observed states then come from one of two paths, chosen per problem from
-counts the first sweep already has: E0, the states it dequeued, and S0,
-the states it discovered.  The sweep goal-tests each layer before
-expanding it (``planner`` module docstring), so S0 counts the start and
-the successors of every layer but the final one, which is never expanded.
+observed states then come from one of two paths, by one rule: a grid
+prices by its tables, every other domain by sweeps.
 
+* Tables (``DomainDefinition.distance_tables``): one breadth-first pass
+  per reachable goal from the goal's cell prices it from every cell
+  (``grids.GridDomain``), so each suffix cost is a lookup.  The tables
+  give up for a goal that is not one cell, and as soon as a pass counts
+  more than ``budget`` cells; the sweeps then run after all.
 * Sweeps: from each observed state, one over the goals reachable from the
-  initial state that have lost their certificate (below).  A plain sweep,
-  over all of them, dequeues about E0 states.
-* Tables (``planner.distance_tables``): enumerate the R states reachable
-  from the initial state, then one backward sweep per reachable goal, so
-  about |G| + 2 passes over R states.  R is at least S0, so the tables are
-  tried only when (|G| + 2) * S0 <= n * E0, and enumerated under a cap of
-  min(budget, n * E0 // (|G| + 2)) states; past the cap the sweeps run
-  after all, over the successor rows the enumeration already expanded.
-  Every observed state is reachable from the initial state, so each has
-  an id inside the tables.
+  initial state that have lost their certificate (below).
 
 A goal's certificate is the parent chain of its first hit in the last
 sweep that priced it (``planner`` module docstring).  Observation i moves
@@ -38,8 +31,7 @@ at depth 0 has no chain, so no certificate.  This is the exact form of
 recomputing only when the observation leaves the current plan (Vered and
 Kaminka 2017).  A goal that a sweep from s(i) finds unreachable stays
 unreachable from every later observed state, as each is reachable from
-s(i), so it is priced None and never swept again.  The selection rule
-above still counts plain sweeps, so neither changes the path taken.
+s(i), so it is priced None and never swept again.
 
 Both paths give the same costs.  BudgetExceeded is raised where the sweeps
 the recognizer actually runs raise it, and names the observation prefix
@@ -47,10 +39,15 @@ that sweep was pricing (0 for the initial state).  Each of those sweeps
 starts from the same state as one of the n + 1 plain sweeps (the initial
 state over every goal, each observed state over the reachable goals) but
 looks for a subset of its goals, so by the one-way rule across goals
-(``planner`` module docstring) it dequeues no more.  On the tables path
-the sweep from the initial state is the only one, and the tables take a
-cap, not a budget, so they never raise.  So a budget that the n + 1 plain
-sweeps fit never exits 3.
+(``planner`` module docstring) it dequeues no more.  The tables read
+the budget as a limit on the cells a pass counts, so they never raise.
+Let R be the number of cells reachable from the initial state.  Every move
+can be undone, so a pass from a reachable goal's cell counts exactly those
+R cells, and no sweep from a reachable cell dequeues more than R.  So the
+tables are built only when R <= budget, where no plain sweep runs out, and
+when R > budget they give up and the sweeps run as on any other domain.
+Either way, a budget that the n + 1 plain sweeps fit never exits 3.
+
 Scores are normalized into a posterior over the goal set; unreachable
 goals get probability 0.  Goals within ``DEFAULT_TIE_TOLERANCE`` of the
 final maximum are co-predicted.
@@ -60,7 +57,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (AllGoalsUnsolvable, BudgetExceeded,
                      InvalidObservationChain, MalformedSpec)
-from .planner import DEFAULT_BUDGET, Sweep, distance_tables, sweep
+from .planner import DEFAULT_BUDGET, Sweep, sweep
 from .strips import DomainDefinition, GroundAction, step
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -225,8 +222,7 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
 
     domain, goals = problem.domain, problem.goals
     first = _priced(domain, problem.initial, goals, budget, 0)
-    base_costs, discovered, dequeued = (first.costs, len(first.parents),
-                                        first.dequeued)
+    base_costs = first.costs
     reachable = [j for j, c in enumerate(base_costs) if c is not None]
     reachable_goals = [goals[j] for j in reachable]
 
@@ -238,12 +234,7 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     prior_scores = [0.0 if c is None else 1.0 for c in base_costs]
     prior_dist = distribution(prior_scores, 0)
 
-    # The selection rule and its cap (module docstring).
-    n, passes = len(problem.observations), len(goals) + 2
-    tables = None
-    if passes * discovered <= n * dequeued:
-        tables = distance_tables(domain, problem.initial, reachable_goals,
-                                 min(budget, n * dequeued // passes))
+    tables = domain.distance_tables(reachable_goals, budget)
     if tables is None:
         chains = first.chains()
         chains = [chains[j] for j in reachable]

@@ -427,7 +427,7 @@ def load_priors(path, problem: GrProblem) -> list:
     others that its normalized prior is 0: the recognizer would rule its
     goal out as if it were unreachable."""
     data = _read_mapping(path, "priors")
-    unknown = [str(k) for k in data if k not in problem.goal_names]
+    unknown = [k for k in data if _name(k, "priors") not in problem.goal_names]
     if unknown:
         raise ValidationError(
             f"priors: unknown goal labels {unknown}; "

@@ -69,6 +69,10 @@ of one bit, such as a grid position ``1 << i``, hashes to one of only 61
 values (so a grid's states are its cells from the compile, each one's
 id its cell index: ``grids.GridDomain``).
 
+A domain may price goals from every state at once (``distance_tables``);
+only a grid does, as every move can be undone (``grids.GridDomain``), and
+the recognizer sweeps on every other domain.
+
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
 package uses threads, and the lazily built action values follow the same
@@ -246,6 +250,12 @@ class DomainDefinition:
         goal.  No state is known hopeless here, so this is ``ids`` itself;
         ``SokobanDomain`` knows some."""
         return ids
+
+    def distance_tables(self, goals: Sequence[int],
+                        limit: int) -> Optional[list]:
+        """Each goal's optimal cost from every state, a list per goal
+        indexed by state id, or None: no tables here (module docstring)."""
+        return None
 
     def state_id(self, state: int) -> int:
         """The dense id of the encoded ``state``, interned on first sight."""

@@ -153,8 +153,8 @@ def test_search_counts_counts_one_board():
     """``tools/search_counts.py`` on ``bench/sokoban_03``: every column of
     one board's row, read off that recognition (its sweep sizes are pinned
     by ``test_recognizer.test_certificates_skip_sweeps_on_sokoban_03``).
-    On ``bench/grid_04`` the tables are tried and give up at their cap, so
-    its path reads ``capped`` and the sweeps from observed states run."""
+    On ``bench/grid_04`` the path reads ``tables``, so no sweep from an
+    observed state runs."""
     tool = load_file("tools/search_counts.py")
     problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
     counts = tool.board_counts(problem)
@@ -165,9 +165,9 @@ def test_search_counts_counts_one_board():
     assert counts["rows"] == sum(row is not None for row in domain.rows)
     assert counts["states"] == len(domain.states)
     assert len(tool.row("bundled", "bench/sokoban_03", counts).split()) == 9
-    capped = tool.board_counts(load_scenario(
+    grid = tool.board_counts(load_scenario(
         bundled_scenario_path("bench/grid_04")))
-    assert capped["path"] == "capped" and capped["obs_dequeues"] > 0
+    assert grid["path"] == "tables" and grid["obs_dequeues"] == 0
 
 
 def test_stage_times_times_one_board(tmp_path):

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import grexplain
-from grexplain import bundled_bench_paths, bundled_scenario_path, recognizer
+from grexplain import bundled_bench_paths, bundled_scenario_path
 from grexplain.cli import build_parser, main
 from grexplain.scenario import build_problem, parse_scenario
 
@@ -355,6 +355,20 @@ def test_a_name_read_once_keeps_the_exact_spelling_rule(tmp_path, capsys):
         "move-up-012-3]"))
     assert run(capsys, "recognize", "--scenario", str(board)) == (
         2, "", "error: observation 5: unknown action 'move-up-012-3'\n")
+
+
+def test_a_priors_key_that_is_not_a_string_exits_2_naming_it(tmp_path,
+                                                             capsys):
+    """YAML reads ``1: 2`` as an int key, which names no goal even where a
+    goal is named "1"; the message names the key's type, as for an
+    annotation key, rather than list "1" as both unknown and a choice."""
+    board, priors = tmp_path / "board.yaml", tmp_path / "priors.yaml"
+    board.write_text(GRID_3X3 + "goal_names: ['1', '2']\n"
+                     "observations: [right]\n")
+    priors.write_text("1: 2\n")
+    assert run(capsys, "recognize", "--scenario", str(board),
+               "--priors", str(priors)) == (
+        2, "", "error: priors: expected a string, got 1\n")
 
 
 @pytest.mark.parametrize("notes, message", [
@@ -942,20 +956,12 @@ def test_budget_exhaustion_names_the_prefix_being_priced(capsys, budget,
                    f"pricing the goals after observation {prefix}\n")
 
 
-def test_a_stranded_box_on_the_table_path_exits_2(tmp_path, capsys,
-                                                  monkeypatch):
-    """Forty-two observations put this board on the distance tables.  The
-    second push strands the box on cell 8, on the right edge, where no
-    storage can be reached.  The tables enumerate that state and every
-    later observed state, and each reads None for both goals, so
-    recognition stops at observation 2."""
-    tables, built = recognizer.distance_tables, []
-
-    def spy(*args):
-        built.append(tables(*args))
-        return built[-1]
-
-    monkeypatch.setattr(recognizer, "distance_tables", spy)
+def test_a_stranded_box_exits_2_at_the_push_that_strands_it(tmp_path,
+                                                            capsys):
+    """The second push strands the box on cell 8, on the right edge, where
+    no storage can be reached.  The sweep from that state finds both goals
+    unreachable, and so would every later one, so recognition stops at
+    observation 2 of the 42."""
     moves = ["right", "right"] + ["left", "left", "right", "right"] * 10
     board = tmp_path / "stranded.yaml"
     board.write_text(yaml.safe_dump({
@@ -966,7 +972,6 @@ def test_a_stranded_box_on_the_table_path_exits_2(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == ("error: no goal hypothesis is reachable after "
                    "observation 2\n")
-    assert len(built) == 1 and built[0] is not None
 
 
 def test_budget_exhaustion_exits_3_on_a_grid(capsys):

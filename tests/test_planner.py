@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from grexplain import (BudgetExceeded, GridSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost,
                        optimal_costs, optimal_plan)
-from grexplain.planner import distance_tables, sweep
+from grexplain.planner import sweep
 
 from conftest import (apply, bfs_grid_distance, bfs_order, random_grid_spec,
                       strips_domain)
@@ -167,78 +167,45 @@ def test_optimal_costs_match_bfs_oracle_per_goal(case):
         bfs_grid_distance(spec, cell, g) for g in spec.goal_cells]
 
 
-def assert_tables_match_sweeps(domain, initial, goals):
-    tables = distance_tables(domain, initial, goals)
-    for state, _ in bfs_order(domain, domain.decode(initial)):
-        state = domain.encode(state)
-        sid = domain.state_id(state)
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases())
+@example((GridSpec(1, 4, frozenset({2}), 3, (1, 3, 1, 4)),
+          frozenset({"at-3"})))
+def test_distance_tables_match_sweeps_on_grids(case):
+    spec, _ = case
+    domain, _, goals = compile_grid(spec)
+    tables = domain.distance_tables(goals, len(domain.states))
+    for sid, state in enumerate(domain.states):
         assert [table[sid] for table in tables] == optimal_costs(domain, state,
                                                                  goals)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sweep_cases())
-def test_distance_tables_match_sweeps_on_grids(case):
-    spec, state = case
-    domain, _, goals = compile_grid(spec)
-    assert_tables_match_sweeps(domain, domain.encode(state), goals)
-
-
-@st.composite
-def strips_problems(draw):
-    """A raw-STRIPS domain over up to five facts, an initial state and up to
-    three goals, any of which may be unreachable, as state ints and goal
-    masks."""
-    facts = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
-    subsets = st.frozensets(st.sampled_from(facts))
-    rows = []
-    for i in range(draw(st.integers(0, 6))):
-        add = draw(subsets)
-        rows.append((f"a{i}", draw(subsets), add, draw(subsets) - add))
-    domain = strips_domain(facts, rows)
-    return (domain, domain.encode(draw(subsets)),
-            [domain.encode(g)
-             for g in draw(st.lists(subsets, min_size=1, max_size=3))])
-
-
-@settings(max_examples=150, deadline=None)
-@given(strips_problems())
-def test_distance_tables_match_sweeps_on_strips_listings(case):
-    assert_tables_match_sweeps(*case)
-
-
-def test_distance_tables_match_sweeps_on_every_sokoban_state():
-    spec = SokobanSpec(4, 4, frozenset(), 1, (6, 7), (11, 15),
-                       ((11, 15), (11,), (15,)), False)
-    domain, initial, goals = compile_sokoban(spec)
-    assert len(bfs_order(domain, domain.decode(initial))) == 1676
-    assert_tables_match_sweeps(domain, initial, goals)
-
-
-def test_distance_tables_give_up_past_the_cap_and_keep_their_rows():
+def test_distance_tables_give_up_past_the_limit_and_keep_their_rows():
+    # goal 25 is walled off and 19 cells are reachable from goal 1, so the
+    # pass from cell 1 discovers all 19 in the order of a sweep from there;
+    # it stops after the row of the cell that discovered cell limit + 1,
+    # and fills no later row
     spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
     domain, initial, goals = compile_grid(spec)
-    assert distance_tables(domain, initial, goals, cap=18) is None
-    assert sum(row is not None for row in domain.rows) > 0
-    tables = distance_tables(domain, initial, goals, cap=19)
-    start = domain.state_id(initial)
-    assert [table[start] for table in tables] == [2, None]
-
-
-def test_distance_tables_give_up_at_the_row_that_passes_the_cap():
-    # goal 25 is walled off, so a sweep for it discovers all 19 reachable
-    # states in breadth-first order; the tables stop after the row of the
-    # state that discovered state cap + 1, and fill no later row
-    spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
-    domain, initial, goals = compile_grid(spec)
-    parents = sweep(domain, initial, [goals[1]]).parents
+    parents = sweep(domain, goals[0], [goals[1]]).parents
     order = list(parents)
     assert len(order) == 19
-    for cap in range(1, 19):
-        fresh = compile_grid(spec)[0]
-        assert distance_tables(fresh, initial, goals, cap=cap) is None
-        expanded = order.index(parents[order[cap]]) + 1
-        assert sum(row is not None for row in fresh.rows) == expanded, cap
+    for limit in range(1, 19):
+        domain = compile_grid(spec)[0]
+        assert domain.distance_tables(goals, limit) is None
+        expanded = order.index(parents[order[limit]]) + 1
+        assert sum(row is not None for row in domain.rows) == expanded, limit
+    tables = domain.distance_tables(goals, 19)
+    assert [table[domain.state_id(initial)] for table in tables] == [2, None]
+
+
+def test_only_one_cell_goals_on_a_grid_get_tables():
+    domain, _, goals = compile_grid(GridSpec(3, 3, frozenset(), 7, (9,)))
+    assert domain.distance_tables(goals, 9) is not None
+    for goal in (0, 1 << 8 | 1 << 2):
+        assert domain.distance_tables([*goals, goal], 9) is None
+    other = strips_domain(["p", "q"], [("a", {"p"}, {"q"}, {"p"})])
+    assert other.distance_tables([other.encode({"q"})], 9) is None
 
 
 @pytest.mark.parametrize("goal_cells", [(1, 21, 7, 10), (1, 21, 7, 25, 10)],

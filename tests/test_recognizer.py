@@ -11,8 +11,9 @@ from grexplain import (AllGoalsUnsolvable, BudgetExceeded, GridSpec,
                        load_scenario, mirror_posteriors, optimal_costs,
                        optimal_plan)
 from grexplain import recognizer
+from grexplain.grids import GridDomain
 from grexplain.planner import sweep
-from grexplain.strips import step
+from grexplain.strips import DomainDefinition, step
 from grexplain.recognizer import PosteriorTrace, split_goals
 
 from conftest import bfs_grid_distance, random_grid_spec, walk
@@ -225,15 +226,16 @@ def assert_budget_points_match_the_sweeps(problem, budgets):
     assert outcomes == {True, False}
 
 
-def spy_on_tables(monkeypatch):
+def spy_on_tables(monkeypatch, kind=GridDomain):
+    """Record what every ``kind.distance_tables`` call returns."""
     built = []
-    tables = recognizer.distance_tables
+    tables = kind.distance_tables
 
     def spy(*args):
         built.append(tables(*args))
         return built[-1]
 
-    monkeypatch.setattr(recognizer, "distance_tables", spy)
+    monkeypatch.setattr(kind, "distance_tables", spy)
     return built
 
 
@@ -258,23 +260,35 @@ def test_budget_points_match_the_sweeps_on_the_table_path(goal_cells,
 
 
 def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):
-    # The rule tries tables here, but 26,584 states are reachable, past the
-    # cap, so the sweeps run.  A run compares the budget only with each
-    # sweep's size and with the cap n * E0 // (|G| + 2), so the budgets at
-    # and beside those counts reach every outcome; all of 1..26,585 would
-    # take minutes.
+    # A Sokoban board gets no tables, so a run compares the budget only
+    # with each sweep's size, and the budgets at and beside those sizes
+    # reach every outcome; all of 1..26,585 would take minutes.
     problem = load_scenario(bundled_scenario_path("sokoban_pairs"))
     sizes = [sweep(problem.domain, state, goals).dequeued
              for state, goals in sweep_calls(problem)]
-    cap = len(problem.observations) * sizes[0] // (len(problem.goals) + 2)
-    budgets = sorted({1, 2} | {c + d for c in sizes + [cap] for d in (-1, 0, 1)})
-    built = spy_on_tables(monkeypatch)
+    budgets = sorted({1, 2} | {c + d for c in sizes for d in (-1, 0, 1)})
+    built = spy_on_tables(monkeypatch, DomainDefinition)
     assert_budget_points_match_the_sweeps(problem, budgets)
-    assert built and built[-1] is None
+    assert built and all(tables is None for tables in built)
+
+
+def test_goals_that_are_not_one_cell_are_priced_by_the_sweeps(monkeypatch):
+    # the empty goal holds at depth 0 in every cell, and a two-cell goal in
+    # none; a grid has tables only for one-cell goals, so these run on the
+    # sweeps, as with no tables at all
+    domain, initial, _ = compile_grid(GridSpec(3, 3, frozenset(), 7, (9,)))
+    obs = walk(domain, initial, ["move-right-7-8", "move-right-8-9"])
+    two_goals = GrProblem(domain, initial, (1 << 8, 0), obs)
+    three_goals = GrProblem(domain, initial, (1 << 8, 0, 1 << 8 | 1 << 2), obs)
+    traces = [mirror_posteriors(two_goals), mirror_posteriors(three_goals)]
+    assert traces[0].per_prefix == ((1.0, 0.0), (1.0, 0.0))
+    assert traces[1].per_prefix == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    monkeypatch.setattr(GridDomain, "distance_tables", lambda *args: None)
+    assert [mirror_posteriors(two_goals),
+            mirror_posteriors(three_goals)] == traces
 
 
 def test_recognition_on_a_sokoban_board_expands_what_the_sweeps_expand():
-    # the selection rule keeps this board on sweeps, before any enumeration;
     # each sweep goal-tests a layer before expanding it, so the final
     # layer's states are never expanded
     problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
@@ -396,7 +410,7 @@ def traced_or_none(problem, budget=recognizer.DEFAULT_BUDGET):
 @given(drawn_problems(drawn_grids()))
 def test_certified_sweeps_match_the_plain_sweeps_on_grids(problem):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recognizer, "distance_tables", lambda *args: None)
+        patch.setattr(GridDomain, "distance_tables", lambda *args: None)
         trace = traced_or_none(problem)
     expected = plain_posteriors(problem)
     assert (trace is None) == (expected is None)

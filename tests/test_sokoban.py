@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grexplain import (MalformedSpec, PlanningTask, SokobanSpec,
-                       compile_sokoban, distance_tables, optimal_cost,
-                       optimal_costs, optimal_plan)
+                       compile_sokoban, optimal_cost, optimal_costs,
+                       optimal_plan)
 from grexplain.planner import sweep
 from grexplain.strips import DomainDefinition, step
 
-from conftest import applicable, apply
+from conftest import applicable, apply, bfs_order
 
 
 def boxes_of(state):
@@ -191,7 +191,8 @@ def pruned_searches(draw):
 @given(pruned_searches())
 def test_dead_square_pruning_keeps_every_search_result(case):
     """The same actions with no hopeless test give the same costs, first
-    hits, chains, plans and tables, and never dequeue fewer states."""
+    hits, chains and plans, and never dequeue fewer states; a state that
+    is dropped can reach no goal."""
     domain, start, goals = case
     oracle = DomainDefinition(domain.facts, domain.actions)
     assert optimal_costs(domain, start, goals) == optimal_costs(oracle, start,
@@ -217,13 +218,9 @@ def test_dead_square_pruning_keeps_every_search_result(case):
 
     for goal in goals:
         assert plan_names(domain, goal) == plan_names(oracle, goal)
-    # the tables intern every state reachable from ``start``, and the
-    # searches above interned no other
-    tables = distance_tables(domain, start, goals)
-    expected = distance_tables(oracle, start, goals)
-    assert len(tables[0]) == len(domain.states) == len(oracle.states)
-    for sid, state in enumerate(domain.states):
-        costs = [table[oracle.state_id(state)] for table in expected]
-        assert [table[sid] for table in tables] == costs
-        if not domain.drop_hopeless([sid], goals):
-            assert costs == [None] * len(goals)
+    # no state that can reach a goal is dropped: every state reachable
+    # from ``start`` is priced on the oracle domain
+    for state, _ in bfs_order(oracle, oracle.decode(start)):
+        state = oracle.encode(state)
+        if not domain.drop_hopeless([domain.state_id(state)], goals):
+            assert optimal_costs(oracle, state, goals) == [None] * len(goals)

@@ -6,12 +6,12 @@ The boards are the 17 bundled scenarios that the ``bundled_suite`` workload
 sends, then every board of the ``grid_ladder`` and ``sokoban_deep`` pools in
 ``perfbench/pool/``, which is only read.  Each board is compiled afresh and
 recognized once by ``mirror_posteriors`` at the default budget, with the
-planner sweep that the recognizer calls wrapped to count:
+planner sweep that the recognizer calls and the domain's
+``distance_tables`` wrapped to count:
 
-- ``path``: the path the recognizer's selection rule took (the
-  ``recognizer`` module docstring): ``tables``; ``sweeps`` where the
-  tables were not tried; or ``capped`` where they were tried, gave up at
-  their cap and the sweeps ran after all;
+- ``path``: the path the recognizer took (the ``recognizer`` module
+  docstring): ``tables`` where ``distance_tables`` built them, ``sweeps``
+  otherwise;
 - ``sweeps``: the planner sweeps run, the one from the initial state
   included;
 - ``dequeues``: the states those sweeps dequeued, and ``obs_dequeues``, the
@@ -45,8 +45,8 @@ COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states")
 
 def board_counts(problem) -> dict:
     """The counts of one recognition of ``problem`` (module docstring)."""
-    sweep, tables = recognizer.sweep, recognizer.distance_tables
-    sizes, path = [], "sweeps"
+    domain, sweep, sizes, path = problem.domain, recognizer.sweep, [], "sweeps"
+    tables = domain.distance_tables
 
     def counted_sweep(*args):
         result = sweep(*args)
@@ -56,15 +56,15 @@ def board_counts(problem) -> dict:
     def spied_tables(*args):
         nonlocal path
         found = tables(*args)
-        path = "capped" if found is None else "tables"
+        path = "sweeps" if found is None else "tables"
         return found
 
-    recognizer.sweep, recognizer.distance_tables = counted_sweep, spied_tables
+    recognizer.sweep, domain.distance_tables = counted_sweep, spied_tables
     try:
         recognizer.mirror_posteriors(problem)
     finally:
-        recognizer.sweep, recognizer.distance_tables = sweep, tables
-    domain = problem.domain
+        recognizer.sweep = sweep
+        del domain.distance_tables
     return {"path": path,
             "sweeps": len(sizes), "dequeues": sum(sizes),
             "obs_dequeues": sum(sizes[1:]), "largest": max(sizes),
