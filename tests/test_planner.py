@@ -180,23 +180,31 @@ def test_distance_tables_match_sweeps_on_grids(case):
                                                                  goals)
 
 
-def test_distance_tables_give_up_past_the_limit_and_keep_their_rows():
+def test_distance_tables_give_up_past_the_cap_and_keep_their_rows():
+    # the cap is the grid hook's limit: 19 cells are reachable from goal 1
+    spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
+    domain, initial, goals = compile_grid(spec)
+    assert domain.distance_tables(goals, 18) is None
+    assert sum(row is not None for row in domain.rows) > 0
+    tables = domain.distance_tables(goals, 19)
+    assert [table[domain.state_id(initial)] for table in tables] == [2, None]
+
+
+def test_distance_tables_give_up_at_the_row_that_passes_the_cap():
     # goal 25 is walled off and 19 cells are reachable from goal 1, so the
     # pass from cell 1 discovers all 19 in the order of a sweep from there;
     # it stops after the row of the cell that discovered cell limit + 1,
     # and fills no later row
     spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
-    domain, initial, goals = compile_grid(spec)
+    domain, _, goals = compile_grid(spec)
     parents = sweep(domain, goals[0], [goals[1]]).parents
     order = list(parents)
     assert len(order) == 19
     for limit in range(1, 19):
-        domain = compile_grid(spec)[0]
-        assert domain.distance_tables(goals, limit) is None
+        fresh = compile_grid(spec)[0]
+        assert fresh.distance_tables(goals, limit) is None
         expanded = order.index(parents[order[limit]]) + 1
-        assert sum(row is not None for row in domain.rows) == expanded, limit
-    tables = domain.distance_tables(goals, 19)
-    assert [table[domain.state_id(initial)] for table in tables] == [2, None]
+        assert sum(row is not None for row in fresh.rows) == expanded, limit
 
 
 def test_only_one_cell_goals_on_a_grid_get_tables():
