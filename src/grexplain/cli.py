@@ -123,14 +123,14 @@ def cmd_explain(args):
         if goal_filter is not None and not answer.markers:
             raise GrexError(f"goal {args.goal!r} is not a predicted goal; "
                             f"ask --question whynot about it instead")
-        payload["markers"] = [_entry_dict(problem, e) for e in answer.markers]
     else:
         answer = answer_why_not(problem, explanan, goals=goal_filter,
                                 budget=args.budget)
         if goal_filter is not None and not answer.selections:
             raise GrexError(f"goal {args.goal!r} is not a counterfactual goal; "
                             f"ask --question why about it instead")
-        payload["markers"] = [_entry_dict(problem, e) for e in answer.markers]
+    payload["markers"] = [_entry_dict(problem, e) for e in answer.markers]
+    if args.question == "whynot":
         payload["counterfactuals"] = [
             {"goal": problem.goal_names[sel.goal],
              "status": sel.status,

@@ -17,6 +17,7 @@ Only ``GridDomain`` and ``compile_sokoban`` write them, and ``parse_move``,
 direction words, ``GridDomain``'s name lookup and the suite generator).
 """
 
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import MalformedSpec
@@ -143,13 +144,10 @@ class GridDomain(DomainDefinition):
         self.states = [1 << i for i in range(n)]
         self.rows = [None] * n
 
-    @property
+    @cached_property
     def facts(self) -> tuple:
         """``at-1`` to ``at-<cells>``, formatted on first read."""
-        if not self._facts:
-            self._facts = tuple(f"at-{cell}"
-                                for cell in range(1, len(self._free) + 1))
-        return self._facts
+        return tuple(f"at-{cell}" for cell in range(1, len(self._free) + 1))
 
     def _neighbours(self, i: int) -> list:
         """The indices of the free cells one step from cell index ``i``, in
@@ -191,17 +189,15 @@ class GridDomain(DomainDefinition):
     def _candidates(self, state: int) -> list:
         return self._cell_entries(self.state_id(state))
 
-    @property
+    @cached_property
     def actions(self) -> tuple:
         """Every move as a ``GroundAction``, cell by cell in the order of
         ``DIRECTIONS``, as the eager compile listed them."""
-        if self._actions is None:
-            self._actions = tuple(
-                self.action(name) for i in range(len(self._free))
-                for name in sorted((e[3] for e in self._cell_entries(i)),
-                                   key=lambda n: DIRECTIONS.index(
-                                       move_direction(n))))
-        return self._actions
+        return tuple(
+            self.action(name) for i in range(len(self._free))
+            for name in sorted((e[3] for e in self._cell_entries(i)),
+                               key=lambda n: DIRECTIONS.index(
+                                   move_direction(n))))
 
     def state_id(self, state: int) -> int:
         """The cell index of a one-cell state on the board."""

@@ -79,6 +79,7 @@ package uses threads, and the lazily built action values follow the same
 rule.  Actions, states and plans (tuples of actions) are plain values.
 """
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -158,9 +159,7 @@ class DomainDefinition:
             bucket.sort(key=_entry_name)
         free.sort(key=_entry_name)
         self._pivot_mask = sum(1 << i for i in buckets)
-        self._index = None  # fact name -> bit, built on first ``encode``
         self._values = {}  # name -> GroundAction, built on first read
-        self._actions = None
         self._ids = {}  # state int -> id
         self.states = []  # id -> state int
         self.rows = []  # id -> (successor id, ...), or None
@@ -170,13 +169,11 @@ class DomainDefinition:
         """The fact names, fact i being bit i."""
         return self._facts
 
-    @property
+    @cached_property
     def actions(self) -> tuple:
         """Every action as a ``GroundAction``, in compile order; built on
         first read."""
-        if self._actions is None:
-            self._actions = tuple(map(self.action, self._by_name))
-        return self._actions
+        return tuple(map(self.action, self._by_name))
 
     def action(self, name: str) -> GroundAction:
         """The action called ``name``, built from its entry on first read
@@ -204,13 +201,15 @@ class DomainDefinition:
         """The index entry of the action called ``name``, or None."""
         return self._by_name.get(name)
 
+    @cached_property
+    def _index(self) -> dict:
+        """Fact name -> bit index, built on the first ``encode``."""
+        return {fact: i for i, fact in enumerate(self.facts)}
+
     def encode(self, facts: Iterable[str]) -> int:
         """The state int of a fact set; MalformedSpec names any fact the
         domain does not declare."""
-        facts = frozenset(facts)
-        if self._index is None:
-            self._index = {fact: i for i, fact in enumerate(self.facts)}
-        index = self._index
+        facts, index = frozenset(facts), self._index
         try:
             return sum(1 << index[f] for f in facts)
         except KeyError:

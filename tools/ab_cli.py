@@ -32,16 +32,11 @@ Sokoban kind on its ``sokoban_pairs``.
 It then starts one child process per tree.  A child imports ``grexplain``
 from its tree's ``src/`` and sends one set of requests per benchmark
 workload through ``cli.main([..., "--format", "structured", "--out",
-FILE])``, each verb with the arguments of ``perfbench/workloads.py``'s
-``VERB_ARGS``:
-
-- ``bundled_suite``: the 17 bundled scenarios of that tree, each with every
-  verb of the workload (``recognize``, ``why``, ``whynot`` and ``rank``);
-- ``grid_ladder`` and ``sokoban_deep``: every board of the workload's pool,
-  each with every verb of that workload.
-
-Verbs and pool boards are read from this checkout's ``perfbench/``, so
-both trees get the same requests.  A child sends every set ``REPEATS``
+FILE])``: every board that ``tools/boards.py`` lists for the workload (the
+bundled scenarios are that tree's), each with every verb of the workload
+and the arguments of ``perfbench/workloads.py``'s ``VERB_ARGS``.  Verbs
+and pool boards are read from this checkout's ``perfbench/``, so both
+trees get the same requests.  A child sends every set ``REPEATS``
 times.  Before each send it runs ``gc.collect()`` and then ``gc.freeze()``,
 so a send starts with empty generations and is timed with only the
 collections its own objects trigger, not ones that earlier requests' objects
@@ -80,10 +75,11 @@ from pathlib import Path
 REPEATS = 3  # sends of each request per child; the minimum is kept
 IMPORTS = 5  # fresh-interpreter imports of grexplain.cli per tree per round
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+sys.path[:0] = [str(PERFBENCH), str(PERFBENCH.parent / "tools")]
 
+from boards import boards  # noqa: E402
 from hostspeed import REFERENCE_S, probe  # noqa: E402
-from workloads import VERB_ARGS, WORKLOADS, bundled_paths, load_pool  # noqa: E402
+from workloads import VERB_ARGS, WORKLOADS  # noqa: E402
 
 SETS = tuple(WORKLOADS)
 KINDS = {"grid": "nav_crossroads", "sokoban": "sokoban_pairs"}
@@ -161,22 +157,10 @@ def requests(tree: Path, tmp: Path) -> list:
     """(set, key, argv) for every request a child sends to the tree at
     ``tree``, ``argv`` without the output options; pool boards are written
     under ``tmp``."""
-    found = []
-    for name, workload in WORKLOADS.items():
-        if workload.rungs:
-            paths = []
-            for entries in load_pool(name).values():
-                for entry in entries:
-                    path = tmp / f"{entry['name']}.yaml"
-                    path.write_text(entry["scenario"])
-                    paths.append(path)
-        else:
-            paths = bundled_paths(tree)
-        for path in paths:
-            for verb in workload.verbs:
-                found.append((name, f"{name}/{path.stem}/{verb}",
-                              [*VERB_ARGS[verb], "--scenario", str(path)]))
-    return found
+    return [(name, f"{name}/{path.stem}/{verb}",
+             [*VERB_ARGS[verb], "--scenario", str(path)])
+            for name, _, path in boards(tree, tmp)
+            for verb in WORKLOADS[name].verbs]
 
 
 def child(tree: Path) -> None:

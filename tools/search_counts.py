@@ -2,12 +2,10 @@
 
     python3 tools/search_counts.py
 
-The boards are the 17 bundled scenarios that the ``bundled_suite`` workload
-sends, then every board of the ``grid_ladder`` and ``sokoban_deep`` pools in
-``perfbench/pool/``, which is only read.  Each board is compiled afresh and
-recognized once by ``mirror_posteriors`` at the default budget, with the
-planner sweep that the recognizer calls and the domain's
-``distance_tables`` wrapped to count:
+The boards are the benchmark's, as ``tools/boards.py`` lists them.  Each
+is loaded afresh by ``load_scenario`` and recognized once by
+``mirror_posteriors`` at the default budget, with the planner sweep that
+the recognizer calls and the domain's ``distance_tables`` wrapped to count:
 
 - ``path``: the path the recognizer took (the ``recognizer`` module
   docstring): ``tables`` where ``distance_tables`` built them, ``sweeps``
@@ -27,19 +25,16 @@ maximum.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
-import yaml
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
+from boards import boards  # noqa: E402
 from grexplain import recognizer  # noqa: E402
-from grexplain.scenario import (build_problem, load_scenario,  # noqa: E402
-                                parse_scenario)
-from workloads import bundled_paths, load_pool  # noqa: E402
+from grexplain.scenario import load_scenario  # noqa: E402
 
-POOLS = ("bundled", "grid_ladder", "sokoban_deep")
 COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states")
 
 
@@ -72,17 +67,12 @@ def board_counts(problem) -> dict:
             "states": len(domain.states)}
 
 
-def problems(pool: str):
-    """(board name, freshly built problem) for every board of ``pool``."""
-    if pool == "bundled":
-        for path in bundled_paths(ROOT):
-            yield path.stem, load_scenario(path)
-        return
-    for entries in load_pool(pool).values():
-        for entry in entries:
-            data = yaml.safe_load(entry["scenario"])
-            yield entry["name"], build_problem(parse_scenario(data,
-                                                              entry["name"]))
+def problems(workdir: Path):
+    """(pool, board name, freshly loaded problem) for every board; the
+    bundled scenarios form the ``bundled`` pool."""
+    for workload, rung, path in boards(ROOT, workdir):
+        pool = "bundled" if rung is None else workload
+        yield pool, path.stem, load_scenario(path)
 
 
 def row(pool: str, board: str, counts: dict) -> str:
@@ -93,17 +83,17 @@ def row(pool: str, board: str, counts: dict) -> str:
 def main() -> int:
     print(f"{'pool':<13}  {'board':<24}  {'path':<20}  "
           + "  ".join(f"{c:>12}" for c in COLUMNS))
-    totals = []
-    for pool in POOLS:
-        boards = []
-        for board, problem in problems(pool):
-            boards.append(board_counts(problem))
-            print(row(pool, board, boards[-1]))
+    pools = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for pool, board, problem in problems(Path(tmp)):
+            counts = board_counts(problem)
+            pools.setdefault(pool, []).append(counts)
+            print(row(pool, board, counts))
+    for pool, counted in pools.items():
         total = {column: (max if column == "largest" else sum)(
-            counts[column] for counts in boards) for column in COLUMNS}
-        total["path"] = "/".join(sorted({c["path"] for c in boards}))
-        totals.append(row(pool, "(all)", total))
-    print("\n".join(totals))
+            counts[column] for counts in counted) for column in COLUMNS}
+        total["path"] = "/".join(sorted({c["path"] for c in counted}))
+        print(row(pool, "(all)", total))
     return 0
 
 

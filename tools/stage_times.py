@@ -2,12 +2,10 @@
 
     python3 tools/stage_times.py
 
-The requests are the benchmark's: every bundled scenario with the four
-``bundled_suite`` verbs, and every board of the ``grid_ladder`` and
-``sokoban_deep`` pools in ``perfbench/pool/`` (only read) with its
-workload's verbs, each sent through ``grexplain.cli.main`` with
-``--format structured``.  For each send, wrappers installed just before it
-and removed just after it time seven stages:
+The requests are the benchmark's: every board that ``tools/boards.py``
+lists with each of its workload's verbs, sent through ``grexplain.cli.main``
+with ``--format structured``.  For each send, wrappers installed just
+before it and removed just after it time seven stages:
 
 - ``parse``: ``scenario.parse_scenario_file`` (read, YAML, spec checks);
 - ``compile``: ``scenario._compile``;
@@ -38,13 +36,15 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / d) for d in ("src", "perfbench", "tools")]
 
+from boards import boards  # noqa: E402
 from grexplain import cli, explainer, scenario  # noqa: E402
-from workloads import (VERB_ARGS, WORKLOADS, bundled_paths,  # noqa: E402
-                       load_pool)
+from workloads import VERB_ARGS, WORKLOADS  # noqa: E402
 
 RUNS = 7
+POOLS = {"bundled_suite": "bundled", "grid_ladder": "grid_ladder {}",
+         "sokoban_deep": "sokoban_deep"}  # workload -> pool, by rung
 STAGES = ("parse", "compile", "replay", "fill", "recognize", "plan", "encode")
 
 
@@ -109,18 +109,11 @@ def request_stages(path, verb: str, out, runs: int = RUNS) -> dict:
 def pools(workdir: Path):
     """(pool, [(scenario path, verb)]) for each pool (module docstring);
     pool boards are written to ``workdir``."""
-    verbs = WORKLOADS["bundled_suite"].verbs
-    yield "bundled", [(p, v) for p in bundled_paths(ROOT) for v in verbs]
-    for name, label in (("grid_ladder", "grid_ladder {}"),
-                        ("sokoban_deep", "sokoban_deep")):
-        verbs, groups = WORKLOADS[name].verbs, {}
-        for rung, entries in load_pool(name).items():
-            for entry in entries:
-                path = workdir / f"{entry['name']}.yaml"
-                path.write_text(entry["scenario"])
-                groups.setdefault(label.format(rung), []).extend(
-                    (path, v) for v in verbs)
-        yield from groups.items()
+    groups = {}
+    for workload, rung, path in boards(ROOT, workdir):
+        groups.setdefault(POOLS[workload].format(rung), []).extend(
+            (path, verb) for verb in WORKLOADS[workload].verbs)
+    return groups.items()
 
 
 def main() -> int:
