@@ -15,7 +15,8 @@ prices by its tables, every other domain by sweeps.
   per reachable goal from the goal's cell prices it from every cell
   (``grids.GridDomain``), so each suffix cost is a lookup.  The tables
   give up for a goal that is not one cell, and as soon as a pass counts
-  more than ``budget`` cells; the sweeps then run after all.
+  more than ``budget`` cells; the sweeps then run after all.  With no
+  observation no suffix cost is read, so no table is built.
 * Sweeps: from each observed state, one over the goals reachable from the
   initial state that have lost their certificate (below).
 
@@ -234,7 +235,8 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     prior_scores = [0.0 if c is None else 1.0 for c in base_costs]
     prior_dist = distribution(prior_scores, 0)
 
-    tables = domain.distance_tables(reachable_goals, budget)
+    tables = (domain.distance_tables(reachable_goals, budget)
+              if problem.observations else None)
     if tables is None:
         chains = first.chains()
         chains = [chains[j] for j in reachable]

@@ -121,6 +121,31 @@ def test_explain_whynot_reports_infeasible_goal(tmp_path, capsys):
     assert by_goal["g3"]["status"] == "action"
 
 
+def test_explain_whynot_reports_a_goal_no_observation_weighs_against(
+        tmp_path, capsys):
+    """Moving right keeps g1 (top right) and g2 (bottom right) equally
+    likely, so under priors 2:1 no entry weighs g1 against g2, while every
+    move weighs g1 against g3 (top left)."""
+    board, priors = tmp_path / "board.yaml", tmp_path / "priors.yaml"
+    board.write_text("kind: grid\nmap: |\n  3...1\n  .@...\n  ....2\n"
+                     "observations: [right, right, right]\n")
+    priors.write_text("g1: 2\ng2: 1\ng3: 1\n")
+    argv = ("explain", "--question", "whynot", "--scenario", str(board),
+            "--priors", str(priors))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "No observation weighs against goal g2: the evidence is equally "
+        "consistent with it.")
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["counterfactuals"] == [
+        {"goal": "g2", "status": "no-evidence", "observation": None,
+         "counterfactual_action": None},
+        {"goal": "g3", "status": "action", "observation": 1,
+         "counterfactual_action": "move-left-7-6"}]
+
+
 def test_explain_structured_has_full_precision_entries(capsys):
     code, out, _ = run(capsys, "explain", "--scenario", NAV,
                        "--question", "why", "--format", "structured")

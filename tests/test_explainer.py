@@ -298,6 +298,10 @@ def test_counterfactual_action_is_applicable_and_starts_valid_plan(nav_problem):
         plan = optimal_plan(PlanningTask(nav_problem.domain, state, goal))
         assert plan[0] == action
         assert validate_plan(nav_problem.domain, state, goal, plan)
+    for index in (0, len(nav_problem.observations) + 1):
+        with pytest.raises(IndexError, match=f"^observation index {index} "
+                           "out of range$"):
+            nav_problem.state_before(index)
 
 
 def test_counterfactual_action_goal_already_reached():

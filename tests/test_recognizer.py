@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grexplain import (AllGoalsUnsolvable, BudgetExceeded, GridSpec,
-                       GrProblem, InvalidObservationChain, MalformedSpec,
-                       Observation, PlanningTask, SokobanSpec,
+                       GroundAction, GrProblem, InvalidObservationChain,
+                       MalformedSpec, Observation, PlanningTask, SokobanSpec,
                        bundled_scenario_path, compile_grid, compile_sokoban,
                        load_scenario, mirror_posteriors, optimal_costs,
                        optimal_plan)
@@ -36,12 +36,16 @@ def test_tiny_grid_distribution_matches_hand_normalization(tiny_grid_problem):
     assert trace.per_prefix[0] == pytest.approx((1 / 3, 2 / 3), abs=1e-12)
 
 
-def test_zero_observations_give_uniform_distribution():
+def test_zero_observations_give_uniform_distribution(monkeypatch):
+    # no prefix reads a suffix cost, so the grid's tables are never built
     domain, initial, goals = compile_grid(GridSpec(3, 3, frozenset(), 5, (1, 9)))
     problem = GrProblem(domain, initial, tuple(goals))
+    built = spy_on_tables(monkeypatch)
     trace = mirror_posteriors(problem)
-    assert trace.per_prefix == ()
-    assert trace.prior == pytest.approx((0.5, 0.5))
+    assert built == []
+    assert trace == PosteriorTrace(prior=(0.5, 0.5), per_prefix=(),
+                                   predicted=frozenset({0, 1}),
+                                   counterfactual=frozenset())
     assert trace.final == trace.prior
 
 
@@ -168,6 +172,10 @@ def test_observation_chain_validation():
         GrProblem(domain, initial, tuple(goals),
                   (Observation(inapplicable, domain.encode({"at-1"})),))
     assert err.value.index == 1
+    jump = GroundAction("jump", initial, 1 << 0, initial)
+    with pytest.raises(InvalidObservationChain,
+                       match="^observation 1: unknown action jump$"):
+        GrProblem(domain, initial, tuple(goals), (Observation(jump, 1 << 0),))
 
 
 def test_problem_rejects_mask_bits_past_the_declared_facts():
@@ -183,9 +191,13 @@ def test_problem_rejects_mask_bits_past_the_declared_facts():
 
 
 def test_problem_requires_goals():
-    domain, initial, _ = compile_grid(GridSpec(2, 2, frozenset(), 1, (4,)))
+    domain, initial, goals = compile_grid(GridSpec(2, 2, frozenset(), 1,
+                                                   (4, 2)))
     with pytest.raises(MalformedSpec):
         GrProblem(domain, initial, ())
+    with pytest.raises(MalformedSpec, match=r"^goal_names must be distinct: "
+                       r"\['a', 'a'\]$"):
+        GrProblem(domain, initial, tuple(goals), goal_names=("a", "a"))
 
 
 def test_priors_reweight_posteriors(tiny_grid_problem):

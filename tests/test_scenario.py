@@ -254,6 +254,11 @@ def test_strips_kind_end_to_end(tmp_path):
     # "cook" lies on both optimal plans; "scorch" destroys the cooked goal
     assert trace.per_prefix[0] == pytest.approx((0.5, 0.5))
     assert trace.per_prefix[1] == pytest.approx((0.0, 1.0))
+    dumped = write(tmp_path, serialize_scenario(parse_scenario_file(path)),
+                   "copy.yaml")
+    again = load_scenario(dumped)
+    assert problem_signature(again) == problem_signature(problem)
+    assert again.domain.actions == problem.domain.actions
 
 
 def test_strips_action_named_like_a_direction_word_is_observable(tmp_path):

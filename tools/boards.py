@@ -5,7 +5,7 @@ the workloads of ``perfbench/workloads.py`` read, in ``WORKLOADS`` order:
 first ``tree``'s 17 bundled scenarios (``bundled_suite``, rung None), then
 every board of the ``grid_ladder`` and ``sokoban_deep`` pools in
 ``perfbench/pool/`` (only read), by rung, each written to
-``workdir/<name>.yaml``.  A workload's verbs are its ``WORKLOADS`` entry's.
+``workdir/<name>.yaml``.
 
 It imports ``perfbench/workloads.py`` and never ``grexplain``, so a tool
 can list the boards before it picks the tree it loads ``grexplain`` from.
