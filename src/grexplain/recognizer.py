@@ -6,19 +6,19 @@ Each goal hypothesis is scored after every observation prefix by the ratio
 
 so a goal the observations keep optimal scores 1 and goals the agent walks
 away from decay toward 0.  Every action costs 1, so the prefix cost after i
-observations is i and each cost is a plan length.  One planner sweep from
-the initial state prices every goal at once.  The suffix costs of the n
-observed states then come from one of two paths, by one rule: a grid
-prices by its tables, every other domain by sweeps.
+observations is i and each cost is a plan length.  The costs come as one
+row per prefix 0..n: each goal's cost from the initial state, then from
+each observed state.  One rule picks their source: the distance tables
+when one of them reaches the initial state, else the sweeps.
 
 * Tables (``DomainDefinition.distance_tables``): one breadth-first pass
-  per reachable goal from the goal's cell prices it from every cell
-  (``grids.GridDomain``), so each suffix cost is a lookup.  The tables
-  give up for a goal that is not one cell, and as soon as a pass counts
-  more than ``budget`` cells; the sweeps then run after all.  With no
-  observation no suffix cost is read, so no table is built.
-* Sweeps: from each observed state, one over the goals reachable from the
-  initial state that have lost their certificate (below).
+  per goal from the goal's cell prices it from every cell
+  (``grids.GridDomain``), so each row is a lookup.  They are asked for
+  only when there is an observation, and give up for a goal that is not
+  one cell, and as soon as a pass counts more than ``budget`` cells.
+* Sweeps: row 0 is one sweep from the initial state over every goal; from
+  each observed state, one over the goals reachable from the initial state
+  that have lost their certificate (below).
 
 A goal's certificate is the parent chain of its first hit in the last
 sweep that priced it (``planner`` module docstring).  Observation i moves
@@ -34,19 +34,19 @@ Kaminka 2017).  A goal that a sweep from s(i) finds unreachable stays
 unreachable from every later observed state, as each is reachable from
 s(i), so it is priced None and never swept again.
 
-Both paths give the same costs.  BudgetExceeded is raised where the sweeps
-the recognizer actually runs raise it, and names the observation prefix
-that sweep was pricing (0 for the initial state).  Each of those sweeps
-starts from the same state as one of the n + 1 plain sweeps (the initial
-state over every goal, each observed state over the reachable goals) but
-looks for a subset of its goals, so by the one-way rule across goals
-(``planner`` module docstring) it dequeues no more.  The tables read
+Both sources give the same costs.  BudgetExceeded is raised where the
+sweeps the recognizer actually runs raise it, and names the observation
+prefix that sweep was pricing (0 for the initial state).  Each of those
+sweeps starts from the same state as one of the n + 1 plain sweeps (the
+initial state over every goal, each observed state over the reachable
+goals) but looks for a subset of its goals, so by the one-way rule across
+goals (``planner`` module docstring) it dequeues no more.  The tables read
 the budget as a limit on the cells a pass counts, so they never raise.
 Let R be the number of cells reachable from the initial state.  Every move
-can be undone, so a pass from a reachable goal's cell counts exactly those
-R cells, and no sweep from a reachable cell dequeues more than R.  So the
-tables are built only when R <= budget, where no plain sweep runs out, and
-when R > budget they give up and the sweeps run as on any other domain.
+can be undone, so a table that reaches the start counted exactly those R
+cells, so R <= budget; and no sweep from a reachable cell dequeues more
+than R, so no plain sweep runs out there either.  When no table reaches
+the start, or the tables give up, the sweeps run as on any other domain.
 Either way, a budget that the n + 1 plain sweeps fit never exits 3.
 
 Scores are normalized into a posterior over the goal set; unreachable
@@ -58,7 +58,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (AllGoalsUnsolvable, BudgetExceeded,
                      InvalidObservationChain, MalformedSpec)
-from .planner import DEFAULT_BUDGET, Sweep, sweep
+from .planner import DEFAULT_BUDGET, sweep
 from .strips import DomainDefinition, GroundAction, step
 
 DEFAULT_TIE_TOLERANCE = 1e-9
@@ -173,18 +173,6 @@ def _normalize(scores, prefix: int) -> tuple:
     return tuple(s / total for s in scores)
 
 
-def _priced(domain: DomainDefinition, state: int, goals: Sequence[int],
-            budget: int, prefix: int) -> Sweep:
-    """``planner.sweep`` from ``state``, the state after observation
-    ``prefix``; a BudgetExceeded names ``prefix``."""
-    try:
-        return sweep(domain, state, goals, budget)
-    except BudgetExceeded:
-        raise BudgetExceeded(
-            budget, f"pricing the goals after observation {prefix}",
-            prefix) from None
-
-
 def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
                   chains: list, budget: int, prefix: int) -> list:
     """Cost to each goal from ``state``, the state after observation
@@ -192,7 +180,8 @@ def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
     ``state`` reads it off the chain; a goal whose chain is None was
     unreachable from an earlier observed state, so it is from this one too;
     the others are priced by one sweep, which replaces their certificates,
-    or sets None for a goal it finds unreachable (module docstring)."""
+    or sets None for a goal it finds unreachable (module docstring).  A
+    BudgetExceeded names ``prefix``."""
     sid = domain.state_id(state)
     costs, left = [None] * len(goals), []
     for k, chain in enumerate(chains):
@@ -204,10 +193,35 @@ def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
         else:
             left.append(k)
     if left:
-        found = _priced(domain, state, [goals[k] for k in left], budget, prefix)
+        try:
+            found = sweep(domain, state, [goals[k] for k in left], budget)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                budget, f"pricing the goals after observation {prefix}",
+                prefix) from None
         for k, cost, chain in zip(left, found.costs, found.chains()):
             costs[k], chains[k] = cost, None if cost is None else chain
     return costs
+
+
+def _cost_rows(problem: GrProblem, budget: int):
+    """Each goal's cost (None where unreachable) from the initial state,
+    then from each observed state in turn: from the distance tables when
+    one reaches the initial state, else from the sweeps, each run only as
+    its row is read (module docstring)."""
+    domain, goals = problem.domain, problem.goals
+    states = [problem.initial, *(obs.resulting_state
+                                 for obs in problem.observations)]
+    tables = problem.observations and domain.distance_tables(goals, budget)
+    if tables and any(table[domain.state_id(problem.initial)] is not None
+                      for table in tables):
+        for state in states:
+            sid = domain.state_id(state)
+            yield [table[sid] for table in tables]
+        return
+    chains = [[] for _ in goals]
+    for prefix, state in enumerate(states):
+        yield _suffix_costs(domain, state, goals, chains, budget, prefix)
 
 
 def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = None,
@@ -221,11 +235,8 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     if priors is not None and len(priors) != len(problem.goals):
         raise MalformedSpec("priors must assign one weight per goal")
 
-    domain, goals = problem.domain, problem.goals
-    first = _priced(domain, problem.initial, goals, budget, 0)
-    base_costs = first.costs
-    reachable = [j for j, c in enumerate(base_costs) if c is not None]
-    reachable_goals = [goals[j] for j in reachable]
+    rows = _cost_rows(problem, budget)
+    base_costs = next(rows)
 
     def distribution(scores, prefix):
         if priors is not None:
@@ -235,29 +246,14 @@ def mirror_posteriors(problem: GrProblem, priors: Optional[Sequence[float]] = No
     prior_scores = [0.0 if c is None else 1.0 for c in base_costs]
     prior_dist = distribution(prior_scores, 0)
 
-    tables = (domain.distance_tables(reachable_goals, budget)
-              if problem.observations else None)
-    if tables is None:
-        chains = first.chains()
-        chains = [chains[j] for j in reachable]
-
     per_prefix = []
-    for i, obs in enumerate(problem.observations, start=1):
-        if tables is None:
-            suffixes = _suffix_costs(domain, obs.resulting_state,
-                                     reachable_goals, chains, budget, i)
-        else:
-            sid = domain.state_id(obs.resulting_state)
-            suffixes = [table[sid] for table in tables]
-        scores = [0.0] * len(goals)
-        for j, suffix in zip(reachable, suffixes):
-            if suffix is not None:
-                scores[j] = base_costs[j] / (i + suffix)
+    for i, suffixes in enumerate(rows, start=1):
+        scores = [0.0 if s is None else b / (i + s)
+                  for b, s in zip(base_costs, suffixes)]
         try:
             per_prefix.append(distribution(scores, i))
         except AllGoalsUnsolvable:
-            held = [j for j, suffix in zip(reachable, suffixes)
-                    if suffix is not None]
+            held = [j for j, s in enumerate(suffixes) if s is not None]
             if held and not any(base_costs[j] for j in held):
                 raise AllGoalsUnsolvable(
                     i, tuple(problem.goal_names[j] for j in held)) from None

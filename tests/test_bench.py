@@ -153,8 +153,7 @@ def test_search_counts_counts_one_board():
     """``tools/search_counts.py`` on ``bench/sokoban_03``: every column of
     one board's row, read off that recognition (its sweep sizes are pinned
     by ``test_recognizer.test_certificates_skip_sweeps_on_sokoban_03``).
-    On ``bench/grid_04`` the path reads ``tables``, so no sweep from an
-    observed state runs."""
+    On ``bench/grid_04`` the path reads ``tables``, so no sweep runs."""
     tool = load_file("tools/search_counts.py")
     problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
     counts = tool.board_counts(problem)
@@ -168,6 +167,7 @@ def test_search_counts_counts_one_board():
     grid = tool.board_counts(load_scenario(
         bundled_scenario_path("bench/grid_04")))
     assert grid["path"] == "tables" and grid["obs_dequeues"] == 0
+    assert grid["sweeps"] == grid["dequeues"] == 0
 
 
 def test_stage_times_times_one_board(tmp_path):

@@ -129,6 +129,19 @@ def test_all_goals_unsolvable_raises():
     domain, initial, goals = compile_grid(spec)
     with pytest.raises(AllGoalsUnsolvable):
         mirror_posteriors(GrProblem(domain, initial, tuple(goals)))
+    # goal 9's own table counts its one cell, so it is built, but it does
+    # not reach the start: the sweep from the start prices the rows after
+    # all, and it dequeues the start's R = 6 cells
+    problem = GrProblem(domain, initial, tuple(goals),
+                        walk(domain, initial, ["move-right-1-2"]))
+    with pytest.raises(BudgetExceeded, match="^expansion budget of 5 nodes "
+                       "exceeded pricing the goals after observation 0$") as err:
+        mirror_posteriors(problem, budget=5)
+    assert err.value.prefix == 0
+    with pytest.raises(AllGoalsUnsolvable, match="^no goal hypothesis is "
+                       "reachable after observation 0$") as err:
+        mirror_posteriors(problem, budget=6)
+    assert err.value.prefix == 0
 
 
 def test_optimal_confirmation_monotonicity():
@@ -269,6 +282,77 @@ def test_budget_points_match_the_sweeps_on_the_table_path(goal_cells,
     built = spy_on_tables(monkeypatch)
     assert_budget_points_match_the_sweeps(problem, range(1, 19 + 2))
     assert built[-1] is not None
+
+
+@st.composite
+def walled_grid_problems(draw):
+    """(problem, R) on a grid of 1-7 cells a side with about 30% walls, so
+    often several components: 1-4 goal cells, sometimes with the empty goal
+    or a two-cell goal after them, and a walk of 0-8 moves from the start,
+    which reaches R cells."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = range(1, width * height + 1)
+    blocked = {c for c in cells if draw(st.integers(0, 9)) < 3}
+    free = [c for c in cells if c not in blocked]
+    assume(free)
+    start = draw(st.sampled_from(free))
+    spec = GridSpec(width, height, frozenset(blocked), start,
+                    draw(st.lists(st.sampled_from(free), min_size=1,
+                                  max_size=4, unique=True)))
+    domain, initial, goals = compile_grid(spec)
+    extra = draw(st.sampled_from(["none", "empty", "two cells"]))
+    if extra == "empty":
+        goals.append(0)
+    elif extra == "two cells" and len(free) > 1:
+        a, b = draw(st.lists(st.sampled_from(free), min_size=2, max_size=2,
+                             unique=True))
+        goals.append(1 << (a - 1) | 1 << (b - 1))
+    observations, state = [], initial
+    for _ in range(draw(st.integers(0, 8))):
+        applicable = domain.applicable_actions(state)
+        if not applicable:
+            break
+        action = draw(st.sampled_from(applicable))
+        state = step(state, action)
+        observations.append(Observation(action, state))
+    reach = sum(bfs_grid_distance(spec, start, c) is not None for c in free)
+    return GrProblem(domain, initial, tuple(goals), observations), reach
+
+
+def outcome(problem, budget):
+    """The trace of ``problem`` at ``budget``, or its error's type, message
+    and prefix."""
+    try:
+        return mirror_posteriors(problem, budget=budget)
+    except (AllGoalsUnsolvable, BudgetExceeded) as exc:
+        return type(exc), str(exc), exc.prefix
+
+
+@settings(max_examples=300, deadline=None)
+@given(walled_grid_problems())
+def test_the_tables_give_the_outcome_of_the_sweeps_at_every_budget(drawn):
+    problem, reach = drawn
+    budgets = [*range(1, reach + 3), recognizer.DEFAULT_BUDGET]
+    found = [outcome(problem, budget) for budget in budgets]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GridDomain, "distance_tables", lambda *args: None)
+        assert [outcome(problem, budget) for budget in budgets] == found
+
+
+@pytest.mark.parametrize("name, sweeps", [("bench/grid_04", 0),
+                                          ("nav_crossroads", 0),
+                                          ("bench/sokoban_03", 2)])
+def test_a_grid_whose_tables_reach_the_start_runs_no_sweep(name, sweeps,
+                                                           monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(recognizer, "sweep", counted)
+    mirror_posteriors(load_scenario(bundled_scenario_path(name)))
+    assert len(calls) == sweeps
 
 
 def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):

@@ -5,15 +5,16 @@
 The boards are the benchmark's, as ``tools/boards.py`` lists them.  Each
 is loaded afresh by ``load_scenario`` and recognized once by
 ``mirror_posteriors`` at the default budget, with the planner sweep that
-the recognizer calls and the domain's ``distance_tables`` wrapped to count:
+the recognizer calls wrapped to count:
 
-- ``path``: the path the recognizer took (the ``recognizer`` module
-  docstring): ``tables`` where ``distance_tables`` built them, ``sweeps``
-  otherwise;
+- ``path``: the cost source the recognizer took (the ``recognizer`` module
+  docstring): ``tables`` where no sweep ran, so the distance tables priced
+  every row, ``sweeps`` otherwise;
 - ``sweeps``: the planner sweeps run, the one from the initial state
-  included;
+  included, and 0 on the tables path;
 - ``dequeues``: the states those sweeps dequeued, and ``obs_dequeues``, the
-  part dequeued by the sweeps from observed states;
+  part dequeued by the sweeps from observed states, both 0 on the tables
+  path;
 - ``largest``: the most states one of those sweeps dequeued;
 - ``rows`` and ``states``: the successor rows filled and the states
   interned, read off the domain afterwards.  On a grid ``states`` is the
@@ -40,29 +41,21 @@ COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states")
 
 def board_counts(problem) -> dict:
     """The counts of one recognition of ``problem`` (module docstring)."""
-    domain, sweep, sizes, path = problem.domain, recognizer.sweep, [], "sweeps"
-    tables = domain.distance_tables
+    domain, sweep, sizes = problem.domain, recognizer.sweep, []
 
     def counted_sweep(*args):
         result = sweep(*args)
         sizes.append(result.dequeued)
         return result
 
-    def spied_tables(*args):
-        nonlocal path
-        found = tables(*args)
-        path = "sweeps" if found is None else "tables"
-        return found
-
-    recognizer.sweep, domain.distance_tables = counted_sweep, spied_tables
+    recognizer.sweep = counted_sweep
     try:
         recognizer.mirror_posteriors(problem)
     finally:
         recognizer.sweep = sweep
-        del domain.distance_tables
-    return {"path": path,
+    return {"path": "sweeps" if sizes else "tables",
             "sweeps": len(sizes), "dequeues": sum(sizes),
-            "obs_dequeues": sum(sizes[1:]), "largest": max(sizes),
+            "obs_dequeues": sum(sizes[1:]), "largest": max(sizes, default=0),
             "rows": sum(row is not None for row in domain.rows),
             "states": len(domain.states)}
 
