@@ -8,7 +8,9 @@ and each legal adjacent move is a unit-cost action named
 No move is filed: ``GridDomain`` computes each row from the agent's cell
 and builds a move's name and value only where one is read, and formats the
 ``at-<cell>`` names only where ``facts``, ``encode``, ``decode`` or an
-error message reads them.
+error message reads them.  Its goal costs and shortest paths come from
+breadth-first layers over the whole board, each a cell mask, and fill no
+row but those along a path.
 
 Board names follow one format on grids and Sokoban boards alike: an action is
 ``<verb>-<direction>-<from>-<to>`` and a fact is ``<kind>-<cell>``.
@@ -18,9 +20,10 @@ direction words, ``GridDomain``'s name lookup and the suite generator).
 """
 
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple, Optional
 
-from .errors import MalformedSpec
+from .errors import BudgetExceeded, MalformedSpec
 from .strips import DomainDefinition
 
 # Row and column step of each direction word, in the order moves are compiled.
@@ -34,9 +37,12 @@ DIRECTIONS = tuple(DELTAS)
 # compiles in about 0.4 s to 230 MB peak RSS (Python 3.11, 2-core Xeon), and
 # four times the cells would need about 3.5 GB.  A grid compile files no
 # action and formats no fact name: an open 64 x 64 grid compiles in about
-# 0.25 ms and fills all 4,096 rows in about 9 ms, within 2 MB of the 15.8 MB
-# the import takes; reading all 16,128 actions (``actions``) adds about
-# 20 MB.  A fixed validation limit, not a setting.
+# 0.5 ms, builds its three layer masks in about 0.17 ms and floods all 127
+# layers from a corner in about 0.11 ms; pricing one goal from all 4,096
+# cells takes about 4 ms, and filling all 4,096 rows about 9 ms, within
+# 1 MB of the 16 MB the import takes (Python 3.11, 2-core Xeon).  Reading
+# all 16,128 actions (``actions``) adds about 20 MB.  A fixed validation
+# limit, not a setting.
 MAX_CELLS = 4_096
 
 
@@ -130,6 +136,19 @@ class GridDomain(DomainDefinition):
     first time a name, ``applicable_actions`` or ``actions`` reads the
     cell; a name is known only as the entry spells it, so
     ``move-up-012-3`` is unknown.
+
+    A set of cells is one int, bit ``i`` being cell index ``i``, so a
+    breadth-first layer from a set F is five whole-board operations:
+    ``(F & not_last) << 1 | (F & not_first) >> 1 | F << width |
+    F >> width``, masked by the free cells no earlier layer holds
+    (``_layers``).  The recognizer's ``goal_costs`` floods from each goal's
+    cell and the planner's ``shortest_path`` from the start and then back
+    from the goal; neither loops over cells.  A layer costs a number of
+    big-int digit operations that grows with the board, not with the
+    layer, so a long winding corridor loses to a row-by-row search.  On a
+    64 x 64 serpentine of 2,080 free cells, pricing 4 goals takes about
+    7.8 ms and one 2,015-step plan 19.6 ms, where one pass per goal over
+    the rows took 4.7 ms and a sweep 16.4 ms.
     """
 
     def __init__(self, spec: GridSpec):
@@ -213,29 +232,99 @@ class GridDomain(DomainDefinition):
             found = self.rows[state_id] = tuple(self._neighbours(state_id))
         return found
 
-    def distance_tables(self, goals, limit):
-        """Each goal's optimal cost from every cell, a list per goal indexed
-        by cell index (None where unreachable): one breadth-first pass over
-        the rows from the goal's cell, as every move can be undone.  None
-        instead for a goal that is not one cell, and as soon as a row takes
-        a pass past ``limit`` cells; the rows filled are kept."""
-        rows, expand, tables = self.rows, self.expand, []
-        for goal in goals:
-            i = goal.bit_length() - 1
-            if i < 0 or goal != 1 << i:
+    @cached_property
+    def _masks(self) -> tuple:
+        """(free cells, cells off the first column, cells off the last
+        column) as cell masks, each read from one bit string, highest cell
+        first: summing ``1 << i`` per cell would take time quadratic in the
+        board's size."""
+        width, height = self.width, len(self._free) // self.width
+        free = "".join("1" if f else "0" for f in reversed(self._free))
+        return (int(free, 2), int(("1" * (width - 1) + "0") * height, 2),
+                int(("0" + "1" * (width - 1)) * height, 2))
+
+    def _layers(self, i: int):
+        """The breadth-first layers from cell index ``i`` as cell masks:
+        ``1 << i``, then each layer's free neighbours that no earlier layer
+        holds, until one is empty.  A layer is five whole-board operations
+        on the masks, not a loop over its cells."""
+        width, (free, not_first, not_last) = self.width, self._masks
+        layer = 1 << i
+        unseen = free ^ layer if free & layer else 0  # a blocked cell: no move
+        while layer:
+            yield layer
+            layer = unseen & ((layer & not_last) << 1 | (layer & not_first) >> 1
+                              | layer << width | layer >> width)
+            unseen ^= layer
+
+    def _goal_cell(self, goal: int) -> Optional[int]:
+        """The cell index of a goal that is one cell of the board, else
+        None."""
+        i = goal.bit_length() - 1
+        return i if 0 <= i < self.fact_count and goal == 1 << i else None
+
+    def goal_costs(self, goals, states, limit):
+        """One row per state of ``states``, each goal's optimal cost from
+        it (None where unreachable): the depth of the state's cell in the
+        layers from the goal's cell, as every move can be undone.  Only
+        the asked-for cells of a layer are decoded, and no successor row is
+        filled.  None instead where a goal is not one cell of the board,
+        or its cell reaches more than ``limit`` cells, so the recognizer
+        sweeps."""
+        sources = [self._goal_cell(goal) for goal in goals]
+        if None in sources:
+            return None
+        cells = [self.state_id(state) for state in states]
+        wanted, found = sum(1 << i for i in set(cells)), []
+        for source in sources:
+            depths, reached = {}, 0
+            for depth, layer in enumerate(self._layers(source)):
+                reached += layer.bit_count()
+                hits = layer & wanted
+                while hits:
+                    low = hits & -hits
+                    depths[low.bit_length() - 1] = depth
+                    hits ^= low
+            if reached > limit:
                 return None
-            table, found = [None] * self.fact_count, [i]
-            table[i] = 0
-            for sid in found:
-                depth = table[sid] + 1
-                for succ in rows[sid] or expand(sid):
-                    if table[succ] is None:
-                        table[succ] = depth
-                        found.append(succ)
-                if len(found) > limit:
-                    return None
-            tables.append(table)
-        return tables
+            found.append(depths)
+        return [[depths.get(i) for depths in found] for i in cells]
+
+    def shortest_path(self, initial, goal, budget):
+        """The cell indices of the lexicographically first shortest path
+        from ``initial`` to ``goal``, both ends included, or ``[]`` where
+        none exists; None for a goal that is not one cell of the board.
+        BudgetExceeded, or None for ``optimal_plan`` to sweep, follow the
+        sweep's count (``planner`` module docstring): with B the cells of
+        the layers from ``initial`` before the goal's, B + 1 over
+        ``budget`` raises and B plus the goal's layer within it cannot,
+        while between the two the goal's place in its layer decides, which
+        the masks do not know, so None.  An unreachable goal raises where
+        the cells reached are over ``budget``.  The path is a greedy walk
+        down the layers from the goal: each step takes the first
+        successor, in name order, one move nearer the goal."""
+        j = self._goal_cell(goal)
+        if j is None:
+            return None
+        start, before = self.state_id(initial), 0
+        for depth, layer in enumerate(self._layers(start)):
+            if layer >> j & 1:
+                break
+            before += layer.bit_count()
+        else:
+            if before > budget:
+                raise BudgetExceeded(budget)
+            return []
+        if before >= budget:
+            raise BudgetExceeded(budget)
+        if before + layer.bit_count() > budget:
+            return None
+        rows, expand, path = self.rows, self.expand, [start]
+        for shell in reversed(list(islice(self._layers(j), depth))):
+            cell = path[-1]
+            path.append(next(succ for succ in rows[cell] or expand(cell)
+                             if shell >> succ & 1))
+        return path
 
 
 def compile_grid(spec: GridSpec):

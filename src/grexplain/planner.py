@@ -61,6 +61,20 @@ each goal's first hit with its parent map, and ``Sweep.chains`` walks every
 goal's chain: ``optimal_plan`` spells its one goal's, and the recognizer
 follows the chains along the observations (``recognizer`` module
 docstring).
+
+``optimal_plan`` first asks the domain for the path
+(``DomainDefinition.shortest_path``) and sweeps only where the domain
+returns None, as every domain but a grid does.  A grid floods the board
+from the start one whole-board layer at a time (``grids.GridDomain``).
+The flood's layers are the sweep's, so it knows the sweep's count up to
+the goal's place in its layer.  Let B be the cells of the layers before
+the goal's and L the cells of the goal's layer.  B + 1 over the budget
+raises BudgetExceeded, as the sweep would; B + L within it cannot raise;
+otherwise the grid returns None and the sweep decides.  An unreachable
+goal raises exactly where the cells the flood reached are over the
+budget.  The path is then walked down the layers flooded back from the
+goal, each step the first successor in name order one move nearer it,
+which spells the same lexicographically first shortest plan.
 """
 
 from typing import NamedTuple, Optional, Sequence
@@ -166,9 +180,10 @@ def optimal_plan(task: PlanningTask,
     already holds, or None if the task is unsolvable (``budget >= 1``).
 
     Ties between equal-length plans go to the lexicographically first
-    action-name sequence: the parent chain of the first goal state the
-    sweep dequeues (see the module docstring for why).  Successor rows hold
-    no actions, so each step is named by position:
+    action-name sequence: the domain's ``shortest_path``, or else the
+    parent chain of the first goal state the sweep dequeues (see the
+    module docstring for why).  Successor rows hold no actions, so each
+    step is named by position:
     ``applicable_actions(parent)[rows[parent].index(child)]``, as the row
     and that list hold the same actions in the same order.  ``index`` takes
     the first position that leads to the child, which is the action that
@@ -177,10 +192,14 @@ def optimal_plan(task: PlanningTask,
     same state the earlier name is taken.
     """
     domain = task.domain
-    found = sweep(domain, task.initial, [task.goal], budget)
-    if found.costs[0] is None:
+    path = domain.shortest_path(task.initial, task.goal, budget)
+    if path is None:
+        found = sweep(domain, task.initial, [task.goal], budget)
+        if found.costs[0] is None:
+            return None
+        path = [domain.state_id(task.initial), *reversed(found.chains()[0])]
+    elif not path:
         return None
     states, rows = domain.states, domain.rows
-    path = [domain.state_id(task.initial), *reversed(found.chains()[0])]
     return tuple(domain.applicable_actions(states[parent])[
         rows[parent].index(child)] for parent, child in zip(path, path[1:]))

@@ -8,14 +8,16 @@ so a goal the observations keep optimal scores 1 and goals the agent walks
 away from decay toward 0.  Every action costs 1, so the prefix cost after i
 observations is i and each cost is a plan length.  The costs come as one
 row per prefix 0..n: each goal's cost from the initial state, then from
-each observed state.  One rule picks their source: the distance tables
-when one of them reaches the initial state, else the sweeps.
+each observed state.  One rule picks their source: the domain's goal
+costs when row 0 holds a cost, else the sweeps.
 
-* Tables (``DomainDefinition.distance_tables``): one breadth-first pass
-  per goal from the goal's cell prices it from every cell
-  (``grids.GridDomain``), so each row is a lookup.  They are asked for
-  only when there is an observation, and give up for a goal that is not
-  one cell, and as soon as a pass counts more than ``budget`` cells.
+* Goal costs (``DomainDefinition.goal_costs``): the domain prices every
+  goal from the n + 1 states at once, or returns None.  A grid floods the
+  board from each goal's cell, one whole-board layer at a time
+  (``grids.GridDomain``), as every move can be undone, and reads each
+  state's cell off the layers.  They are asked for only when there is an
+  observation, and a grid gives up for a goal that is not one cell, and
+  for one whose cell reaches more than ``budget`` cells.
 * Sweeps: row 0 is one sweep from the initial state over every goal; from
   each observed state, one over the goals reachable from the initial state
   that have lost their certificate (below).
@@ -40,14 +42,15 @@ prefix that sweep was pricing (0 for the initial state).  Each of those
 sweeps starts from the same state as one of the n + 1 plain sweeps (the
 initial state over every goal, each observed state over the reachable
 goals) but looks for a subset of its goals, so by the one-way rule across
-goals (``planner`` module docstring) it dequeues no more.  The tables read
-the budget as a limit on the cells a pass counts, so they never raise.
-Let R be the number of cells reachable from the initial state.  Every move
-can be undone, so a table that reaches the start counted exactly those R
-cells, so R <= budget; and no sweep from a reachable cell dequeues more
-than R, so no plain sweep runs out there either.  When no table reaches
-the start, or the tables give up, the sweeps run as on any other domain.
-Either way, a budget that the n + 1 plain sweeps fit never exits 3.
+goals (``planner`` module docstring) it dequeues no more.  A grid's goal
+costs read the budget as a limit on the cells a goal's flood reaches, so
+they never raise.  Let R be the number of cells reachable from the
+initial state.  Every move can be undone, so a goal whose flood reaches
+the start reached exactly those R cells, so R <= budget; and no sweep
+from a reachable cell dequeues more than R, so no plain sweep runs out
+there either.  When row 0 holds no cost, or the domain gives up, the
+sweeps run as on any other domain.  Either way, a budget that the n + 1
+plain sweeps fit never exits 3.
 
 Scores are normalized into a posterior over the goal set; unreachable
 goals get probability 0.  Goals within ``DEFAULT_TIE_TOLERANCE`` of the
@@ -206,18 +209,15 @@ def _suffix_costs(domain: DomainDefinition, state: int, goals: Sequence[int],
 
 def _cost_rows(problem: GrProblem, budget: int):
     """Each goal's cost (None where unreachable) from the initial state,
-    then from each observed state in turn: from the distance tables when
-    one reaches the initial state, else from the sweeps, each run only as
-    its row is read (module docstring)."""
+    then from each observed state in turn: from the domain's goal costs
+    when row 0 holds one, else from the sweeps, each run only as its row
+    is read (module docstring)."""
     domain, goals = problem.domain, problem.goals
     states = [problem.initial, *(obs.resulting_state
                                  for obs in problem.observations)]
-    tables = problem.observations and domain.distance_tables(goals, budget)
-    if tables and any(table[domain.state_id(problem.initial)] is not None
-                      for table in tables):
-        for state in states:
-            sid = domain.state_id(state)
-            yield [table[sid] for table in tables]
+    rows = problem.observations and domain.goal_costs(goals, states, budget)
+    if rows and any(cost is not None for cost in rows[0]):
+        yield from rows
         return
     chains = [[] for _ in goals]
     for prefix, state in enumerate(states):

@@ -69,9 +69,13 @@ of one bit, such as a grid position ``1 << i``, hashes to one of only 61
 values (so a grid's states are its cells from the compile, each one's
 id its cell index: ``grids.GridDomain``).
 
-A domain may price goals from every state at once (``distance_tables``);
-only a grid does, as every move can be undone (``grids.GridDomain``), and
-the recognizer sweeps on every other domain.
+A domain may answer two search questions without a sweep: each goal's
+cost from a list of states (``goal_costs``, for the recognizer) and the
+lexicographically first shortest path to one goal (``shortest_path``, for
+``optimal_plan``).  Only a grid does, from whole-board layers, as every
+move can be undone (``grids.GridDomain``); its exact budget rules are in
+the ``recognizer`` and ``planner`` module docstrings.  Here both return
+None, and the caller sweeps.
 
 A domain is not safe to share between threads: interning reads the length
 of ``states`` and then appends to it, which is not atomic.  Nothing in the
@@ -250,10 +254,18 @@ class DomainDefinition:
         ``SokobanDomain`` knows some."""
         return ids
 
-    def distance_tables(self, goals: Sequence[int],
-                        limit: int) -> Optional[list]:
-        """Each goal's optimal cost from every state, a list per goal
-        indexed by state id, or None: no tables here (module docstring)."""
+    def goal_costs(self, goals: Sequence[int], states: Sequence[int],
+                   limit: int) -> Optional[list]:
+        """One row per state of ``states``, each goal's optimal cost from
+        it (None where unreachable), or None: no costs here (module
+        docstring)."""
+        return None
+
+    def shortest_path(self, initial: int, goal: int,
+                      budget: int) -> Optional[list]:
+        """The ids of the lexicographically first shortest path from
+        ``initial`` to ``goal``, ``[]`` where none exists, or None for
+        ``optimal_plan`` to sweep: always None here (module docstring)."""
         return None
 
     def state_id(self, state: int) -> int:

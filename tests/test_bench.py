@@ -152,8 +152,9 @@ def test_traced_benchmark_installs_after_one_send_of_each_verb_and_kind(
 def test_search_counts_counts_one_board():
     """``tools/search_counts.py`` on ``bench/sokoban_03``: every column of
     one board's row, read off that recognition (its sweep sizes are pinned
-    by ``test_recognizer.test_certificates_skip_sweeps_on_sokoban_03``).
-    On ``bench/grid_04`` the path reads ``tables``, so no sweep runs."""
+    by ``test_recognizer.test_certificates_skip_sweeps_on_sokoban_03``),
+    and its why-not's one planning sweep.  On ``bench/grid_04`` the path
+    reads ``tables`` and the grid plans its why-not, so no sweep runs."""
     tool = load_file("tools/search_counts.py")
     problem = load_scenario(bundled_scenario_path("bench/sokoban_03"))
     counts = tool.board_counts(problem)
@@ -163,11 +164,12 @@ def test_search_counts_counts_one_board():
     assert 0 < counts["obs_dequeues"] < counts["largest"] < counts["dequeues"]
     assert counts["rows"] == sum(row is not None for row in domain.rows)
     assert counts["states"] == len(domain.states)
-    assert len(tool.row("bundled", "bench/sokoban_03", counts).split()) == 9
+    assert counts["plan_sweeps"] == 1
+    assert len(tool.row("bundled", "bench/sokoban_03", counts).split()) == 10
     grid = tool.board_counts(load_scenario(
         bundled_scenario_path("bench/grid_04")))
     assert grid["path"] == "tables" and grid["obs_dequeues"] == 0
-    assert grid["sweeps"] == grid["dequeues"] == 0
+    assert grid["sweeps"] == grid["dequeues"] == grid["plan_sweeps"] == 0
 
 
 def test_stage_times_times_one_board(tmp_path):

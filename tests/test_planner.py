@@ -1,16 +1,16 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grexplain import (BudgetExceeded, GridSpec, PlanningTask, SokobanSpec,
                        compile_grid, compile_sokoban, optimal_cost,
                        optimal_costs, optimal_plan)
-from grexplain.planner import sweep
+from grexplain.planner import DEFAULT_BUDGET, sweep
 
 from conftest import (apply, bfs_grid_distance, bfs_order, random_grid_spec,
                       strips_domain)
-from grexplain.grids import DIRECTIONS, offset
+from grexplain.grids import DIRECTIONS, GridDomain, offset
 from test_strips import strips_domains
 
 
@@ -174,46 +174,46 @@ def test_optimal_costs_match_bfs_oracle_per_goal(case):
 def test_distance_tables_match_sweeps_on_grids(case):
     spec, _ = case
     domain, _, goals = compile_grid(spec)
-    tables = domain.distance_tables(goals, len(domain.states))
-    for sid, state in enumerate(domain.states):
-        assert [table[sid] for table in tables] == optimal_costs(domain, state,
-                                                                 goals)
+    goals += [1 << (cell - 1) for cell in sorted(spec.blocked)[:1]]
+    states = list(domain.states)
+    rows = domain.goal_costs(goals, states, len(states))
+    assert len(rows) == len(states)
+    for state, row in zip(states, rows):
+        assert row == optimal_costs(domain, state, goals)
 
 
-def test_distance_tables_give_up_past_the_cap_and_keep_their_rows():
+def test_goal_costs_give_up_past_the_cap_and_fill_no_rows():
     # the cap is the grid hook's limit: 19 cells are reachable from goal 1
     spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
     domain, initial, goals = compile_grid(spec)
-    assert domain.distance_tables(goals, 18) is None
-    assert sum(row is not None for row in domain.rows) > 0
-    tables = domain.distance_tables(goals, 19)
-    assert [table[domain.state_id(initial)] for table in tables] == [2, None]
+    assert domain.goal_costs(goals, [initial], 18) is None
+    assert domain.goal_costs(goals, [initial], 19) == [[2, None]]
+    assert all(row is None for row in domain.rows)
 
 
-def test_distance_tables_give_up_at_the_row_that_passes_the_cap():
-    # goal 25 is walled off and 19 cells are reachable from goal 1, so the
-    # pass from cell 1 discovers all 19 in the order of a sweep from there;
-    # it stops after the row of the cell that discovered cell limit + 1,
-    # and fills no later row
+def test_goal_costs_give_up_exactly_when_a_goal_reaches_past_the_limit():
+    # goal 25 is walled off, so it reaches its own cell only, and 19 cells
+    # are reachable from goal 1, as a sweep from there discovers them; the
+    # hook gives up exactly at the limits below 19, and fills no row
     spec = GridSpec(5, 5, frozenset({8, 13, 19, 20, 24}), 7, (1, 25))
-    domain, _, goals = compile_grid(spec)
-    parents = sweep(domain, goals[0], [goals[1]]).parents
-    order = list(parents)
-    assert len(order) == 19
-    for limit in range(1, 19):
+    domain, initial, goals = compile_grid(spec)
+    assert len(sweep(domain, goals[0], [goals[1]]).parents) == 19
+    for limit in range(1, 20):
         fresh = compile_grid(spec)[0]
-        assert fresh.distance_tables(goals, limit) is None
-        expanded = order.index(parents[order[limit]]) + 1
-        assert sum(row is not None for row in fresh.rows) == expanded, limit
+        found = fresh.goal_costs(goals, [initial], limit)
+        assert (found is None) == (limit < 19), limit
+        assert fresh.goal_costs(goals[1:], [initial], limit) == [[None]]
+        assert all(row is None for row in fresh.rows), limit
 
 
 def test_only_one_cell_goals_on_a_grid_get_tables():
-    domain, _, goals = compile_grid(GridSpec(3, 3, frozenset(), 7, (9,)))
-    assert domain.distance_tables(goals, 9) is not None
-    for goal in (0, 1 << 8 | 1 << 2):
-        assert domain.distance_tables([*goals, goal], 9) is None
+    domain, initial, goals = compile_grid(GridSpec(3, 3, frozenset(), 7, (9,)))
+    assert domain.goal_costs(goals, [initial], 9) == [[2]]
+    for goal in (0, 1 << 8 | 1 << 2, 1 << 9):
+        assert domain.goal_costs([*goals, goal], [initial], 9) is None
     other = strips_domain(["p", "q"], [("a", {"p"}, {"q"}, {"p"})])
-    assert other.distance_tables([other.encode({"q"})], 9) is None
+    assert other.goal_costs([other.encode({"q"})], [other.encode({"p"})],
+                            9) is None
 
 
 @pytest.mark.parametrize("goal_cells", [(1, 21, 7, 10), (1, 21, 7, 25, 10)],
@@ -345,3 +345,67 @@ def test_optimal_cost_equals_plan_cost():
         plan = optimal_plan(task)
         cost = optimal_cost(task)
         assert cost == (None if plan is None else len(plan))
+
+
+@st.composite
+def walled_plan_cases(draw):
+    """(spec, starts, goals, R): a grid of 1-8 cells a side with about 30%
+    walls; the starts are the spec's start cell and a blocked cell where
+    there is one, the goals the start cell, 1-3 free cells, often walled
+    off from the start, and that blocked cell; R is the number of cells
+    reachable from the start."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = range(1, width * height + 1)
+    blocked = {c for c in cells if draw(st.integers(0, 9)) < 3}
+    free = [c for c in cells if c not in blocked]
+    assume(free)
+    start = draw(st.sampled_from(free))
+    walled = sorted(blocked)[:1]
+    goal_cells = [start, *draw(st.lists(st.sampled_from(free), min_size=1,
+                                        max_size=3, unique=True)), *walled]
+    spec = GridSpec(width, height, frozenset(blocked), start, ())
+    reach = sum(bfs_grid_distance(spec, start, c) is not None for c in free)
+    return (spec, [1 << (c - 1) for c in (start, *walled)],
+            [1 << (c - 1) for c in goal_cells], reach)
+
+
+def plan_outcomes(spec, starts, goals, budgets) -> list:
+    """Per start, goal and budget, on a fresh compile of ``spec``: the
+    names of ``optimal_plan``'s plan, None for no plan, or the
+    BudgetExceeded message."""
+    found = []
+    for initial in starts:
+        for goal in goals:
+            domain = compile_grid(spec)[0]
+            for budget in budgets:
+                try:
+                    plan = optimal_plan(PlanningTask(domain, initial, goal),
+                                        budget)
+                except BudgetExceeded as exc:
+                    found.append(str(exc))
+                else:
+                    found.append(plan if plan is None
+                                 else [a.name for a in plan])
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(walled_plan_cases())
+@example((GridSpec(3, 3, frozenset({6, 8}), 1, ()), [1, 1 << 5],
+          [1 << 8, 1, 1 << 5], 6))
+@example((GridSpec(1, 5, frozenset({3}), 2, ()), [1 << 1, 1 << 2],
+          [1 << 1, 1 << 4, 1, 1 << 2], 2))
+@example((GridSpec(6, 1, frozenset(), 3, ()), [1 << 2], [1 << 2, 1 << 5, 1],
+          6))
+def test_grid_shortest_paths_give_the_sweeps_outcome_at_every_budget(case):
+    spec, starts, goals, reach = case
+    budgets = [*range(1, reach + 3), DEFAULT_BUDGET]
+    domain = compile_grid(spec)[0]
+    for initial in starts:
+        for goal in goals:
+            assert domain.shortest_path(initial, goal,
+                                        DEFAULT_BUDGET) is not None
+    found = plan_outcomes(spec, starts, goals, budgets)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GridDomain, "shortest_path", lambda *args: None)
+        assert plan_outcomes(spec, starts, goals, budgets) == found

@@ -37,10 +37,10 @@ def test_tiny_grid_distribution_matches_hand_normalization(tiny_grid_problem):
 
 
 def test_zero_observations_give_uniform_distribution(monkeypatch):
-    # no prefix reads a suffix cost, so the grid's tables are never built
+    # no prefix reads a suffix cost, so the grid's costs are never asked for
     domain, initial, goals = compile_grid(GridSpec(3, 3, frozenset(), 5, (1, 9)))
     problem = GrProblem(domain, initial, tuple(goals))
-    built = spy_on_tables(monkeypatch)
+    built = spy_on_goal_costs(monkeypatch)
     trace = mirror_posteriors(problem)
     assert built == []
     assert trace == PosteriorTrace(prior=(0.5, 0.5), per_prefix=(),
@@ -251,16 +251,16 @@ def assert_budget_points_match_the_sweeps(problem, budgets):
     assert outcomes == {True, False}
 
 
-def spy_on_tables(monkeypatch, kind=GridDomain):
-    """Record what every ``kind.distance_tables`` call returns."""
+def spy_on_goal_costs(monkeypatch, kind=GridDomain):
+    """Record what every ``kind.goal_costs`` call returns."""
     built = []
-    tables = kind.distance_tables
+    costs = kind.goal_costs
 
     def spy(*args):
-        built.append(tables(*args))
+        built.append(costs(*args))
         return built[-1]
 
-    monkeypatch.setattr(kind, "distance_tables", spy)
+    monkeypatch.setattr(kind, "goal_costs", spy)
     return built
 
 
@@ -279,7 +279,7 @@ def test_budget_points_match_the_sweeps_on_the_table_path(goal_cells,
         "move-left-18-17", "move-down-17-22",
         *["move-left-22-21", "move-right-21-22"] * 3, "move-left-22-21"])
     problem = GrProblem(domain, initial, tuple(goals), obs)
-    built = spy_on_tables(monkeypatch)
+    built = spy_on_goal_costs(monkeypatch)
     assert_budget_points_match_the_sweeps(problem, range(1, 19 + 2))
     assert built[-1] is not None
 
@@ -335,7 +335,7 @@ def test_the_tables_give_the_outcome_of_the_sweeps_at_every_budget(drawn):
     budgets = [*range(1, reach + 3), recognizer.DEFAULT_BUDGET]
     found = [outcome(problem, budget) for budget in budgets]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GridDomain, "distance_tables", lambda *args: None)
+        patch.setattr(GridDomain, "goal_costs", lambda *args: None)
         assert [outcome(problem, budget) for budget in budgets] == found
 
 
@@ -355,6 +355,14 @@ def test_a_grid_whose_tables_reach_the_start_runs_no_sweep(name, sweeps,
     assert len(calls) == sweeps
 
 
+def test_recognition_on_a_grid_fills_no_successor_row():
+    # the goal costs come from whole-board layers, not from the rows
+    problem = load_scenario(bundled_scenario_path("nav_crossroads"))
+    assert problem.observations
+    mirror_posteriors(problem)
+    assert all(row is None for row in problem.domain.rows)
+
+
 def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):
     # A Sokoban board gets no tables, so a run compares the budget only
     # with each sweep's size, and the budgets at and beside those sizes
@@ -363,7 +371,7 @@ def test_budget_points_match_the_sweeps_on_sokoban_pairs(monkeypatch):
     sizes = [sweep(problem.domain, state, goals).dequeued
              for state, goals in sweep_calls(problem)]
     budgets = sorted({1, 2} | {c + d for c in sizes for d in (-1, 0, 1)})
-    built = spy_on_tables(monkeypatch, DomainDefinition)
+    built = spy_on_goal_costs(monkeypatch, DomainDefinition)
     assert_budget_points_match_the_sweeps(problem, budgets)
     assert built and all(tables is None for tables in built)
 
@@ -379,7 +387,7 @@ def test_goals_that_are_not_one_cell_are_priced_by_the_sweeps(monkeypatch):
     traces = [mirror_posteriors(two_goals), mirror_posteriors(three_goals)]
     assert traces[0].per_prefix == ((1.0, 0.0), (1.0, 0.0))
     assert traces[1].per_prefix == ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    monkeypatch.setattr(GridDomain, "distance_tables", lambda *args: None)
+    monkeypatch.setattr(GridDomain, "goal_costs", lambda *args: None)
     assert [mirror_posteriors(two_goals),
             mirror_posteriors(three_goals)] == traces
 
@@ -506,7 +514,7 @@ def traced_or_none(problem, budget=recognizer.DEFAULT_BUDGET):
 @given(drawn_problems(drawn_grids()))
 def test_certified_sweeps_match_the_plain_sweeps_on_grids(problem):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GridDomain, "distance_tables", lambda *args: None)
+        patch.setattr(GridDomain, "goal_costs", lambda *args: None)
         trace = traced_or_none(problem)
     expected = plain_posteriors(problem)
     assert (trace is None) == (expected is None)

@@ -4,12 +4,12 @@
 
 The boards are the benchmark's, as ``tools/boards.py`` lists them.  Each
 is loaded afresh by ``load_scenario`` and recognized once by
-``mirror_posteriors`` at the default budget, with the planner sweep that
-the recognizer calls wrapped to count:
+``mirror_posteriors`` at the default budget and asked why not, with the
+planner sweeps that recognition and planning call wrapped to count:
 
 - ``path``: the cost source the recognizer took (the ``recognizer`` module
-  docstring): ``tables`` where no sweep ran, so the distance tables priced
-  every row, ``sweeps`` otherwise;
+  docstring): ``tables`` where no sweep ran, so the domain's goal costs
+  (``goal_costs``) priced every row, ``sweeps`` otherwise;
 - ``sweeps``: the planner sweeps run, the one from the initial state
   included, and 0 on the tables path;
 - ``dequeues``: the states those sweeps dequeued, and ``obs_dequeues``, the
@@ -17,8 +17,13 @@ the recognizer calls wrapped to count:
   path;
 - ``largest``: the most states one of those sweeps dequeued;
 - ``rows`` and ``states``: the successor rows filled and the states
-  interned, read off the domain afterwards.  On a grid ``states`` is the
-  board's cell count, because every cell is a state from the compile.
+  interned, read off the domain after recognition.  On a grid ``states``
+  is the board's cell count, because every cell is a state from the
+  compile;
+- ``plan_sweeps``: the planner sweeps that counterfactual planning runs
+  for the board's why-not answer (``answer_why_not`` on the recognition's
+  explanation list), 0 where the domain's ``shortest_path`` answered every
+  ``optimal_plan`` call, as on a grid.
 
 It prints one row per board, then one total row per pool (``bundled``,
 ``grid_ladder``, ``sokoban_deep``), whose ``largest`` is the pool's
@@ -33,31 +38,42 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
 from boards import boards  # noqa: E402
-from grexplain import recognizer  # noqa: E402
+from grexplain import explainer, planner, recognizer  # noqa: E402
 from grexplain.scenario import load_scenario  # noqa: E402
 
-COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states")
+COLUMNS = ("sweeps", "dequeues", "obs_dequeues", "largest", "rows", "states",
+           "plan_sweeps")
 
 
 def board_counts(problem) -> dict:
-    """The counts of one recognition of ``problem`` (module docstring)."""
-    domain, sweep, sizes = problem.domain, recognizer.sweep, []
+    """The counts of one recognition of ``problem`` and of its why-not
+    answer (module docstring)."""
+    domain, sweep, sizes, plans = problem.domain, planner.sweep, [], []
 
-    def counted_sweep(*args):
-        result = sweep(*args)
-        sizes.append(result.dequeued)
-        return result
+    def counted_into(found):
+        def counted_sweep(*args):
+            result = sweep(*args)
+            found.append(result.dequeued)
+            return result
+        return counted_sweep
 
-    recognizer.sweep = counted_sweep
+    recognizer.sweep = counted_into(sizes)
     try:
-        recognizer.mirror_posteriors(problem)
+        trace = recognizer.mirror_posteriors(problem)
     finally:
         recognizer.sweep = sweep
-    return {"path": "sweeps" if sizes else "tables",
-            "sweeps": len(sizes), "dequeues": sum(sizes),
-            "obs_dequeues": sum(sizes[1:]), "largest": max(sizes, default=0),
-            "rows": sum(row is not None for row in domain.rows),
-            "states": len(domain.states)}
+    counts = {"path": "sweeps" if sizes else "tables",
+              "sweeps": len(sizes), "dequeues": sum(sizes),
+              "obs_dequeues": sum(sizes[1:]),
+              "largest": max(sizes, default=0),
+              "rows": sum(row is not None for row in domain.rows),
+              "states": len(domain.states)}
+    planner.sweep = counted_into(plans)
+    try:
+        explainer.answer_why_not(problem, explainer.build_explanan(trace))
+    finally:
+        planner.sweep = sweep
+    return dict(counts, plan_sweeps=len(plans))
 
 
 def problems(workdir: Path):
